@@ -12,7 +12,6 @@ from .model import (
     TwoPhotonIn,
     load_config,
     make_params,
-    resolve_thread_count,
 )
 from .single_photon import (
     DiodeClass,
@@ -66,7 +65,6 @@ __all__ = [
     "TwoPhotonIn",
     "load_config",
     "make_params",
-    "resolve_thread_count",
     "DiodeClass",
     "ScatterCoeffs",
     "chiral_coeffs",

@@ -35,6 +35,7 @@ import json
 import os
 import re
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -53,7 +54,6 @@ from .model import (
     PhotonIn,
     TwoPhotonIn,
     make_params,
-    resolve_thread_count,
 )
 from .single_photon import SWEEP_HEADER, chiral_coeffs, sweep_single, write_sweep_csv
 from .two_photon import (
@@ -262,7 +262,6 @@ _TWOMAP_DEFAULTS = {
     "x": "-5:5:401",
     "channels": "tt",
     "convention": "printed",
-    "threads": None,
     "output": None,
     "format": "csv",
 }
@@ -297,13 +296,11 @@ def _cmd_twomap(args) -> int:
     if args.format not in _MAP_EXTENSIONS:
         raise CliError(f"format: expected csv, json, or binary, got {args.format!r}")
     x = _parse_grid(args.x, "x")
-    cap = resolve_thread_count()
-    workers = cap if args.threads is None else max(1, min(int(args.threads), cap))
 
     incoming = TwoPhotonIn(_DIRECTIONS[args.direction], w1, w2)
     field = TwoPhotonField(params, incoming)
     try:
-        maps = map_two_photon(field, x, channels, args.convention, workers)
+        maps = map_two_photon(field, x, channels, args.convention)
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
@@ -416,29 +413,29 @@ _REPRODUCE_DEFAULTS = {
 _FIG2_GAMMA1_SERIES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
-def _reduced_params(kappa: float, U: float, gamma1: float) -> ModelParams:
-    """Parameters in reduced units: Gamma = 1, omega_a = 0."""
+def _reduced_params(kappa, U, gamma1) -> ModelParams:
+    """Parameters in reduced units: Gamma = 1, omega_a = 0 (rates may be
+    arrays)."""
     return make_params(omega_a=0.0, kappa=kappa, U=U, gamma1=gamma1, gamma2=1.0 - gamma1)
 
 
-def _single_coeffs_rows(kappa: float, detuning: np.ndarray, column: str):
-    """Rows (gamma1/Gamma, detuning/Gamma, T or R) for the fig2 series."""
-    for g1 in _FIG2_GAMMA1_SERIES:
-        p = _reduced_params(kappa, 0.0, g1)
-        for delta in detuning:
-            c = chiral_coeffs(p, PhotonIn(Direction.LEFT_INCIDENT, p.omega_a + delta))
-            yield (g1, delta, c.T if column == "T" else c.R)
+def _rows(*columns):
+    """CSV rows of broadcast columns; the first column varies slowest."""
+    return zip(*(col.ravel() for col in np.broadcast_arrays(*columns)))
 
 
 def _fig2(n: int, outdir: Path) -> list[dict]:
     detuning = np.linspace(-4.0, 4.0, n)
+    gamma1 = np.array(_FIG2_GAMMA1_SERIES)[:, None]
+    p = _reduced_params(1.0, 0.0, gamma1)
+    c = chiral_coeffs(p, PhotonIn(Direction.LEFT_INCIDENT, p.omega_a + detuning))
     entries = []
-    for panel, column in (("a", "T"), ("b", "R")):
+    for panel, column, values in (("a", "T", c.T), ("b", "R", c.R)):
         name = f"fig2{panel}.csv"
         write_csv(
             outdir / name,
             ("gamma1_over_Gamma", "detuning_over_Gamma", column),
-            _single_coeffs_rows(1.0, detuning, column),
+            _rows(gamma1, detuning, values),
         )
         entries.append(
             {
@@ -457,14 +454,6 @@ def _fig2(n: int, outdir: Path) -> list[dict]:
 _FIG3_HEADER = ("gamma1_over_Gamma", "T_left", "T_right", "R")
 
 
-def _fig3_rows(gamma1_grid: np.ndarray, kappa_of_g1: Callable[[float], float]):
-    for g1 in gamma1_grid:
-        p = _reduced_params(kappa_of_g1(float(g1)), 0.0, float(g1))
-        left = chiral_coeffs(p, PhotonIn(Direction.LEFT_INCIDENT, p.omega_a))
-        right = chiral_coeffs(p, PhotonIn(Direction.RIGHT_INCIDENT, p.omega_a))
-        yield (g1, left.T, right.T, left.R)
-
-
 def _fig3(n: int, outdir: Path) -> list[dict]:
     entries = []
     panels = [
@@ -480,7 +469,10 @@ def _fig3(n: int, outdir: Path) -> list[dict]:
     ]
     for panel, grid, kappa_of_g1, note in panels:
         name = f"fig3{panel}.csv"
-        write_csv(outdir / name, _FIG3_HEADER, _fig3_rows(grid, kappa_of_g1))
+        p = _reduced_params(kappa_of_g1(grid), 0.0, grid)
+        left = chiral_coeffs(p, PhotonIn(Direction.LEFT_INCIDENT, p.omega_a))
+        right = chiral_coeffs(p, PhotonIn(Direction.RIGHT_INCIDENT, p.omega_a))
+        write_csv(outdir / name, _FIG3_HEADER, _rows(grid, left.T, right.T, left.R))
         params = {"detuning": 0.0, "quantity": "T and R vs gamma1/Gamma, both incidences"}
         params.update(note)
         entries.append({"file": name, "panel": panel, "params": params})
@@ -494,7 +486,8 @@ def _separation_density(
 
     In the transmitted region the density depends on the coordinates only
     through the separation, so the cut is taken one unit downstream of
-    the coupling point on the exit side.
+    the coupling point on the exit side.  Array rates in ``params``
+    broadcast against ``x``.
     """
     w1, w2 = _resonant_frequencies(params, case)
     field = TwoPhotonField(params, TwoPhotonIn(incident, w1, w2))
@@ -511,23 +504,13 @@ _CASE_LABEL = {
 }
 
 
-def _density_map_rows(
-    kappa: float, U: float, case: WorkingAreaCase, incident: Direction,
-    gamma1_grid: np.ndarray, x_grid: np.ndarray,
-):
-    for g1 in gamma1_grid:
-        p = _reduced_params(kappa, U, float(g1))
-        dens = _separation_density(p, case, x_grid, incident)
-        for gx, val in zip(x_grid, dens):
-            yield (g1, gx, val)
-
-
 def _density_maps(
     fig: str, n: int, outdir: Path, kappa: float, x_max: float
 ) -> list[dict]:
     """Four panels: both tunings x both incidences, over (gamma1, separation)."""
-    gamma1_grid = np.linspace(0.0, 1.0, n)
+    gamma1_grid = np.linspace(0.0, 1.0, n)[:, None]
     x_grid = np.linspace(0.0, x_max, n)
+    params = _reduced_params(kappa, 10.0, gamma1_grid)
     entries = []
     panels = [
         ("a", WorkingAreaCase.SINGLE_PHOTON_RESONANCE, Direction.LEFT_INCIDENT),
@@ -537,11 +520,8 @@ def _density_maps(
     ]
     for panel, case, incident in panels:
         name = f"{fig}{panel}.csv"
-        write_csv(
-            outdir / name,
-            _MAP_HEADER,
-            _density_map_rows(kappa, 10.0, case, incident, gamma1_grid, x_grid),
-        )
+        density = _separation_density(params, case, x_grid, incident)
+        write_csv(outdir / name, _MAP_HEADER, _rows(gamma1_grid, x_grid, density))
         entries.append(
             {
                 "file": name,
@@ -558,34 +538,22 @@ def _density_maps(
     return entries
 
 
-def _fig4(n: int, outdir: Path) -> list[dict]:
-    return _density_maps("fig4", n, outdir, kappa=1.0, x_max=4.0)
-
-
-def _fig7(n: int, outdir: Path) -> list[dict]:
-    return _density_maps("fig7", n, outdir, kappa=0.01, x_max=10.0)
-
-
 _CURVE_HEADER = ("gamma1_over_Gamma", "psi_tt_sq", "psi_tt_tilde_sq")
-
-
-def _density_curve_rows(kappa: float, U: float, case: WorkingAreaCase, gx: float, n: int):
-    x = np.array([gx])
-    for g1 in np.linspace(0.0, 1.0, n):
-        p = _reduced_params(kappa, U, float(g1))
-        right = _separation_density(p, case, x, Direction.LEFT_INCIDENT)[0]
-        left = _separation_density(p, case, x, Direction.RIGHT_INCIDENT)[0]
-        yield (g1, right, left)
 
 
 def _density_curves(
     fig: str, n: int, outdir: Path, kappa: float,
     panels: Sequence[tuple[str, WorkingAreaCase, float]],
 ) -> list[dict]:
+    gamma1_grid = np.linspace(0.0, 1.0, n)
+    params = _reduced_params(kappa, 10.0, gamma1_grid)
     entries = []
     for panel, case, gx in panels:
         name = f"{fig}{panel}.csv"
-        write_csv(outdir / name, _CURVE_HEADER, _density_curve_rows(kappa, 10.0, case, gx, n))
+        x = np.array([gx])
+        right = _separation_density(params, case, x, Direction.LEFT_INCIDENT)
+        left = _separation_density(params, case, x, Direction.RIGHT_INCIDENT)
+        write_csv(outdir / name, _CURVE_HEADER, _rows(gamma1_grid, right, left))
         entries.append(
             {
                 "file": name,
@@ -599,40 +567,6 @@ def _density_curves(
             }
         )
     return entries
-
-
-def _fig5(n: int, outdir: Path) -> list[dict]:
-    return _density_curves(
-        "fig5", n, outdir, 1.0,
-        [
-            ("a", WorkingAreaCase.SINGLE_PHOTON_RESONANCE, 0.0),
-            ("b", WorkingAreaCase.SINGLE_PHOTON_RESONANCE, 2.0),
-            ("c", WorkingAreaCase.TWO_PHOTON_RESONANCE, 0.0),
-            ("d", WorkingAreaCase.TWO_PHOTON_RESONANCE, 1.9),
-        ],
-    )
-
-
-def _fig8(n: int, outdir: Path) -> list[dict]:
-    return _density_curves(
-        "fig8", n, outdir, 0.01,
-        [
-            ("a", WorkingAreaCase.SINGLE_PHOTON_RESONANCE, 0.0),
-            ("b", WorkingAreaCase.SINGLE_PHOTON_RESONANCE, 5.0),
-            ("c", WorkingAreaCase.TWO_PHOTON_RESONANCE, 0.15),
-            ("d", WorkingAreaCase.TWO_PHOTON_RESONANCE, 10.0),
-        ],
-    )
-
-
-def _fig9(n: int, outdir: Path) -> list[dict]:
-    return _density_curves(
-        "fig9", n, outdir, 100.0,
-        [
-            ("a", WorkingAreaCase.SINGLE_PHOTON_RESONANCE, 0.0),
-            ("b", WorkingAreaCase.SINGLE_PHOTON_RESONANCE, 5.0),
-        ],
-    )
 
 
 def _fig6(n: int, outdir: Path) -> list[dict]:
@@ -669,15 +603,26 @@ def _fig6(n: int, outdir: Path) -> list[dict]:
     return entries
 
 
+_SPR = WorkingAreaCase.SINGLE_PHOTON_RESONANCE
+_TPR = WorkingAreaCase.TWO_PHOTON_RESONANCE
+
 _FIGURES: dict[str, Callable[[int, Path], list[dict]]] = {
     "fig2": _fig2,
     "fig3": _fig3,
-    "fig4": _fig4,
-    "fig5": _fig5,
+    "fig4": partial(_density_maps, "fig4", kappa=1.0, x_max=4.0),
+    "fig5": partial(
+        _density_curves, "fig5", kappa=1.0,
+        panels=[("a", _SPR, 0.0), ("b", _SPR, 2.0), ("c", _TPR, 0.0), ("d", _TPR, 1.9)],
+    ),
     "fig6": _fig6,
-    "fig7": _fig7,
-    "fig8": _fig8,
-    "fig9": _fig9,
+    "fig7": partial(_density_maps, "fig7", kappa=0.01, x_max=10.0),
+    "fig8": partial(
+        _density_curves, "fig8", kappa=0.01,
+        panels=[("a", _SPR, 0.0), ("b", _SPR, 5.0), ("c", _TPR, 0.15), ("d", _TPR, 10.0)],
+    ),
+    "fig9": partial(
+        _density_curves, "fig9", kappa=100.0, panels=[("a", _SPR, 0.0), ("b", _SPR, 5.0)]
+    ),
 }
 
 
@@ -757,7 +702,6 @@ def build_parser() -> _Parser:
         choices=("printed", "reconstructed"),
         help="mixed-channel phase convention (default printed)",
     )
-    p.add_argument("--threads", type=int, help="worker cap (also capped by CHIRAL_DIODE_THREADS)")
     p.add_argument("-o", "--output", help="output path (default two_photon_map.<ext>)")
     p.add_argument("--format", choices=("csv", "json", "binary"), help="output format (default csv)")
     p.set_defaults(func=_cmd_twomap)

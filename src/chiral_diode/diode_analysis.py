@@ -149,19 +149,22 @@ def working_area_two_res(
 
     Substitutes the separation condition into the tangent condition and
     root-finds the mismatch over gamma1, one tangent branch ``n`` at a
-    time (``U |x|`` restricted to ``(n pi - pi/2, n pi + pi/2)``), up to
+    time (``|U x|`` restricted to ``(n pi - pi/2, n pi + pi/2)``), up to
     separations ``Gamma |x| <= gx_ceiling``.  Roots are refined to an
     absolute tolerance ``tol`` in gamma1/Gamma by bracketed root finding.
     The returned points are exact zeros of the transmitted density, sorted
     by (branch, gamma1).
 
     The curve is empty when the domain ``(kappa+Gamma)/2 < gamma1 <=
-    Gamma`` is empty (kappa >= Gamma) or when no branch meets it below the
-    ceiling.
+    Gamma`` is empty (kappa >= Gamma), for a linear cavity (U = 0), or when
+    no branch meets it below the ceiling.  Attractive and repulsive Kerr
+    (U < 0 and U > 0) share one zero set.
     """
     G = params.Gamma
     s = params.kappa + G
-    U = params.U
+    # both conditions are invariant under U -> -U, so the branches of |U|
+    # give the zero set for either sign
+    U = abs(params.U)
     pts: list[WorkingAreaPoint] = []
     if s >= 2.0 * G or U == 0.0:
         return WorkingAreaCurve(WorkingAreaCase.TWO_PHOTON_RESONANCE, params, ())
@@ -238,9 +241,10 @@ def numeric_zero_scan(
 
     For each absolute gamma1 value (gamma2 keeps the total coupling of
     ``params`` fixed) the density is sampled at pair center zero over the
-    separations in ``x_grid``, interior local minima are refined by
-    golden-section search, and minima below ``threshold`` times the free
-    pair density 1/(2 pi^2) are reported in reduced units.
+    separations in ``x_grid`` (all couplings in one broadcast), interior
+    local minima are refined one by one by golden-section search, and
+    minima below ``threshold`` times the free pair density 1/(2 pi^2) are
+    reported in reduced units.
 
     ``threshold`` is relative to the free pair density so the criterion
     does not depend on the wavefunction normalization convention.
@@ -250,31 +254,30 @@ def numeric_zero_scan(
     if xs.size < 3:
         raise ValueError("x_grid needs at least 3 points for minimum bracketing")
     cutoff = threshold * FREE_PAIR_DENSITY
+    gamma1 = np.asarray(gamma1_grid, dtype=float)
+    # every coupling sampled in one broadcast: rows gamma1, columns separation
+    grid = TwoPhotonField(params.at_gamma1(gamma1[:, None]), incoming)
+    vals = np.abs(grid.psi_tt(-0.5 * xs, 0.5 * xs)) ** 2
+    dark = ((np.abs(grid.coeffs.D) == 0.0) & (np.abs(grid.t_k1 * grid.t_k2) < 1e-14))[:, 0]
+    interior = (vals[:, 1:-1] <= vals[:, :-2]) & (vals[:, 1:-1] <= vals[:, 2:])
     pts: list[tuple[float, float]] = []
-    degenerate: list[float] = []
-    for g1 in gamma1_grid:
-        g1 = float(g1)
-        if not 0.0 <= g1 <= G:
-            raise ValueError(f"gamma1 grid value {g1} outside [0, Gamma={G}]")
-        p = ModelParams(params.omega_a, params.kappa, params.U, g1, G - g1)
-        fld = TwoPhotonField(p, incoming)
-        if abs(fld.coeffs.D) == 0.0 and abs(fld.t_k1 * fld.t_k2) < 1e-14:
-            degenerate.append(g1 / G)
+    for g1, minima, is_dark in zip(gamma1.tolist(), interior, dark):
+        if is_dark or not minima.any():
             continue
+        fld = TwoPhotonField(params.at_gamma1(g1), incoming)
 
         def dens(x: float) -> float:
             return float(np.abs(fld.psi_tt(-0.5 * x, 0.5 * x)) ** 2)
 
-        vals = np.array([dens(x) for x in xs])
-        for i in range(1, len(xs) - 1):
-            if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]:
-                res = minimize_scalar(
-                    dens, bracket=(xs[i - 1], xs[i], xs[i + 1]), method="golden",
-                    options={"xtol": 1e-12},
-                )
-                if res.fun < cutoff:
-                    pts.append((g1 / G, G * float(res.x)))
-    return ZeroScanResult(tuple(pts), threshold, tuple(degenerate))
+        for i in np.flatnonzero(minima) + 1:
+            res = minimize_scalar(
+                dens, bracket=(xs[i - 1], xs[i], xs[i + 1]), method="golden",
+                options={"xtol": 1e-12},
+            )
+            if res.fun < cutoff:
+                pts.append((g1 / G, G * float(res.x)))
+    degenerate = tuple(g1 / G for g1 in gamma1[dark].tolist())
+    return ZeroScanResult(tuple(pts), threshold, degenerate)
 
 
 def nonreciprocity_contrast(

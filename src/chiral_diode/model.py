@@ -9,9 +9,11 @@ Conventions
 -----------
 * The group velocity ``v_c`` is fixed to 1, so frequencies and wavenumbers
   coincide and positions carry units of inverse rate.
-* All rates are plain floats in one common unit; the natural normalization
-  is the total coupling ``Gamma = gamma1 + gamma2``, and tabulated outputs
-  report ``gamma1/Gamma``, ``Gamma*x`` and detunings divided by ``Gamma``.
+* All rates are in one common unit; the natural normalization is the total
+  coupling ``Gamma = gamma1 + gamma2``, and tabulated outputs report
+  ``gamma1/Gamma``, ``Gamma*x`` and detunings divided by ``Gamma``.
+* Every rate and frequency may be a float or a numpy array; the closed
+  forms broadcast, so one record evaluates a whole parameter grid.
 * Only detunings ``omega_k - omega_a`` enter any observable, so ``omega_a``
   may be set to 0 without loss of generality.
 """
@@ -24,6 +26,8 @@ import math
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "Direction",
     "ModelParams",
@@ -31,7 +35,6 @@ __all__ = [
     "TwoPhotonIn",
     "make_params",
     "load_config",
-    "resolve_thread_count",
 ]
 
 
@@ -42,61 +45,92 @@ class Direction(enum.Enum):
     RIGHT_INCIDENT = "right"  # photons travel to the left (-x)
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
+def _first(value, bad):
+    """First element of ``value`` where the same-shaped mask ``bad`` holds;
+    a scalar is the 0-d case."""
+    return np.asarray(value)[bad][0].item()
+
+
+def _require_finite(name: str, value) -> None:
+    finite = np.isfinite(value)
+    if not finite.all():
+        raise ValueError(f"{name} must be finite, got {_first(value, ~finite)!r}")
 
 
 @dataclass(frozen=True)
 class ModelParams:
     """Validated, immutable set of system parameters.
 
+    Every rate may be a float or a numpy array; the arrays must broadcast
+    together and every element is validated, so one record can describe a
+    whole parameter grid.
+
     Attributes
     ----------
-    omega_a : float
+    omega_a : float or ndarray
         Cavity resonance frequency.
-    kappa : float
+    kappa : float or ndarray
         Cavity dissipation rate, must be >= 0.
-    U : float
+    U : float or ndarray
         Kerr interaction strength (any sign).
-    gamma1 : float
+    gamma1 : float or ndarray
         Coupling rate of right-moving photons, must be >= 0.
-    gamma2 : float
+    gamma2 : float or ndarray
         Coupling rate of left-moving photons, must be >= 0.
     v_c : float
         Group velocity; retained for documentation but pinned to 1.
     """
 
-    omega_a: float
-    kappa: float
-    U: float
-    gamma1: float
-    gamma2: float
+    omega_a: float | np.ndarray
+    kappa: float | np.ndarray
+    U: float | np.ndarray
+    gamma1: float | np.ndarray
+    gamma2: float | np.ndarray
     v_c: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("omega_a", "kappa", "U", "gamma1", "gamma2", "v_c"):
-            _require_finite(name, getattr(self, name))
-        if self.kappa < 0:
-            raise ValueError(f"kappa must be >= 0, got {self.kappa}")
-        if self.gamma1 < 0:
-            raise ValueError(f"gamma1 must be >= 0, got {self.gamma1}")
-        if self.gamma2 < 0:
-            raise ValueError(f"gamma2 must be >= 0, got {self.gamma2}")
-        if self.gamma1 + self.gamma2 <= 0:
-            raise ValueError(
-                "gamma1 + gamma2 must be > 0 so the coupling unit Gamma "
-                f"is well defined, got gamma1={self.gamma1}, gamma2={self.gamma2}"
-            )
+        # The operators act elementwise on arrays, so one pass decides
+        # validity: the sum of all fields is finite unless some element is
+        # (or the sum overflows).  Only a failing pass scans field by field
+        # for the message that names the offending value.
+        k, g1, g2 = self.kappa, self.gamma1, self.gamma2
+        total = self.omega_a + k + self.U + g1 + g2 + self.v_c
+        signs = (k >= 0) & (g1 >= 0) & (g2 >= 0) & (g1 + g2 > 0)
+        if not (np.isfinite(total) & signs).all():
+            self._raise_first_invalid()
         if self.v_c != 1.0:
             raise ValueError(f"v_c is fixed to 1 by convention, got {self.v_c}")
+
+    def _raise_first_invalid(self) -> None:
+        for name in ("omega_a", "kappa", "U", "gamma1", "gamma2", "v_c"):
+            _require_finite(name, getattr(self, name))
+        for name in ("kappa", "gamma1", "gamma2"):
+            value = getattr(self, name)
+            negative = np.less(value, 0)
+            if negative.any():
+                raise ValueError(f"{name} must be >= 0, got {_first(value, negative)}")
+        g1, g2 = np.broadcast_arrays(self.gamma1, self.gamma2)
+        bad = g1 + g2 <= 0
+        if bad.any():
+            raise ValueError(
+                "gamma1 + gamma2 must be > 0 so the coupling unit Gamma "
+                f"is well defined, got gamma1={g1[bad][0]}, gamma2={g2[bad][0]}"
+            )
 
     @property
     def Gamma(self) -> float:
         """Total coupling rate ``gamma1 + gamma2``."""
         return self.gamma1 + self.gamma2
+
+    def at_gamma1(self, gamma1) -> "ModelParams":
+        """Same parameters with ``gamma1`` replaced (an array sweeps it) and
+        ``gamma2 = Gamma - gamma1``, keeping the total coupling fixed."""
+        G = self.Gamma
+        g1 = np.asarray(gamma1)
+        outside = ~((0.0 <= g1) & (g1 <= G))
+        if outside.any():
+            raise ValueError(f"gamma1 grid value {_first(g1, outside)} outside [0, Gamma={G}]")
+        return ModelParams(self.omega_a, self.kappa, self.U, gamma1, G - gamma1)
 
     def swapped(self) -> "ModelParams":
         """Same parameters with the two chiral couplings interchanged."""
@@ -105,10 +139,13 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class PhotonIn:
-    """Single incident photon: direction of incidence and frequency."""
+    """Single incident photon: direction of incidence and frequency.
+
+    ``omega_k`` may be a numpy array of frequencies, each one validated.
+    """
 
     direction: Direction
-    omega_k: float
+    omega_k: float | np.ndarray
 
     def __post_init__(self) -> None:
         if not isinstance(self.direction, Direction):
@@ -131,8 +168,9 @@ class TwoPhotonIn:
     def __post_init__(self) -> None:
         if not isinstance(self.direction, Direction):
             raise ValueError(f"direction must be a Direction, got {self.direction!r}")
-        w1 = _require_finite("omega_k1", self.omega_k1)
-        w2 = _require_finite("omega_k2", self.omega_k2)
+        w1, w2 = float(self.omega_k1), float(self.omega_k2)
+        _require_finite("omega_k1", w1)
+        _require_finite("omega_k2", w2)
         if w1 > w2:
             w1, w2 = w2, w1
         object.__setattr__(self, "omega_k1", w1)
@@ -202,18 +240,3 @@ def load_config(source) -> ModelParams:
             raise ValueError(f"config key {key} must be a number, got {raw!r}")
         vals[key] = float(raw) * scale
     return make_params(**vals)
-
-
-def resolve_thread_count(env: dict | None = None) -> int:
-    """Worker cap from the ``CHIRAL_DIODE_THREADS`` environment variable.
-
-    Unset or invalid values resolve to 1 (serial execution stays the
-    deterministic default); explicit values are clamped to at least 1.
-    """
-    env = os.environ if env is None else env
-    raw = env.get("CHIRAL_DIODE_THREADS", "")
-    try:
-        n = int(raw)
-    except (TypeError, ValueError):
-        return 1
-    return max(1, n)

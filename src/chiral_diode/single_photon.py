@@ -44,21 +44,22 @@ DIODE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ScatterCoeffs:
-    """Complex amplitudes and probabilities for one photon.
+    """Complex amplitudes and probabilities for one photon, or for a grid
+    of them when the inputs are arrays.
 
     ``T + R <= 1`` whenever ``kappa >= 0``; the deficit ``loss`` is the
     probability of dissipation into the cavity environment and is computed
     here, once, as ``1 - T - R``.
     """
 
-    t: complex
-    r: complex
-    T: float
-    R: float
-    loss: float
+    t: complex | np.ndarray
+    r: complex | np.ndarray
+    T: float | np.ndarray
+    R: float | np.ndarray
+    loss: float | np.ndarray
 
     @classmethod
-    def from_amplitudes(cls, t: complex, r: complex) -> "ScatterCoeffs":
+    def from_amplitudes(cls, t, r) -> "ScatterCoeffs":
         T = abs(t) ** 2
         R = abs(r) ** 2
         return cls(t=t, r=r, T=T, R=R, loss=1.0 - T - R)
@@ -72,20 +73,32 @@ class DiodeClass(enum.Enum):
     NO_BLOCK = "no-block"
 
 
-def even_mode_t(params: ModelParams, omega_k) -> complex:
+def as_python_complex(value):
+    """A 0-d result as a Python ``complex``; arrays pass through unchanged.
+
+    Every kernel ends here, so scalar inputs keep giving plain Python
+    numbers: callers doing scalar arithmetic with them (complex division
+    in particular) and numpy's in-place reuse of a large temporary
+    multiplied by them behave exactly as for a Python ``complex``.
+    """
+    return complex(value) if np.ndim(value) == 0 else value
+
+
+def even_mode_t(params: ModelParams, omega_k):
     """Transmission amplitude of the even (coupled) waveguide mode.
 
-    Supports scalar or array ``omega_k``.
+    Like every kernel here it broadcasts ``omega_k`` against the rates of
+    ``params``; scalar inputs give a scalar.
     """
     delta = np.asarray(omega_k, dtype=float) - params.omega_a
     t = (delta + 0.5j * (params.kappa - params.Gamma)) / (
         delta + 0.5j * (params.kappa + params.Gamma)
     )
-    return complex(t) if np.ndim(omega_k) == 0 else t
+    return as_python_complex(t)
 
 
-def transmission_amplitude(params: ModelParams, omega_k, direction: Direction) -> complex:
-    """Direction-resolved transmission amplitude (array friendly)."""
+def transmission_amplitude(params: ModelParams, omega_k, direction: Direction):
+    """Direction-resolved transmission amplitude."""
     delta = np.asarray(omega_k, dtype=float) - params.omega_a
     asym = params.gamma1 - params.gamma2
     if direction is Direction.RIGHT_INCIDENT:
@@ -93,20 +106,21 @@ def transmission_amplitude(params: ModelParams, omega_k, direction: Direction) -
     t = (delta + 0.5j * (params.kappa - asym)) / (
         delta + 0.5j * (params.kappa + params.Gamma)
     )
-    return complex(t) if np.ndim(omega_k) == 0 else t
+    return as_python_complex(t)
 
 
-def reflection_amplitude(params: ModelParams, omega_k) -> complex:
+def reflection_amplitude(params: ModelParams, omega_k):
     """Reflection amplitude, identical for both incidence directions."""
     delta = np.asarray(omega_k, dtype=float) - params.omega_a
     r = -1j * np.sqrt(params.gamma1 * params.gamma2) / (
         delta + 0.5j * (params.kappa + params.Gamma)
     )
-    return complex(r) if np.ndim(omega_k) == 0 else r
+    return as_python_complex(r)
 
 
 def chiral_coeffs(params: ModelParams, photon: PhotonIn) -> ScatterCoeffs:
-    """Transmission/reflection amplitudes and probabilities for one photon."""
+    """Transmission/reflection amplitudes and probabilities of one photon,
+    broadcast over array-valued rates and frequencies."""
     t = transmission_amplitude(params, photon.omega_k, photon.direction)
     r = reflection_amplitude(params, photon.omega_k)
     return ScatterCoeffs.from_amplitudes(t, r)
@@ -140,27 +154,23 @@ def sweep_single(
 
     ``gamma1_grid`` holds absolute gamma1 values; for each one gamma2 is
     chosen to keep the total coupling Gamma of ``params`` fixed, matching
-    the convention of sweeping the asymmetry at constant Gamma.  Rows are
-    ordered with detuning as the outer loop and gamma1 as the inner loop.
+    the convention of sweeping the asymmetry at constant Gamma.  The grid
+    is evaluated in one broadcast; rows are ordered with detuning as the
+    outer loop and gamma1 as the inner loop.
 
     Returns
     -------
     numpy.ndarray
         Shape (len(detuning_grid) * len(gamma1_grid), 5).
     """
+    delta = np.asarray(detuning_grid, dtype=float)[:, None]
+    gamma1 = np.asarray(gamma1_grid, dtype=float)[None, :]
+    c = chiral_coeffs(params.at_gamma1(gamma1), PhotonIn(direction, params.omega_a + delta))
     G = params.Gamma
-    rows = np.empty((len(detuning_grid) * len(gamma1_grid), 5))
-    i = 0
-    for delta in detuning_grid:
-        omega_k = params.omega_a + delta
-        for g1 in gamma1_grid:
-            if not 0.0 <= g1 <= G:
-                raise ValueError(f"gamma1 grid value {g1} outside [0, Gamma={G}]")
-            p = ModelParams(params.omega_a, params.kappa, params.U, g1, G - g1)
-            c = chiral_coeffs(p, PhotonIn(direction, omega_k))
-            rows[i] = (delta / G, g1 / G, c.T, c.R, c.loss)
-            i += 1
-    return rows
+    rows = np.empty((delta.size, gamma1.size, 5))
+    for i, column in enumerate((delta / G, gamma1 / G, c.T, c.R, c.loss)):
+        rows[..., i] = column
+    return rows.reshape(-1, 5)
 
 
 SWEEP_HEADER = ("detuning_over_Gamma", "gamma1_over_Gamma", "T", "R", "loss")

@@ -50,7 +50,12 @@ import numpy as np
 
 from .io_utils import write_csv
 from .model import Direction, ModelParams, TwoPhotonIn
-from .single_photon import even_mode_t, reflection_amplitude, transmission_amplitude
+from .single_photon import (
+    as_python_complex,
+    even_mode_t,
+    reflection_amplitude,
+    transmission_amplitude,
+)
 
 __all__ = [
     "BoundStateCoeffs",
@@ -101,6 +106,9 @@ class BoundStateCoeffs:
 def bound_coeffs(params: ModelParams, incoming: TwoPhotonIn) -> BoundStateCoeffs:
     """Evaluate the bound-state constants for one incident photon pair.
 
+    Array-valued rates in ``params`` give arrays of constants of their
+    broadcast shape.
+
     All denominators carry the strictly positive imaginary part
     ``(kappa + Gamma)/2``, so every field is finite.  ``chi`` and ``D`` are
     proportional to ``U`` and vanish exactly for a linear cavity.
@@ -120,27 +128,30 @@ def bound_coeffs(params: ModelParams, incoming: TwoPhotonIn) -> BoundStateCoeffs
     t1 = even_mode_t(params, w1)
     t2 = even_mode_t(params, w2)
     phi_aa = -np.sqrt(G) * (m_a1 + m_a2) / (np.sqrt(2.0) * pair_pole)
-    return BoundStateCoeffs(
-        m_a1=complex(m_a1),
-        m_a2=complex(m_a2),
-        chi=complex(chi),
-        rho=complex(rho),
-        D=complex(D),
-        beta_k1=complex(m_a1 * t1),
-        beta_k2=complex(m_a2 * t2),
-        sigma_k1=complex(m_a1 / np.sqrt(2.0)),
-        sigma_k2=complex(m_a2 / np.sqrt(2.0)),
-        phi_aa=complex(phi_aa),
+    coeffs = dict(
+        m_a1=m_a1,
+        m_a2=m_a2,
+        chi=chi,
+        rho=rho,
+        D=D,
+        beta_k1=m_a1 * t1,
+        beta_k2=m_a2 * t2,
+        sigma_k1=m_a1 / np.sqrt(2.0),
+        sigma_k2=m_a2 / np.sqrt(2.0),
+        phi_aa=phi_aa,
     )
+    return BoundStateCoeffs(**{k: as_python_complex(v) for k, v in coeffs.items()})
 
 
 class TwoPhotonField:
     """Evaluator of the outgoing two-photon wavefunctions.
 
     Immutable after construction; all point evaluations are pure, accept
-    scalars or numpy arrays, and broadcast.  Amplitude products and the
-    bound-state constants are cached once per (params, incoming) pair so
-    dense maps cost one vectorized expression per channel.
+    scalars or numpy arrays, and broadcast, against each other and against
+    array-valued rates in ``params`` (one field then covers a parameter
+    grid).  Amplitude products and the bound-state constants are cached
+    once per (params, incoming) pair so dense maps cost one vectorized
+    expression per channel.
     """
 
     def __init__(self, params: ModelParams, incoming: TwoPhotonIn):
@@ -554,34 +565,14 @@ def map_two_photon(
     x_grid,
     channels=("tt",),
     convention: str = "printed",
-    workers: int = 1,
 ):
     """Densities |psi|^2 on the square grid x_grid x x_grid.
 
     Returns a dict of channel -> matrix with rows indexed by x1 and columns
-    by x2.  ``workers`` > 1 splits the rows into contiguous blocks that are
-    evaluated concurrently and reassembled in order, so the result does not
-    depend on scheduling.
+    by x2.
     """
     x = np.asarray(x_grid, dtype=float)
-    x1 = x[:, None]
-    x2 = x[None, :]
-    if workers <= 1 or x.size < 64:
-        return field.densities(x1, x2, channels, convention)
-
-    from concurrent.futures import ThreadPoolExecutor
-
-    blocks = np.array_split(np.arange(x.size), workers)
-    out = {ch: np.empty((x.size, x.size)) for ch in channels}
-
-    def fill(idx):
-        part = field.densities(x[idx][:, None], x2, channels, convention)
-        for ch in channels:
-            out[ch][idx] = part[ch]
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(fill, blocks))
-    return out
+    return field.densities(x[:, None], x[None, :], channels, convention)
 
 
 MAP_HEADER_BASE = ("x1", "x2")
@@ -624,11 +615,22 @@ def write_map_binary(path: str | os.PathLike, x_grid, matrix: np.ndarray) -> Non
 
 
 def read_map_binary(path: str | os.PathLike):
-    """Inverse of :func:`write_map_binary`; returns (matrix, x_range)."""
+    """Inverse of :func:`write_map_binary`; returns (matrix, x_range).
+
+    Raises ``ValueError`` for a foreign, truncated or overlong file.
+    """
     with open(path, "rb") as fh:
         header = fh.read(32)
-        if header[:8] != MAP_MAGIC:
-            raise ValueError(f"not a map file: bad magic {header[:8]!r}")
-        rows, cols, x1_min, x1_max, x2_min, x2_max = struct.unpack("<II4f", header[8:])
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(rows, cols)
+        payload = fh.read()
+    if len(header) < 32:
+        raise ValueError(f"{path}: header has {len(header)} bytes, a map header has 32")
+    if header[:8] != MAP_MAGIC:
+        raise ValueError(f"not a map file: bad magic {header[:8]!r}")
+    rows, cols, x1_min, x1_max, x2_min, x2_max = struct.unpack("<II4f", header[8:])
+    if len(payload) != rows * cols * 8:
+        raise ValueError(
+            f"{path}: payload has {len(payload)} bytes, a {rows} x {cols} map "
+            f"needs {rows * cols * 8}"
+        )
+    data = np.frombuffer(payload, dtype="<f8").reshape(rows, cols)
     return data, (x1_min, x1_max, x2_min, x2_max)

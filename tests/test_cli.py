@@ -169,15 +169,6 @@ class TestTwomap:
         expect = np.cos(10.0 * sep) ** 2 / (2.0 * np.pi**2)
         assert float(np.max(np.abs(m - expect))) < 1e-14
 
-    def test_thread_cap_does_not_change_the_output(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("CHIRAL_DIODE_THREADS", "4")
-        a = tmp_path / "serial.csv"
-        b = tmp_path / "parallel.csv"
-        base = ["twomap", "--x", "-3:3:65", "--channels", "tt,rr"]
-        assert run(base + ["--threads", "1", "-o", str(a)], capsys)[0] == EXIT_OK
-        assert run(base + ["--threads", "8", "-o", str(b)], capsys)[0] == EXIT_OK
-        assert a.read_bytes() == b.read_bytes()
-
 
 class TestWorkingArea:
     def test_single_res_csv(self, tmp_path, capsys):

@@ -128,6 +128,25 @@ class TestTwoResCurve:
             ]
             assert len(match) == 1
 
+    def test_attractive_kerr_has_the_repulsive_zero_set(self):
+        # both exact conditions are invariant under U -> -U
+        plus = make_params(omega_a=0.0, kappa=0.4, U=10.0, gamma1=1.0, gamma2=0.0)
+        minus = make_params(omega_a=0.0, kappa=0.4, U=-10.0, gamma1=1.0, gamma2=0.0)
+        a, b = working_area_two_res(plus), working_area_two_res(minus)
+        assert len(b) == len(a) > 0
+        for p, q in zip(a, b):
+            assert abs(p.gamma1_over_Gamma - q.gamma1_over_Gamma) < 1e-8
+            assert abs(p.Gamma_abs_x - q.Gamma_abs_x) < 1e-8
+        pair = two_res_pair(minus)
+        for pt in b:
+            g1 = pt.gamma1_over_Gamma * minus.Gamma
+            f = TwoPhotonField(
+                make_params(omega_a=0.0, kappa=0.4, U=-10.0, gamma1=g1, gamma2=minus.Gamma - g1),
+                pair,
+            )
+            x = pt.Gamma_abs_x
+            assert abs(f.psi_tt(-0.5 * x, 0.5 * x)) ** 2 < 1e-10 * FREE_PAIR_DENSITY
+
     def test_empty_when_loss_exceeds_coupling(self):
         p = make_params(omega_a=0.0, kappa=1.0, U=10.0, gamma1=1.0, gamma2=0.0)
         assert len(working_area_two_res(p)) == 0

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from chiral_diode import (
@@ -11,7 +12,6 @@ from chiral_diode import (
     TwoPhotonIn,
     load_config,
     make_params,
-    resolve_thread_count,
 )
 
 
@@ -45,6 +45,23 @@ class TestModelParams:
         with pytest.raises(ValueError, match="U"):
             make_params(omega_a=0.0, kappa=1.0, U=float("inf"), gamma1=1.0, gamma2=0.0)
 
+    def test_array_rates_validate_every_element_naming_field(self):
+        grid = np.linspace(0.0, 1.0, 5)
+        p = make_params(omega_a=0.0, kappa=1.0, U=0.0, gamma1=grid, gamma2=1.0 - grid)
+        assert np.array_equal(p.Gamma, np.ones(5))
+        with pytest.raises(ValueError, match="gamma1 must be finite, got nan"):
+            make_params(omega_a=0.0, kappa=1.0, U=0.0,
+                        gamma1=np.array([0.2, np.nan, 0.5]), gamma2=0.5)
+        with pytest.raises(ValueError, match="kappa must be >= 0, got -0.5"):
+            make_params(omega_a=0.0, kappa=np.array([1.0, -0.5, 2.0]), U=0.0,
+                        gamma1=1.0, gamma2=0.0)
+        with pytest.raises(ValueError, match="gamma2 must be >= 0, got -0.5"):
+            make_params(omega_a=0.0, kappa=1.0, U=0.0, gamma1=2.0, gamma2=1.0 - 2.0 * grid)
+        with pytest.raises(ValueError, match="gamma1 \\+ gamma2"):
+            make_params(omega_a=0.0, kappa=1.0, U=0.0, gamma1=grid, gamma2=0.0)
+        with pytest.raises(ValueError, match="broadcast"):
+            make_params(omega_a=0.0, kappa=np.ones(3), U=0.0, gamma1=grid, gamma2=0.0)
+
     def test_group_velocity_pinned_to_one(self):
         with pytest.raises(ValueError, match="v_c"):
             ModelParams(omega_a=0.0, kappa=1.0, U=0.0, gamma1=1.0, gamma2=0.0, v_c=2.0)
@@ -69,6 +86,8 @@ class TestPhotonRecords:
             PhotonIn("left", 0.0)
         with pytest.raises(ValueError, match="omega_k"):
             PhotonIn(Direction.LEFT_INCIDENT, float("nan"))
+        with pytest.raises(ValueError, match="omega_k must be finite, got inf"):
+            PhotonIn(Direction.LEFT_INCIDENT, np.array([0.0, np.inf]))
 
     def test_pair_frequencies_stored_sorted(self):
         pair = TwoPhotonIn(Direction.LEFT_INCIDENT, 3.0, -1.0)
@@ -105,15 +124,3 @@ class TestLoadConfig:
     def test_non_numeric_value_rejected(self):
         with pytest.raises(ValueError, match="kappa"):
             load_config({**self.CONFIG, "kappa": "one"})
-
-
-class TestResolveThreadCount:
-    def test_defaults_to_serial(self):
-        assert resolve_thread_count(env={}) == 1
-
-    def test_reads_environment_value(self):
-        assert resolve_thread_count(env={"CHIRAL_DIODE_THREADS": "8"}) == 8
-
-    def test_invalid_or_non_positive_values_fall_back_to_serial(self):
-        assert resolve_thread_count(env={"CHIRAL_DIODE_THREADS": "many"}) == 1
-        assert resolve_thread_count(env={"CHIRAL_DIODE_THREADS": "0"}) == 1

@@ -149,6 +149,32 @@ class TestSweep:
         rows = sweep_single(params(gamma1=0.75, gamma2=0.25), grid, [0.75], LEFT)
         assert grid[np.argmin(rows[:, 2])] == 0.0
 
+    @pytest.mark.parametrize("direction", [LEFT, RIGHT])
+    def test_broadcast_grid_matches_per_point_scalar_coefficients(self, direction):
+        detuning = np.linspace(-3.0, 3.0, 61)
+        gamma1 = np.linspace(0.0, 1.0, 41)
+        rows = sweep_single(params(kappa=0.7, omega_a=0.3), detuning, gamma1, direction)
+        expect = []
+        for delta in detuning:
+            for g1 in gamma1:
+                p = params(kappa=0.7, gamma1=g1, gamma2=1.0 - g1, omega_a=0.3)
+                c = chiral_coeffs(p, PhotonIn(direction, 0.3 + delta))
+                expect.append((delta, g1, c.T, c.R, c.loss))
+        assert np.max(np.abs(rows - np.array(expect))) <= 2e-15
+
+    def test_kappa_array_matches_per_point_scalar_coefficients(self):
+        # the blocking family kappa = gamma1 - gamma2 at resonance
+        g1 = np.linspace(0.5, 1.0, 101)
+        grid = params(kappa=2.0 * g1 - 1.0, gamma1=g1, gamma2=1.0 - g1)
+        for direction in (LEFT, RIGHT):
+            c = chiral_coeffs(grid, PhotonIn(direction, 0.0))
+            for i, g in enumerate(g1):
+                ref = chiral_coeffs(params(kappa=2.0 * g - 1.0, gamma1=g, gamma2=1.0 - g),
+                                    PhotonIn(direction, 0.0))
+                assert abs(c.T[i] - ref.T) <= 2e-15
+                assert abs(c.R[i] - ref.R) <= 2e-15
+        assert np.max(chiral_coeffs(grid, PhotonIn(LEFT, 0.0)).T) <= 2e-15
+
     def test_grid_value_outside_total_coupling_rejected(self):
         with pytest.raises(ValueError, match="gamma1"):
             sweep_single(params(), [0.0], [1.5], LEFT)

@@ -265,14 +265,19 @@ class TestMaps:
         for ch in ("tt", "rr"):
             assert np.allclose(maps[ch], maps[ch].T, atol=1e-15, rtol=0.0)
 
-    def test_parallel_evaluation_matches_serial(self):
-        p = params(gamma1=0.7, gamma2=0.3, U=5.0)
-        f = TwoPhotonField(p, resonant_pair(p))
-        x = np.linspace(-3, 3, 101)
-        serial = map_two_photon(f, x, channels=("tt", "rt"), workers=1)
-        parallel = map_two_photon(f, x, channels=("tt", "rt"), workers=4)
-        for ch in ("tt", "rt"):
-            assert np.array_equal(serial[ch], parallel[ch])
+    def test_broadcast_panel_equals_per_row_scalar_fields_bitwise(self):
+        # a fig4-style panel: one field over a gamma1 grid against the
+        # separation cut downstream of the cavity
+        g1 = np.linspace(0.0, 1.0, 41)
+        x = np.linspace(0.0, 4.0, 57)
+        grid = params(gamma1=g1[:, None], gamma2=1.0 - g1[:, None])
+        for pair in (resonant_pair(grid, LEFT), pair_resonant_pair(grid, RIGHT)):
+            sign = 1.0 if pair.direction is LEFT else -1.0
+            x1, x2 = np.full_like(x, sign), sign * (1.0 + x)
+            panel = TwoPhotonField(grid, pair).densities(x1, x2)["tt"]
+            for i, g in enumerate(g1):
+                row = TwoPhotonField(params(gamma1=g, gamma2=1.0 - g), pair)
+                assert np.array_equal(panel[i], row.densities(x1, x2)["tt"])
 
     def test_diagonal_ridge_decays_at_the_loss_plus_coupling_rate(self):
         p = params()
@@ -301,3 +306,17 @@ class TestMaps:
         path.write_bytes(b"NOTAMAP!" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
             read_map_binary(path)
+
+    def test_binary_reader_rejects_wrong_sizes_naming_file_and_sizes(self, tmp_path):
+        path = tmp_path / "map.bin"
+        write_map_binary(path, np.linspace(-1.0, 1.0, 5), np.ones((5, 5)))
+        data = path.read_bytes()
+        cases = {
+            "short_header.bin": (data[:20], r"short_header\.bin: header has 20 bytes.* 32"),
+            "truncated.bin": (data[:-8], r"truncated\.bin: payload has 192 bytes.* needs 200"),
+            "trailing.bin": (data + b"\0" * 8, r"trailing\.bin: payload has 208 bytes.* needs 200"),
+        }
+        for name, (blob, message) in cases.items():
+            (tmp_path / name).write_bytes(blob)
+            with pytest.raises(ValueError, match=message):
+                read_map_binary(tmp_path / name)
