@@ -177,6 +177,8 @@ def _load_cli_config(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise CliError(f"config {path}: not UTF-8 text ({exc})") from None
     except json.JSONDecodeError as exc:
         raise CliError(f"config {path}: invalid JSON ({exc})") from None
     if not isinstance(data, dict):
@@ -387,11 +389,21 @@ def _cmd_verify(args) -> int:
     _apply_config(args, _VERIFY_DEFAULTS)
     if args.suite not in VERIFY_SUITES:
         raise CliError(f"suite: expected one of {VERIFY_SUITES}, got {args.suite!r}")
+    try:
+        draws, seed = int(args.draws), int(args.seed)
+    except (TypeError, ValueError):
+        raise CliError(
+            f"draws/seed: expected integers, got {args.draws!r} and {args.seed!r}"
+        ) from None
+    if draws < 1:
+        raise CliError(f"draws: must be >= 1, got {draws}")
+    if seed < 0:
+        raise CliError(f"seed: must be >= 0, got {seed}")
     report = verify_all(
         include_lattice=not args.skip_lattice,
         include_two_photon_lattice=bool(args.two_photon_lattice),
-        n_draws=int(args.draws),
-        seed=int(args.seed),
+        n_draws=draws,
+        seed=seed,
         suite=args.suite,
     )
     text = report.as_json_text()

@@ -5,7 +5,10 @@ movers coupling with sqrt(gamma1), left-movers with sqrt(gamma2))
 attached to a lossy cavity at the center.  Everything is computed in the
 frame rotating at the probe frequency, so the packet is a slowly varying
 envelope and the cavity term becomes the detuning ``omega_a - omega_k -
-i kappa/2``.  Time stepping is classical fourth-order Runge-Kutta.
+i kappa/2``.  The physics is defined once, as the sparse single-
+excitation generator; both evolvers (the single-excitation run directly,
+the two-excitation run through its symmetrized two-boson lift) step that
+generator with one shared, in-place classical fourth-order Runge-Kutta.
 
 Discretization scheme, chosen so the only non-Hermitian pieces of the
 semi-discrete generator are the explicit loss terms (cavity -i kappa/2
@@ -153,15 +156,6 @@ class LatticeResult:
     norm_trace: np.ndarray | None = None
 
 
-def _centered(a: np.ndarray, dx: float) -> np.ndarray:
-    """Centered d/dx with implicit zero boundary values."""
-    d = np.empty_like(a)
-    d[1:-1] = a[2:] - a[:-2]
-    d[0] = a[1]
-    d[-1] = -a[-2]
-    return d / (2.0 * dx)
-
-
 def _absorber(spec: LatticeSpec, strength: float) -> np.ndarray:
     w = spec.absorber_width
     W = np.zeros(spec.n_sites)
@@ -234,38 +228,15 @@ def lattice_transmission(
     env /= np.sqrt(np.sum(np.abs(env) ** 2))
 
     n = spec.n_sites
-    R = env.copy() if left_in else np.zeros(n, dtype=complex)
-    L = np.zeros(n, dtype=complex) if left_in else env.copy()
-    c = 0.0 + 0.0j
-    cpl, u = _coupling_profile(spec)
-    h1 = np.sqrt(params.gamma1 * spec.dx) * u
-    h2 = np.sqrt(params.gamma2 * spec.dx) * u
-    detune = (params.omega_a - omega_k) - 0.5j * params.kappa
-    W = _absorber(spec, absorber_strength)
-    dx, dt = spec.dx, spec.dt
-
-    def rhs(R, L, c):
-        dR = -_centered(R, dx) - W * R
-        dL = _centered(L, dx) - W * L
-        dR[cpl] -= 1j * h1 * c
-        dL[cpl] -= 1j * h2 * c
-        dc = -1j * detune * c - 1j * (h1 @ R[cpl] + h2 @ L[cpl])
-        return dR, dL, dc
-
-    n_steps = int(round(horizon / dt))
-    trace = [] if track_norm else None
-    for _ in range(n_steps):
-        if track_norm:
-            trace.append(np.sum(np.abs(R) ** 2) + np.sum(np.abs(L) ** 2) + abs(c) ** 2)
-        k1 = rhs(R, L, c)
-        k2 = rhs(R + 0.5 * dt * k1[0], L + 0.5 * dt * k1[1], c + 0.5 * dt * k1[2])
-        k3 = rhs(R + 0.5 * dt * k2[0], L + 0.5 * dt * k2[1], c + 0.5 * dt * k2[2])
-        k4 = rhs(R + dt * k3[0], L + dt * k3[1], c + dt * k3[2])
-        R = R + (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        L = L + (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        c = c + (dt / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-    if track_norm:
-        trace.append(np.sum(np.abs(R) ** 2) + np.sum(np.abs(L) ** 2) + abs(c) ** 2)
+    H = _single_particle_operator(spec, params, omega_k, absorber_strength, left_in)
+    psi = np.zeros(H.shape[0], dtype=complex)
+    off = 0 if left_in else n
+    psi[off:off + n] = env
+    n_steps = int(round(horizon / spec.dt))
+    trace = np.empty(n_steps + 1) if track_norm else None
+    _rk4(H, psi, spec.dt, n_steps, trace)
+    # the left channel slice is empty when the basis has none
+    R, L, c = psi[:n], psi[n:-1], psi[-1]
 
     trans, refl = (R, L) if left_in else (L, R)
     T_raw = float(np.sum(np.abs(trans) ** 2))
@@ -286,7 +257,7 @@ def lattice_transmission(
         R_raw=R_raw,
         converged=converged,
         final_cavity_pop=cav,
-        norm_trace=np.asarray(trace) if track_norm else None,
+        norm_trace=trace,
     )
 
 
@@ -323,64 +294,83 @@ class TwoPhotonLatticeResult:
 
 
 def _single_particle_operator(
-    spec: LatticeSpec, params: ModelParams, omega_frame: float, absorber_strength: float
-) -> tuple[sp.csr_matrix, int, bool]:
+    spec: LatticeSpec,
+    params: ModelParams,
+    omega_frame: float,
+    absorber_strength: float,
+    left_in: bool,
+) -> sp.csr_matrix:
     """Sparse generator H (state evolves by dpsi/dt = -i H psi) for one
-    excitation.
+    excitation in the frame rotating at ``omega_frame``.
 
-    Mode layout: right-channel sites, then (if gamma2 > 0) left-channel
-    sites, then the cavity.  Returns (H, n_modes, has_left_channel).
+    Mode layout: right-channel sites, then left-channel sites, then the
+    cavity.  The left channel is kept when it couples (gamma2 > 0) or
+    carries the incident packet (right incidence); otherwise it stays
+    empty and is left out of the basis.
     """
     n = spec.n_sites
     dx = spec.dx
-    has_left = params.gamma2 > 0.0
-    m = (2 * n if has_left else n) + 1
-    cav = m - 1
-
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    # right-movers: H = -i d/dx, centered -> Hermitian tridiagonal pair
-    for j in range(n):
-        if j + 1 < n:
-            add(j, j + 1, -1j / (2.0 * dx))
-            add(j + 1, j, 1j / (2.0 * dx))
-    if has_left:
-        off = n
-        for j in range(n):
-            if j + 1 < n:
-                add(off + j, off + j + 1, 1j / (2.0 * dx))
-                add(off + j + 1, off + j, -1j / (2.0 * dx))
-
-    W = _absorber(spec, absorber_strength)
-    for j in np.nonzero(W)[0]:
-        add(j, j, -1j * W[j])
-        if has_left:
-            add(n + j, n + j, -1j * W[j])
-
+    cav_shift = (params.omega_a - omega_frame) - 0.5j * params.kappa
+    loss = -1j * _absorber(spec, absorber_strength)
+    up = np.full(n - 1, -1j / (2.0 * dx))
+    down = np.full(n - 1, 1j / (2.0 * dx))
     cpl, u = _coupling_profile(spec)
-    sites = np.arange(spec.n_sites)[cpl]
-    h1 = np.sqrt(params.gamma1 * dx) * u
-    for s, h in zip(sites, h1):
-        if h != 0.0:
-            add(cav, int(s), h)
-            add(int(s), cav, h)
-    if has_left:
-        h2 = np.sqrt(params.gamma2 * dx) * u
-        for s, h in zip(sites, h2):
-            if h != 0.0:
-                add(cav, n + int(s), h)
-                add(n + int(s), cav, h)
-    add(cav, cav, (params.omega_a - omega_frame) - 0.5j * params.kappa)
 
-    H = sp.csr_matrix(
-        sp.coo_matrix((vals, (rows, cols)), shape=(m, m), dtype=complex)
-    )
-    return H, m, has_left
+    def channel(upper: np.ndarray, lower: np.ndarray) -> sp.csr_matrix:
+        # centered transport, a Hermitian tridiagonal pair, plus the ramps
+        block = sp.diags([loss, upper, lower], [0, 1, -1], format="csr")
+        block.eliminate_zeros()
+        return block
+
+    def coupling(gamma: float) -> sp.csr_matrix:
+        column = np.zeros((n, 1))
+        column[cpl, 0] = np.sqrt(gamma * dx) * u
+        return sp.csr_matrix(column)
+
+    cavity = sp.csr_matrix(([cav_shift], ([0], [0])), shape=(1, 1))
+    # right-movers H = -i d/dx, left-movers H = +i d/dx
+    right, g1 = channel(up, down), coupling(params.gamma1)
+    if params.gamma2 > 0.0 or not left_in:
+        left, g2 = channel(down, up), coupling(params.gamma2)
+        blocks = [[right, None, g1], [None, left, g2], [g1.T, g2.T, cavity]]
+    else:
+        blocks = [[right, g1], [g1.T, cavity]]
+    return sp.bmat(blocks, format="csr", dtype=complex)
+
+
+def _rk4(
+    H: sp.csr_matrix,
+    psi: np.ndarray,
+    dt: float,
+    n_steps: int,
+    norms: np.ndarray | None = None,
+) -> None:
+    """Advance ``dpsi/dt = -i H psi`` in place by ``n_steps`` classical
+    fourth-order Runge-Kutta steps.
+
+    Three work vectors are reused across steps; only the sparse product
+    allocates.  When given, ``norms`` (length ``n_steps + 1``) receives
+    the squared state norm before every step and after the last one.
+    """
+    k = np.empty_like(psi)
+    acc = np.empty_like(psi)
+    stage = np.empty_like(psi)
+    for step in range(n_steps):
+        if norms is not None:
+            norms[step] = np.vdot(psi, psi).real
+        # acc = k1 + 2 k2 + 2 k3 + k4, accumulated in that order
+        np.multiply(-1j, H @ psi, out=k)
+        np.copyto(acc, k)
+        for scale, weight in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
+            np.multiply(scale, k, out=stage)
+            np.add(psi, stage, out=stage)
+            np.multiply(-1j, H @ stage, out=k)
+            np.multiply(weight, k, out=stage)
+            np.add(acc, stage, out=acc)
+        np.multiply(dt / 6.0, acc, out=acc)
+        np.add(psi, acc, out=psi)
+    if norms is not None:
+        norms[n_steps] = np.vdot(psi, psi).real
 
 
 def _symmetrizer(m: int) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
@@ -429,14 +419,14 @@ def lattice_two_photon(
     half = spec.half_width
     d0 = 0.5 * half if launch_distance is None else float(launch_distance)
     left_in = incoming.direction is Direction.LEFT_INCIDENT
-
+    if not left_in and params.gamma2 <= 0.0:
+        raise ValueError("right incidence needs gamma2 > 0 for an incident channel")
     omega_frame = 0.5 * (incoming.omega_k1 + incoming.omega_k2)
-    H1, m, has_left = _single_particle_operator(
-        spec, params, omega_frame, absorber_strength
+    H1 = _single_particle_operator(
+        spec, params, omega_frame, absorber_strength, left_in
     )
     n = spec.n_sites
-    if not left_in and not has_left:
-        raise ValueError("right incidence needs gamma2 > 0 for an incident channel")
+    m = H1.shape[0]
 
     # explicit stepper stability: crude spectral-radius bound
     g_norm = np.sqrt(params.Gamma / (2.0 * np.sqrt(np.pi) * _PROFILE_STD_CELLS * spec.dx))
@@ -453,6 +443,7 @@ def lattice_two_photon(
         )
 
     x0 = -d0 if left_in else d0
+    # the incident channel is also the transmitted one
     off = 0 if left_in else n
 
     def envelope(k_rel: float) -> np.ndarray:
@@ -467,35 +458,27 @@ def lattice_two_photon(
     phi2 = envelope(incoming.omega_k2 - omega_frame)
 
     S, pairs_p, pairs_q = _symmetrizer(m)
-    product = np.kron(phi1, phi2) + np.kron(phi2, phi1)
-    psi = S @ product
-    psi = psi / np.linalg.norm(psi)
+    psi = S @ (np.kron(phi1, phi2) + np.kron(phi2, phi1))
+    psi /= np.linalg.norm(psi)
 
     eye = sp.identity(m, dtype=complex, format="csr")
-    H2 = sp.kron(H1, eye, format="csr") + sp.kron(eye, H1, format="csr")
     cav = m - 1
     kerr = sp.csr_matrix(
         ([2.0 * params.U], ([cav * m + cav], [cav * m + cav])),
         shape=(m * m, m * m),
         dtype=complex,
     )
-    H_sym = (S @ ((H2 + kerr) @ S.T)).tocsr()
+    # one sum: a separate ``H2 + kerr`` would hold two product-space copies
+    H2 = sp.kron(H1, eye, format="csr") + sp.kron(eye, H1, format="csr") + kerr
+    H_sym = (S @ (H2 @ S.T)).tocsr()
 
-    dt = spec.dt
     horizon = 2.0 * d0 + 6.0 / (params.kappa + G) if t_final is None else float(t_final)
-    n_steps = int(round(horizon / dt))
-    for _ in range(n_steps):
-        k1 = -1j * (H_sym @ psi)
-        k2 = -1j * (H_sym @ (psi + 0.5 * dt * k1))
-        k3 = -1j * (H_sym @ (psi + 0.5 * dt * k2))
-        k4 = -1j * (H_sym @ (psi + dt * k3))
-        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    _rk4(H_sym, psi, spec.dt, int(round(horizon / spec.dt)))
 
     # transmitted channel: where the incident packet continues
-    ch_off = 0 if left_in else (n if has_left else 0)
     downstream = (x > 1.0 / G) if left_in else (x < -1.0 / G)
     usable = np.abs(x) < half - spec.absorber_width * spec.dx
-    keep_modes = np.nonzero(downstream & usable)[0] + ch_off
+    keep_modes = np.nonzero(downstream & usable)[0] + off
 
     # ordered-pair density psi(p,q): |c_pq|^2/2 off the diagonal (each
     # unordered pair covers one ordered (p, p+d)), |c_pp|^2 on it; the

@@ -358,6 +358,8 @@ def verify_all(
     """
     if suite not in VERIFY_SUITES:
         raise ValueError(f"suite must be one of {VERIFY_SUITES}, got {suite!r}")
+    if n_draws < 1:
+        raise ValueError(f"n_draws must be >= 1, got {n_draws}")
     start = time.time()
     rng = np.random.default_rng(seed)
     checks: list[VerifyCheck] = []

@@ -131,6 +131,13 @@ class TestConfigMerging:
         assert code == EXIT_VALIDATION
         assert "bogus_option" in stderr
 
+    def test_non_utf8_config_is_a_validation_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        code, _, stderr = run(["--config", str(cfg), "single"], capsys)
+        assert code == EXIT_VALIDATION
+        assert "UTF-8" in stderr
+
     def test_missing_config_file_is_an_io_error(self, tmp_path, capsys):
         code, _, _ = run(
             ["--config", str(tmp_path / "absent.json"), "single"], capsys
@@ -235,6 +242,27 @@ class TestVerifyCommand:
         code, stdout, _ = run(["verify", "--suite", "residual"], capsys)
         assert code == EXIT_VERIFY
         assert json.loads(stdout)["all_pass"] is False
+
+    @pytest.mark.parametrize("draws", ["0", "-3"])
+    def test_non_positive_draws_rejected(self, draws, capsys):
+        code, stdout, stderr = run(
+            ["verify", "--suite", "analytic", "--draws", draws], capsys
+        )
+        assert code == EXIT_VALIDATION
+        assert "draws" in stderr
+        assert stdout == ""
+
+    def test_negative_seed_rejected(self, capsys):
+        code, _, stderr = run(["verify", "--suite", "residual", "--seed", "-1"], capsys)
+        assert code == EXIT_VALIDATION
+        assert "seed" in stderr
+
+    def test_non_integer_draws_from_config_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"draws": "many"}))
+        code, _, stderr = run(["--config", str(cfg), "verify"], capsys)
+        assert code == EXIT_VALIDATION
+        assert "draws" in stderr
 
 
 class TestReproduce:

@@ -3,6 +3,7 @@ agreement on small geometries, the two-excitation profile, and the
 import-independence of the oracle from the closed-form modules."""
 
 import ast
+import dataclasses
 import pathlib
 
 import numpy as np
@@ -17,6 +18,7 @@ from chiral_diode.verification import (
     lattice_two_photon,
 )
 from chiral_diode.verification.lattice import (
+    _single_particle_operator,
     default_single_spec,
     default_two_photon_spec,
 )
@@ -124,6 +126,36 @@ class TestNormBehavior:
         res = lattice_transmission(spec, p, 0.0, LEFT, track_norm=True)
         assert float(np.max(np.diff(res.norm_trace))) < 1e-10
         assert res.norm_trace[-1] < 1.0
+
+
+class TestGenerator:
+    # small enough for dense linear algebra on the (2n+1)-mode generator
+    TINY = LatticeSpec(101, 0.1, 0.05, 0.0, 1.0, 10)
+
+    def test_hermitian_without_losses(self):
+        spec = dataclasses.replace(self.TINY, absorber_width=0)
+        p = ModelParams(0.3, 0.0, 0.0, 0.7, 0.3)
+        for left_in in (True, False):
+            H = _single_particle_operator(spec, p, 0.0, 1.0, left_in)
+            assert H.shape == (2 * spec.n_sites + 1,) * 2
+            assert (H - H.conj().T).count_nonzero() == 0
+
+    def test_left_channel_kept_only_when_coupled_or_incident(self):
+        p = ModelParams(0.0, 1.0, 0.0, 1.0, 0.0)
+        n = self.TINY.n_sites
+        left = _single_particle_operator(self.TINY, p, 0.0, 1.0, True)
+        right = _single_particle_operator(self.TINY, p, 0.0, 1.0, False)
+        assert left.shape == (n + 1, n + 1)
+        assert right.shape == (2 * n + 1, 2 * n + 1)
+
+    @pytest.mark.parametrize("g1", [0.0, 0.6, 1.0])
+    def test_losses_never_raise_the_norm(self, g1):
+        # d|psi|^2/dt = 2 psi^H Re(A) psi with A = -iH, so the Hermitian
+        # part of A must be negative semidefinite
+        p = ModelParams(0.2, 0.8, 0.0, g1, 1.0 - g1)
+        for left_in in (True, False):
+            A = -1j * _single_particle_operator(self.TINY, p, 0.0, 1.0, left_in).toarray()
+            assert np.linalg.eigvalsh(0.5 * (A + A.conj().T)).max() < 1e-12
 
 
 class TestTwoPhotonLattice:

@@ -58,8 +58,7 @@ class TestTwoPhotonResidual:
         assert set(rep.residuals) == {
             "ee_transport", "ae_transport", "aa_stationarity", "oe_transport",
             "oa_transport", "oo_transport", "ee_jump_x1", "ee_jump_x2",
-            "oe_jump_even_arg", "ae_jump", "oe_continuity_odd_arg",
-            "oa_continuity",
+            "oe_jump_even_arg", "ae_jump",
         }
 
     def test_corrupted_bound_coeffs_fire(self):
@@ -144,6 +143,12 @@ class TestVerifyAll:
         assert VERIFY_SUITES == ("residual", "analytic", "all")
         with pytest.raises(ValueError, match="suite"):
             verify_all(suite="everything")
+
+    @pytest.mark.parametrize("n_draws", [0, -3])
+    def test_empty_draw_count_rejected(self, n_draws):
+        # an empty sample would report every closed-form maximum as 0.0
+        with pytest.raises(ValueError, match="n_draws"):
+            verify_all(suite="analytic", n_draws=n_draws)
 
     def test_json_text_round_trips(self):
         import json
