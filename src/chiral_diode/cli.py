@@ -23,8 +23,8 @@ Conventions shared by all subcommands: grids are written ``lo:hi:count``
 with both endpoints included; ``--config file.json`` supplies defaults
 for any long option (command-line flags win); data files contain no
 timestamps, so identical invocations produce byte-identical output.
-Exit codes: 0 success, 1 invalid arguments or configuration, 2
-verification failure, 3 I/O failure.
+Exit codes: 0 success, 1 invalid arguments or configuration (or out of
+memory), 2 verification failure, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -129,6 +129,17 @@ def _float(value, name: str) -> float:
     if not np.isfinite(x):
         raise CliError(f"{name}: expected a finite number, got {value!r}")
     return x
+
+
+def _int(value, name: str) -> int:
+    message = f"{name}: expected an integer, got {value!r}"
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise CliError(message) from None
+    if isinstance(value, float) and n != value:
+        raise CliError(message)
+    return n
 
 
 def _params_from_args(args) -> ModelParams:
@@ -389,12 +400,7 @@ def _cmd_verify(args) -> int:
     _apply_config(args, _VERIFY_DEFAULTS)
     if args.suite not in VERIFY_SUITES:
         raise CliError(f"suite: expected one of {VERIFY_SUITES}, got {args.suite!r}")
-    try:
-        draws, seed = int(args.draws), int(args.seed)
-    except (TypeError, ValueError):
-        raise CliError(
-            f"draws/seed: expected integers, got {args.draws!r} and {args.seed!r}"
-        ) from None
+    draws, seed = _int(args.draws, "draws"), _int(args.seed, "seed")
     if draws < 1:
         raise CliError(f"draws: must be >= 1, got {draws}")
     if seed < 0:
@@ -642,7 +648,7 @@ def _cmd_reproduce(args) -> int:
     _apply_config(args, _REPRODUCE_DEFAULTS)
     if args.figure not in _FIGURES:
         raise CliError(f"figure: expected one of {sorted(_FIGURES)}, got {args.figure!r}")
-    n = int(args.grid)
+    n = _int(args.grid, "grid")
     if n < 2:
         raise CliError(f"grid: need at least 2 points, got {n}")
     outdir = Path(args.outdir)
@@ -786,6 +792,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        print(f"error: out of memory ({exc}); a smaller grid needs less", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .io_utils import write_csv
 from .model import Direction, ModelParams, TwoPhotonIn
@@ -569,10 +570,35 @@ def map_two_photon(
     """Densities |psi|^2 on the square grid x_grid x x_grid.
 
     Returns a dict of channel -> matrix with rows indexed by x1 and columns
-    by x2.
+    by x2.  The ``tt`` and ``rr`` densities depend only on the photon
+    separation, so on a uniform grid their matrix is gathered from the N
+    separations ``|x - x[0]|`` as ``M[i, j] = g[|i - j|]`` (exactly
+    exchange symmetric; values can differ from a per-point evaluation in
+    the last bits).  ``rt``, and every channel on a non-uniform grid or of
+    a field over a parameter grid, is evaluated per point.
     """
     x = np.asarray(x_grid, dtype=float)
-    return field.densities(x[:, None], x[None, :], channels, convention)
+    # D depends on every rate and both frequencies, so it is a scalar
+    # exactly when the field is one parameter point, not a parameter grid
+    one_point = np.ndim(field.coeffs.D) == 0
+    gathered = ("tt", "rr") if one_point and _is_uniform(x) else ()
+    out = {}
+    for ch in channels:
+        if ch in gathered:
+            g = field.densities(0.0, np.abs(x - x[0]), (ch,))[ch]
+            windows = sliding_window_view(np.concatenate((g[:0:-1], g)), x.size)
+            out[ch] = np.ascontiguousarray(windows[::-1])
+        else:
+            out[ch] = field.densities(x[:, None], x[None, :], (ch,), convention)[ch]
+    return out
+
+
+def _is_uniform(x) -> bool:
+    """A non-empty grid whose step is constant to 8 ulps of its largest |x|
+    (the rounding bound of ``np.linspace``)."""
+    if x.size < 2:
+        return x.size == 1
+    return bool(np.ptp(np.diff(x)) <= 8.0 * np.spacing(np.abs(x).max()))
 
 
 MAP_HEADER_BASE = ("x1", "x2")

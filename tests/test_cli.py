@@ -176,6 +176,20 @@ class TestTwomap:
         expect = np.cos(10.0 * sep) ** 2 / (2.0 * np.pi**2)
         assert float(np.max(np.abs(m - expect))) < 1e-14
 
+    def test_out_of_memory_is_an_error_line(self, tmp_path, capsys, monkeypatch):
+        import chiral_diode.cli as cli
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 29.1 TiB for an array")
+
+        monkeypatch.setattr(cli, "map_two_photon", exhausted)
+        code, stdout, stderr = run(
+            ["twomap", "--x=-5:5:2000000", "-o", str(tmp_path / "map.bin")], capsys
+        )
+        assert code == EXIT_VALIDATION
+        assert stderr.startswith("error: out of memory")
+        assert stdout == ""
+
 
 class TestWorkingArea:
     def test_single_res_csv(self, tmp_path, capsys):
@@ -266,6 +280,19 @@ class TestVerifyCommand:
 
 
 class TestReproduce:
+    @pytest.mark.parametrize("grid", ["many", 2.5])
+    def test_non_integer_grid_from_config_rejected(self, grid, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid": grid}))
+        outdir = tmp_path / "out"
+        code, stdout, stderr = run(
+            ["--config", str(cfg), "reproduce", "fig2", "--outdir", str(outdir)], capsys
+        )
+        assert code == EXIT_VALIDATION
+        assert stderr.startswith("error: grid")
+        assert stdout == ""
+        assert not outdir.exists()
+
     def test_fig3_emits_four_panels_and_manifest(self, tmp_path, capsys):
         code, stdout, _ = run(
             ["reproduce", "fig3", "--grid", "21", "--outdir", str(tmp_path)],

@@ -257,7 +257,69 @@ class TestBoundAsymptote:
             assert dens == pytest.approx(prof.density(x), rel=1e-12, abs=1e-300)
 
 
+def map_field(tuning=pair_resonant_pair, direction=LEFT):
+    """A field with both tt and rr densities nonzero."""
+    p = params(kappa=0.4, U=6.0, gamma1=0.7, gamma2=0.3)
+    return TwoPhotonField(p, tuning(p, direction))
+
+
+def assert_close_to_dense(m, ref):
+    """The separation gather's tolerance against per-point evaluation."""
+    assert m.shape == ref.shape
+    tol = 1e-12 * np.abs(ref) + 1e-14 * ref.max(initial=0.0)
+    assert np.all(np.abs(m - ref) <= tol)
+
+
 class TestMaps:
+    @pytest.mark.parametrize("direction", [LEFT, RIGHT])
+    @pytest.mark.parametrize("tuning", [resonant_pair, pair_resonant_pair])
+    def test_uniform_grid_gathers_tt_and_rr_from_separations(self, direction, tuning):
+        f = map_field(tuning, direction)
+        x = np.linspace(-6.0, 6.0, 241)
+        channels = ("tt", "rr", "rt")
+        maps = map_two_photon(f, x, channels, "reconstructed")
+        dense = f.densities(x[:, None], x[None, :], channels, "reconstructed")
+        for ch in ("tt", "rr"):
+            assert_close_to_dense(maps[ch], dense[ch])
+            assert np.array_equal(maps[ch], maps[ch].T)
+        assert np.array_equal(maps["rt"], dense["rt"])
+
+    @pytest.mark.parametrize(
+        "x",
+        [np.geomspace(0.1, 5.0, 60), np.linspace(-3.0, 3.0, 61) + 1e-12 * (np.arange(61) == 17)],
+        ids=["geomspace", "jittered"],
+    )
+    def test_non_uniform_grid_is_evaluated_per_point(self, x):
+        f = map_field()
+        channels = ("tt", "rr", "rt")
+        maps = map_two_photon(f, x, channels)
+        dense = f.densities(x[:, None], x[None, :], channels)
+        for ch in channels:
+            assert np.array_equal(maps[ch], dense[ch])
+
+    @pytest.mark.parametrize("kappa", [np.linspace(0.2, 2.0, 41), np.array([[[0.3]], [[1.5]]])])
+    def test_field_over_a_parameter_grid_is_evaluated_per_point(self, kappa):
+        p = params(kappa=kappa, U=6.0, gamma1=0.7, gamma2=0.3)
+        f = TwoPhotonField(p, pair_resonant_pair(p))
+        x = np.linspace(-3.0, 3.0, 41)
+        maps = map_two_photon(f, x, ("tt", "rr"))
+        dense = f.densities(x[:, None], x[None, :], ("tt", "rr"))
+        for ch in ("tt", "rr"):
+            assert np.array_equal(maps[ch], dense[ch])
+
+    @pytest.mark.parametrize(
+        "x",
+        [[0.7], [-1.0, 2.0], np.linspace(3.0, -3.0, 41), np.full(5, 1.5), []],
+        ids=["one", "two", "descending", "lo_equals_hi", "empty"],
+    )
+    def test_edge_grids(self, x):
+        x = np.asarray(x, dtype=float)
+        f = map_field()
+        maps = map_two_photon(f, x, ("tt", "rr"))
+        dense = f.densities(x[:, None], x[None, :], ("tt", "rr"))
+        for ch in ("tt", "rr"):
+            assert_close_to_dense(maps[ch], dense[ch])
+
     def test_map_matrix_is_exchange_symmetric(self):
         p = params(gamma1=0.7, gamma2=0.3)
         f = TwoPhotonField(p, resonant_pair(p))
