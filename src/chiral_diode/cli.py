@@ -7,7 +7,7 @@ Subcommands
     optionally over the coupling asymmetry), written as CSV or JSON.
 ``twomap``
     Two-photon output density on a square coordinate grid, written as
-    CSV, JSON, or the compact binary map format.
+    CSV, JSON, or the compact one-channel binary map format.
 ``working-area``
     Diode working-area curves (separation vs. coupling asymmetry) for
     either incident-pair tuning.
@@ -274,7 +274,7 @@ _TWOMAP_DEFAULTS = {
     "direction": "left",
     "x": "-5:5:401",
     "channels": "tt",
-    "convention": "printed",
+    "convention": "reconstructed",
     "output": None,
     "format": "csv",
 }
@@ -308,6 +308,8 @@ def _cmd_twomap(args) -> int:
         raise CliError(f"channels: expected a comma list from tt,rr,rt, got {args.channels!r}")
     if args.format not in _MAP_EXTENSIONS:
         raise CliError(f"format: expected csv, json, or binary, got {args.format!r}")
+    if args.format == "binary" and len(channels) > 1:
+        raise CliError(f"channels: a binary map holds one channel, got {args.channels!r}")
     x = _parse_grid(args.x, "x")
 
     incoming = TwoPhotonIn(_DIRECTIONS[args.direction], w1, w2)
@@ -437,9 +439,12 @@ def _reduced_params(kappa, U, gamma1) -> ModelParams:
     return make_params(omega_a=0.0, kappa=kappa, U=U, gamma1=gamma1, gamma2=1.0 - gamma1)
 
 
-def _rows(*columns):
-    """CSV rows of broadcast columns; the first column varies slowest."""
-    return zip(*(col.ravel() for col in np.broadcast_arrays(*columns)))
+def _panel(outdir: Path, fig: str, panel: str, params: dict, write: Callable, *data) -> dict:
+    """Write panel ``<fig><panel>.csv`` with ``write(path, *data)`` and
+    return its manifest entry."""
+    name = f"{fig}{panel}.csv"
+    write(outdir / name, *data)
+    return {"file": name, "panel": panel, "params": params}
 
 
 def _fig2(n: int, outdir: Path) -> list[dict]:
@@ -447,33 +452,26 @@ def _fig2(n: int, outdir: Path) -> list[dict]:
     gamma1 = np.array(_FIG2_GAMMA1_SERIES)[:, None]
     p = _reduced_params(1.0, 0.0, gamma1)
     c = chiral_coeffs(p, PhotonIn(Direction.LEFT_INCIDENT, p.omega_a + detuning))
-    entries = []
-    for panel, column, values in (("a", "T", c.T), ("b", "R", c.R)):
-        name = f"fig2{panel}.csv"
-        write_csv(
-            outdir / name,
-            ("gamma1_over_Gamma", "detuning_over_Gamma", column),
-            _rows(gamma1, detuning, values),
-        )
-        entries.append(
+    return [
+        _panel(
+            outdir, "fig2", panel,
             {
-                "file": name,
-                "panel": panel,
-                "params": {
-                    "kappa_over_Gamma": 1.0,
-                    "quantity": f"left-incident {column} vs detuning",
-                    "gamma1_over_Gamma_series": list(_FIG2_GAMMA1_SERIES),
-                },
-            }
+                "kappa_over_Gamma": 1.0,
+                "quantity": f"left-incident {column} vs detuning",
+                "gamma1_over_Gamma_series": list(_FIG2_GAMMA1_SERIES),
+            },
+            write_csv,
+            ("gamma1_over_Gamma", "detuning_over_Gamma", column),
+            (gamma1, detuning, values),
         )
-    return entries
+        for panel, column, values in (("a", "T", c.T), ("b", "R", c.R))
+    ]
 
 
 _FIG3_HEADER = ("gamma1_over_Gamma", "T_left", "T_right", "R")
 
 
 def _fig3(n: int, outdir: Path) -> list[dict]:
-    entries = []
     panels = [
         ("a", np.linspace(0.0, 1.0, n), lambda g1: 1.0, {"kappa_over_Gamma": 1.0}),
         ("b", np.linspace(0.0, 1.0, n), lambda g1: 0.01, {"kappa_over_Gamma": 0.01}),
@@ -485,15 +483,18 @@ def _fig3(n: int, outdir: Path) -> list[dict]:
             {"kappa_over_Gamma": "gamma1 - gamma2 (blocking family)"},
         ),
     ]
+    entries = []
     for panel, grid, kappa_of_g1, note in panels:
-        name = f"fig3{panel}.csv"
         p = _reduced_params(kappa_of_g1(grid), 0.0, grid)
         left = chiral_coeffs(p, PhotonIn(Direction.LEFT_INCIDENT, p.omega_a))
         right = chiral_coeffs(p, PhotonIn(Direction.RIGHT_INCIDENT, p.omega_a))
-        write_csv(outdir / name, _FIG3_HEADER, _rows(grid, left.T, right.T, left.R))
-        params = {"detuning": 0.0, "quantity": "T and R vs gamma1/Gamma, both incidences"}
-        params.update(note)
-        entries.append({"file": name, "panel": panel, "params": params})
+        params = {"detuning": 0.0, "quantity": "T and R vs gamma1/Gamma, both incidences", **note}
+        entries.append(
+            _panel(
+                outdir, "fig3", panel, params,
+                write_csv, _FIG3_HEADER, (grid, left.T, right.T, left.R),
+            )
+        )
     return entries
 
 
@@ -529,31 +530,28 @@ def _density_maps(
     gamma1_grid = np.linspace(0.0, 1.0, n)[:, None]
     x_grid = np.linspace(0.0, x_max, n)
     params = _reduced_params(kappa, 10.0, gamma1_grid)
-    entries = []
     panels = [
         ("a", WorkingAreaCase.SINGLE_PHOTON_RESONANCE, Direction.LEFT_INCIDENT),
         ("b", WorkingAreaCase.SINGLE_PHOTON_RESONANCE, Direction.RIGHT_INCIDENT),
         ("c", WorkingAreaCase.TWO_PHOTON_RESONANCE, Direction.LEFT_INCIDENT),
         ("d", WorkingAreaCase.TWO_PHOTON_RESONANCE, Direction.RIGHT_INCIDENT),
     ]
-    for panel, case, incident in panels:
-        name = f"{fig}{panel}.csv"
-        density = _separation_density(params, case, x_grid, incident)
-        write_csv(outdir / name, _MAP_HEADER, _rows(gamma1_grid, x_grid, density))
-        entries.append(
+    return [
+        _panel(
+            outdir, fig, panel,
             {
-                "file": name,
-                "panel": panel,
-                "params": {
-                    "kappa_over_Gamma": kappa,
-                    "U_over_Gamma": 10.0,
-                    "tuning": _CASE_LABEL[case],
-                    "incident": "left" if incident is Direction.LEFT_INCIDENT else "right",
-                    "Gamma_x_max": x_max,
-                },
-            }
+                "kappa_over_Gamma": kappa,
+                "U_over_Gamma": 10.0,
+                "tuning": _CASE_LABEL[case],
+                "incident": "left" if incident is Direction.LEFT_INCIDENT else "right",
+                "Gamma_x_max": x_max,
+            },
+            write_csv,
+            _MAP_HEADER,
+            (gamma1_grid, x_grid, _separation_density(params, case, x_grid, incident)),
         )
-    return entries
+        for panel, case, incident in panels
+    ]
 
 
 _CURVE_HEADER = ("gamma1_over_Gamma", "psi_tt_sq", "psi_tt_tilde_sq")
@@ -565,60 +563,53 @@ def _density_curves(
 ) -> list[dict]:
     gamma1_grid = np.linspace(0.0, 1.0, n)
     params = _reduced_params(kappa, 10.0, gamma1_grid)
-    entries = []
-    for panel, case, gx in panels:
-        name = f"{fig}{panel}.csv"
-        x = np.array([gx])
-        right = _separation_density(params, case, x, Direction.LEFT_INCIDENT)
-        left = _separation_density(params, case, x, Direction.RIGHT_INCIDENT)
-        write_csv(outdir / name, _CURVE_HEADER, _rows(gamma1_grid, right, left))
-        entries.append(
+    return [
+        _panel(
+            outdir, fig, panel,
             {
-                "file": name,
-                "panel": panel,
-                "params": {
-                    "kappa_over_Gamma": kappa,
-                    "U_over_Gamma": 10.0,
-                    "tuning": _CASE_LABEL[case],
-                    "Gamma_x": gx,
-                },
-            }
+                "kappa_over_Gamma": kappa,
+                "U_over_Gamma": 10.0,
+                "tuning": _CASE_LABEL[case],
+                "Gamma_x": gx,
+            },
+            write_csv,
+            _CURVE_HEADER,
+            (
+                gamma1_grid,
+                _separation_density(params, case, np.array([gx]), Direction.LEFT_INCIDENT),
+                _separation_density(params, case, np.array([gx]), Direction.RIGHT_INCIDENT),
+            ),
         )
-    return entries
+        for panel, case, gx in panels
+    ]
 
 
 def _fig6(n: int, outdir: Path) -> list[dict]:
-    entries = []
     single = working_area_single_res(
         _reduced_params(1.0, 10.0, 1.0), np.linspace(0.0, 1.0, n)
     )
-    write_working_area_csv(outdir / "fig6a.csv", single)
-    entries.append(
-        {
-            "file": "fig6a.csv",
-            "panel": "a",
-            "params": {
+    two = working_area_two_res(_reduced_params(0.4, 10.0, 1.0))
+    return [
+        _panel(
+            outdir, "fig6", "a",
+            {
                 "kappa_over_Gamma": 1.0,
                 "tuning": _CASE_LABEL[WorkingAreaCase.SINGLE_PHOTON_RESONANCE],
                 "curve": "strong-Kerr null separation vs gamma1/Gamma",
             },
-        }
-    )
-    two = working_area_two_res(_reduced_params(0.4, 10.0, 1.0))
-    write_working_area_csv(outdir / "fig6b.csv", two)
-    entries.append(
-        {
-            "file": "fig6b.csv",
-            "panel": "b",
-            "params": {
+            write_working_area_csv, single,
+        ),
+        _panel(
+            outdir, "fig6", "b",
+            {
                 "kappa_over_Gamma": 0.4,
                 "U_over_Gamma": 10.0,
                 "tuning": _CASE_LABEL[WorkingAreaCase.TWO_PHOTON_RESONANCE],
                 "curve": "exact null separation vs gamma1/Gamma, all branches",
             },
-        }
-    )
-    return entries
+            write_working_area_csv, two,
+        ),
+    ]
 
 
 _SPR = WorkingAreaCase.SINGLE_PHOTON_RESONANCE
@@ -718,7 +709,8 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--convention",
         choices=("printed", "reconstructed"),
-        help="mixed-channel phase convention (default printed)",
+        help="mixed-channel phase convention: reconstructed (default, certified) "
+        "or printed (published form, not certified)",
     )
     p.add_argument("-o", "--output", help="output path (default two_photon_map.<ext>)")
     p.add_argument("--format", choices=("csv", "json", "binary"), help="output format (default csv)")

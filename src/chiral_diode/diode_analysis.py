@@ -27,7 +27,7 @@ import enum
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
@@ -311,7 +311,5 @@ WORKING_AREA_HEADER = ("gamma1_over_Gamma", "Gamma_abs_x", "branch", "diverges")
 def write_working_area_csv(path: str | os.PathLike, curve: WorkingAreaCurve) -> None:
     """Emit a working-area curve as CSV rows gamma1/Gamma, Gamma|x|,
     branch, diverges (0/1); diverging points carry ``inf``."""
-    rows: Iterable = (
-        (p.gamma1_over_Gamma, p.Gamma_abs_x, p.branch, int(p.diverges)) for p in curve
-    )
-    write_csv(path, WORKING_AREA_HEADER, rows)
+    table = [(p.gamma1_over_Gamma, p.Gamma_abs_x, p.branch, p.diverges) for p in curve]
+    write_csv(path, WORKING_AREA_HEADER, np.reshape(table, (-1, len(WORKING_AREA_HEADER))).T)

@@ -10,7 +10,11 @@ import math
 import os
 from typing import Iterable, Sequence
 
+import numpy as np
+
 __all__ = ["format_number", "write_csv"]
+
+_BLOCK_ROWS = 1024  # rows per write; the cell strings of one block live together
 
 
 def format_number(value) -> str:
@@ -26,9 +30,18 @@ def format_number(value) -> str:
     return repr(x)
 
 
-def write_csv(path: str | os.PathLike, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write rows of numbers (or pre-formatted strings) under a header line."""
+def write_csv(path: str | os.PathLike, header: Sequence[str], columns: Iterable) -> None:
+    """Write broadcast columns as CSV rows under a header line.
+
+    Rows follow the C order of the broadcast shape (last axis fastest), so
+    columns shaped ``a[:, None]``, ``b[None, :]`` give every ``b`` for the
+    first ``a``, then for the next.  Every cell is formatted by
+    :func:`format_number`.
+    """
+    columns = np.broadcast_arrays(*columns)
+    n_rows = columns[0].size if columns else 0
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(c if isinstance(c, str) else format_number(c) for c in row) + "\n")
+        for i in range(0, n_rows, _BLOCK_ROWS):
+            cells = [map(format_number, c.flat[i : i + _BLOCK_ROWS].tolist()) for c in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")

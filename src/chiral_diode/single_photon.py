@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -176,6 +176,7 @@ def sweep_single(
 SWEEP_HEADER = ("detuning_over_Gamma", "gamma1_over_Gamma", "T", "R", "loss")
 
 
-def write_sweep_csv(path: str | os.PathLike, rows: Iterable[Sequence[float]]) -> None:
-    """Emit a sweep table with the canonical header and digit-exact floats."""
-    write_csv(path, SWEEP_HEADER, rows)
+def write_sweep_csv(path: str | os.PathLike, rows: Sequence[Sequence[float]]) -> None:
+    """Emit sweep rows (as from :func:`sweep_single`) with the canonical
+    header and digit-exact floats."""
+    write_csv(path, SWEEP_HEADER, np.asarray(rows).T)

@@ -28,15 +28,15 @@ feed the independent residual checks in :mod:`chiral_diode.verification`.
 
 Two conventions are provided for the mixed channel ``psi_rt``:
 
-* ``"printed"`` (default): plane part written as ``1/(4 pi)`` times the
-  symmetrized incident envelope, with transmission and reflection factors
-  averaged over both pairings;
-* ``"reconstructed"``: plane part obtained by transforming the even/odd
-  solution back to the chiral basis, ``1/(2 pi)`` times the two momentum
-  pairings each carrying its own amplitude product.
+* ``"reconstructed"`` (default, certified): plane part obtained by
+  transforming the even/odd solution back to the chiral basis, ``1/(2 pi)``
+  times the two momentum pairings each carrying its own amplitude product;
+* ``"printed"`` (published form, not certified): plane part written as
+  ``1/(4 pi)`` times the symmetrized incident envelope, with transmission
+  and reflection factors averaged over both pairings.
 
-The two differ (the first is not consistent with the even/odd solution);
-verification reports both.
+The two differ (the printed form is not consistent with the even/odd
+solution); verification reports the gap.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -218,7 +217,7 @@ class TwoPhotonField:
         plane = self.incident_envelope(-s * np.asarray(x1), -s * np.asarray(x2))
         return plane * self.r_k1 * self.r_k2 + self._w_rr * self._bound_separation(-np.asarray(x1), -np.asarray(x2))
 
-    def psi_rt(self, x1, x2, convention: str = "printed"):
+    def psi_rt(self, x1, x2, convention: str = "reconstructed"):
         """One photon exits right of the cavity (at ``x1``, moving in +x),
         the other exits left (at ``x2``, moving in -x).
 
@@ -250,7 +249,7 @@ class TwoPhotonField:
         )
         return plane + self._w_rt * bound
 
-    def densities(self, x1, x2, channels=("tt",), convention: str = "printed"):
+    def densities(self, x1, x2, channels=("tt",), convention: str = "reconstructed"):
         """|psi|^2 for the requested channels, as a dict keyed by channel."""
         out = {}
         for ch in channels:
@@ -565,7 +564,7 @@ def map_two_photon(
     field: TwoPhotonField,
     x_grid,
     channels=("tt",),
-    convention: str = "printed",
+    convention: str = "reconstructed",
 ):
     """Densities |psi|^2 on the square grid x_grid x x_grid.
 
@@ -601,26 +600,18 @@ def _is_uniform(x) -> bool:
     return bool(np.ptp(np.diff(x)) <= 8.0 * np.spacing(np.abs(x).max()))
 
 
-MAP_HEADER_BASE = ("x1", "x2")
 MAP_MAGIC = b"CDMAP001"
 
 
 def write_map_csv(path: str | os.PathLike, x_grid, maps: dict) -> None:
     """Emit a map as rows x1, x2, one density column per channel.
 
-    Column order follows the channel order of ``maps`` (tt, then rr, then
-    rt when present), named ``psi_<ch>_sq``.
+    x1 varies slowest.  The density columns, named ``psi_<ch>_sq``, follow
+    the order of ``maps`` (the order the channels were requested in).
     """
     x = np.asarray(x_grid, dtype=float)
-    channels = list(maps)
-    header = list(MAP_HEADER_BASE) + [f"psi_{ch}_sq" for ch in channels]
-
-    def rows() -> Iterable:
-        for i, a in enumerate(x):
-            for j, b in enumerate(x):
-                yield [a, b] + [maps[ch][i, j] for ch in channels]
-
-    write_csv(path, header, rows())
+    header = ["x1", "x2"] + [f"psi_{ch}_sq" for ch in maps]
+    write_csv(path, header, (x[:, None], x[None, :], *maps.values()))
 
 
 def write_map_binary(path: str | os.PathLike, x_grid, matrix: np.ndarray) -> None:

@@ -160,6 +160,33 @@ class TestTwomap:
         assert np.array_equal(matrix, ref)
         assert x_range == pytest.approx((-2.0, 2.0, -2.0, 2.0), abs=1e-6)
 
+    def test_binary_format_rejects_more_than_one_channel(self, tmp_path, capsys):
+        out = tmp_path / "map.bin"
+        code, stdout, stderr = run(
+            ["twomap", "--x=-2:2:17", "--channels", "tt,rt", "--format", "binary",
+             "-o", str(out)],
+            capsys,
+        )
+        assert code == EXIT_VALIDATION
+        assert stderr.startswith("error: channels: a binary map holds one channel")
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_rt_defaults_to_the_reconstructed_convention(self, tmp_path, capsys):
+        out = tmp_path / "map.json"
+        code, _, _ = run(
+            ["twomap", "--x=-2:2:17", "--channels", "rt", "--gamma1", "0.7", "--gamma2", "0.3",
+             "--format", "json", "-o", str(out)],
+            capsys,
+        )
+        assert code == EXIT_OK
+        m = np.asarray(json.loads(out.read_text())["channels"]["rt"])
+        p = make_params(omega_a=0.0, kappa=1.0, U=10.0, gamma1=0.7, gamma2=0.3)
+        field = TwoPhotonField(p, TwoPhotonIn(Direction.LEFT_INCIDENT, 0.0, 0.0))
+        x = np.linspace(-2.0, 2.0, 17)
+        assert np.array_equal(m, map_two_photon(field, x, ("rt",), "reconstructed")["rt"])
+        assert not np.allclose(m, map_two_photon(field, x, ("rt",), "printed")["rt"])
+
     def test_two_photon_resonance_stripes_at_zero_gamma1(self, tmp_path, capsys):
         out = tmp_path / "map.json"
         code, _, _ = run(
@@ -310,7 +337,8 @@ class TestReproduce:
         for entry in manifest["files"]:
             assert (tmp_path / entry["file"]).exists()
 
-    def test_runs_are_byte_identical(self, tmp_path, capsys):
+    @pytest.mark.parametrize("figure", [f"fig{k}" for k in range(2, 10)])
+    def test_runs_are_byte_identical(self, figure, tmp_path, capsys):
         def digest(d):
             return {
                 f.name: hashlib.sha256(f.read_bytes()).hexdigest()
@@ -318,6 +346,8 @@ class TestReproduce:
             }
 
         a, b = tmp_path / "a", tmp_path / "b"
-        assert run(["reproduce", "fig6", "--grid", "31", "--outdir", str(a)], capsys)[0] == EXIT_OK
-        assert run(["reproduce", "fig6", "--grid", "31", "--outdir", str(b)], capsys)[0] == EXIT_OK
+        for d in (a, b):
+            argv = ["reproduce", figure, "--grid", "21", "--outdir", str(d)]
+            assert run(argv, capsys)[0] == EXIT_OK
         assert digest(a) == digest(b)
+        assert len(digest(a)) > 1

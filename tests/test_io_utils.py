@@ -1,0 +1,81 @@
+"""The CSV writer: broadcast columns in, the bytes of a row-by-row
+``format_number`` join out, for any table size."""
+
+import numpy as np
+import pytest
+
+from chiral_diode import io_utils
+from chiral_diode.io_utils import format_number, write_csv
+
+
+def row_wise(header, rows) -> bytes:
+    """Reference file: one ``format_number`` join per row."""
+    lines = [",".join(header)] + [",".join(map(format_number, row)) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def written(tmp_path, header, columns) -> bytes:
+    path = tmp_path / "table.csv"
+    write_csv(path, header, columns)
+    return path.read_bytes()
+
+
+def test_first_column_varies_slowest_under_broadcast(tmp_path):
+    a = np.array([0.5, -1.25, 3.0])
+    b = np.linspace(0.0, 1.0, 7)
+    m = a[:, None] * np.exp(b)[None, :]
+    rows = [(a[i], b[j], m[i, j]) for i in range(a.size) for j in range(b.size)]
+    header = ("a", "b", "m")
+    assert written(tmp_path, header, (a[:, None], b[None, :], m)) == row_wise(header, rows)
+
+
+def test_scalar_column_repeats_on_every_row(tmp_path):
+    b = np.array([0.1, 0.2, 0.3])
+    rows = [(2.5, v) for v in b]
+    assert written(tmp_path, ("s", "b"), (2.5, b)) == row_wise(("s", "b"), rows)
+
+
+def test_special_floats(tmp_path):
+    values = [1.0, -0.0, 0.0, -3.0, 1e15, 1e16, 2.5, 0.1 + 0.2, 1e-300,
+              5e-324, np.inf, -np.inf, np.nan, -1.7976931348623157e308]
+    data = written(tmp_path, ("v", "w"), (values, np.negative(values)))
+    assert data == row_wise(("v", "w"), zip(values, np.negative(values)))
+    lines = data.decode().splitlines()
+    assert lines[1:3] == ["1,-1", "0,0"]
+    assert lines[11:14] == ["inf,-inf", "-inf,inf", "nan,nan"]
+
+
+def test_int_and_bool_columns(tmp_path):
+    ints = np.arange(-3, 4)
+    big = [2**40, -(2**52), 0, 7, 1, 2, 3]
+    flags = np.array([True, False, True, True, False, False, True])
+    data = written(tmp_path, ("i", "big", "flag"), (ints, big, flags))
+    assert data == row_wise(("i", "big", "flag"), zip(ints, big, flags))
+    assert data.decode().splitlines()[1] == "-3,1099511627776,1"
+
+
+@pytest.mark.parametrize("columns", [
+    (np.empty(0), np.empty(0)),
+    (np.empty((0, 1)), np.arange(3.0)),
+    (),
+], ids=["empty_columns", "empty_broadcast", "no_columns"])
+def test_empty_table_is_the_header_alone(tmp_path, columns):
+    assert written(tmp_path, ("x", "y"), columns) == b"x,y\n"
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_tables_around_one_block(tmp_path, extra):
+    n = io_utils._BLOCK_ROWS + extra
+    x = np.linspace(-1.0, 1.0, n)
+    rows = list(zip(np.arange(n), x, x**3))
+    data = written(tmp_path, ("k", "x", "x3"), (np.arange(n), x, x**3))
+    assert data == row_wise(("k", "x", "x3"), rows)
+    assert data.count(b"\n") == n + 1
+
+
+def test_several_blocks_of_a_broadcast_map(tmp_path):
+    x = np.linspace(-2.0, 2.0, 41)
+    m = np.cos(x[:, None] - x[None, :])
+    rows = [(x[i], x[j], m[i, j]) for i in range(x.size) for j in range(x.size)]
+    header = ("x1", "x2", "m")
+    assert written(tmp_path, header, (x[:, None], x[None, :], m)) == row_wise(header, rows)

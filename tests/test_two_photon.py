@@ -149,6 +149,16 @@ class TestMixedChannel:
             assert fr.psi_tt(x1, x2) == pytest.approx(fl.psi_tt(-x1, -x2), abs=1e-15)
 
 
+    def test_default_convention_is_the_certified_reconstruction(self):
+        p = make_params(omega_a=0.0, kappa=0.8, U=4.0, gamma1=0.7, gamma2=0.3)
+        f = TwoPhotonField(p, TwoPhotonIn(Direction.LEFT_INCIDENT, 0.2, -0.4))
+        x1, x2 = np.linspace(0.1, 3.0, 7), np.linspace(-2.0, -0.3, 7)
+        rec = f.psi_rt(x1, x2, convention="reconstructed")
+        assert np.array_equal(f.psi_rt(x1, x2), rec)
+        assert np.array_equal(f.densities(x1, x2, ("rt",))["rt"], np.abs(rec) ** 2)
+        assert not np.allclose(rec, f.psi_rt(x1, x2, convention="printed"))
+
+
 class TestEvenOddAmplitudes:
     def test_odd_odd_pair_is_a_free_symmetrized_plane_wave(self):
         rng = np.random.default_rng(13)
