@@ -600,7 +600,10 @@ def _is_uniform(x) -> bool:
     return bool(np.ptp(np.diff(x)) <= 8.0 * np.spacing(np.abs(x).max()))
 
 
-MAP_MAGIC = b"CDMAP001"
+MAP_MAGIC = b"CDMAP002"
+# struct layout after the magic: rows, cols and the x-range; CDMAP001 files,
+# written before the x-range was stored as float64, are still read
+_MAP_HEADERS = {MAP_MAGIC: "<II4d", b"CDMAP001": "<II4f"}
 
 
 def write_map_csv(path: str | os.PathLike, x_grid, maps: dict) -> None:
@@ -615,17 +618,16 @@ def write_map_csv(path: str | os.PathLike, x_grid, maps: dict) -> None:
 
 
 def write_map_binary(path: str | os.PathLike, x_grid, matrix: np.ndarray) -> None:
-    """Binary map format: 32-byte header then row-major float64 payload.
+    """Binary map format: 48-byte header then row-major float64 payload.
 
-    Header layout (little endian): 8-byte magic ``CDMAP001``, uint32 rows,
-    uint32 cols, float32 x1_min, x1_max, x2_min, x2_max.
+    Header layout (little endian): 8-byte magic ``CDMAP002``, uint32 rows,
+    uint32 cols, float64 x1_min, x1_max, x2_min, x2_max.
     """
     x = np.asarray(x_grid, dtype=float)
     m = np.ascontiguousarray(matrix, dtype="<f8")
     header = MAP_MAGIC + struct.pack(
-        "<II4f", m.shape[0], m.shape[1], x[0], x[-1], x[0], x[-1]
+        _MAP_HEADERS[MAP_MAGIC], m.shape[0], m.shape[1], x[0], x[-1], x[0], x[-1]
     )
-    assert len(header) == 32
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(m.tobytes())
@@ -634,16 +636,23 @@ def write_map_binary(path: str | os.PathLike, x_grid, matrix: np.ndarray) -> Non
 def read_map_binary(path: str | os.PathLike):
     """Inverse of :func:`write_map_binary`; returns (matrix, x_range).
 
-    Raises ``ValueError`` for a foreign, truncated or overlong file.
+    Reads ``CDMAP002`` (48-byte header, float64 x-range) and the older
+    ``CDMAP001`` (32-byte header, float32 x-range).  Raises ``ValueError``
+    for a foreign, truncated or overlong file.
     """
     with open(path, "rb") as fh:
-        header = fh.read(32)
+        magic = fh.read(8)
+        if magic not in _MAP_HEADERS:
+            raise ValueError(f"not a map file: bad magic {magic!r}")
+        layout = _MAP_HEADERS[magic]
+        header = magic + fh.read(struct.calcsize(layout))
         payload = fh.read()
-    if len(header) < 32:
-        raise ValueError(f"{path}: header has {len(header)} bytes, a map header has 32")
-    if header[:8] != MAP_MAGIC:
-        raise ValueError(f"not a map file: bad magic {header[:8]!r}")
-    rows, cols, x1_min, x1_max, x2_min, x2_max = struct.unpack("<II4f", header[8:])
+    size = 8 + struct.calcsize(layout)
+    if len(header) < size:
+        raise ValueError(
+            f"{path}: header has {len(header)} bytes, a {magic.decode()} map header has {size}"
+        )
+    rows, cols, x1_min, x1_max, x2_min, x2_max = struct.unpack(layout, header[8:])
     if len(payload) != rows * cols * 8:
         raise ValueError(
             f"{path}: payload has {len(payload)} bytes, a {rows} x {cols} map "

@@ -351,3 +351,88 @@ class TestReproduce:
             assert run(argv, capsys)[0] == EXIT_OK
         assert digest(a) == digest(b)
         assert len(digest(a)) > 1
+
+
+# Flag values for the fuzz test: (valid, invalid) choices per flag, at tiny
+# grids.  "Valid" means well formed; a valid draw may still be rejected when
+# its values do not fit together (e.g. gamma1 + gamma2 above the total).
+_FUZZ_PARAMS = {
+    "--omega-a": (["0", "0.5", "-1"], ["nan", "z"]),
+    "--kappa": (["1.0", "0", "0.3", "40"], ["-0.5", "inf", "abc"]),
+    "--U": (["10", "-10", "0", "2.5"], ["x", "-inf"]),
+    "--gamma1": (["1.0", "0.3", "0", "0.7"], ["-1", "1e400", "2"]),
+    "--gamma2": (["0", "0.5", "0.3"], ["-0.1", "nan"]),
+}
+_FUZZ_GRID = (["-4:4:9", "0:1:3", "1:0:2", "0:1:1", "-1:1:6"],
+              ["0:1:0", "0:1:-1", "0:1", "a:b:c", "0:1:2.5", "0:inf:3"])
+_FUZZ_FLAGS = {
+    "single": {
+        **_FUZZ_PARAMS, "--detuning": _FUZZ_GRID, "--gamma1-grid": _FUZZ_GRID,
+        "--direction": (["left", "right"], ["up"]),
+        "--format": (["csv", "json"], ["xml"]),
+        "-o": (["out.csv"], ["missing/out.csv", "."]),
+    },
+    "twomap": {
+        **_FUZZ_PARAMS, "--resonance": (["single-photon", "two-photon"], ["none"]),
+        "--omega1": (["0", "1.5"], ["q"]), "--omega2": (["0", "-2"], ["nan"]),
+        "--direction": (["left", "right"], ["up"]), "--x": _FUZZ_GRID,
+        "--channels": (["tt", "rr", "rt", "tt,rr,rt", "rt,tt"], ["xx", "", "tt,tt"]),
+        "--convention": (["printed", "reconstructed"], ["other"]),
+        "--format": (["csv", "json", "binary"], ["png"]),
+        "-o": (["out.bin"], ["missing/out.bin", "."]),
+    },
+    "working-area": {
+        **_FUZZ_PARAMS,
+        "--case": (["single-photon-resonance", "two-photon-resonance"], ["x"]),
+        "--gamma1-grid": _FUZZ_GRID,
+        "--gx-ceiling": (["20", "5", "0", "1e-3"], ["-1", "nan", "inf", "q"]),
+        "--format": (["csv", "json"], ["xml"]),
+        "-o": (["out.csv"], ["missing/out.csv", "."]),
+    },
+    "verify": {
+        "--suite": (["residual", "analytic"], ["bogus"]),
+        "--draws": (["1", "3"], ["0", "-1", "x"]),
+        "--seed": (["1", "0"], ["-5", "x"]),
+        "-o": (["out.json"], ["missing/out.json", "."]),
+    },
+    "reproduce": {
+        "--grid": (["2", "3", "5"], ["1", "0", "-1", "x"]),
+        "--outdir": (["repro"], ["a_file"]),
+    },
+}
+# always drawn, so no run falls back to a slow default (the lattice suite
+# and 200 draws of verify, 401-point grids)
+_FUZZ_REQUIRED = {"twomap": ("--x",), "verify": ("--suite", "--draws"), "reproduce": ("--grid",)}
+_FUZZ_FIGURES = ([f"fig{k}" for k in range(2, 10)], ["fig1", "fig10", "x"])
+# verify runs its 300-draw residual suite whatever --draws says (~0.7 s), so
+# it is drawn less often than the other subcommands
+_FUZZ_WEIGHTS = {"single": 4, "twomap": 4, "working-area": 4, "verify": 1, "reproduce": 4}
+
+
+def test_fuzzed_flags_exit_cleanly(tmp_path, monkeypatch, capsys):
+    """Seeded random command lines for every subcommand, each flag drawn
+    valid or invalid: every run exits 0, 1 or 3 and prints no traceback."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a_file").write_text("not a directory")
+    rng = np.random.default_rng(20240817)
+
+    def draw(choices):
+        valid, invalid = choices
+        return str(rng.choice(invalid if rng.random() < 0.15 else valid))
+
+    weights = np.array(list(_FUZZ_WEIGHTS.values())) / sum(_FUZZ_WEIGHTS.values())
+    codes = []
+    for _ in range(120):
+        command = str(rng.choice(list(_FUZZ_WEIGHTS), p=weights))
+        argv = [command] + ([draw(_FUZZ_FIGURES)] if command == "reproduce" else [])
+        for flag, choices in _FUZZ_FLAGS[command].items():
+            if flag in _FUZZ_REQUIRED.get(command, ()) or rng.random() < 0.4:
+                argv += [flag, draw(choices)]
+        try:
+            code, _, stderr = run(argv, capsys)
+        except Exception as exc:
+            pytest.fail(f"{argv}: {exc!r} escaped main")
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_IO), (argv, code, stderr)
+        assert "Traceback" not in stderr, (argv, stderr)
+        codes.append(code)
+    assert {EXIT_OK, EXIT_VALIDATION, EXIT_IO} <= set(codes)

@@ -147,6 +147,33 @@ class TestTwoResCurve:
             x = pt.Gamma_abs_x
             assert abs(f.psi_tt(-0.5 * x, 0.5 * x)) ** 2 < 1e-10 * FREE_PAIR_DENSITY
 
+    def test_attractive_kerr_zero_set_matches_the_numeric_scan(self):
+        # the U < 0 curve checked on its own against a direct scan of the
+        # density, not only against the U > 0 curve.  Couplings next to the
+        # domain edge gamma1 = (kappa + Gamma)/2 are left out: there the
+        # resonant photon's t vanishes and the decaying bound part alone
+        # falls below the scan threshold.  The scan stops at Gamma|x| = 8:
+        # from ~12 on the bound part is below it at every coupling, and the
+        # plane-wave interference nulls count as zeros.
+        p = make_params(omega_a=0.0, kappa=0.4, U=-10.0, gamma1=1.0, gamma2=0.0)
+        curve = sorted(
+            (pt.gamma1_over_Gamma, pt.Gamma_abs_x)
+            for pt in working_area_two_res(p)
+            if pt.gamma1_over_Gamma > 0.71
+        )
+        assert len(curve) > 5
+        scan = numeric_zero_scan(
+            p,
+            two_res_pair(p),
+            gamma1_grid=[g1 * p.Gamma for g1, _ in curve],
+            x_grid=np.linspace(0.0, 8.0 / p.Gamma, 801),
+        )
+        found = sorted(scan)
+        assert len(found) == len(curve)
+        for (g1, gx), (g1_scan, gx_scan) in zip(curve, found):
+            assert g1_scan == pytest.approx(g1, abs=1e-12)
+            assert gx_scan == pytest.approx(gx, abs=1e-6)
+
     def test_empty_when_loss_exceeds_coupling(self):
         p = make_params(omega_a=0.0, kappa=1.0, U=10.0, gamma1=1.0, gamma2=0.0)
         assert len(working_area_two_res(p)) == 0

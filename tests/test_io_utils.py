@@ -79,3 +79,68 @@ def test_several_blocks_of_a_broadcast_map(tmp_path):
     rows = [(x[i], x[j], m[i, j]) for i in range(x.size) for j in range(x.size)]
     header = ("x1", "x2", "m")
     assert written(tmp_path, header, (x[:, None], x[None, :], m)) == row_wise(header, rows)
+
+
+SPECIAL = np.array([0.0, -0.0, 1.0, -3.0, 1e15, -1e15, 1e16, -1e16, 9007199254740993.0,
+                    2.0**60, 0.1 + 0.2, 1e-300, 5e-324, -5e-324, np.inf, -np.inf, np.nan,
+                    -1.7976931348623157e308])
+
+
+def random_column(rng, shape):
+    """Random doubles over many decades, some replaced by the special values
+    above or by small integers; now and then an int64 or bool column."""
+    n = int(np.prod(shape))
+    kind = rng.integers(8)
+    if kind == 0:
+        return rng.integers(-(2**62), 2**62, n).reshape(shape)
+    if kind == 1:
+        return (rng.random(n) < 0.5).reshape(shape)
+    a = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+    pick = rng.random(n) < 0.3
+    a[pick] = rng.choice(SPECIAL, size=pick.sum())
+    whole = rng.random(n) < 0.15
+    a[whole] = rng.integers(-1000, 1000, whole.sum())
+    return a.reshape(shape)
+
+
+# column shapes of one table, from random sizes n, m and p: scalars,
+# ``(n, 1)``, ``(1, m)``, full ``(n, m)`` and 3-D broadcasts
+LAYOUTS = {
+    "scalar": lambda n, m, p: [(), (n,), ()],
+    "column": lambda n, m, p: [(n, 1), (n, m)],
+    "row": lambda n, m, p: [(1, m), (n, m), ()],
+    "map": lambda n, m, p: [(n, 1), (1, m), (n, m), (n, m)],
+    "cube": lambda n, m, p: [(p, 1, 1), (1, n, 1), (1, 1, m), (n, m), (p, n, m)],
+    "zero_rows": lambda n, m, p: [(0, 1), (1, m), (0, m)],
+    "one_block": lambda n, m, p: [
+        (16, 1), (1, io_utils._BLOCK_ROWS // 16), (16, io_utils._BLOCK_ROWS // 16)],
+}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_random_broadcast_layouts_match_the_row_wise_join(tmp_path, layout):
+    rng = np.random.default_rng(list(layout.encode()))
+    for _ in range(12):
+        shapes = LAYOUTS[layout](*rng.integers(1, 60, 2), rng.integers(1, 5))
+        columns = [random_column(rng, s) for s in shapes]
+        header = [f"c{k}" for k in range(len(columns))]
+        rows = zip(*(b.ravel() for b in np.broadcast_arrays(*columns)))
+        assert written(tmp_path, header, columns) == row_wise(header, rows)
+
+
+def test_each_input_value_is_formatted_once(tmp_path, monkeypatch):
+    counted = []
+    bulk = io_utils._format
+
+    def counting(values):
+        cells = bulk(values)
+        counted.append(len(cells))
+        return cells
+
+    monkeypatch.setattr(io_utils, "_format", counting)
+    g = np.linspace(0.0, 1.0, 401)
+    x = np.linspace(-5.0, 5.0, 401)
+    m = np.cos(g[:, None] * x[None, :])
+    data = written(tmp_path, ("g", "x", "m"), (g[:, None], x[None, :], m))
+    assert sum(counted) == 401 + 401 + 401**2
+    assert data.count(b"\n") == 401**2 + 1
