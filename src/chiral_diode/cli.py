@@ -392,7 +392,7 @@ _VERIFY_DEFAULTS = {
     "suite": "all",
     "skip_lattice": False,
     "two_photon_lattice": False,
-    "draws": 200,
+    "draws": 300,
     "seed": 20240817,
     "output": None,
 }
@@ -759,7 +759,11 @@ def build_parser() -> _Parser:
         default=None,
         help="also run the two-excitation lattice checks (slow)",
     )
-    p.add_argument("--draws", type=int, help="random draws for the property checks (default 200)")
+    p.add_argument(
+        "--draws",
+        type=int,
+        help="random draws for the residual suite and the closed-form checks (default 300)",
+    )
     p.add_argument("--seed", type=int, help="base seed (default 20240817)")
     p.add_argument("-o", "--output", help="also write the JSON report to this path")
     p.set_defaults(func=_cmd_verify)

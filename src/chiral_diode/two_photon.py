@@ -569,24 +569,34 @@ def map_two_photon(
     """Densities |psi|^2 on the square grid x_grid x x_grid.
 
     Returns a dict of channel -> matrix with rows indexed by x1 and columns
-    by x2.  The ``tt`` and ``rr`` densities depend only on the photon
-    separation, so on a uniform grid their matrix is gathered from the N
-    separations ``|x - x[0]|`` as ``M[i, j] = g[|i - j|]`` (exactly
-    exchange symmetric; values can differ from a per-point evaluation in
-    the last bits).  ``rt``, and every channel on a non-uniform grid or of
-    a field over a parameter grid, is evaluated per point.
+    by x2.  On a uniform grid every channel is gathered from O(N) values.
+    The ``tt`` and ``rr`` densities depend only on the photon separation,
+    so their matrix is gathered from the N separations ``|x - x[0]|`` as
+    ``M[i, j] = g[|i - j|]`` (exactly exchange symmetric).  Every term of
+    ``psi_rt``, in both conventions, is ``exp(i omega (x1 - x2)/2)`` times
+    a function of the pair sum ``x1 + x2``, so its matrix is gathered from
+    the 2N - 1 pair sums as the Hankel matrix ``M[i, j] = h[i + j]``.
+    Gathered values can differ from a per-point evaluation in the last
+    bits.  Every channel on a non-uniform grid or of a field over a
+    parameter grid is evaluated per point.
     """
     x = np.asarray(x_grid, dtype=float)
     # D depends on every rate and both frequencies, so it is a scalar
     # exactly when the field is one parameter point, not a parameter grid
-    one_point = np.ndim(field.coeffs.D) == 0
-    gathered = ("tt", "rr") if one_point and _is_uniform(x) else ()
+    gathered = np.ndim(field.coeffs.D) == 0 and _is_uniform(x)
     out = {}
     for ch in channels:
-        if ch in gathered:
+        if gathered and ch in ("tt", "rr"):
             g = field.densities(0.0, np.abs(x - x[0]), (ch,))[ch]
             windows = sliding_window_view(np.concatenate((g[:0:-1], g)), x.size)
             out[ch] = np.ascontiguousarray(windows[::-1])
+        elif gathered and ch == "rt":
+            # first row, then the last column below it: x_i + x_j = x_0 + x_(i+j)
+            h = np.concatenate((
+                field.densities(x[0], x, (ch,), convention)[ch],
+                field.densities(x[1:], x[-1], (ch,), convention)[ch],
+            ))
+            out[ch] = np.ascontiguousarray(sliding_window_view(h, x.size))
         else:
             out[ch] = field.densities(x[:, None], x[None, :], (ch,), convention)[ch]
     return out
@@ -630,7 +640,7 @@ def write_map_binary(path: str | os.PathLike, x_grid, matrix: np.ndarray) -> Non
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(m.tobytes())
+        fh.write(m)
 
 
 def read_map_binary(path: str | os.PathLike):
@@ -638,25 +648,28 @@ def read_map_binary(path: str | os.PathLike):
 
     Reads ``CDMAP002`` (48-byte header, float64 x-range) and the older
     ``CDMAP001`` (32-byte header, float32 x-range).  Raises ``ValueError``
-    for a foreign, truncated or overlong file.
+    for a foreign, truncated or overlong file.  The payload is read straight
+    into a fresh, writable, C-contiguous ``<f8`` matrix.
     """
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic not in _MAP_HEADERS:
             raise ValueError(f"not a map file: bad magic {magic!r}")
         layout = _MAP_HEADERS[magic]
-        header = magic + fh.read(struct.calcsize(layout))
-        payload = fh.read()
-    size = 8 + struct.calcsize(layout)
-    if len(header) < size:
-        raise ValueError(
-            f"{path}: header has {len(header)} bytes, a {magic.decode()} map header has {size}"
-        )
-    rows, cols, x1_min, x1_max, x2_min, x2_max = struct.unpack(layout, header[8:])
-    if len(payload) != rows * cols * 8:
-        raise ValueError(
-            f"{path}: payload has {len(payload)} bytes, a {rows} x {cols} map "
-            f"needs {rows * cols * 8}"
-        )
-    data = np.frombuffer(payload, dtype="<f8").reshape(rows, cols)
+        size = 8 + struct.calcsize(layout)
+        header = magic + fh.read(size - 8)
+        if len(header) < size:
+            raise ValueError(
+                f"{path}: header has {len(header)} bytes, a {magic.decode()} map header has {size}"
+            )
+        rows, cols, x1_min, x1_max, x2_min, x2_max = struct.unpack(layout, header[8:])
+        payload = os.fstat(fh.fileno()).st_size - size
+        if payload != rows * cols * 8:
+            raise ValueError(
+                f"{path}: payload has {payload} bytes, a {rows} x {cols} map "
+                f"needs {rows * cols * 8}"
+            )
+        data = np.empty((rows, cols), dtype="<f8")
+        if fh.readinto(data) != payload:
+            raise ValueError(f"{path}: file shrank while its payload was read")
     return data, (x1_min, x1_max, x2_min, x2_max)

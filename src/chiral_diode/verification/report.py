@@ -105,8 +105,8 @@ def _resonant_pair(params: ModelParams) -> TwoPhotonIn:
     )
 
 
-def _residual_checks(rng: np.random.Generator) -> list[VerifyCheck]:
-    suite = residual_suite(n_draws=300, seed=int(rng.integers(2**31)))
+def _residual_checks(rng: np.random.Generator, n_draws: int) -> list[VerifyCheck]:
+    suite = residual_suite(n_draws=n_draws, seed=int(rng.integers(2**31)))
     single_max = max(v for k, v in suite.residuals.items() if k.startswith("single_"))
     two_max = max(v for k, v in suite.residuals.items() if not k.startswith("single_"))
     checks = [
@@ -342,16 +342,18 @@ VERIFY_SUITES = ("residual", "analytic", "all")
 def verify_all(
     include_lattice: bool = True,
     include_two_photon_lattice: bool = False,
-    n_draws: int = 200,
+    n_draws: int = 300,
     seed: int = 20240817,
     suite: str = "all",
 ) -> VerifyReport:
     """Run verification checks and collect a pass/fail report.
 
     ``suite`` selects the tier: ``"residual"`` runs only the field-equation
-    residual and sensitivity checks (milliseconds), ``"analytic"`` adds the
-    closed-form and working-area checks (well under a second), and
-    ``"all"`` adds the lattice checks.  Within ``"all"``,
+    residual and sensitivity checks (about half a second at the default 300
+    draws), ``"analytic"`` adds the closed-form and working-area checks
+    (under a second), and ``"all"`` adds the lattice checks.  ``n_draws``
+    sets the random draws of both the residual suite and the closed-form
+    property checks.  Within ``"all"``,
     ``include_lattice`` covers the single-excitation lattice agreements
     and norm invariants (tens of seconds); the two-excitation evolver is
     off by default (quadratic basis, roughly half a minute more).
@@ -363,7 +365,7 @@ def verify_all(
     start = time.time()
     rng = np.random.default_rng(seed)
     checks: list[VerifyCheck] = []
-    checks += _residual_checks(rng)
+    checks += _residual_checks(rng, n_draws)
     if suite != "residual":
         checks += _closed_form_checks(rng, n_draws)
         checks += _working_area_checks()

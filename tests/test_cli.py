@@ -284,6 +284,22 @@ class TestVerifyCommand:
         assert code == EXIT_VERIFY
         assert json.loads(stdout)["all_pass"] is False
 
+    @pytest.mark.parametrize("argv, n_draws", [(["--draws", "1"], 1), ([], 300)])
+    def test_draws_reach_the_residual_suite(self, argv, n_draws, capsys, monkeypatch):
+        import chiral_diode.verification.report as report
+
+        seen = []
+        real = report.residual_suite
+
+        def spy(**kw):
+            seen.append(kw["n_draws"])
+            return real(**{**kw, "n_draws": 1})
+
+        monkeypatch.setattr(report, "residual_suite", spy)
+        code, _, _ = run(["verify", "--suite", "residual", *argv], capsys)
+        assert code == EXIT_OK
+        assert seen == [n_draws]
+
     @pytest.mark.parametrize("draws", ["0", "-3"])
     def test_non_positive_draws_rejected(self, draws, capsys):
         code, stdout, stderr = run(
@@ -401,11 +417,11 @@ _FUZZ_FLAGS = {
     },
 }
 # always drawn, so no run falls back to a slow default (the lattice suite
-# and 200 draws of verify, 401-point grids)
+# and 300 draws of verify, 401-point grids)
 _FUZZ_REQUIRED = {"twomap": ("--x",), "verify": ("--suite", "--draws"), "reproduce": ("--grid",)}
 _FUZZ_FIGURES = ([f"fig{k}" for k in range(2, 10)], ["fig1", "fig10", "x"])
-# verify runs its 300-draw residual suite whatever --draws says (~0.7 s), so
-# it is drawn less often than the other subcommands
+# verify has only three flags to vary, so it is drawn less often than the
+# other subcommands
 _FUZZ_WEIGHTS = {"single": 4, "twomap": 4, "working-area": 4, "verify": 1, "reproduce": 4}
 
 

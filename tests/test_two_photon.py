@@ -1,7 +1,9 @@
 """Two-photon wavefunctions: bound-state constants, channel amplitudes,
 even/odd-basis amplitudes, asymptotics, and dense maps."""
 
+import os
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -291,16 +293,28 @@ def assert_close_to_dense(m, ref):
 class TestMaps:
     @pytest.mark.parametrize("direction", [LEFT, RIGHT])
     @pytest.mark.parametrize("tuning", [resonant_pair, pair_resonant_pair])
-    def test_uniform_grid_gathers_tt_and_rr_from_separations(self, direction, tuning):
+    def test_uniform_grid_gathers_every_channel(self, direction, tuning):
         f = map_field(tuning, direction)
         x = np.linspace(-6.0, 6.0, 241)
         channels = ("tt", "rr", "rt")
         maps = map_two_photon(f, x, channels, "reconstructed")
         dense = f.densities(x[:, None], x[None, :], channels, "reconstructed")
-        for ch in ("tt", "rr"):
+        for ch in channels:
             assert_close_to_dense(maps[ch], dense[ch])
+        for ch in ("tt", "rr"):
             assert np.array_equal(maps[ch], maps[ch].T)
-        assert np.array_equal(maps["rt"], dense["rt"])
+
+    @pytest.mark.parametrize("direction", [LEFT, RIGHT])
+    @pytest.mark.parametrize("convention", ["reconstructed", "printed"])
+    def test_rt_map_is_gathered_from_pair_sums(self, direction, convention):
+        # |psi_rt|^2 depends only on x1 + x2, so the map is exactly Hankel
+        f = map_field(pair_resonant_pair, direction)
+        x = np.linspace(-4.0, 5.0, 181)
+        m = map_two_photon(f, x, ("rt",), convention)["rt"]
+        dense = f.densities(x[:, None], x[None, :], ("rt",), convention)["rt"]
+        assert_close_to_dense(m, dense)
+        assert np.array_equal(m[1:, :-1], m[:-1, 1:])
+        assert m.flags.c_contiguous and m.flags.writeable
 
     @pytest.mark.parametrize(
         "x",
@@ -320,9 +334,10 @@ class TestMaps:
         p = params(kappa=kappa, U=6.0, gamma1=0.7, gamma2=0.3)
         f = TwoPhotonField(p, pair_resonant_pair(p))
         x = np.linspace(-3.0, 3.0, 41)
-        maps = map_two_photon(f, x, ("tt", "rr"))
-        dense = f.densities(x[:, None], x[None, :], ("tt", "rr"))
-        for ch in ("tt", "rr"):
+        channels = ("tt", "rr", "rt")
+        maps = map_two_photon(f, x, channels)
+        dense = f.densities(x[:, None], x[None, :], channels)
+        for ch in channels:
             assert np.array_equal(maps[ch], dense[ch])
 
     @pytest.mark.parametrize(
@@ -333,9 +348,10 @@ class TestMaps:
     def test_edge_grids(self, x):
         x = np.asarray(x, dtype=float)
         f = map_field()
-        maps = map_two_photon(f, x, ("tt", "rr"))
-        dense = f.densities(x[:, None], x[None, :], ("tt", "rr"))
-        for ch in ("tt", "rr"):
+        channels = ("tt", "rr", "rt")
+        maps = map_two_photon(f, x, channels)
+        dense = f.densities(x[:, None], x[None, :], channels)
+        for ch in channels:
             assert_close_to_dense(maps[ch], dense[ch])
 
     def test_map_matrix_is_exchange_symmetric(self):
@@ -384,6 +400,33 @@ class TestMaps:
         assert np.array_equal(m_back, m)
         assert x_range == (-2.0, 2.1, -2.0, 2.1)
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.asfortranarray(np.arange(12.0).reshape(3, 4) / 7.0),
+            (np.arange(12.0).reshape(3, 4) / 7.0).astype(np.float32),
+            (np.arange(12.0).reshape(3, 4) / 7.0).astype(">f8"),
+            (np.arange(40.0).reshape(5, 8) / 7.0)[::2, 1::2],
+        ],
+        ids=["fortran", "float32", "big_endian", "sliced"],
+    )
+    def test_binary_writer_stores_row_major_little_endian_float64(self, tmp_path, matrix):
+        path = tmp_path / "map.bin"
+        write_map_binary(path, np.linspace(0.0, 1.0, matrix.shape[0]), matrix)
+        want = np.ascontiguousarray(matrix, dtype="<f8").tobytes()
+        assert path.read_bytes()[48:] == want
+        m_back, _ = read_map_binary(path)
+        assert m_back.tobytes() == want
+
+    def test_binary_reader_returns_a_fresh_writable_float64_matrix(self, tmp_path):
+        path = tmp_path / "map.bin"
+        write_map_binary(path, np.linspace(0.0, 1.0, 3), np.arange(6.0).reshape(3, 2))
+        m, _ = read_map_binary(path)
+        assert m.dtype == np.dtype("<f8")
+        assert m.flags.c_contiguous and m.flags.writeable and m.flags.owndata
+        m[0, 0] = -1.0
+        assert read_map_binary(path)[0][0, 0] == 0.0
+
     def test_binary_reader_keeps_reading_the_float32_layout(self, tmp_path):
         x = np.linspace(-2, 2.1, 5)
         m = np.arange(25.0).reshape(5, 5)
@@ -415,3 +458,13 @@ class TestMaps:
                 (tmp_path / name).write_bytes(blob)
                 with pytest.raises(ValueError, match=message):
                     read_map_binary(tmp_path / name)
+
+    def test_binary_reader_rejects_a_file_that_shrinks_while_read(self, tmp_path, monkeypatch):
+        # the size taken before the payload is read promises 8 more bytes
+        path = tmp_path / "map.bin"
+        write_map_binary(path, np.linspace(-1.0, 1.0, 5), np.ones((5, 5)))
+        path.write_bytes(path.read_bytes()[:-8])
+        real = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=real(fd).st_size + 8))
+        with pytest.raises(ValueError, match="shrank"):
+            read_map_binary(path)
