@@ -19,10 +19,15 @@ Subcommands
     published parameter values baked in, one CSV per panel plus a JSON
     manifest describing each file.
 
+Each subcommand declares its options once, in one table of ``_Option``
+entries (flags, default, parser, help).  An option's value comes from its
+flag, else from the ``--config file.json`` key of the same name (long
+option name with underscores), else from its default, and is then checked
+by the option's one parser, so flags and config values are validated
+alike and fail with the same ``error: <option>: ...`` message.
 Conventions shared by all subcommands: grids are written ``lo:hi:count``
-with both endpoints included; ``--config file.json`` supplies defaults
-for any long option (command-line flags win); data files contain no
-timestamps, so identical invocations produce byte-identical output.
+with both endpoints included; data files contain no timestamps, so
+identical invocations produce byte-identical output.
 Exit codes: 0 success, 1 invalid arguments or configuration (or out of
 memory), 2 verification failure, 3 I/O failure.
 """
@@ -37,7 +42,7 @@ import re
 import sys
 from functools import partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,16 +76,6 @@ EXIT_VALIDATION = 1
 EXIT_VERIFY = 2
 EXIT_IO = 3
 
-_DIRECTIONS = {
-    "left": Direction.LEFT_INCIDENT,
-    "right": Direction.RIGHT_INCIDENT,
-}
-
-_CASES = {
-    "single-photon-resonance": WorkingAreaCase.SINGLE_PHOTON_RESONANCE,
-    "two-photon-resonance": WorkingAreaCase.TWO_PHOTON_RESONANCE,
-}
-
 
 class CliError(Exception):
     """Invalid arguments or configuration; maps to exit code 1."""
@@ -102,12 +97,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# shared argument plumbing
+# option parsers: ``parse(value, name)`` checks a flag string or a JSON
+# config value and returns what the command uses
 
 
 def _parse_grid(text, name: str) -> np.ndarray:
     """Inclusive ``lo:hi:count`` grid specification."""
-    parts = str(text).split(":")
+    parts = text.split(":") if isinstance(text, str) else ()
     if len(parts) != 3:
         raise CliError(f"{name}: expected lo:hi:count, got {text!r}")
     try:
@@ -123,6 +119,8 @@ def _parse_grid(text, name: str) -> np.ndarray:
 
 def _float(value, name: str) -> float:
     try:
+        if isinstance(value, bool):
+            raise TypeError
         x = float(value)
     except (TypeError, ValueError):
         raise CliError(f"{name}: expected a number, got {value!r}") from None
@@ -131,36 +129,147 @@ def _float(value, name: str) -> float:
     return x
 
 
-def _int(value, name: str) -> int:
+def _int(value, name: str, *, lo: int) -> int:
+    """An integer of at least ``lo``; a float config value must be whole."""
     message = f"{name}: expected an integer, got {value!r}"
     try:
         n = int(value)
     except (TypeError, ValueError, OverflowError):
         raise CliError(message) from None
-    if isinstance(value, float) and n != value:
+    if isinstance(value, bool) or (isinstance(value, float) and n != value):
         raise CliError(message)
+    if n < lo:
+        raise CliError(f"{name}: must be >= {lo}, got {n}")
     return n
 
 
+def _path(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise CliError(f"{name}: expected a path string, got {value!r}")
+    return value
+
+
+def _flag(value, name: str) -> bool:
+    """A switch: ``true``/``false`` in a config file, set by its bare flag."""
+    if not isinstance(value, bool):
+        raise CliError(f"{name}: expected true or false, got {value!r}")
+    return value
+
+
+def _channels(value, name: str) -> tuple[str, ...]:
+    """Comma list of exit channels."""
+    parts = value.split(",") if isinstance(value, str) else ()
+    channels = tuple(c.strip() for c in parts if c.strip())
+    if not channels or any(c not in ("tt", "rr", "rt") for c in channels):
+        raise CliError(f"{name}: expected a comma list from tt,rr,rt, got {value!r}")
+    return channels
+
+
+class _Choice(dict):
+    """Parser of an option that names one of the keys; returns its value."""
+
+    def __call__(self, value, name: str):
+        if isinstance(value, str) and value in self:
+            return self[value]
+        raise CliError(f"{name}: expected one of {', '.join(self)}, got {value!r}")
+
+
+def _names(*names: str) -> _Choice:
+    return _Choice(zip(names, names))
+
+
+class _Option(NamedTuple):
+    """One option of a subcommand.
+
+    ``flags`` are the space-separated option strings (a bare name is a
+    positional).  Messages call the option by its last flag without
+    dashes; its config key and attribute are that name with underscores.
+    A ``None`` default means "unset" and skips the parser.
+    """
+
+    flags: str
+    default: object
+    parse: Callable
+    help: str
+
+    @property
+    def name(self) -> str:
+        return self.flags.split()[-1].lstrip("-")
+
+    @property
+    def dest(self) -> str:
+        return self.name.replace("-", "_")
+
+
+def _load_cli_config(path) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise CliError(f"config {path}: not UTF-8 text ({exc})") from None
+    except json.JSONDecodeError as exc:
+        raise CliError(f"config {path}: invalid JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise CliError(f"config {path}: root must be a JSON object")
+    return data
+
+
+def _apply_config(args) -> None:
+    """Resolve each option of the subcommand: flag, then config, then
+    default, then the option's parser.
+
+    Flags are declared with default ``None`` so an explicit flag always
+    wins.  A config ``null`` leaves an option whose default is ``None``
+    unset; any other option's parser rejects it.  Unknown config keys are
+    rejected with a field-level message rather than silently ignored.
+    """
+    config = _load_cli_config(args.config) if args.config is not None else {}
+    unknown = set(config) - {o.dest for o in args.options if o.flags.startswith("-")}
+    if unknown:
+        raise CliError(
+            f"config: unknown keys for '{args.command}': {sorted(unknown)}"
+        )
+    for opt in args.options:
+        value = getattr(args, opt.dest)
+        if value is None:
+            value = config.get(opt.dest, opt.default)
+        if value is not None or opt.default is not None:
+            value = opt.parse(value, opt.name)
+        setattr(args, opt.dest, value)
+
+
+# ---------------------------------------------------------------------------
+# shared model parameters
+
+
+def _param_options(U: float) -> tuple[_Option, ...]:
+    """The model-parameter options of ``single``, ``twomap`` and
+    ``working-area``; only the Kerr default differs between them."""
+    return (
+        _Option("--omega-a", 0.0, _float, "cavity frequency"),
+        _Option("--kappa", 1.0, _float, "cavity loss rate"),
+        _Option("--U", U, _float, "Kerr interaction strength"),
+        _Option("--gamma1", 1.0, _float, "coupling to right-movers"),
+        _Option(
+            "--gamma2", None, _float,
+            "coupling to left-movers (default 1 - gamma1 when gamma1 <= 1, else 0)",
+        ),
+    )
+
+
 def _params_from_args(args) -> ModelParams:
-    """Model parameters from the common flags.
+    """Model parameters from the common options.
 
     When ``--gamma2`` is omitted it defaults to ``1 - gamma1`` (total
     coupling 1, the reduced-unit convention of the data sets) as long as
     ``gamma1 <= 1``, and to 0 otherwise.
     """
-    gamma1 = _float(args.gamma1, "gamma1")
-    if args.gamma2 is None:
-        gamma2 = 1.0 - gamma1 if gamma1 <= 1.0 else 0.0
-    else:
-        gamma2 = _float(args.gamma2, "gamma2")
+    gamma2 = args.gamma2
+    if gamma2 is None:
+        gamma2 = 1.0 - args.gamma1 if args.gamma1 <= 1.0 else 0.0
     try:
         return make_params(
-            omega_a=_float(args.omega_a, "omega-a"),
-            kappa=_float(args.kappa, "kappa"),
-            U=_float(args.U, "U"),
-            gamma1=gamma1,
-            gamma2=gamma2,
+            omega_a=args.omega_a, kappa=args.kappa, U=args.U, gamma1=args.gamma1, gamma2=gamma2
         )
     except ValueError as exc:
         raise CliError(str(exc)) from None
@@ -184,76 +293,40 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _load_cli_config(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except UnicodeDecodeError as exc:
-        raise CliError(f"config {path}: not UTF-8 text ({exc})") from None
-    except json.JSONDecodeError as exc:
-        raise CliError(f"config {path}: invalid JSON ({exc})") from None
-    if not isinstance(data, dict):
-        raise CliError(f"config {path}: root must be a JSON object")
-    return data
-
-
-def _apply_config(args, defaults: dict) -> None:
-    """Fill unset options from the config file, then from built-in defaults.
-
-    Every option is declared with default ``None`` so that an explicit
-    command-line flag always wins; config keys use the option's long name
-    with underscores.  Unknown keys are rejected with a field-level
-    message rather than silently ignored.
-    """
-    config = _load_cli_config(args.config) if args.config is not None else {}
-    unknown = set(config) - set(defaults)
-    if unknown:
-        raise CliError(
-            f"config: unknown keys for '{args.command}': {sorted(unknown)}"
-        )
-    for dest, fallback in defaults.items():
-        if getattr(args, dest, None) is None:
-            setattr(args, dest, config.get(dest, fallback))
+_DIRECTION = _Choice({d.value: d for d in Direction})
 
 
 # ---------------------------------------------------------------------------
 # single
 
 
-_SINGLE_DEFAULTS = {
-    "omega_a": 0.0,
-    "kappa": 1.0,
-    "U": 0.0,
-    "gamma1": 1.0,
-    "gamma2": None,
-    "detuning": "-4:4:401",
-    "gamma1_grid": None,
-    "direction": "left",
-    "output": "single_sweep.csv",
-    "format": "csv",
-}
+_SINGLE = (
+    *_param_options(U=0.0),
+    _Option("--detuning", "-4:4:401", _parse_grid, "detuning grid lo:hi:count"),
+    _Option(
+        "--gamma1-grid", None, _parse_grid,
+        "optional gamma1 grid lo:hi:count; sweeps asymmetry at fixed total coupling",
+    ),
+    _Option("--direction", "left", _DIRECTION, "incidence side"),
+    _Option("-o --output", "single_sweep.csv", _path, "output path"),
+    _Option("--format", "csv", _names("csv", "json"), "output format"),
+)
 
 
 def _cmd_single(args) -> int:
-    _apply_config(args, _SINGLE_DEFAULTS)
     params = _params_from_args(args)
-    detuning = _parse_grid(args.detuning, "detuning")
     if args.gamma1_grid is None:
         gamma1_grid: Sequence[float] = [params.gamma1]
     else:
-        gamma1_grid = list(_parse_grid(args.gamma1_grid, "gamma1-grid"))
-    if args.direction not in _DIRECTIONS:
-        raise CliError(f"direction: expected left or right, got {args.direction!r}")
+        gamma1_grid = list(args.gamma1_grid)
     try:
-        rows = sweep_single(params, detuning, gamma1_grid, _DIRECTIONS[args.direction])
+        rows = sweep_single(params, args.detuning, gamma1_grid, args.direction)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     if args.format == "csv":
         write_sweep_csv(args.output, rows)
-    elif args.format == "json":
-        _write_json(args.output, {"header": list(SWEEP_HEADER), "rows": rows.tolist()})
     else:
-        raise CliError(f"format: expected csv or json, got {args.format!r}")
+        _write_json(args.output, {"header": list(SWEEP_HEADER), "rows": rows.tolist()})
     print(args.output)
     return EXIT_OK
 
@@ -262,76 +335,60 @@ def _cmd_single(args) -> int:
 # twomap
 
 
-_TWOMAP_DEFAULTS = {
-    "omega_a": 0.0,
-    "kappa": 1.0,
-    "U": 10.0,
-    "gamma1": 1.0,
-    "gamma2": None,
-    "resonance": "single-photon",
-    "omega1": None,
-    "omega2": None,
-    "direction": "left",
-    "x": "-5:5:401",
-    "channels": "tt",
-    "convention": "reconstructed",
-    "output": None,
-    "format": "csv",
-}
-
-_MAP_EXTENSIONS = {"csv": "csv", "json": "json", "binary": "bin"}
+_TWOMAP = (
+    *_param_options(U=10.0),
+    _Option(
+        "--resonance", "single-photon",
+        _Choice({
+            "single-photon": WorkingAreaCase.SINGLE_PHOTON_RESONANCE,
+            "two-photon": WorkingAreaCase.TWO_PHOTON_RESONANCE,
+        }),
+        "incident pair tuning",
+    ),
+    _Option("--omega1", None, _float, "explicit first incident frequency"),
+    _Option("--omega2", None, _float, "explicit second incident frequency"),
+    _Option("--direction", "left", _DIRECTION, "incidence side"),
+    _Option("--x", "-5:5:401", _parse_grid, "coordinate grid lo:hi:count"),
+    _Option("--channels", "tt", _channels, "comma list from tt,rr,rt"),
+    _Option(
+        "--convention", "reconstructed", _names("printed", "reconstructed"),
+        "mixed-channel phase convention: reconstructed (certified) "
+        "or printed (published form, not certified)",
+    ),
+    _Option("-o --output", None, _path, "output path (default two_photon_map.<ext>)"),
+    _Option("--format", "csv", _names("csv", "json", "binary"), "output format"),
+)
 
 
 def _cmd_twomap(args) -> int:
-    _apply_config(args, _TWOMAP_DEFAULTS)
     params = _params_from_args(args)
     if (args.omega1 is None) != (args.omega2 is None):
         raise CliError("omega1/omega2: give both explicit frequencies or neither")
-    if args.omega1 is not None:
-        w1 = _float(args.omega1, "omega1")
-        w2 = _float(args.omega2, "omega2")
+    if args.omega1 is None:
+        w1, w2 = _resonant_frequencies(params, args.resonance)
     else:
-        case = {
-            "single-photon": WorkingAreaCase.SINGLE_PHOTON_RESONANCE,
-            "two-photon": WorkingAreaCase.TWO_PHOTON_RESONANCE,
-        }.get(args.resonance)
-        if case is None:
-            raise CliError(
-                f"resonance: expected single-photon or two-photon, got {args.resonance!r}"
-            )
-        w1, w2 = _resonant_frequencies(params, case)
-    if args.direction not in _DIRECTIONS:
-        raise CliError(f"direction: expected left or right, got {args.direction!r}")
-    channels = tuple(c.strip() for c in str(args.channels).split(",") if c.strip())
-    bad = [c for c in channels if c not in ("tt", "rr", "rt")]
-    if bad or not channels:
-        raise CliError(f"channels: expected a comma list from tt,rr,rt, got {args.channels!r}")
-    if args.format not in _MAP_EXTENSIONS:
-        raise CliError(f"format: expected csv, json, or binary, got {args.format!r}")
+        w1, w2 = args.omega1, args.omega2
+    channels = args.channels
     if args.format == "binary" and len(channels) > 1:
-        raise CliError(f"channels: a binary map holds one channel, got {args.channels!r}")
-    x = _parse_grid(args.x, "x")
+        raise CliError(f"channels: a binary map holds one channel, got {','.join(channels)!r}")
 
-    incoming = TwoPhotonIn(_DIRECTIONS[args.direction], w1, w2)
-    field = TwoPhotonField(params, incoming)
-    try:
-        maps = map_two_photon(field, x, channels, args.convention)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    field = TwoPhotonField(params, TwoPhotonIn(args.direction, w1, w2))
+    maps = map_two_photon(field, args.x, channels, args.convention)
 
-    output = args.output or f"two_photon_map.{_MAP_EXTENSIONS[args.format]}"
+    extension = "bin" if args.format == "binary" else args.format
+    output = args.output or f"two_photon_map.{extension}"
     if args.format == "csv":
-        write_map_csv(output, x, maps)
+        write_map_csv(output, args.x, maps)
     elif args.format == "json":
         _write_json(
             output,
             {
-                "x_grid": x.tolist(),
+                "x_grid": args.x.tolist(),
                 "channels": {ch: maps[ch].tolist() for ch in channels},
             },
         )
     else:
-        write_map_binary(output, x, maps[channels[0]])
+        write_map_binary(output, args.x, maps[channels[0]])
     print(output)
     return EXIT_OK
 
@@ -340,36 +397,34 @@ def _cmd_twomap(args) -> int:
 # working-area
 
 
-_WORKING_AREA_DEFAULTS = {
-    "omega_a": 0.0,
-    "kappa": 1.0,
-    "U": 10.0,
-    "gamma1": 1.0,
-    "gamma2": None,
-    "case": "single-photon-resonance",
-    "gamma1_grid": "0:1:401",
-    "gx_ceiling": 20.0,
-    "output": "working_area.csv",
-    "format": "csv",
-}
+_WORKING_AREA = (
+    *_param_options(U=10.0),
+    _Option(
+        "--case", WorkingAreaCase.SINGLE_PHOTON_RESONANCE.value,
+        _Choice({c.value: c for c in WorkingAreaCase}), "incident pair tuning",
+    ),
+    _Option(
+        "--gamma1-grid", "0:1:401", _parse_grid,
+        "gamma1 grid lo:hi:count for the single-photon-resonance curve",
+    ),
+    _Option(
+        "--gx-ceiling", 20.0, _float,
+        "largest Gamma|x| kept by the two-photon-resonance solver",
+    ),
+    _Option("-o --output", "working_area.csv", _path, "output path"),
+    _Option("--format", "csv", _names("csv", "json"), "output format"),
+)
 
 
 def _cmd_working_area(args) -> int:
-    _apply_config(args, _WORKING_AREA_DEFAULTS)
     params = _params_from_args(args)
-    case = _CASES.get(args.case)
-    if case is None:
-        raise CliError(
-            f"case: expected one of {sorted(_CASES)}, got {args.case!r}"
-        )
-    if case is WorkingAreaCase.SINGLE_PHOTON_RESONANCE:
-        grid = _parse_grid(args.gamma1_grid, "gamma1-grid")
-        curve = working_area_single_res(params, grid)
+    if args.case is WorkingAreaCase.SINGLE_PHOTON_RESONANCE:
+        curve = working_area_single_res(params, args.gamma1_grid)
     else:
-        curve = working_area_two_res(params, gx_ceiling=_float(args.gx_ceiling, "gx-ceiling"))
+        curve = working_area_two_res(params, gx_ceiling=args.gx_ceiling)
     if args.format == "csv":
         write_working_area_csv(args.output, curve)
-    elif args.format == "json":
+    else:
         points = []
         for p in curve.points:
             d = dataclasses.asdict(p)
@@ -378,8 +433,6 @@ def _cmd_working_area(args) -> int:
                 d["Gamma_abs_x"] = None
             points.append(d)
         _write_json(args.output, {"case": curve.case.value, "points": points})
-    else:
-        raise CliError(f"format: expected csv or json, got {args.format!r}")
     print(args.output)
     return EXIT_OK
 
@@ -388,30 +441,35 @@ def _cmd_working_area(args) -> int:
 # verify
 
 
-_VERIFY_DEFAULTS = {
-    "suite": "all",
-    "skip_lattice": False,
-    "two_photon_lattice": False,
-    "draws": 300,
-    "seed": 20240817,
-    "output": None,
-}
+_VERIFY = (
+    _Option(
+        "--suite", "all", _names(*VERIFY_SUITES),
+        "residual: field-equation checks only; analytic: adds closed-form and "
+        "working-area checks; all: adds the lattice cross-checks",
+    ),
+    _Option("--skip-lattice", False, _flag, "skip the lattice cross-checks of the 'all' suite"),
+    _Option(
+        "--two-photon-lattice", False, _flag,
+        "also run the two-excitation lattice checks in the 'all' suite (slow)",
+    ),
+    _Option(
+        "--draws", 300, partial(_int, lo=1),
+        "random draws for the residual suite and the closed-form checks",
+    ),
+    _Option("--seed", 20240817, partial(_int, lo=0), "base seed"),
+    _Option("-o --output", None, _path, "also write the JSON report to this path"),
+)
 
 
 def _cmd_verify(args) -> int:
-    _apply_config(args, _VERIFY_DEFAULTS)
-    if args.suite not in VERIFY_SUITES:
-        raise CliError(f"suite: expected one of {VERIFY_SUITES}, got {args.suite!r}")
-    draws, seed = _int(args.draws, "draws"), _int(args.seed, "seed")
-    if draws < 1:
-        raise CliError(f"draws: must be >= 1, got {draws}")
-    if seed < 0:
-        raise CliError(f"seed: must be >= 0, got {seed}")
+    for name in ("skip-lattice", "two-photon-lattice"):
+        if getattr(args, name.replace("-", "_")) and args.suite != "all":
+            raise CliError(f"{name}: applies only to --suite all, not {args.suite!r}")
     report = verify_all(
         include_lattice=not args.skip_lattice,
-        include_two_photon_lattice=bool(args.two_photon_lattice),
-        n_draws=draws,
-        seed=seed,
+        include_two_photon_lattice=args.two_photon_lattice,
+        n_draws=args.draws,
+        seed=args.seed,
         suite=args.suite,
     )
     text = report.as_json_text()
@@ -425,10 +483,6 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # reproduce
 
-_REPRODUCE_DEFAULTS = {
-    "grid": 401,
-    "outdir": ".",
-}
 
 _FIG2_GAMMA1_SERIES = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -635,17 +689,18 @@ _FIGURES: dict[str, Callable[[int, Path], list[dict]]] = {
 }
 
 
+_REPRODUCE = (
+    _Option("figure", None, _names(*_FIGURES), "figure id, fig2 through fig9"),
+    _Option("--grid", 401, partial(_int, lo=2), "points per grid axis"),
+    _Option("--outdir", ".", _path, "output directory"),
+)
+
+
 def _cmd_reproduce(args) -> int:
-    _apply_config(args, _REPRODUCE_DEFAULTS)
-    if args.figure not in _FIGURES:
-        raise CliError(f"figure: expected one of {sorted(_FIGURES)}, got {args.figure!r}")
-    n = _int(args.grid, "grid")
-    if n < 2:
-        raise CliError(f"grid: need at least 2 points, got {n}")
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    entries = _FIGURES[args.figure](n, outdir)
-    manifest = {"figure": args.figure, "grid_points": n, "files": entries}
+    entries = _FIGURES[args.figure](args.grid, outdir)
+    manifest = {"figure": args.figure, "grid_points": args.grid, "files": entries}
     manifest_name = f"{args.figure}_manifest.json"
     _write_json(outdir / manifest_name, manifest)
     for entry in entries:
@@ -658,19 +713,19 @@ def _cmd_reproduce(args) -> int:
 # parser assembly
 
 
-def _add_param_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--omega-a", dest="omega_a", type=float, help="cavity frequency (default 0)")
-    sub.add_argument("--kappa", type=float, help="cavity loss rate")
-    sub.add_argument("--U", type=float, help="Kerr interaction strength")
-    sub.add_argument("--gamma1", type=float, help="coupling to right-movers")
-    sub.add_argument(
-        "--gamma2",
-        type=float,
-        help="coupling to left-movers (default 1 - gamma1 when gamma1 <= 1, else 0)",
-    )
+_SUBCOMMANDS = (
+    ("single", "single-photon transmission/reflection sweep", _SINGLE, _cmd_single),
+    ("twomap", "two-photon output density map", _TWOMAP, _cmd_twomap),
+    ("working-area", "diode working-area curves", _WORKING_AREA, _cmd_working_area),
+    ("verify", "run verification suites, emit a JSON report", _VERIFY, _cmd_verify),
+    ("reproduce", "regenerate a reference data set (fig2..fig9)", _REPRODUCE, _cmd_reproduce),
+)
 
 
 def build_parser() -> _Parser:
+    """Parser whose subcommand options all take their value as a string
+    (or, for switches, are bare flags) and default to ``None``;
+    ``_apply_config`` fills in and checks the values."""
     parser = _Parser(
         prog="chiral-diode",
         description="Photon transport through a chirally coupled dissipative Kerr cavity.",
@@ -680,100 +735,19 @@ def build_parser() -> _Parser:
         help="JSON file of option defaults for the chosen subcommand (flags win)",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("single", help="single-photon transmission/reflection sweep")
-    _add_param_flags(p)
-    p.add_argument("--detuning", help="detuning grid lo:hi:count (default -4:4:401)")
-    p.add_argument(
-        "--gamma1-grid",
-        dest="gamma1_grid",
-        help="optional gamma1 grid lo:hi:count; sweeps asymmetry at fixed total coupling",
-    )
-    p.add_argument("--direction", choices=sorted(_DIRECTIONS), help="incidence side (default left)")
-    p.add_argument("-o", "--output", help="output path (default single_sweep.csv)")
-    p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
-    p.set_defaults(func=_cmd_single)
-
-    p = sub.add_parser("twomap", help="two-photon output density map")
-    _add_param_flags(p)
-    p.add_argument(
-        "--resonance",
-        choices=("single-photon", "two-photon"),
-        help="incident pair tuning (default single-photon)",
-    )
-    p.add_argument("--omega1", type=float, help="explicit first incident frequency")
-    p.add_argument("--omega2", type=float, help="explicit second incident frequency")
-    p.add_argument("--direction", choices=sorted(_DIRECTIONS), help="incidence side (default left)")
-    p.add_argument("--x", help="coordinate grid lo:hi:count (default -5:5:401)")
-    p.add_argument("--channels", help="comma list from tt,rr,rt (default tt)")
-    p.add_argument(
-        "--convention",
-        choices=("printed", "reconstructed"),
-        help="mixed-channel phase convention: reconstructed (default, certified) "
-        "or printed (published form, not certified)",
-    )
-    p.add_argument("-o", "--output", help="output path (default two_photon_map.<ext>)")
-    p.add_argument("--format", choices=("csv", "json", "binary"), help="output format (default csv)")
-    p.set_defaults(func=_cmd_twomap)
-
-    p = sub.add_parser("working-area", help="diode working-area curves")
-    _add_param_flags(p)
-    p.add_argument(
-        "--case",
-        choices=sorted(_CASES),
-        help="incident pair tuning (default single-photon-resonance)",
-    )
-    p.add_argument(
-        "--gamma1-grid",
-        dest="gamma1_grid",
-        help="gamma1 grid lo:hi:count for the single-photon-resonance curve (default 0:1:401)",
-    )
-    p.add_argument(
-        "--gx-ceiling",
-        dest="gx_ceiling",
-        type=float,
-        help="largest Gamma|x| kept by the two-photon-resonance solver (default 20)",
-    )
-    p.add_argument("-o", "--output", help="output path (default working_area.csv)")
-    p.add_argument("--format", choices=("csv", "json"), help="output format (default csv)")
-    p.set_defaults(func=_cmd_working_area)
-
-    p = sub.add_parser("verify", help="run verification suites, emit a JSON report")
-    p.add_argument(
-        "--suite",
-        choices=VERIFY_SUITES,
-        help="residual: field-equation checks only; analytic: adds closed-form and "
-        "working-area checks; all: adds the lattice cross-checks (default all)",
-    )
-    p.add_argument(
-        "--skip-lattice",
-        dest="skip_lattice",
-        action="store_true",
-        default=None,
-        help="skip the lattice cross-checks within the 'all' suite",
-    )
-    p.add_argument(
-        "--two-photon-lattice",
-        dest="two_photon_lattice",
-        action="store_true",
-        default=None,
-        help="also run the two-excitation lattice checks (slow)",
-    )
-    p.add_argument(
-        "--draws",
-        type=int,
-        help="random draws for the residual suite and the closed-form checks (default 300)",
-    )
-    p.add_argument("--seed", type=int, help="base seed (default 20240817)")
-    p.add_argument("-o", "--output", help="also write the JSON report to this path")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("reproduce", help="regenerate a reference data set (fig2..fig9)")
-    p.add_argument("figure", help="figure id, fig2 through fig9")
-    p.add_argument("--grid", type=int, help="points per grid axis (default 401)")
-    p.add_argument("--outdir", help="output directory (default .)")
-    p.set_defaults(func=_cmd_reproduce)
-
+    for command, summary, options, func in _SUBCOMMANDS:
+        p = sub.add_parser(command, help=summary)
+        for opt in options:
+            flags = opt.flags.split()
+            if opt.parse is _flag:
+                p.add_argument(*flags, action="store_true", default=None, help=opt.help)
+                continue
+            help_text = opt.help if opt.default is None else f"{opt.help} (default {opt.default})"
+            metavar = None
+            if isinstance(opt.parse, _Choice) and opt.flags.startswith("-"):
+                metavar = "{" + ",".join(opt.parse) + "}"
+            p.add_argument(*flags, metavar=metavar, help=help_text)
+        p.set_defaults(func=func, options=options)
     return parser
 
 
@@ -781,6 +755,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _apply_config(args)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,10 +3,16 @@ output formats, and reproducibility of emitted files."""
 
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chiral_diode
 from chiral_diode import (
     Direction,
     TwoPhotonField,
@@ -15,7 +21,7 @@ from chiral_diode import (
     make_params,
     map_two_photon,
 )
-from chiral_diode.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, EXIT_VERIFY, main
+from chiral_diode.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, EXIT_VERIFY, build_parser, main
 from chiral_diode.model import PhotonIn
 from chiral_diode.two_photon import read_map_binary
 from chiral_diode.verification.report import VerifyCheck, VerifyReport
@@ -143,6 +149,173 @@ class TestConfigMerging:
             ["--config", str(tmp_path / "absent.json"), "single"], capsys
         )
         assert code in (EXIT_VALIDATION, EXIT_IO)
+
+    @pytest.mark.parametrize(
+        "config, argv, option",
+        [
+            ({"skip_lattice": "false"}, ["verify"], "skip-lattice"),
+            ({"outdir": 5}, ["reproduce", "fig3"], "outdir"),
+            ({"output": ["a"]}, ["single"], "output"),
+            ({"direction": ["left"]}, ["twomap"], "direction"),
+            ({"convention": "bogus"}, ["twomap", "--channels", "tt"], "convention"),
+            ({"kappa": True, "U": False}, ["single"], "kappa"),
+            ({"U": False}, ["single"], "U"),
+            ({"seed": True, "draws": True}, ["verify", "--suite", "residual"], "draws"),
+            ({"seed": True}, ["verify", "--suite", "residual"], "seed"),
+        ],
+    )
+    def test_config_values_are_checked_like_flags(
+        self, config, argv, option, tmp_path, capsys, monkeypatch
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        code, stdout, stderr = run(["--config", str(cfg), *argv], capsys)
+        assert code == EXIT_VALIDATION
+        assert stderr.startswith(f"error: {option}: ")
+        assert stdout == ""
+        assert list(work.iterdir()) == []
+
+    def test_integer_output_from_config_leaves_an_inherited_fd_alone(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"output": 7}))
+        fd7 = tmp_path / "fd7.txt"
+        work = tmp_path / "work"
+        work.mkdir()
+        src = str(Path(chiral_diode.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        # the shell opens fd 7 on a file and the CLI inherits it
+        proc = subprocess.run(
+            ["sh", "-c", '"$@" 7>"$0"', str(fd7), sys.executable, "-m", "chiral_diode.cli",
+             "--config", str(cfg), "single", "--detuning", "0:1:3"],
+            cwd=work, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_VALIDATION
+        assert proc.stderr.startswith("error: output: ")
+        assert proc.stdout == ""
+        assert fd7.read_bytes() == b""
+        assert list(work.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["skip-lattice", "two-photon-lattice"])
+    @pytest.mark.parametrize("suite", ["residual", "analytic"])
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_lattice_switches_need_the_all_suite(
+        self, name, suite, from_config, tmp_path, capsys
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({name.replace("-", "_"): True} if from_config else {}))
+        argv = ["--config", str(cfg), "verify", "--suite", suite, "--draws", "1"]
+        code, stdout, stderr = run(argv if from_config else [*argv, f"--{name}"], capsys)
+        assert code == EXIT_VALIDATION
+        assert stderr.startswith(f"error: {name}: applies only to --suite all")
+        assert stdout == ""
+
+    def test_lattice_switches_take_json_false(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"skip_lattice": False, "two_photon_lattice": False}))
+        code, stdout, _ = run(
+            ["--config", str(cfg), "verify", "--suite", "residual", "--draws", "1"], capsys
+        )
+        assert code == EXIT_OK
+        assert json.loads(stdout)["all_pass"] is True
+
+
+# Every option string and default of each subcommand, as declared before
+# the options were gathered into one table per subcommand.
+_PARAM_DEFAULTS = {"--omega-a": 0.0, "--kappa": 1.0, "--gamma1": 1.0, "--gamma2": None}
+_OPTION_DEFAULTS = {
+    "single": {
+        **_PARAM_DEFAULTS, "--U": 0.0, "--detuning": "-4:4:401", "--gamma1-grid": None,
+        "--direction": "left", "-o --output": "single_sweep.csv", "--format": "csv",
+    },
+    "twomap": {
+        **_PARAM_DEFAULTS, "--U": 10.0, "--resonance": "single-photon", "--omega1": None,
+        "--omega2": None, "--direction": "left", "--x": "-5:5:401", "--channels": "tt",
+        "--convention": "reconstructed", "-o --output": None, "--format": "csv",
+    },
+    "working-area": {
+        **_PARAM_DEFAULTS, "--U": 10.0, "--case": "single-photon-resonance",
+        "--gamma1-grid": "0:1:401", "--gx-ceiling": 20.0, "-o --output": "working_area.csv",
+        "--format": "csv",
+    },
+    "verify": {
+        "--suite": "all", "--skip-lattice": False, "--two-photon-lattice": False,
+        "--draws": 300, "--seed": 20240817, "-o --output": None,
+    },
+    "reproduce": {"figure": None, "--grid": 401, "--outdir": "."},
+}
+
+
+class TestOptionTables:
+    @pytest.mark.parametrize("command", sorted(_OPTION_DEFAULTS))
+    def test_help_lists_the_same_option_strings(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        shown = set(re.findall(r"(?<![\w-])(--?[A-Za-z][\w-]*)", capsys.readouterr().out))
+        declared = {f for flags in _OPTION_DEFAULTS[command] for f in flags.split()}
+        assert shown == {"-h", "--help"} | (declared - {"figure"})
+
+    @pytest.mark.parametrize("command", sorted(_OPTION_DEFAULTS))
+    def test_defaults_are_unchanged(self, command):
+        positional = ["fig2"] if command == "reproduce" else []
+        args = build_parser().parse_args([command, *positional])
+        assert {o.flags: o.default for o in args.options} == _OPTION_DEFAULTS[command]
+
+    def test_benchmark_argument_forms_parse(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        params = ["--omega-a=0.123", "--kappa=0.5", "--U=-10.0", "--gamma1=0.3"]
+        for argv in (
+            ["single", *params, "--detuning=-5:5:11", "--gamma1-grid=0:1:401",
+             "--direction", "right", "--format", "csv", "-o", "s.csv"],
+            ["twomap", *params, "--resonance", "two-photon", "--direction", "left",
+             "--x=-5:5:21", "--channels", "tt,rr,rt", "--convention", "reconstructed",
+             "--format", "csv", "-o", "m.csv"],
+            ["working-area", "--case", "two-photon-resonance", *params,
+             "--gx-ceiling=20.0", "--format", "csv", "-o", "wa.csv"],
+        ):
+            assert run(argv, capsys)[0] == EXIT_OK, argv
+
+    @pytest.mark.parametrize(
+        "argv, options",
+        [
+            (["single"], {"detuning": "-1:1:5", "kappa": 0.6, "gamma1": 0.7,
+                          "direction": "right", "output": "single.csv"}),
+            (["twomap"], {"x": "-2:2:9", "channels": "tt,rr,rt", "gamma1": 0.7, "U": -3.0,
+                          "resonance": "two-photon", "format": "csv", "output": "map.csv"}),
+            (["working-area"], {"case": "single-photon-resonance", "kappa": 0.0,
+                                "gamma1_grid": "0.25:1:7", "output": "wa.csv"}),
+            (["working-area"], {"case": "two-photon-resonance", "kappa": 0.4,
+                                "gx_ceiling": 5, "output": "wa.csv"}),
+            (["reproduce", "fig3"], {"grid": 21, "outdir": "."}),
+            (["verify"], {"suite": "residual", "draws": 3, "seed": 7,
+                          "output": "report.json"}),
+        ],
+    )
+    def test_config_writes_what_flags_write(self, argv, options, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(options))
+        flags = [f"--{key.replace('_', '-')}={value}" for key, value in options.items()]
+        results = []
+        for name, full_argv in (
+            ("flags", [*argv, *flags]), ("config", ["--config", str(cfg), *argv])
+        ):
+            work = tmp_path / name
+            work.mkdir()
+            monkeypatch.chdir(work)
+            code, stdout, _ = run(full_argv, capsys)
+            assert code == EXIT_OK
+            files = {f.name: f.read_bytes() for f in sorted(work.iterdir())}
+            if argv[0] == "verify":
+                # the two reports differ only in their run time
+                stdout = [json.loads(files.pop("report.json")), json.loads(stdout)]
+                for report in stdout:
+                    del report["elapsed_seconds"]
+            results.append((files, stdout))
+        assert results[0] == results[1]
+        assert results[0][0] or argv[0] == "verify"
 
 
 class TestTwomap:
@@ -450,5 +623,59 @@ def test_fuzzed_flags_exit_cleanly(tmp_path, monkeypatch, capsys):
             pytest.fail(f"{argv}: {exc!r} escaped main")
         assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_IO), (argv, code, stderr)
         assert "Traceback" not in stderr, (argv, stderr)
+        codes.append(code)
+    assert {EXIT_OK, EXIT_VALIDATION, EXIT_IO} <= set(codes)
+
+
+# JSON values that no option takes where its flag would take a string
+_FUZZ_NON_STRINGS = [None, True, 5, ["x"]]
+_FUZZ_SWITCHES = ([False], ["false", 0])
+
+
+def test_fuzzed_config_exits_cleanly(tmp_path, monkeypatch, capsys):
+    """Seeded random config files for every subcommand, each key drawn from
+    the flag fuzz values or from JSON non-strings: every run exits 0, 1 or
+    3 and prints no traceback."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a_file").write_text("not a directory")
+    cfg = tmp_path / "cfg.json"
+    rng = np.random.default_rng(20240818)
+    keys = {
+        command: {
+            ("output" if flag == "-o" else flag.lstrip("-").replace("-", "_")): choices
+            for flag, choices in flags.items()
+        }
+        for command, flags in _FUZZ_FLAGS.items()
+    }
+    keys["verify"].update(skip_lattice=_FUZZ_SWITCHES, two_photon_lattice=_FUZZ_SWITCHES)
+    required = {
+        command: {flag.lstrip("-") for flag in flags} for command, flags in _FUZZ_REQUIRED.items()
+    }
+
+    def draw(choices):
+        valid, invalid = choices
+        r = rng.random()
+        pool = _FUZZ_NON_STRINGS if r < 0.05 else invalid if r < 0.2 else valid
+        return pool[rng.integers(len(pool))]
+
+    weights = np.array(list(_FUZZ_WEIGHTS.values())) / sum(_FUZZ_WEIGHTS.values())
+    codes = []
+    for _ in range(200):
+        command = str(rng.choice(list(_FUZZ_WEIGHTS), p=weights))
+        config = {
+            key: draw(choices)
+            for key, choices in keys[command].items()
+            if key in required.get(command, ()) or rng.random() < 0.4
+        }
+        cfg.write_text(json.dumps(config))
+        argv = ["--config", str(cfg), command]
+        if command == "reproduce":
+            argv.append(str(rng.choice(_FUZZ_FIGURES[rng.random() < 0.15])))
+        try:
+            code, _, stderr = run(argv, capsys)
+        except Exception as exc:
+            pytest.fail(f"{config}: {exc!r} escaped main")
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_IO), (argv, config, code, stderr)
+        assert "Traceback" not in stderr, (config, stderr)
         codes.append(code)
     assert {EXIT_OK, EXIT_VALIDATION, EXIT_IO} <= set(codes)
