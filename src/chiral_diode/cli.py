@@ -162,6 +162,8 @@ def _channels(value, name: str) -> tuple[str, ...]:
     channels = tuple(c.strip() for c in parts if c.strip())
     if not channels or any(c not in ("tt", "rr", "rt") for c in channels):
         raise CliError(f"{name}: expected a comma list from tt,rr,rt, got {value!r}")
+    if len(set(channels)) < len(channels):
+        raise CliError(f"{name}: each channel may appear once, got {value!r}")
     return channels
 
 
@@ -376,7 +378,7 @@ def _cmd_twomap(args) -> int:
     maps = map_two_photon(field, args.x, channels, args.convention)
 
     extension = "bin" if args.format == "binary" else args.format
-    output = args.output or f"two_photon_map.{extension}"
+    output = f"two_photon_map.{extension}" if args.output is None else args.output
     if args.format == "csv":
         write_map_csv(output, args.x, maps)
     elif args.format == "json":

@@ -53,6 +53,10 @@ __all__ = [
 FREE_PAIR_DENSITY = 1.0 / (2.0 * np.pi**2)
 
 _DIVERGE_TOL = 1e-12
+# two-photon-resonance root finding: scan points per tangent branch, and
+# the absolute root tolerance in gamma1/Gamma
+_TWO_RES_SCAN_POINTS = 80
+_TWO_RES_TOL = 1e-10
 
 
 class WorkingAreaCase(enum.Enum):
@@ -142,8 +146,6 @@ def _two_res_g1_at_x(params: ModelParams, x: float) -> float:
 def working_area_two_res(
     params: ModelParams,
     gx_ceiling: float = 20.0,
-    scan_points: int = 80,
-    tol: float = 1e-10,
 ) -> WorkingAreaCurve:
     """Exact finite-Kerr working area at two-photon resonance.
 
@@ -151,7 +153,7 @@ def working_area_two_res(
     root-finds the mismatch over gamma1, one tangent branch ``n`` at a
     time (``|U x|`` restricted to ``(n pi - pi/2, n pi + pi/2)``), up to
     separations ``Gamma |x| <= gx_ceiling``.  Roots are refined to an
-    absolute tolerance ``tol`` in gamma1/Gamma by bracketed root finding.
+    absolute tolerance of 1e-10 in gamma1/Gamma by bracketed root finding.
     The returned points are exact zeros of the transmitted density, sorted
     by (branch, gamma1).
 
@@ -187,13 +189,13 @@ def working_area_two_res(
             g_hi = min(_two_res_g1_at_x(params, x_lo), G)
             if g_hi > g_lo:
                 f = mismatch(n)
-                grid = np.linspace(g_lo, g_hi, scan_points)
+                grid = np.linspace(g_lo, g_hi, _TWO_RES_SCAN_POINTS)
                 vals = np.array([f(g) for g in grid])
                 for i in range(len(grid) - 1):
                     if vals[i] == 0.0:
                         root = grid[i]
                     elif vals[i] * vals[i + 1] < 0.0:
-                        root = brentq(f, grid[i], grid[i + 1], xtol=tol * G)
+                        root = brentq(f, grid[i], grid[i + 1], xtol=_TWO_RES_TOL * G)
                     else:
                         continue
                     gx = G * _two_res_x(params, float(root))

@@ -7,7 +7,7 @@ carries a Kerr photon-photon interaction of strength ``U``.
 
 Conventions
 -----------
-* The group velocity ``v_c`` is fixed to 1, so frequencies and wavenumbers
+* The group velocity is fixed to 1, so frequencies and wavenumbers
   coincide and positions carry units of inverse rate.
 * All rates are in one common unit; the natural normalization is the total
   coupling ``Gamma = gamma1 + gamma2``, and tabulated outputs report
@@ -77,8 +77,6 @@ class ModelParams:
         Coupling rate of right-moving photons, must be >= 0.
     gamma2 : float or ndarray
         Coupling rate of left-moving photons, must be >= 0.
-    v_c : float
-        Group velocity; retained for documentation but pinned to 1.
     """
 
     omega_a: float | np.ndarray
@@ -86,7 +84,6 @@ class ModelParams:
     U: float | np.ndarray
     gamma1: float | np.ndarray
     gamma2: float | np.ndarray
-    v_c: float = 1.0
 
     def __post_init__(self) -> None:
         # The operators act elementwise on arrays, so one pass decides
@@ -94,15 +91,13 @@ class ModelParams:
         # (or the sum overflows).  Only a failing pass scans field by field
         # for the message that names the offending value.
         k, g1, g2 = self.kappa, self.gamma1, self.gamma2
-        total = self.omega_a + k + self.U + g1 + g2 + self.v_c
+        total = self.omega_a + k + self.U + g1 + g2
         signs = (k >= 0) & (g1 >= 0) & (g2 >= 0) & (g1 + g2 > 0)
         if not (np.isfinite(total) & signs).all():
             self._raise_first_invalid()
-        if self.v_c != 1.0:
-            raise ValueError(f"v_c is fixed to 1 by convention, got {self.v_c}")
 
     def _raise_first_invalid(self) -> None:
-        for name in ("omega_a", "kappa", "U", "gamma1", "gamma2", "v_c"):
+        for name in ("omega_a", "kappa", "U", "gamma1", "gamma2"):
             _require_finite(name, getattr(self, name))
         for name in ("kappa", "gamma1", "gamma2"):
             value = getattr(self, name)

@@ -376,11 +376,6 @@ class EvenOddField:
         ) / np.sqrt(2.0)
         return fact + self.bound_term(x1, x2, side1, side2)
 
-    def d_phi_ee(self, x1, x2):
-        """(d/dx1 + d/dx2) phi_ee, analytic; valid off the lines x1=0, x2=0,
-        x1=x2 (every term is an exponential with total momentum omega)."""
-        return 1j * self._omega * self.phi_ee(x1, x2)
-
     def phi_ae(self, x, side=None):
         """One photon in the cavity, one even photon at x."""
         c = self.coeffs
@@ -416,20 +411,12 @@ class EvenOddField:
             + self.mode_even(1, x2, side2) * self.mode_odd(2, x1)
         ) / np.sqrt(2.0)
 
-    def d_phi_oe(self, x1, x2):
-        """(d/dx1 + d/dx2) phi_oe, analytic, valid off x2 = 0."""
-        return 1j * self._omega * self.phi_oe(x1, x2)
-
     def phi_oo(self, x1, x2):
         """Both photons odd: symmetrized free product."""
         return (
             self.mode_odd(1, x1) * self.mode_odd(2, x2)
             + self.mode_odd(1, x2) * self.mode_odd(2, x1)
         ) / np.sqrt(2.0)
-
-    def d_phi_oo(self, x1, x2):
-        """(d/dx1 + d/dx2) phi_oo, analytic, exact everywhere."""
-        return 1j * self._omega * self.phi_oo(x1, x2)
 
     def phi_oa(self, x):
         """One photon in the cavity, one odd photon at x (shared by the

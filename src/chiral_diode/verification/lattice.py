@@ -30,6 +30,14 @@ and absorbing ramps):
   frequency is exact: the coupling-induced level shift vanishes by band
   symmetry and the induced width is exactly gamma/2 per channel.
 
+The packet geometry is fixed by rule, not by caller inputs: every packet
+starts half the channel half-width upstream of the cavity with no
+momentum offset from its frequency, and the absorbing ramps rise
+quadratically to 1 over ``absorber_width`` sites.  A single-excitation
+run lasts the half-width unless the caller sets ``t_final``; a
+two-excitation run lasts the half-width plus ``6/(kappa+Gamma)`` and
+profiles separations up to ``6/(kappa+Gamma)``.
+
 Transmission and reflection are reported two ways: raw channel norms
 (which average the response over the packet bandwidth) and the ratio of
 channel amplitude sums, which isolates the response exactly at the
@@ -65,6 +73,9 @@ __all__ = [
 # sites; exp(-8) relative tail at the cut, renormalized to unit sum
 _PROFILE_STD_CELLS = 4.0
 _PROFILE_HALFSPAN = 16
+# packets start this fraction of the channel half-width upstream of the
+# cavity, midway between it and the channel end
+_LAUNCH_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -73,15 +84,13 @@ class LatticeSpec:
 
     ``n_sites`` counts lattice sites per chiral channel; the cavity sits
     at the center site.  ``packet_width`` is the Gaussian position spread
-    (amplitude ``exp(-(x-x0)^2/(4 width^2))``) and ``packet_center_k`` an
-    optional envelope momentum offset from the probe frequency.
-    ``absorber_width`` sites at each end carry a quadratic damping ramp.
+    (amplitude ``exp(-(x-x0)^2/(4 width^2))``).  ``absorber_width`` sites
+    at each end carry a quadratic damping ramp rising to 1.
     """
 
     n_sites: int
     dx: float
     dt: float
-    packet_center_k: float
     packet_width: float
     absorber_width: int
 
@@ -99,8 +108,6 @@ class LatticeSpec:
             raise ValueError(
                 f"packet_width {self.packet_width} under-resolved at dx={self.dx}"
             )
-        if not np.isfinite(self.packet_center_k):
-            raise ValueError("packet_center_k must be finite")
         if not (0 <= self.absorber_width < self.n_sites // 4):
             raise ValueError(
                 f"absorber_width must lie in [0, n_sites/4), got {self.absorber_width}"
@@ -122,7 +129,7 @@ def default_single_spec() -> LatticeSpec:
     """Geometry used for the single-photon agreement runs."""
     return LatticeSpec(
         n_sites=8001, dx=0.05, dt=0.025,
-        packet_center_k=0.0, packet_width=20.0, absorber_width=200,
+        packet_width=20.0, absorber_width=200,
     )
 
 
@@ -131,7 +138,7 @@ def default_two_photon_spec() -> LatticeSpec:
     ``n_sites``, so the domain is much smaller)."""
     return LatticeSpec(
         n_sites=721, dx=0.05, dt=0.02,
-        packet_center_k=0.0, packet_width=3.0, absorber_width=40,
+        packet_width=3.0, absorber_width=40,
     )
 
 
@@ -156,14 +163,25 @@ class LatticeResult:
     norm_trace: np.ndarray | None = None
 
 
-def _absorber(spec: LatticeSpec, strength: float) -> np.ndarray:
+def _absorber(spec: LatticeSpec) -> np.ndarray:
     w = spec.absorber_width
     W = np.zeros(spec.n_sites)
     if w > 0:
         ramp = (np.arange(1, w + 1) / w) ** 2
-        W[:w] = strength * ramp[::-1]
-        W[-w:] = strength * ramp
+        W[:w] = ramp[::-1]
+        W[-w:] = ramp
     return W
+
+
+def _packet(spec: LatticeSpec, left_in: bool, k: float = 0.0) -> np.ndarray:
+    """Unit-norm Gaussian envelope over one channel, centered
+    ``_LAUNCH_FRACTION`` of the half-width upstream of the cavity, with
+    wavenumber ``k`` relative to the rotating frame."""
+    x = spec.positions()
+    d0 = _LAUNCH_FRACTION * spec.half_width
+    x0 = -d0 if left_in else d0
+    env = np.exp(-((x - x0) ** 2) / (4.0 * spec.packet_width**2)) * np.exp(1j * k * x)
+    return env / np.sqrt(np.sum(np.abs(env) ** 2))
 
 
 def _coupling_profile(spec: LatticeSpec) -> tuple[slice, np.ndarray]:
@@ -186,16 +204,14 @@ def lattice_transmission(
     omega_k: float,
     direction: Direction,
     t_final: float | None = None,
-    launch_distance: float | None = None,
-    absorber_strength: float = 1.0,
     track_norm: bool = False,
 ) -> LatticeResult:
     """Scatter a single-photon wavepacket off the cavity on the lattice.
 
-    The packet starts ``launch_distance`` (default: half the channel
-    half-width) upstream of the cavity in the incident channel and is
-    evolved for ``t_final`` (default: twice the launch distance, enough
-    for transmitted and reflected packets to reach mirror positions).
+    The packet starts half the channel half-width upstream of the cavity
+    in the incident channel and is evolved for ``t_final`` (default: the
+    channel half-width, twice the launch distance, enough for transmitted
+    and reflected packets to reach mirror positions).
 
     Raises ValueError if the packet bandwidth is not narrow against the
     cavity linewidth ``kappa + Gamma`` or the geometry cannot hold the
@@ -208,9 +224,8 @@ def lattice_transmission(
             f"packet spectral width {1.0 / sigma:.3g} is not narrow against "
             f"the linewidth kappa+Gamma = {params.kappa + G:.3g}"
         )
-    x = spec.positions()
     half = spec.half_width
-    d0 = 0.5 * half if launch_distance is None else float(launch_distance)
+    d0 = _LAUNCH_FRACTION * half
     usable = half - spec.absorber_width * spec.dx
     if d0 < 2.0 * sigma or usable - d0 < 2.0 * sigma:
         raise ValueError(
@@ -220,15 +235,9 @@ def lattice_transmission(
     horizon = 2.0 * d0 if t_final is None else float(t_final)
 
     left_in = direction is Direction.LEFT_INCIDENT
-    x0 = -d0 if left_in else d0
-    env = np.exp(-((x - x0) ** 2) / (4.0 * sigma**2)) * np.exp(
-        1j * spec.packet_center_k * x
-    )
-    env = env.astype(complex)
-    env /= np.sqrt(np.sum(np.abs(env) ** 2))
-
+    env = _packet(spec, left_in)
     n = spec.n_sites
-    H = _single_particle_operator(spec, params, omega_k, absorber_strength, left_in)
+    H = _single_particle_operator(spec, params, omega_k, left_in)
     psi = np.zeros(H.shape[0], dtype=complex)
     off = 0 if left_in else n
     psi[off:off + n] = env
@@ -297,7 +306,6 @@ def _single_particle_operator(
     spec: LatticeSpec,
     params: ModelParams,
     omega_frame: float,
-    absorber_strength: float,
     left_in: bool,
 ) -> sp.csr_matrix:
     """Sparse generator H (state evolves by dpsi/dt = -i H psi) for one
@@ -311,7 +319,7 @@ def _single_particle_operator(
     n = spec.n_sites
     dx = spec.dx
     cav_shift = (params.omega_a - omega_frame) - 0.5j * params.kappa
-    loss = -1j * _absorber(spec, absorber_strength)
+    loss = -1j * _absorber(spec)
     up = np.full(n - 1, -1j / (2.0 * dx))
     down = np.full(n - 1, 1j / (2.0 * dx))
     cpl, u = _coupling_profile(spec)
@@ -394,37 +402,30 @@ def lattice_two_photon(
     spec: LatticeSpec,
     params: ModelParams,
     incoming: TwoPhotonIn,
-    t_final: float | None = None,
-    launch_distance: float | None = None,
-    absorber_strength: float = 1.0,
-    max_separation: float | None = None,
 ) -> TwoPhotonLatticeResult:
     """Evolve two photons through the cavity and profile their bunching.
 
     Both photons start in the incident channel as Gaussian envelopes at
-    the same launch position, with momentum ramps placing each at its own
-    frequency around the mean frame.  The state lives in the symmetrized
-    two-boson basis; the Kerr term adds ``2U`` on the doubly occupied
-    cavity configuration.  After the packets clear the cavity the
-    transmitted-channel two-point density is accumulated per photon
-    separation (summed over pair centers downstream of the cavity).
+    the single-excitation launch position, with momentum ramps placing
+    each at its own frequency around the mean frame.  The state lives in
+    the symmetrized two-boson basis; the Kerr term adds ``2U`` on the
+    doubly occupied cavity configuration.  The run lasts the channel
+    half-width plus ``6/(kappa+Gamma)``, six bound-state decay lengths, so
+    the pair clears the cavity.  The transmitted-channel two-point density
+    is then accumulated per photon separation up to ``6/(kappa+Gamma)``
+    (summed over pair centers downstream of the cavity).
     """
     if spec.n_sites > 1024:
         raise ValueError(
             f"two-excitation basis is quadratic in n_sites; {spec.n_sites} > 1024"
         )
     G = params.Gamma
-    sigma = spec.packet_width
     x = spec.positions()
-    half = spec.half_width
-    d0 = 0.5 * half if launch_distance is None else float(launch_distance)
     left_in = incoming.direction is Direction.LEFT_INCIDENT
     if not left_in and params.gamma2 <= 0.0:
         raise ValueError("right incidence needs gamma2 > 0 for an incident channel")
     omega_frame = 0.5 * (incoming.omega_k1 + incoming.omega_k2)
-    H1 = _single_particle_operator(
-        spec, params, omega_frame, absorber_strength, left_in
-    )
+    H1 = _single_particle_operator(spec, params, omega_frame, left_in)
     n = spec.n_sites
     m = H1.shape[0]
 
@@ -434,7 +435,7 @@ def lattice_two_photon(
         1.0 / spec.dx
         + abs((params.omega_a - omega_frame) - 0.5j * params.kappa)
         + g_norm
-        + absorber_strength
+        + 1.0  # absorber ramp height
     ) + 2.0 * params.U
     if radius * spec.dt > 2.6:
         raise ValueError(
@@ -442,20 +443,11 @@ def lattice_two_photon(
             f"{2.6 / radius:.4g}"
         )
 
-    x0 = -d0 if left_in else d0
     # the incident channel is also the transmitted one
     off = 0 if left_in else n
-
-    def envelope(k_rel: float) -> np.ndarray:
-        v = np.zeros(m, dtype=complex)
-        env = np.exp(-((x - x0) ** 2) / (4.0 * sigma**2)) * np.exp(
-            1j * (spec.packet_center_k + k_rel) * x
-        )
-        v[off:off + n] = env / np.sqrt(np.sum(np.abs(env) ** 2))
-        return v
-
-    phi1 = envelope(incoming.omega_k1 - omega_frame)
-    phi2 = envelope(incoming.omega_k2 - omega_frame)
+    phi1, phi2 = np.zeros((2, m), dtype=complex)
+    phi1[off:off + n] = _packet(spec, left_in, incoming.omega_k1 - omega_frame)
+    phi2[off:off + n] = _packet(spec, left_in, incoming.omega_k2 - omega_frame)
 
     S, pairs_p, pairs_q = _symmetrizer(m)
     psi = S @ (np.kron(phi1, phi2) + np.kron(phi2, phi1))
@@ -472,12 +464,13 @@ def lattice_two_photon(
     H2 = sp.kron(H1, eye, format="csr") + sp.kron(eye, H1, format="csr") + kerr
     H_sym = (S @ (H2 @ S.T)).tocsr()
 
-    horizon = 2.0 * d0 + 6.0 / (params.kappa + G) if t_final is None else float(t_final)
-    _rk4(H_sym, psi, spec.dt, int(round(horizon / spec.dt)))
+    # six bound-state decay lengths: the horizon margin and profile reach
+    reach = 6.0 / (params.kappa + G)
+    _rk4(H_sym, psi, spec.dt, int(round((spec.half_width + reach) / spec.dt)))
 
     # transmitted channel: where the incident packet continues
     downstream = (x > 1.0 / G) if left_in else (x < -1.0 / G)
-    usable = np.abs(x) < half - spec.absorber_width * spec.dx
+    usable = np.abs(x) < spec.half_width - spec.absorber_width * spec.dx
     keep_modes = np.nonzero(downstream & usable)[0] + off
 
     # ordered-pair density psi(p,q): |c_pq|^2/2 off the diagonal (each
@@ -486,9 +479,7 @@ def lattice_two_photon(
     # density.  The transmitted probability sums |c_pq|^2 per unordered
     # pair.
     amp = np.where(pairs_p == pairs_q, np.abs(psi) ** 2, 0.5 * np.abs(psi) ** 2)
-    if max_separation is None:
-        max_separation = 6.0 / (params.kappa + G)
-    n_sep = int(round(max_separation / spec.dx)) + 1
+    n_sep = int(round(reach / spec.dx)) + 1
     profile = np.zeros(n_sep)
     both = np.isin(pairs_p, keep_modes) & np.isin(pairs_q, keep_modes)
     sep_idx = np.abs(pairs_q - pairs_p)

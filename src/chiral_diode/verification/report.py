@@ -286,8 +286,7 @@ def _lattice_checks() -> list[VerifyCheck]:
     checks = [_below("lattice_agreement_max_dev", worst, 0.02)]
 
     norm_spec = LatticeSpec(
-        n_sites=4001, dx=0.04, dt=0.02,
-        packet_center_k=0.0, packet_width=6.0, absorber_width=0,
+        n_sites=4001, dx=0.04, dt=0.02, packet_width=6.0, absorber_width=0,
     )
     lossless = ModelParams(omega_a=0.0, kappa=0.0, U=0.0, gamma1=0.5, gamma2=0.5)
     res = lattice_transmission(
@@ -349,17 +348,25 @@ def verify_all(
     """Run verification checks and collect a pass/fail report.
 
     ``suite`` selects the tier: ``"residual"`` runs only the field-equation
-    residual and sensitivity checks (about half a second at the default 300
+    residual and sensitivity checks (about 0.3 s at the default 300
     draws), ``"analytic"`` adds the closed-form and working-area checks
     (under a second), and ``"all"`` adds the lattice checks.  ``n_draws``
     sets the random draws of both the residual suite and the closed-form
     property checks.  Within ``"all"``,
     ``include_lattice`` covers the single-excitation lattice agreements
     and norm invariants (tens of seconds); the two-excitation evolver is
-    off by default (quadratic basis, roughly half a minute more).
+    off by default (quadratic basis, roughly half a minute more).  Under
+    another suite both lattice inputs must stay at their defaults, since
+    no lattice check runs there; anything else raises ValueError.
     """
     if suite not in VERIFY_SUITES:
         raise ValueError(f"suite must be one of {VERIFY_SUITES}, got {suite!r}")
+    for name, changed in (
+        ("include_lattice", not include_lattice),
+        ("include_two_photon_lattice", include_two_photon_lattice),
+    ):
+        if changed and suite != "all":
+            raise ValueError(f"{name} applies only to suite 'all', not {suite!r}")
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
     start = time.time()
@@ -369,8 +376,8 @@ def verify_all(
     if suite != "residual":
         checks += _closed_form_checks(rng, n_draws)
         checks += _working_area_checks()
-    if suite == "all" and include_lattice:
+    if include_lattice and suite == "all":
         checks += _lattice_checks()
-    if suite == "all" and include_two_photon_lattice:
+    if include_two_photon_lattice:
         checks += _two_photon_lattice_checks()
     return VerifyReport(checks=tuple(checks), elapsed_seconds=time.time() - start)

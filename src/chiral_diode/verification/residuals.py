@@ -15,10 +15,16 @@ Residual names
 Single photon: ``cavity_equation`` (the cavity stationarity relation,
 with the cavity amplitude taken from the transmission jump).
 
-Two photon, off the lines x1=0, x2=0, x1=x2: ``ee_transport``,
-``ae_transport``, ``aa_stationarity``, ``oe_transport``, ``oa_transport``,
-``oo_transport``.  On the lines: ``ee_jump_x1``, ``ee_jump_x2``,
+Two photon, off the lines x1=0, x2=0, x1=x2: ``ae_transport``,
+``aa_stationarity``, ``oa_transport``.  On the lines: ``ee_jump_x1``,
 ``oe_jump_even_arg``, ``ae_jump``.
+
+Only relations that a wrong coefficient can violate are kept.  The pair
+amplitudes ``phi_ee``, ``phi_oe`` and ``phi_oo`` are sums of exponentials
+of total momentum ``omega``, so their transport equations hold for any
+coefficients and would read exactly 0.  ``phi_ee`` is exchange symmetric,
+so its jump across x2 = 0 is the same relation as ``ee_jump_x1``, the
+jump across x1 = 0; that one residual covers both lines.
 """
 
 from __future__ import annotations
@@ -108,9 +114,9 @@ def two_photon_residual(
     """Residuals of the two-photon even/odd equations and jump relations.
 
     ``sample_points`` are (x1, x2) pairs strictly off the lines x1=0,
-    x2=0, x1=x2; they feed the transport residuals directly, and their
-    second coordinates serve as the along-line offsets for the jump
-    relations.  Derivatives are analytic (the amplitudes are piecewise
+    x2=0, x1=x2; their first coordinates feed the transport residuals,
+    and their second coordinates serve as the along-line offsets for the
+    jump relations.  Derivatives are analytic (the amplitudes are piecewise
     exponentials), one-sided limits come from exact region forms, and the
     coupling-point field values use the midpoint step convention.
 
@@ -132,9 +138,8 @@ def two_photon_residual(
     sqG = np.sqrt(G)
 
     res = {k: 0.0 for k in (
-        "ee_transport", "ae_transport", "aa_stationarity", "oe_transport",
-        "oa_transport", "oo_transport", "ee_jump_x1", "ee_jump_x2",
-        "oe_jump_even_arg", "ae_jump",
+        "ae_transport", "aa_stationarity", "oa_transport",
+        "ee_jump_x1", "oe_jump_even_arg", "ae_jump",
     )}
 
     def keep(name: str, value: complex) -> None:
@@ -143,26 +148,20 @@ def two_photon_residual(
     for (x1, x2) in sample_points:
         x = x1
         # transport off the lines
-        keep("ee_transport", -1j * f.d_phi_ee(x1, x2) - om * f.phi_ee(x1, x2))
         keep("ae_transport",
              -1j * f.d_phi_ae(x) + (om_a - om - 0.5j * kappa) * f.phi_ae(x)
              + np.sqrt(G / 2.0) * (f.phi_ee(0.0, x) + f.phi_ee(x, 0.0)))
         keep("aa_stationarity",
              (2.0 * om_a - om + 2.0 * U - 1j * kappa) * c.phi_aa
              + np.sqrt(2.0 * G) * f.phi_ae(0.0))
-        keep("oe_transport", -1j * f.d_phi_oe(x1, x2) - om * f.phi_oe(x1, x2))
         keep("oa_transport",
              -1j * f.d_phi_oa(x) + (om_a - om - 0.5j * kappa) * f.phi_oa(x)
              + sqG * f.phi_oe(x, 0.0))
-        keep("oo_transport", -1j * f.d_phi_oo(x1, x2) - om * f.phi_oo(x1, x2))
 
         # discontinuity relations, offsets on the lines taken from x2
         xg = x2
         keep("ee_jump_x1",
              f.phi_ee(0.0, xg, side1=+1) - f.phi_ee(0.0, xg, side1=-1)
-             + 1j * np.sqrt(G / 2.0) * f.phi_ae(xg))
-        keep("ee_jump_x2",
-             f.phi_ee(xg, 0.0, side2=+1) - f.phi_ee(xg, 0.0, side2=-1)
              + 1j * np.sqrt(G / 2.0) * f.phi_ae(xg))
         keep("oe_jump_even_arg",
              f.phi_oe(xg, 0.0, side2=+1) - f.phi_oe(xg, 0.0, side2=-1)

@@ -93,6 +93,7 @@ class TestValidationErrors:
             ["verify", "--suite", "everything"],
             ["reproduce", "fig99"],
             ["reproduce", "fig3", "--grid", "1"],
+            ["twomap", "--channels", "tt,tt"],
         ],
     )
     def test_bad_arguments_exit_1(self, argv, tmp_path, capsys, monkeypatch):
@@ -109,6 +110,17 @@ class TestValidationErrors:
         )
         assert code == EXIT_IO
         assert "I/O" in stderr
+
+    @pytest.mark.parametrize(
+        "argv", [["single", "--detuning", "0:1:3"], ["twomap", "--x=-2:2:5"]]
+    )
+    def test_empty_output_path_exits_3(self, argv, tmp_path, capsys, monkeypatch):
+        # an empty path names no file; it must not fall back to a default
+        monkeypatch.chdir(tmp_path)
+        code, _, stderr = run([*argv, "-o", ""], capsys)
+        assert code == EXIT_IO
+        assert "I/O" in stderr
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigMerging:

@@ -28,8 +28,7 @@ RIGHT = Direction.RIGHT_INCIDENT
 
 # small but converged geometry for sub-second scattering runs
 SMALL = LatticeSpec(
-    n_sites=2401, dx=0.1, dt=0.05,
-    packet_center_k=0.0, packet_width=10.0, absorber_width=60,
+    n_sites=2401, dx=0.1, dt=0.05, packet_width=10.0, absorber_width=60,
 )
 
 
@@ -39,19 +38,19 @@ class TestSpecValidation:
 
     def test_transport_stability_bound(self):
         with pytest.raises(ValueError, match="dt"):
-            LatticeSpec(2001, 0.1, 0.06, 0.0, 10.0, 60)
+            LatticeSpec(2001, 0.1, 0.06, 10.0, 60)
 
     def test_minimum_size(self):
         with pytest.raises(ValueError, match="n_sites"):
-            LatticeSpec(32, 0.1, 0.05, 0.0, 10.0, 0)
+            LatticeSpec(32, 0.1, 0.05, 10.0, 0)
 
     def test_packet_resolution(self):
         with pytest.raises(ValueError, match="under-resolved"):
-            LatticeSpec(2001, 0.1, 0.05, 0.0, 0.3, 60)
+            LatticeSpec(2001, 0.1, 0.05, 0.3, 60)
 
     def test_absorber_fraction(self):
         with pytest.raises(ValueError, match="absorber_width"):
-            LatticeSpec(2001, 0.1, 0.05, 0.0, 10.0, 600)
+            LatticeSpec(2001, 0.1, 0.05, 10.0, 600)
 
     def test_positions_are_centered(self):
         x = SMALL.positions()
@@ -62,15 +61,17 @@ class TestSpecValidation:
 
 class TestRunGuards:
     def test_packet_bandwidth_must_resolve_the_linewidth(self):
-        spec = LatticeSpec(2401, 0.1, 0.05, 0.0, 1.0, 60)
+        spec = LatticeSpec(2401, 0.1, 0.05, 1.0, 60)
         p = ModelParams(0.0, 0.0, 0.0, 0.5, 0.5)
         with pytest.raises(ValueError, match="narrow"):
             lattice_transmission(spec, p, 0.0, LEFT)
 
     def test_launch_must_clear_cavity_and_absorbers(self):
+        # the packet starts 10 from the cavity, under two widths of 6
+        spec = LatticeSpec(401, 0.1, 0.05, 6.0, 20)
         p = ModelParams(0.0, 1.0, 0.0, 0.5, 0.5)
         with pytest.raises(ValueError, match="launch"):
-            lattice_transmission(SMALL, p, 0.0, LEFT, launch_distance=5.0)
+            lattice_transmission(spec, p, 0.0, LEFT)
 
     def test_short_horizon_reports_unconverged(self):
         p = ModelParams(0.0, 1.0, 0.0, 0.5, 0.5)
@@ -115,13 +116,13 @@ class TestSinglePhotonAgreement:
 
 class TestNormBehavior:
     def test_norm_conserved_without_any_loss(self):
-        spec = LatticeSpec(2001, 0.08, 0.04, 0.0, 6.0, 0)
+        spec = LatticeSpec(2001, 0.08, 0.04, 6.0, 0)
         p = ModelParams(0.0, 0.0, 0.0, 0.5, 0.5)
         res = lattice_transmission(spec, p, 0.0, LEFT, track_norm=True)
         assert float(np.max(np.abs(res.norm_trace - 1.0))) < 1e-8
 
     def test_norm_never_increases_with_loss_on(self):
-        spec = LatticeSpec(2001, 0.08, 0.04, 0.0, 6.0, 80)
+        spec = LatticeSpec(2001, 0.08, 0.04, 6.0, 80)
         p = ModelParams(0.0, 1.0, 0.0, 0.7, 0.3)
         res = lattice_transmission(spec, p, 0.0, LEFT, track_norm=True)
         assert float(np.max(np.diff(res.norm_trace))) < 1e-10
@@ -130,21 +131,21 @@ class TestNormBehavior:
 
 class TestGenerator:
     # small enough for dense linear algebra on the (2n+1)-mode generator
-    TINY = LatticeSpec(101, 0.1, 0.05, 0.0, 1.0, 10)
+    TINY = LatticeSpec(101, 0.1, 0.05, 1.0, 10)
 
     def test_hermitian_without_losses(self):
         spec = dataclasses.replace(self.TINY, absorber_width=0)
         p = ModelParams(0.3, 0.0, 0.0, 0.7, 0.3)
         for left_in in (True, False):
-            H = _single_particle_operator(spec, p, 0.0, 1.0, left_in)
+            H = _single_particle_operator(spec, p, 0.0, left_in)
             assert H.shape == (2 * spec.n_sites + 1,) * 2
             assert (H - H.conj().T).count_nonzero() == 0
 
     def test_left_channel_kept_only_when_coupled_or_incident(self):
         p = ModelParams(0.0, 1.0, 0.0, 1.0, 0.0)
         n = self.TINY.n_sites
-        left = _single_particle_operator(self.TINY, p, 0.0, 1.0, True)
-        right = _single_particle_operator(self.TINY, p, 0.0, 1.0, False)
+        left = _single_particle_operator(self.TINY, p, 0.0, True)
+        right = _single_particle_operator(self.TINY, p, 0.0, False)
         assert left.shape == (n + 1, n + 1)
         assert right.shape == (2 * n + 1, 2 * n + 1)
 
@@ -154,13 +155,13 @@ class TestGenerator:
         # part of A must be negative semidefinite
         p = ModelParams(0.2, 0.8, 0.0, g1, 1.0 - g1)
         for left_in in (True, False):
-            A = -1j * _single_particle_operator(self.TINY, p, 0.0, 1.0, left_in).toarray()
+            A = -1j * _single_particle_operator(self.TINY, p, 0.0, left_in).toarray()
             assert np.linalg.eigvalsh(0.5 * (A + A.conj().T)).max() < 1e-12
 
 
 class TestTwoPhotonLattice:
     def test_coarse_bunching_profile(self):
-        spec = LatticeSpec(361, 0.1, 0.04, 0.0, 3.0, 40)
+        spec = LatticeSpec(361, 0.1, 0.04, 3.0, 40)
         p = ModelParams(0.0, 1.0, 10.0, 1.0, 0.0)
         pair = TwoPhotonIn(LEFT, 0.0, 0.0)
         res = lattice_two_photon(spec, p, pair)
@@ -172,7 +173,7 @@ class TestTwoPhotonLattice:
         assert res.bunching_ratio(2.0) > 5.0
 
     def test_profile_accessors_validate(self):
-        spec = LatticeSpec(361, 0.1, 0.04, 0.0, 3.0, 40)
+        spec = LatticeSpec(361, 0.1, 0.04, 3.0, 40)
         p = ModelParams(0.0, 1.0, 10.0, 1.0, 0.0)
         res = lattice_two_photon(spec, p, TwoPhotonIn(LEFT, 0.0, 0.0))
         with pytest.raises(ValueError, match="max_separation"):

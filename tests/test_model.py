@@ -7,7 +7,6 @@ import pytest
 
 from chiral_diode import (
     Direction,
-    ModelParams,
     PhotonIn,
     TwoPhotonIn,
     load_config,
@@ -19,7 +18,6 @@ class TestModelParams:
     def test_valid_fully_chiral_set(self):
         p = make_params(omega_a=0.0, kappa=1.0, U=10.0, gamma1=1.0, gamma2=0.0)
         assert p.Gamma == 1.0
-        assert p.v_c == 1.0
 
     def test_valid_symmetric_lossless_set(self):
         p = make_params(omega_a=0.0, kappa=0.0, U=0.0, gamma1=0.5, gamma2=0.5)
@@ -61,10 +59,6 @@ class TestModelParams:
             make_params(omega_a=0.0, kappa=1.0, U=0.0, gamma1=grid, gamma2=0.0)
         with pytest.raises(ValueError, match="broadcast"):
             make_params(omega_a=0.0, kappa=np.ones(3), U=0.0, gamma1=grid, gamma2=0.0)
-
-    def test_group_velocity_pinned_to_one(self):
-        with pytest.raises(ValueError, match="v_c"):
-            ModelParams(omega_a=0.0, kappa=1.0, U=0.0, gamma1=1.0, gamma2=0.0, v_c=2.0)
 
     def test_records_are_immutable(self):
         p = make_params(omega_a=0.0, kappa=1.0, U=0.0, gamma1=1.0, gamma2=0.0)

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from chiral_diode import Direction, TwoPhotonIn, make_params
+from chiral_diode import Direction, TwoPhotonIn, even_mode_t, make_params
 from chiral_diode.two_photon import bound_coeffs
 from chiral_diode.verification import VERIFY_SUITES, verify_all
 from chiral_diode.verification.residuals import (
@@ -30,6 +30,24 @@ def pair():
 
 POINTS = [(0.7, -1.3), (-2.1, 0.4), (1.9, 0.8)]
 
+RELATIONS = {
+    "ae_transport", "aa_stationarity", "oa_transport",
+    "ee_jump_x1", "oe_jump_even_arg", "ae_jump",
+}
+
+
+def one_percent_corruptions():
+    """(coefficient name, override keywords) for every coefficient the
+    two-photon oracle reads, each scaled by 1.01 on its own."""
+    p, inc = params(), pair()
+    c = bound_coeffs(p, inc)
+    for f in dataclasses.fields(c):
+        bad = dataclasses.replace(c, **{f.name: 1.01 * getattr(c, f.name)})
+        yield f.name, {"coeffs_override": bad}
+    t1, t2 = even_mode_t(p, inc.omega_k1), even_mode_t(p, inc.omega_k2)
+    yield "t_k1", {"t_override": (1.01 * t1, t2)}
+    yield "t_k2", {"t_override": (t1, 1.01 * t2)}
+
 
 class TestSinglePhotonResidual:
     def test_closed_form_satisfies_the_cavity_equation(self):
@@ -38,8 +56,6 @@ class TestSinglePhotonResidual:
 
     def test_corrupted_transmission_fires(self):
         p = params()
-        from chiral_diode import even_mode_t
-
         rep = single_residual(p, 0.45, t_override=1.01 * even_mode_t(p, 0.45))
         assert rep.residuals["cavity_equation"] > 1e-4
 
@@ -55,11 +71,18 @@ class TestTwoPhotonResidual:
     def test_closed_form_satisfies_all_relations(self):
         rep = two_photon_residual(params(), pair(), POINTS)
         assert rep.max_residual < 1e-13
-        assert set(rep.residuals) == {
-            "ee_transport", "ae_transport", "aa_stationarity", "oe_transport",
-            "oa_transport", "oo_transport", "ee_jump_x1", "ee_jump_x2",
-            "oe_jump_even_arg", "ae_jump",
-        }
+        assert set(rep.residuals) == RELATIONS
+
+    def test_every_relation_and_every_coefficient_can_fire(self):
+        # a relation no corruption moves is vacuous, and a coefficient
+        # that moves no relation is uncertified
+        fired_anywhere = set()
+        for coeff, override in one_percent_corruptions():
+            rep = two_photon_residual(params(), pair(), POINTS, **override)
+            fired = {name for name, value in rep.residuals.items() if value > 1e-6}
+            assert fired, f"a 1% error in {coeff} fires no residual"
+            fired_anywhere |= fired
+        assert set(rep.residuals) - fired_anywhere == set()
 
     def test_corrupted_bound_coeffs_fire(self):
         c = bound_coeffs(params(), pair())
@@ -68,8 +91,6 @@ class TestTwoPhotonResidual:
         assert rep.max_residual > 1e-4
 
     def test_corrupted_pair_transmission_fires(self):
-        from chiral_diode import even_mode_t
-
         p = params()
         t1 = even_mode_t(p, pair().omega_k1)
         t2 = even_mode_t(p, pair().omega_k2)
@@ -138,6 +159,16 @@ class TestVerifyAll:
         names = [c.name for c in rep.checks]
         assert any(n.startswith("working_area") for n in names)
         assert not any(n.startswith("lattice") for n in names)
+
+    @pytest.mark.parametrize("suite", ["residual", "analytic"])
+    @pytest.mark.parametrize(
+        "name, value",
+        [("include_lattice", False), ("include_two_photon_lattice", True)],
+    )
+    def test_lattice_inputs_need_the_all_suite(self, suite, name, value):
+        # no lattice check runs outside "all", so a set input would be lost
+        with pytest.raises(ValueError, match=name):
+            verify_all(suite=suite, n_draws=1, **{name: value})
 
     def test_unknown_suite_rejected(self):
         assert VERIFY_SUITES == ("residual", "analytic", "all")
