@@ -38,6 +38,17 @@ run lasts the half-width unless the caller sets ``t_final``; a
 two-excitation run lasts the half-width plus ``6/(kappa+Gamma)`` and
 profiles separations up to ``6/(kappa+Gamma)``.
 
+The default single-excitation geometry (``default_single_spec``) follows
+from two rules.  The packet width is twice the minimum the bandwidth
+guard ``1/width <= (kappa+Gamma)/2`` allows at kappa = 0, Gamma = 1, so
+width 4, which covers every line with ``kappa + Gamma >= 0.5``.  The
+packet is launched 7.5 widths from the cavity: a 5-width launch was
+measured not to converge, 6 and 7.5 widths do.  The rest follows: 40
+sites per width, the stable step ``dt = dx/2``, and 6 widths of clearance
+between the launch point and the absorber.  Carrier values need no finer
+grid, since the amplitude-sum read-out is exact at the carrier for any
+``dx``.
+
 Transmission and reflection are reported two ways: raw channel norms
 (which average the response over the packet bandwidth) and the ratio of
 channel amplitude sums, which isolates the response exactly at the
@@ -76,6 +87,11 @@ _PROFILE_HALFSPAN = 16
 # packets start this fraction of the channel half-width upstream of the
 # cavity, midway between it and the channel end
 _LAUNCH_FRACTION = 0.5
+# the rules behind ``default_single_spec``, in packet widths
+_WIDTH_OVER_GUARD = 2.0
+_LAUNCH_WIDTHS = 7.5
+_ABSORBER_CLEARANCE_WIDTHS = 6.0
+_SITES_PER_WIDTH = 40
 
 
 @dataclass(frozen=True)
@@ -126,10 +142,25 @@ class LatticeSpec:
 
 
 def default_single_spec() -> LatticeSpec:
-    """Geometry used for the single-photon agreement runs."""
+    """Geometry used for every single-photon agreement and norm check.
+
+    Derived from two rules: the packet width is twice the bandwidth
+    guard's minimum ``2/(kappa+Gamma)`` at kappa = 0, Gamma = 1, and the
+    packet is launched 7.5 widths from the cavity (5 widths was measured
+    not to converge).  With 40 sites per width, ``dt = dx/2`` and 6 widths
+    from the launch point to the absorber this gives
+    ``LatticeSpec(1201, 0.1, 0.05, 4.0, 60)``.  It covers every line with
+    ``kappa + Gamma >= 0.5``; narrower lines need a wider packet, as the
+    guard in ``lattice_transmission`` says.
+    """
+    # the guard's minimum width 2/(kappa+Gamma) at kappa + Gamma = 1
+    width = _WIDTH_OVER_GUARD * 2.0
+    dx = width / _SITES_PER_WIDTH
+    half_sites = round(_LAUNCH_WIDTHS * width / _LAUNCH_FRACTION / dx)
+    absorber_start = round((_LAUNCH_WIDTHS + _ABSORBER_CLEARANCE_WIDTHS) * width / dx)
     return LatticeSpec(
-        n_sites=8001, dx=0.05, dt=0.025,
-        packet_width=20.0, absorber_width=200,
+        n_sites=2 * half_sites + 1, dx=dx, dt=0.5 * dx,
+        packet_width=width, absorber_width=half_sites - absorber_start,
     )
 
 

@@ -40,7 +40,6 @@ from ..model import Direction, ModelParams, PhotonIn, TwoPhotonIn
 from ..single_photon import chiral_coeffs, even_mode_t
 from ..two_photon import EvenOddField, TwoPhotonField, bound_asymptote, bound_coeffs
 from .lattice import (
-    LatticeSpec,
     default_single_spec,
     default_two_photon_spec,
     lattice_transmission,
@@ -285,20 +284,19 @@ def _lattice_checks() -> list[VerifyCheck]:
                 worst = np.inf
     checks = [_below("lattice_agreement_max_dev", worst, 0.02)]
 
-    norm_spec = LatticeSpec(
-        n_sites=4001, dx=0.04, dt=0.02, packet_width=6.0, absorber_width=0,
-    )
+    # the norm invariants on the same geometry; without the absorber and
+    # kappa nothing may leave the lattice
     lossless = ModelParams(omega_a=0.0, kappa=0.0, U=0.0, gamma1=0.5, gamma2=0.5)
     res = lattice_transmission(
-        norm_spec, lossless, 0.0, Direction.LEFT_INCIDENT, track_norm=True
+        dataclasses.replace(spec, absorber_width=0), lossless, 0.0,
+        Direction.LEFT_INCIDENT, track_norm=True,
     )
     drift = float(np.max(np.abs(res.norm_trace - 1.0)))
     checks.append(_below("lattice_norm_drift_lossless", drift, 1e-8))
 
     lossy = ModelParams(omega_a=0.0, kappa=1.0, U=0.0, gamma1=0.7, gamma2=0.3)
-    lossy_spec = dataclasses.replace(norm_spec, absorber_width=100)
     res = lattice_transmission(
-        lossy_spec, lossy, 0.0, Direction.LEFT_INCIDENT, track_norm=True
+        spec, lossy, 0.0, Direction.LEFT_INCIDENT, track_norm=True
     )
     rise = float(np.max(np.diff(res.norm_trace)))
     checks.append(_below("lattice_norm_max_rise", rise, 1e-10))
@@ -354,10 +352,11 @@ def verify_all(
     sets the random draws of both the residual suite and the closed-form
     property checks.  Within ``"all"``,
     ``include_lattice`` covers the single-excitation lattice agreements
-    and norm invariants (tens of seconds); the two-excitation evolver is
-    off by default (quadratic basis, roughly half a minute more).  Under
-    another suite both lattice inputs must stay at their defaults, since
-    no lattice check runs there; anything else raises ValueError.
+    and norm invariants, all on ``default_single_spec()`` (about 2 s); the
+    two-excitation evolver is off by default (quadratic basis, about a
+    minute more).  Under another suite both lattice inputs must stay at
+    their defaults, since no lattice check runs there; anything else
+    raises ValueError.
     """
     if suite not in VERIFY_SUITES:
         raise ValueError(f"suite must be one of {VERIFY_SUITES}, got {suite!r}")

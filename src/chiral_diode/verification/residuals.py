@@ -15,7 +15,7 @@ Residual names
 Single photon: ``cavity_equation`` (the cavity stationarity relation,
 with the cavity amplitude taken from the transmission jump).
 
-Two photon, off the lines x1=0, x2=0, x1=x2: ``ae_transport``,
+Two photon, off the lines x1=0, x2=0: ``ae_transport``,
 ``aa_stationarity``, ``oa_transport``.  On the lines: ``ee_jump_x1``,
 ``oe_jump_even_arg``, ``ae_jump``.
 
@@ -96,11 +96,13 @@ def single_residual(
 
 
 def _check_off_lines(points: Sequence[tuple[float, float]]) -> None:
+    # no relation evaluates a pair amplitude at (x1, x2) jointly, so the
+    # coincidence line x1 = x2 is a valid sample
     for (x1, x2) in points:
-        if min(abs(x1), abs(x2), abs(x1 - x2)) < _LINE_TOL:
+        if min(abs(x1), abs(x2)) < _LINE_TOL:
             raise ValueError(
-                f"sample point ({x1}, {x2}) lies on a coupling or coincidence "
-                "line; derivative checks need off-line points"
+                f"sample point ({x1}, {x2}) lies on a coupling line x1=0 or "
+                "x2=0; derivative checks need off-line points"
             )
 
 
@@ -113,8 +115,8 @@ def two_photon_residual(
 ) -> ResidualReport:
     """Residuals of the two-photon even/odd equations and jump relations.
 
-    ``sample_points`` are (x1, x2) pairs strictly off the lines x1=0,
-    x2=0, x1=x2; their first coordinates feed the transport residuals,
+    ``sample_points`` are (x1, x2) pairs strictly off the coupling lines
+    x1=0 and x2=0; their first coordinates feed the transport residuals,
     and their second coordinates serve as the along-line offsets for the
     jump relations.  Derivatives are analytic (the amplitudes are piecewise
     exponentials), one-sided limits come from exact region forms, and the

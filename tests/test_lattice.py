@@ -79,6 +79,52 @@ class TestRunGuards:
         assert not res.converged
 
 
+class TestDefaultGeometry:
+    """The rule behind ``default_single_spec`` and what it buys."""
+
+    def test_rule_fixes_the_geometry(self):
+        spec = default_single_spec()
+        assert spec == LatticeSpec(1201, 0.1, 0.05, 4.0, 60)
+        sigma = spec.packet_width
+        # twice the bandwidth guard's minimum 2/(kappa+Gamma) at kappa = 0,
+        # Gamma = 1
+        assert sigma >= 2.0 * (2.0 / (0.0 + 1.0))
+        d0 = lattice_module._LAUNCH_FRACTION * spec.half_width
+        assert d0 >= 7.5 * sigma
+        usable = spec.half_width - spec.absorber_width * spec.dx
+        assert usable - d0 >= 2.0 * sigma
+
+    @pytest.mark.parametrize(
+        "kappa, g1, detuning, direction",
+        [
+            (0.0, 0.2, 0.0, RIGHT),
+            (0.0, 0.2, -1.5, LEFT),
+            (0.0, 0.8, 0.7, LEFT),
+            (0.3, 0.2, -0.4, RIGHT),
+            (0.3, 0.8, 0.0, LEFT),
+            (0.3, 0.8, 0.7, RIGHT),
+            (2.0, 0.2, -1.5, RIGHT),
+            (2.0, 0.8, -0.4, LEFT),
+        ],
+    )
+    def test_agrees_off_the_acceptance_regimes(self, kappa, g1, detuning, direction):
+        p = ModelParams(0.0, kappa, 0.0, g1, 1.0 - g1)
+        res = lattice_transmission(default_single_spec(), p, detuning, direction)
+        ref = chiral_coeffs(p, PhotonIn(omega_k=detuning, direction=direction))
+        assert res.converged
+        assert abs(res.T - ref.T) < 1e-4
+        assert abs(res.R - ref.R) < 1e-4
+
+    def test_five_width_launch_does_not_converge(self):
+        # the packet tail still drives the cavity when the run ends
+        short = LatticeSpec(1601, 0.05, 0.025, 4.0, 120)
+        d0 = lattice_module._LAUNCH_FRACTION * short.half_width
+        assert d0 == pytest.approx(5.0 * short.packet_width)
+        p = ModelParams(0.0, 0.01, 0.0, 1.0, 0.0)
+        assert not lattice_transmission(short, p, 0.0, LEFT).converged
+        assert lattice_transmission(default_single_spec(), p, 0.0, LEFT).converged
+
+
 class TestSinglePhotonAgreement:
     def test_ideal_diode_blocks_left_and_passes_right(self):
         p = ModelParams(0.0, 1.0, 0.0, 1.0, 0.0)

@@ -98,9 +98,15 @@ class TestTwoPhotonResidual:
         assert rep.max_residual > 1e-4
 
     def test_rejects_points_on_the_discontinuity_lines(self):
-        for bad in ((0.0, 1.0), (1.0, 0.0), (0.8, 0.8)):
+        for bad in ((0.0, 1.0), (1.0, 0.0)):
             with pytest.raises(ValueError, match="line"):
                 two_photon_residual(params(), pair(), [bad])
+
+    def test_coincidence_line_is_a_valid_sample(self):
+        # every relation reads x1 and x2 apart, so x1 = x2 is off the lines
+        rep = two_photon_residual(params(), pair(), [(0.8, 0.8)])
+        assert set(rep.residuals) == RELATIONS
+        assert rep.max_residual < 1e-9
 
     def test_rejects_empty_samples_and_right_incidence(self):
         with pytest.raises(ValueError, match="sample"):
