@@ -452,7 +452,7 @@ _VERIFY = (
     _Option("--skip-lattice", False, _flag, "skip the lattice cross-checks of the 'all' suite"),
     _Option(
         "--two-photon-lattice", False, _flag,
-        "also run the two-excitation lattice checks in the 'all' suite (slow)",
+        "also run the two-excitation lattice checks in the 'all' suite",
     ),
     _Option(
         "--draws", 300, partial(_int, lo=1),

@@ -6,9 +6,13 @@ attached to a lossy cavity at the center.  Everything is computed in the
 frame rotating at the probe frequency, so the packet is a slowly varying
 envelope and the cavity term becomes the detuning ``omega_a - omega_k -
 i kappa/2``.  The physics is defined once, as the sparse single-
-excitation generator; both evolvers (the single-excitation run directly,
-the two-excitation run through its symmetrized two-boson lift) step that
-generator with one shared, in-place classical fourth-order Runge-Kutta.
+excitation generator H1.  The single-excitation run steps it with an
+in-place classical fourth-order Runge-Kutta.  The two-excitation run
+builds no pair basis: its Kerr term is rank one (2U on the doubly
+occupied cavity), so the pair evolves exactly on the eigendecomposition
+of H1, and only the doubly occupied cavity amplitude needs a quadrature,
+a scalar Volterra equation (the time-domain Sherman-Morrison identity;
+the bound state it carries is that of Liao & Law, PRA 82, 053836).
 
 Discretization scheme, chosen so the only non-Hermitian pieces of the
 semi-discrete generator are the explicit loss terms (cavity -i kappa/2
@@ -92,6 +96,16 @@ _WIDTH_OVER_GUARD = 2.0
 _LAUNCH_WIDTHS = 7.5
 _ABSORBER_CLEARANCE_WIDTHS = 6.0
 _SITES_PER_WIDTH = 40
+# two-excitation quadrature: largest trapezoid step of the cavity Volterra
+# equation and largest Simpson step of the final pair integral (halving
+# both moved the 361-site profile by 8.6e-10 relative), and the time
+# samples held per block of modal phases
+_VOLTERRA_STEP = 0.0025
+_SIMPSON_STEP = 0.01
+_TIME_BLOCK = 256
+# largest accepted |H1 V - V diag(lam)| / |H1|; measured 0.5e-14 to
+# 1.7e-14 from 102 to 1443 modes
+_EIG_RESIDUAL_BOUND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -101,7 +115,9 @@ class LatticeSpec:
     ``n_sites`` counts lattice sites per chiral channel; the cavity sits
     at the center site.  ``packet_width`` is the Gaussian position spread
     (amplitude ``exp(-(x-x0)^2/(4 width^2))``).  ``absorber_width`` sites
-    at each end carry a quadratic damping ramp rising to 1.
+    at each end carry a quadratic damping ramp rising to 1.  ``dt`` is
+    the Runge-Kutta step of the single-excitation run; the two-excitation
+    run has no time step of its own and ignores it.
     """
 
     n_sites: int
@@ -165,8 +181,13 @@ def default_single_spec() -> LatticeSpec:
 
 
 def default_two_photon_spec() -> LatticeSpec:
-    """Geometry for the two-excitation evolver (basis is quadratic in
-    ``n_sites``, so the domain is much smaller)."""
+    """Geometry for the two-excitation run: 721 sites at ``dx = 0.05``.
+
+    The run's cost is a dense eigendecomposition of the one-photon
+    generator, cubic in its 722 modes (1443 when the left channel is
+    kept), so the channels are shorter than ``default_single_spec``'s.
+    ``dt`` serves only single-excitation runs on this geometry.
+    """
     return LatticeSpec(
         n_sites=721, dx=0.05, dt=0.02,
         packet_width=3.0, absorber_width=40,
@@ -307,7 +328,9 @@ class TwoPhotonLatticeResult:
 
     ``density[i]`` is the two-point density summed over pair centers at
     photon separation ``separations[i]``, restricted to the transmitted
-    channel downstream of the cavity.
+    channel downstream of the cavity.  ``eig_cond`` is the condition
+    number of the one-photon eigenvector matrix V and ``eig_residual``
+    the relative residual ``|H1 V - V diag(lam)| / |H1|`` (Frobenius).
     """
 
     separations: np.ndarray
@@ -315,6 +338,8 @@ class TwoPhotonLatticeResult:
     transmitted_norm: float
     converged: bool
     final_double_cavity_pop: float
+    eig_cond: float
+    eig_residual: float
 
     def decay_fit(self, max_separation: float) -> float:
         """Exponential decay rate of the profile, from a log-linear fit
@@ -412,21 +437,37 @@ def _rk4(
         norms[n_steps] = np.vdot(psi, psi).real
 
 
-def _symmetrizer(m: int) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-    """Isometry from the symmetric two-boson subspace into the product
-    space; also returns the (p, q) mode indices of each basis pair."""
-    pairs_p, pairs_q = np.triu_indices(m)
-    dim = pairs_p.size
-    idx = np.arange(dim)
-    diag = pairs_p == pairs_q
-    w = np.where(diag, 1.0, 1.0 / np.sqrt(2.0))
-    rows = np.concatenate([idx, idx[~diag]])
-    cols = np.concatenate(
-        [pairs_p * m + pairs_q, pairs_q[~diag] * m + pairs_p[~diag]]
-    )
-    vals = np.concatenate([w, w[~diag]])
-    S = sp.csr_matrix((vals, (rows, cols)), shape=(dim, m * m))
-    return S, pairs_p, pairs_q
+def _phase_blocks(lam: np.ndarray, step: float, count: int):
+    """Yield ``(j0, E)`` with ``E[j, k] = exp(-i lam[k] (j0 + j) step)``
+    for ``j0 + j < count``, ``_TIME_BLOCK`` rows at a time, so no table
+    over every time is ever held."""
+    base = np.exp(-1j * step * np.outer(np.arange(min(_TIME_BLOCK, count)), lam))
+    for j0 in range(0, count, _TIME_BLOCK):
+        yield j0, base[:count - j0] * np.exp(-1j * (j0 * step) * lam)
+
+
+def _trapezoid_volterra(free: np.ndarray, kernel: np.ndarray, a: complex) -> np.ndarray:
+    """Solve ``c(t) = free(t) - A int_0^t kernel(t-s) c(s) ds`` on the
+    uniform grid of ``free`` by the trapezoid rule, where ``a`` is ``A``
+    times the grid step."""
+    c = np.empty_like(free)
+    c[0] = free[0]
+    last = free.size - 1
+    rev = kernel[::-1]
+    diag = 1.0 + 0.5 * a * kernel[0]
+    for i in range(1, last + 1):
+        # kernel[i-j] c[j] for j = 1 .. i-1, as a dot with the reversed kernel
+        history = 0.5 * kernel[i] * c[0] + np.dot(rev[last - i + 1:last], c[1:i])
+        c[i] = (free[i] - a * history) / diag
+    return c
+
+
+def _volterra(free: np.ndarray, kernel: np.ndarray, a: complex) -> np.ndarray:
+    """``_trapezoid_volterra`` on the given grid and on every second
+    node, Richardson-extrapolated: the trapezoid error is a series in even
+    powers of the step, so the result on every second node is O(h^4)."""
+    fine = _trapezoid_volterra(free, kernel, a)[::2]
+    return (4.0 * fine - _trapezoid_volterra(free[::2], kernel[::2], 2.0 * a)) / 3.0
 
 
 def lattice_two_photon(
@@ -438,18 +479,33 @@ def lattice_two_photon(
 
     Both photons start in the incident channel as Gaussian envelopes at
     the single-excitation launch position, with momentum ramps placing
-    each at its own frequency around the mean frame.  The state lives in
-    the symmetrized two-boson basis; the Kerr term adds ``2U`` on the
-    doubly occupied cavity configuration.  The run lasts the channel
-    half-width plus ``6/(kappa+Gamma)``, six bound-state decay lengths, so
-    the pair clears the cavity.  The transmitted-channel two-point density
-    is then accumulated per photon separation up to ``6/(kappa+Gamma)``
-    (summed over pair centers downstream of the cavity).
+    each at its own frequency around the mean frame.  The pair amplitude
+    ``Psi[p, q]`` obeys ``i dPsi/dt = H1 Psi + Psi H1^T + 2U c E_cc``,
+    where ``c = Psi[cav, cav]``: the Kerr term is rank one.  With the
+    one-photon eigendecomposition ``H1 = V diag(lam) V^-1`` the free pair
+    evolves exactly, and
+
+        c(t) = c0(t) - 2iU int_0^t g(t-s)^2 c(s) ds,
+        Psi(T) = Psi0(T) - 2iU int_0^T c(s) u(T-s) u(T-s)^T ds,
+
+    with ``u(tau) = exp(-i H1 tau)|cav>`` and ``g(tau) = u(tau)[cav]``.
+    The Volterra equation is solved by the trapezoid rule at a step of at
+    most ``_VOLTERRA_STEP`` = 0.0025 and at twice that, combined by
+    Richardson extrapolation, and the final integral by Simpson's rule
+    with step at most ``_SIMPSON_STEP`` = 0.01, formed only on the
+    transmitted rows; ``spec.dt`` plays no part.
+
+    The run lasts the channel half-width plus ``6/(kappa+Gamma)``, six
+    bound-state decay lengths, so the pair clears the cavity.  The
+    transmitted-channel two-point density is then accumulated per photon
+    separation up to ``6/(kappa+Gamma)`` (summed over pair centers
+    downstream of the cavity).
+
+    Raises ValueError when the eigendecomposition residual
+    ``|H1 V - V diag(lam)| / |H1|`` exceeds ``_EIG_RESIDUAL_BOUND``: near
+    an exceptional point H1 is defective and the eigenbasis cannot carry
+    the evolution.
     """
-    if spec.n_sites > 1024:
-        raise ValueError(
-            f"two-excitation basis is quadratic in n_sites; {spec.n_sites} > 1024"
-        )
     G = params.Gamma
     x = spec.positions()
     left_in = incoming.direction is Direction.LEFT_INCIDENT
@@ -459,71 +515,75 @@ def lattice_two_photon(
     H1 = _single_particle_operator(spec, params, omega_frame, left_in)
     n = spec.n_sites
     m = H1.shape[0]
-
-    # explicit stepper stability: crude spectral-radius bound
-    g_norm = np.sqrt(params.Gamma / (2.0 * np.sqrt(np.pi) * _PROFILE_STD_CELLS * spec.dx))
-    radius = 2.0 * (
-        1.0 / spec.dx
-        + abs((params.omega_a - omega_frame) - 0.5j * params.kappa)
-        + g_norm
-        + 1.0  # absorber ramp height
-    ) + 2.0 * params.U
-    if radius * spec.dt > 2.6:
-        raise ValueError(
-            f"dt={spec.dt} too large for stable stepping here; need dt <= "
-            f"{2.6 / radius:.4g}"
-        )
-
-    # the incident channel is also the transmitted one
-    off = 0 if left_in else n
-    phi1, phi2 = np.zeros((2, m), dtype=complex)
-    phi1[off:off + n] = _packet(spec, left_in, incoming.omega_k1 - omega_frame)
-    phi2[off:off + n] = _packet(spec, left_in, incoming.omega_k2 - omega_frame)
-
-    S, pairs_p, pairs_q = _symmetrizer(m)
-    psi = S @ (np.kron(phi1, phi2) + np.kron(phi2, phi1))
-    psi /= np.linalg.norm(psi)
-
-    eye = sp.identity(m, dtype=complex, format="csr")
     cav = m - 1
-    kerr = sp.csr_matrix(
-        ([2.0 * params.U], ([cav * m + cav], [cav * m + cav])),
-        shape=(m * m, m * m),
-        dtype=complex,
-    )
-    # one sum: a separate ``H2 + kerr`` would hold two product-space copies
-    H2 = sp.kron(H1, eye, format="csr") + sp.kron(eye, H1, format="csr") + kerr
-    H_sym = (S @ (H2 @ S.T)).tocsr()
 
-    # six bound-state decay lengths: the horizon margin and profile reach
+    dense = H1.toarray()
+    lam, V = np.linalg.eig(dense)
+    eig_residual = float(np.linalg.norm(H1 @ V - V * lam) / np.linalg.norm(dense))
+    if not eig_residual <= _EIG_RESIDUAL_BOUND:
+        raise ValueError(
+            f"one-photon eigendecomposition residual {eig_residual:.3g} exceeds "
+            f"{_EIG_RESIDUAL_BOUND:g}; the generator is at or near an exceptional point"
+        )
+    eig_cond = float(np.linalg.cond(V))
+
+    # modal weights V^-1 of the cavity mode and of the two packets; the
+    # incident channel is also the transmitted one
+    off = 0 if left_in else n
+    sources = np.zeros((m, 3), dtype=complex)
+    sources[cav, 0] = 1.0
+    sources[off:off + n, 1] = _packet(spec, left_in, incoming.omega_k1 - omega_frame)
+    sources[off:off + n, 2] = _packet(spec, left_in, incoming.omega_k2 - omega_frame)
+    weights = np.linalg.solve(V, sources)
+    # Psi(0) = norm (phi1 phi2^T + phi2 phi1^T), unit Frobenius norm
+    norm = 1.0 / np.sqrt(2.0 + 2.0 * abs(np.vdot(sources[:, 1], sources[:, 2])) ** 2)
+
+    # six bound-state decay lengths: the horizon margin and profile reach.
+    # An even number of Simpson intervals, each split into ``ratio``
+    # extrapolated Volterra intervals of two trapezoid steps each
     reach = 6.0 / (params.kappa + G)
-    _rk4(H_sym, psi, spec.dt, int(round((spec.half_width + reach) / spec.dt)))
+    horizon = spec.half_width + reach
+    n_coarse = 2 * int(np.ceil(horizon / (2.0 * _SIMPSON_STEP)))
+    ratio = max(1, round(_SIMPSON_STEP / (2.0 * _VOLTERRA_STEP)))
+    coarse = horizon / n_coarse
+    fine = coarse / (2 * ratio)
+
+    # cavity amplitudes g, and a1, a2 of the two free photons, on the fine
+    # grid; c comes back on every second fine node
+    at_cavity = np.empty((2 * ratio * n_coarse + 1, 3), dtype=complex)
+    for j0, E in _phase_blocks(lam, fine, at_cavity.shape[0]):
+        at_cavity[j0:j0 + E.shape[0]] = E @ (V[cav, :, None] * weights)
+    g, a1, a2 = at_cavity.T
+    c = _volterra(2.0 * norm * a1 * a2, g**2, 2j * params.U * fine)
 
     # transmitted channel: where the incident packet continues
     downstream = (x > 1.0 / G) if left_in else (x < -1.0 / G)
     usable = np.abs(x) < spec.half_width - spec.absorber_width * spec.dx
-    keep_modes = np.nonzero(downstream & usable)[0] + off
+    rows = V[np.nonzero(downstream & usable)[0] + off]
+    free = rows @ (np.exp(-1j * horizon * lam)[:, None] * weights[:, 1:])
+    psi = norm * (np.outer(free[:, 0], free[:, 1]) + np.outer(free[:, 1], free[:, 0]))
+    # Simpson over s = T - tau, indexed by tau = i * coarse; the weights
+    # are symmetric, so c(T - tau) is the reversed coarse samples
+    simpson = np.ones(n_coarse + 1)
+    simpson[1:-1:2], simpson[2:-1:2] = 4.0, 2.0
+    drive = (-2j * params.U * coarse / 3.0) * simpson * c[::ratio][::-1]
+    emitter = rows * weights[:, 0]
+    for i0, E in _phase_blocks(lam, coarse, n_coarse + 1):
+        u = emitter @ E.T
+        psi += (u * drive[i0:i0 + E.shape[0]]) @ u.T
 
-    # ordered-pair density psi(p,q): |c_pq|^2/2 off the diagonal (each
-    # unordered pair covers one ordered (p, p+d)), |c_pp|^2 on it; the
-    # profile is then smooth across zero separation like the continuum
-    # density.  The transmitted probability sums |c_pq|^2 per unordered
-    # pair.
-    amp = np.where(pairs_p == pairs_q, np.abs(psi) ** 2, 0.5 * np.abs(psi) ** 2)
+    # ordered-pair density |Psi(p, q)|^2; the transmitted rows are
+    # contiguous, so diagonal offset d is photon separation d * dx
+    density = np.abs(psi) ** 2
     n_sep = int(round(reach / spec.dx)) + 1
-    profile = np.zeros(n_sep)
-    both = np.isin(pairs_p, keep_modes) & np.isin(pairs_q, keep_modes)
-    sep_idx = np.abs(pairs_q - pairs_p)
-    in_range = both & (sep_idx < n_sep)
-    np.add.at(profile, sep_idx[in_range], amp[in_range])
-    transmitted_norm = float(np.sum(np.abs(psi[both]) ** 2))
-
-    double_cav = float(np.abs(psi[(pairs_p == cav) & (pairs_q == cav)][0]) ** 2)
-    converged = double_cav < 1e-6
+    profile = np.array([np.trace(density, offset=d) for d in range(n_sep)])
+    double_cav = float(abs(c[-1]) ** 2)
     return TwoPhotonLatticeResult(
         separations=np.arange(n_sep) * spec.dx,
         density=profile,
-        transmitted_norm=transmitted_norm,
-        converged=converged,
+        transmitted_norm=float(np.sum(density)),
+        converged=double_cav < 1e-6,
         final_double_cavity_pop=double_cav,
+        eig_cond=eig_cond,
+        eig_residual=eig_residual,
     )

@@ -1,5 +1,6 @@
 """Lattice oracle: spec validation, guard rails, unitarity, scattering
-agreement on small geometries, the two-excitation profile, and the
+agreement on small geometries, the two-excitation profile and its
+eigenbasis run against direct product-space exponentiation, and the
 import-independence of the oracle from the closed-form modules."""
 
 import ast
@@ -8,6 +9,8 @@ import pathlib
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 
 import chiral_diode.verification.lattice as lattice_module
 from chiral_diode import Direction, ModelParams, TwoPhotonIn, chiral_coeffs
@@ -224,6 +227,89 @@ class TestTwoPhotonLattice:
         res = lattice_two_photon(spec, p, TwoPhotonIn(LEFT, 0.0, 0.0))
         with pytest.raises(ValueError, match="max_separation"):
             res.decay_fit(res.separations[1] * 0.5)
+
+
+def _product_space_run(spec, params, pair):
+    """The two-excitation read-outs by direct exponentiation of the pair
+    generator ``H1 x I + I x H1 + 2U e_cc e_cc^T`` on the full product
+    space: neither Runge-Kutta nor the one-photon eigenbasis."""
+    left_in = pair.direction is LEFT
+    frame = 0.5 * (pair.omega_k1 + pair.omega_k2)
+    H1 = _single_particle_operator(spec, params, frame, left_in)
+    m, n = H1.shape[0], spec.n_sites
+    cav, off = m - 1, (0 if left_in else n)
+    phi = np.zeros((2, m), dtype=complex)
+    phi[0, off:off + n] = lattice_module._packet(spec, left_in, pair.omega_k1 - frame)
+    phi[1, off:off + n] = lattice_module._packet(spec, left_in, pair.omega_k2 - frame)
+    psi = np.outer(phi[0], phi[1]) + np.outer(phi[1], phi[0])
+    psi /= np.linalg.norm(psi)
+    eye = sp.identity(m, format="csr")
+    kerr = sp.csr_matrix(
+        ([2.0 * params.U], ([cav * m + cav], [cav * m + cav])), shape=(m * m, m * m)
+    )
+    H2 = (sp.kron(H1, eye) + sp.kron(eye, H1) + kerr).tocsr()
+    reach = 6.0 / (params.kappa + params.Gamma)
+    psi = expm_multiply(-1j * (spec.half_width + reach) * H2, psi.ravel()).reshape(m, m)
+    # the same transmitted window and separation read-out as the oracle
+    x = spec.positions()
+    downstream = (x > 1.0 / params.Gamma) if left_in else (x < -1.0 / params.Gamma)
+    usable = np.abs(x) < spec.half_width - spec.absorber_width * spec.dx
+    keep = np.nonzero(downstream & usable)[0] + off
+    density = np.abs(psi[np.ix_(keep, keep)]) ** 2
+    n_sep = int(round(reach / spec.dx)) + 1
+    profile = np.array([np.trace(density, offset=d) for d in range(n_sep)])
+    return profile, density.sum(), abs(psi[cav, cav]) ** 2
+
+
+class TestTwoPhotonEigenbasis:
+    TINY = LatticeSpec(101, 0.2, 0.1, 1.0, 10)
+    BENCH = dataclasses.replace(default_two_photon_spec(), n_sites=361, absorber_width=20)
+
+    @pytest.mark.parametrize(
+        "params,pair",
+        [
+            (ModelParams(0.0, 1.0, 10.0, 1.0, 0.0), TwoPhotonIn(LEFT, 0.0, 0.0)),
+            (ModelParams(0.0, 0.5, -6.0, 0.6, 0.4), TwoPhotonIn(RIGHT, -0.3, 0.5)),
+        ],
+    )
+    def test_matches_product_space_exponential(self, params, pair):
+        profile, transmitted, double_cav = _product_space_run(self.TINY, params, pair)
+        res = lattice_two_photon(self.TINY, params, pair)
+        assert np.max(np.abs(res.density - profile)) <= 1e-8 * profile.max()
+        assert res.transmitted_norm == pytest.approx(transmitted, rel=1e-8)
+        # the population left in the cavity is a tail ~exp(-12) below its
+        # peak; the O(h^4) quadrature error is 1.5e-5 of it in the right
+        # incidence case, 6e-23 in absolute terms
+        assert res.final_double_cavity_pop == pytest.approx(double_cav, rel=1e-4)
+        assert res.converged
+        assert 1.0 <= res.eig_cond < 1e3
+        assert res.eig_residual < lattice_module._EIG_RESIDUAL_BOUND
+
+    def test_halving_the_quadrature_steps_leaves_the_profile(self, monkeypatch):
+        p = ModelParams(0.0, 1.0, 10.0, 1.0, 0.0)
+        pair = TwoPhotonIn(LEFT, 0.0, 0.0)
+        ref = lattice_two_photon(self.BENCH, p, pair)
+        monkeypatch.setattr(lattice_module, "_VOLTERRA_STEP", 0.5 * lattice_module._VOLTERRA_STEP)
+        monkeypatch.setattr(lattice_module, "_SIMPSON_STEP", 0.5 * lattice_module._SIMPSON_STEP)
+        fine = lattice_two_photon(self.BENCH, p, pair)
+        # measured 8.6e-10
+        assert np.max(np.abs(fine.density - ref.density)) <= 1e-8 * ref.density.max()
+
+    def test_inaccurate_eigenbasis_fails_loudly(self, monkeypatch):
+        eig = np.linalg.eig
+        rng = np.random.default_rng(0)
+
+        def one_column_off(a):
+            lam, V = eig(a)
+            V = V.copy()
+            kick = rng.standard_normal(V.shape[0])
+            V[:, 0] += 0.01 * np.linalg.norm(V[:, 0]) * kick / np.linalg.norm(kick)
+            return lam, V
+
+        monkeypatch.setattr(np.linalg, "eig", one_column_off)
+        p = ModelParams(0.0, 1.0, 10.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="exceptional point"):
+            lattice_two_photon(self.TINY, p, TwoPhotonIn(LEFT, 0.0, 0.0))
 
 
 class TestOracleIndependence:
