@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .io_utils import write_csv
 from .model import Direction, ModelParams, TwoPhotonIn
@@ -53,10 +52,12 @@ __all__ = [
 FREE_PAIR_DENSITY = 1.0 / (2.0 * np.pi**2)
 
 _DIVERGE_TOL = 1e-12
-# two-photon-resonance root finding: scan points per tangent branch, and
-# the absolute root tolerance in gamma1/Gamma
+# two-photon-resonance root finding: scan points per tangent branch
 _TWO_RES_SCAN_POINTS = 80
-_TWO_RES_TOL = 1e-10
+# golden-section search of the null scan: the golden-ratio conjugate, and
+# the relative width at which a search stops
+_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
+_GOLDEN_XTOL = 1e-12
 
 
 class WorkingAreaCase(enum.Enum):
@@ -130,10 +131,11 @@ def working_area_single_res(params: ModelParams, gamma1_grid: Sequence[float]) -
     return WorkingAreaCurve(WorkingAreaCase.SINGLE_PHOTON_RESONANCE, params, tuple(pts))
 
 
-def _two_res_x(params: ModelParams, g1: float) -> float:
-    """|x|(gamma1) of the two-photon-resonance separation condition."""
+def _two_res_x(params: ModelParams, g1: float | np.ndarray) -> float | np.ndarray:
+    """|x|(gamma1) of the two-photon-resonance separation condition; a
+    gamma1 array gives an array."""
     s = params.kappa + params.Gamma
-    return (2.0 / s) * math.log(2.0 * g1**2 / ((2.0 * g1 - s) * s))
+    return (2.0 / s) * np.log(2.0 * g1**2 / ((2.0 * g1 - s) * s))
 
 
 def _two_res_g1_at_x(params: ModelParams, x: float) -> float:
@@ -143,6 +145,24 @@ def _two_res_g1_at_x(params: ModelParams, x: float) -> float:
     return 0.5 * s * (E - math.sqrt(E * (E - 2.0)))
 
 
+def _bisect(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Roots of ``f`` in the brackets ``[lo, hi]``, all refined at once.
+
+    ``f`` maps an array of points, one per bracket, to its values there,
+    and changes sign across every bracket.  Each bracket is halved until
+    no midpoint lies strictly inside it, so its ends are adjacent floats.
+    """
+    sign_lo = np.sign(f(lo))
+    while True:
+        mid = 0.5 * (lo + hi)
+        inside = (lo < mid) & (mid < hi)
+        if not inside.any():
+            return mid
+        up = np.sign(f(mid)) == sign_lo
+        lo = np.where(inside & up, mid, lo)
+        hi = np.where(inside & ~up, mid, hi)
+
+
 def working_area_two_res(
     params: ModelParams,
     gx_ceiling: float = 20.0,
@@ -150,12 +170,12 @@ def working_area_two_res(
     """Exact finite-Kerr working area at two-photon resonance.
 
     Substitutes the separation condition into the tangent condition and
-    root-finds the mismatch over gamma1, one tangent branch ``n`` at a
-    time (``|U x|`` restricted to ``(n pi - pi/2, n pi + pi/2)``), up to
-    separations ``Gamma |x| <= gx_ceiling``.  Roots are refined to an
-    absolute tolerance of 1e-10 in gamma1/Gamma by bracketed root finding.
-    The returned points are exact zeros of the transmitted density, sorted
-    by (branch, gamma1).
+    root-finds the mismatch over gamma1 on every tangent branch ``n``
+    (``|U x|`` restricted to ``(n pi - pi/2, n pi + pi/2)``), up to
+    separations ``Gamma |x| <= gx_ceiling``.  Each branch is scanned for
+    sign changes, and every bracket is bisected down to adjacent floats in
+    gamma1, so a root is exact to rounding.  The returned points are exact
+    zeros of the transmitted density, sorted by (branch, gamma1).
 
     The curve is empty when the domain ``(kappa+Gamma)/2 < gamma1 <=
     Gamma`` is empty (kappa >= Gamma), for a linear cavity (U = 0), or when
@@ -167,18 +187,14 @@ def working_area_two_res(
     # both conditions are invariant under U -> -U, so the branches of |U|
     # give the zero set for either sign
     U = abs(params.U)
-    pts: list[WorkingAreaPoint] = []
     if s >= 2.0 * G or U == 0.0:
         return WorkingAreaCurve(WorkingAreaCase.TWO_PHOTON_RESONANCE, params, ())
     x_cap = gx_ceiling / G
 
-    def mismatch(n: int) -> Callable[[float], float]:
-        def f(g1: float) -> float:
-            x = _two_res_x(params, g1)
-            return U * x - n * math.pi - math.atan((s - 2.0 * g1) / (4.0 * U))
+    def mismatch(g1: np.ndarray, n: np.ndarray) -> np.ndarray:
+        return U * _two_res_x(params, g1) - n * math.pi - np.arctan((s - 2.0 * g1) / (4.0 * U))
 
-        return f
-
+    branches, grids = [], []
     n = 0
     while n * math.pi - 0.5 * math.pi <= U * x_cap:
         # gamma1 window where the separation lies in this branch's interval
@@ -188,21 +204,25 @@ def working_area_two_res(
             g_lo = _two_res_g1_at_x(params, x_hi)
             g_hi = min(_two_res_g1_at_x(params, x_lo), G)
             if g_hi > g_lo:
-                f = mismatch(n)
-                grid = np.linspace(g_lo, g_hi, _TWO_RES_SCAN_POINTS)
-                vals = np.array([f(g) for g in grid])
-                for i in range(len(grid) - 1):
-                    if vals[i] == 0.0:
-                        root = grid[i]
-                    elif vals[i] * vals[i + 1] < 0.0:
-                        root = brentq(f, grid[i], grid[i + 1], xtol=_TWO_RES_TOL * G)
-                    else:
-                        continue
-                    gx = G * _two_res_x(params, float(root))
-                    if gx <= gx_ceiling + 1e-9:
-                        pts.append(WorkingAreaPoint(float(root) / G, gx, n, False))
+                branches.append(n)
+                grids.append(np.linspace(g_lo, g_hi, _TWO_RES_SCAN_POINTS))
         n += 1
-    pts.sort(key=lambda p: (p.branch, p.gamma1_over_Gamma))
+    grid = np.reshape(grids, (-1, _TWO_RES_SCAN_POINTS))
+    branch = np.array(branches, dtype=int)[:, None]
+    vals = mismatch(grid, branch)
+    # a grid node that is an exact zero, then every sign change, bisected
+    b0, i0 = np.nonzero(vals[:, :-1] == 0.0)
+    b, i = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
+    roots = _bisect(lambda g: mismatch(g, branch[b, 0]), grid[b, i], grid[b, i + 1])
+    g1 = np.concatenate((grid[b0, i0], roots))
+    n_of_root = np.concatenate((branch[b0, 0], branch[b, 0]))
+    gx = G * _two_res_x(params, g1)
+    keep = gx <= gx_ceiling + 1e-9
+    pts = sorted(
+        (WorkingAreaPoint(float(r) / G, float(x), int(k), False)
+         for r, x, k in zip(g1[keep], gx[keep], n_of_root[keep])),
+        key=lambda p: (p.branch, p.gamma1_over_Gamma),
+    )
     return WorkingAreaCurve(WorkingAreaCase.TWO_PHOTON_RESONANCE, params, tuple(pts))
 
 
@@ -232,6 +252,40 @@ class ZeroScanResult:
         return len(self.points)
 
 
+def _golden_minimize(
+    f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray, c: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minima of ``f`` in the brackets ``a < b < c``, all refined at once.
+
+    ``f`` maps an array of points, one per bracket, to its values there.
+    Golden-section search: each bracket ``[x0, x3]`` holds two probes
+    ``x1 < x2`` and loses the part beyond the worse probe, until
+    ``|x3 - x0| <= _GOLDEN_XTOL (|x1| + |x2|)``.  Returns the better
+    final probe of each bracket and its value.
+    """
+    r, q = _GOLDEN, 1.0 - _GOLDEN
+    # the first new probe goes into the wider half of the bracket
+    wide = np.abs(c - b) > np.abs(b - a)
+    x1 = np.where(wide, b, b - q * (b - a))
+    x2 = np.where(wide, b + q * (c - b), b)
+    state = np.array([a, x1, x2, c, f(x1), f(x2)])
+    while True:
+        x0, x1, x2, x3, f1, f2 = state
+        live = np.abs(x3 - x0) > _GOLDEN_XTOL * (np.abs(x1) + np.abs(x2))
+        if not live.any():
+            break
+        # f2 < f1: keep [x1, x3] and probe right of x2; else keep [x0, x2]
+        # and probe left of x1
+        right = f2 < f1
+        probe = np.where(right, r * x2 + q * x3, r * x1 + q * x0)
+        fp = f(probe)
+        stepped = np.where(right, [x1, x2, probe, x3, f2, fp], [x0, probe, x1, x2, fp, f1])
+        state = np.where(live, stepped, state)
+    x0, x1, x2, x3, f1, f2 = state
+    first = f1 < f2
+    return np.where(first, x1, x2), np.where(first, f1, f2)
+
+
 def numeric_zero_scan(
     params: ModelParams,
     incoming: TwoPhotonIn,
@@ -243,9 +297,11 @@ def numeric_zero_scan(
 
     For each absolute gamma1 value (gamma2 keeps the total coupling of
     ``params`` fixed) the density is sampled at pair center zero over the
-    separations in ``x_grid`` (all couplings in one broadcast), interior
-    local minima are refined one by one by golden-section search, and
-    minima below ``threshold`` times the free pair density 1/(2 pi^2) are
+    separations in ``x_grid`` (all couplings in one broadcast).  Every
+    interior local minimum, bracketed by its two grid neighbours, is then
+    refined by golden-section search to a relative width of 1e-12, all
+    minima at once over one field holding each minimum's coupling.  Minima
+    below ``threshold`` times the free pair density 1/(2 pi^2) are
     reported in reduced units.
 
     ``threshold`` is relative to the free pair density so the criterion
@@ -262,22 +318,16 @@ def numeric_zero_scan(
     vals = np.abs(grid.psi_tt(-0.5 * xs, 0.5 * xs)) ** 2
     dark = ((np.abs(grid.coeffs.D) == 0.0) & (np.abs(grid.t_k1 * grid.t_k2) < 1e-14))[:, 0]
     interior = (vals[:, 1:-1] <= vals[:, :-2]) & (vals[:, 1:-1] <= vals[:, 2:])
+    # the minimum at xs[j + 1], bracketed by its neighbours
+    row, j = np.nonzero(interior & ~dark[:, None])
     pts: list[tuple[float, float]] = []
-    for g1, minima, is_dark in zip(gamma1.tolist(), interior, dark):
-        if is_dark or not minima.any():
-            continue
-        fld = TwoPhotonField(params.at_gamma1(g1), incoming)
-
-        def dens(x: float) -> float:
-            return float(np.abs(fld.psi_tt(-0.5 * x, 0.5 * x)) ** 2)
-
-        for i in np.flatnonzero(minima) + 1:
-            res = minimize_scalar(
-                dens, bracket=(xs[i - 1], xs[i], xs[i + 1]), method="golden",
-                options={"xtol": 1e-12},
-            )
-            if res.fun < cutoff:
-                pts.append((g1 / G, G * float(res.x)))
+    if row.size:
+        fld = TwoPhotonField(params.at_gamma1(gamma1[row]), incoming)
+        x, dens = _golden_minimize(
+            lambda x: np.abs(fld.psi_tt(-0.5 * x, 0.5 * x)) ** 2, xs[j], xs[j + 1], xs[j + 2]
+        )
+        found = dens < cutoff
+        pts = [(g1 / G, G * xm) for g1, xm in zip(gamma1[row[found]].tolist(), x[found].tolist())]
     degenerate = tuple(g1 / G for g1 in gamma1[dark].tolist())
     return ZeroScanResult(tuple(pts), threshold, degenerate)
 

@@ -5,14 +5,16 @@ movers coupling with sqrt(gamma1), left-movers with sqrt(gamma2))
 attached to a lossy cavity at the center.  Everything is computed in the
 frame rotating at the probe frequency, so the packet is a slowly varying
 envelope and the cavity term becomes the detuning ``omega_a - omega_k -
-i kappa/2``.  The physics is defined once, as the sparse single-
-excitation generator H1.  The single-excitation run steps it with an
-in-place classical fourth-order Runge-Kutta.  The two-excitation run
-builds no pair basis: its Kerr term is rank one (2U on the doubly
-occupied cavity), so the pair evolves exactly on the eigendecomposition
-of H1, and only the doubly occupied cavity amplitude needs a quadrature,
-a scalar Volterra equation (the time-domain Sherman-Morrison identity;
-the bound state it carries is that of Liao & Law, PRA 82, 053836).
+i kappa/2``.  The physics is defined once, as the single-excitation
+generator H1: three diagonals over the channel sites plus the cavity's
+border column, held as numpy arrays.  The single-excitation run applies
+it in place, with no allocation, inside a classical fourth-order
+Runge-Kutta.  The two-excitation run builds no pair basis: its Kerr term
+is rank one (2U on the doubly occupied cavity), so the pair evolves
+exactly on the eigendecomposition of H1's dense matrix, and only the
+doubly occupied cavity amplitude needs a quadrature, a scalar Volterra
+equation (the time-domain Sherman-Morrison identity; the bound state it
+carries is that of Liao & Law, PRA 82, 053836).
 
 Discretization scheme, chosen so the only non-Hermitian pieces of the
 semi-discrete generator are the explicit loss terms (cavity -i kappa/2
@@ -70,7 +72,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..model import Direction, ModelParams, TwoPhotonIn
 
@@ -358,52 +359,95 @@ class TwoPhotonLatticeResult:
         return float(self.density[0] / self.density[i])
 
 
+@dataclass(frozen=True)
+class _Generator:
+    """The single-excitation generator H, as the numbers that define it.
+
+    Mode layout: right-channel sites, then left-channel sites when the
+    left channel is kept, then the cavity.  The sites form one
+    tridiagonal block (``diag``, ``upper``, ``lower``; no hopping joins
+    the two channels), the cavity couples to them through the ``border``
+    column and its transpose, and ``cavity`` is its diagonal entry.  The
+    border's values are real; it is stored complex so that ``apply``
+    casts nothing.  ``apply`` steps with H and ``toarray`` decomposes it.
+    """
+
+    diag: np.ndarray
+    upper: np.ndarray
+    lower: np.ndarray
+    border: np.ndarray
+    cavity: complex
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        m = self.diag.size + 1
+        return m, m
+
+    def apply(self, psi: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+        """``out = H psi`` with no allocation; ``work`` is scratch of
+        ``psi``'s size, and neither may be ``psi``."""
+        sites, c = psi[:-1], psi[-1]
+        body, tmp = out[:-1], work[:-1]
+        np.multiply(self.diag, sites, out=body)
+        np.multiply(self.upper, sites[1:], out=tmp[1:])
+        body[:-1] += tmp[1:]
+        np.multiply(self.lower, sites[:-1], out=tmp[1:])
+        body[1:] += tmp[1:]
+        np.multiply(self.border, c, out=tmp)
+        body += tmp
+        out[-1] = self.cavity * c + np.dot(self.border, sites)
+
+    def toarray(self) -> np.ndarray:
+        """The dense matrix of H."""
+        m = self.shape[0]
+        H = np.zeros((m, m), dtype=complex)
+        i = np.arange(m - 1)
+        H[i, i] = self.diag
+        H[i[:-1], i[1:]] = self.upper
+        H[i[1:], i[:-1]] = self.lower
+        H[:-1, -1] = H[-1, :-1] = self.border
+        H[-1, -1] = self.cavity
+        return H
+
+
 def _single_particle_operator(
     spec: LatticeSpec,
     params: ModelParams,
     omega_frame: float,
     left_in: bool,
-) -> sp.csr_matrix:
-    """Sparse generator H (state evolves by dpsi/dt = -i H psi) for one
+) -> _Generator:
+    """Generator H (state evolves by dpsi/dt = -i H psi) for one
     excitation in the frame rotating at ``omega_frame``.
 
-    Mode layout: right-channel sites, then left-channel sites, then the
-    cavity.  The left channel is kept when it couples (gamma2 > 0) or
-    carries the incident packet (right incidence); otherwise it stays
-    empty and is left out of the basis.
+    The left channel is kept when it couples (gamma2 > 0) or carries the
+    incident packet (right incidence); otherwise it stays empty and is
+    left out of the basis.
     """
     n = spec.n_sites
     dx = spec.dx
-    cav_shift = (params.omega_a - omega_frame) - 0.5j * params.kappa
+    # centered transport: right-movers H = -i d/dx, left-movers H = +i d/dx
+    hop = np.full(n - 1, -1j / (2.0 * dx))
     loss = -1j * _absorber(spec)
-    up = np.full(n - 1, -1j / (2.0 * dx))
-    down = np.full(n - 1, 1j / (2.0 * dx))
     cpl, u = _coupling_profile(spec)
 
-    def channel(upper: np.ndarray, lower: np.ndarray) -> sp.csr_matrix:
-        # centered transport, a Hermitian tridiagonal pair, plus the ramps
-        block = sp.diags([loss, upper, lower], [0, 1, -1], format="csr")
-        block.eliminate_zeros()
-        return block
+    def column(gamma: float) -> np.ndarray:
+        col = np.zeros(n, dtype=complex)
+        col[cpl] = np.sqrt(gamma * dx) * u
+        return col
 
-    def coupling(gamma: float) -> sp.csr_matrix:
-        column = np.zeros((n, 1))
-        column[cpl, 0] = np.sqrt(gamma * dx) * u
-        return sp.csr_matrix(column)
-
-    cavity = sp.csr_matrix(([cav_shift], ([0], [0])), shape=(1, 1))
-    # right-movers H = -i d/dx, left-movers H = +i d/dx
-    right, g1 = channel(up, down), coupling(params.gamma1)
     if params.gamma2 > 0.0 or not left_in:
-        left, g2 = channel(down, up), coupling(params.gamma2)
-        blocks = [[right, None, g1], [None, left, g2], [g1.T, g2.T, cavity]]
+        upper = np.concatenate((hop, [0.0], -hop))
+        diag = np.concatenate((loss, loss))
+        border = np.concatenate((column(params.gamma1), column(params.gamma2)))
     else:
-        blocks = [[right, g1], [g1.T, cavity]]
-    return sp.bmat(blocks, format="csr", dtype=complex)
+        upper, diag, border = hop, loss, column(params.gamma1)
+    # the difference matrix is skew-symmetric, so the transport is Hermitian
+    cavity = (params.omega_a - omega_frame) - 0.5j * params.kappa
+    return _Generator(diag, upper, -upper, border, cavity)
 
 
 def _rk4(
-    H: sp.csr_matrix,
+    H: _Generator,
     psi: np.ndarray,
     dt: float,
     n_steps: int,
@@ -412,26 +456,25 @@ def _rk4(
     """Advance ``dpsi/dt = -i H psi`` in place by ``n_steps`` classical
     fourth-order Runge-Kutta steps.
 
-    Three work vectors are reused across steps; only the sparse product
-    allocates.  When given, ``norms`` (length ``n_steps + 1``) receives
-    the squared state norm before every step and after the last one.
+    Four work vectors are reused across steps, so a step allocates no
+    array.  When given, ``norms`` (length ``n_steps + 1``) receives the
+    squared state norm before every step and after the last one.
     """
-    k = np.empty_like(psi)
-    acc = np.empty_like(psi)
-    stage = np.empty_like(psi)
+    h, acc, stage, work = (np.empty_like(psi) for _ in range(4))
     for step in range(n_steps):
         if norms is not None:
             norms[step] = np.vdot(psi, psi).real
-        # acc = k1 + 2 k2 + 2 k3 + k4, accumulated in that order
-        np.multiply(-1j, H @ psi, out=k)
-        np.copyto(acc, k)
-        for scale, weight in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
-            np.multiply(scale, k, out=stage)
+        # with h_j = H stage_j, acc = h1 + 2 h2 + 2 h3 + h4; the factor -i
+        # rides on the step sizes
+        H.apply(psi, h, work)
+        np.copyto(acc, h)
+        for scale, weight in ((-0.5j * dt, 2.0), (-0.5j * dt, 2.0), (-1j * dt, 1.0)):
+            np.multiply(scale, h, out=stage)
             np.add(psi, stage, out=stage)
-            np.multiply(-1j, H @ stage, out=k)
-            np.multiply(weight, k, out=stage)
+            H.apply(stage, h, work)
+            np.multiply(weight, h, out=stage)
             np.add(acc, stage, out=acc)
-        np.multiply(dt / 6.0, acc, out=acc)
+        np.multiply(-1j * dt / 6.0, acc, out=acc)
         np.add(psi, acc, out=psi)
     if norms is not None:
         norms[n_steps] = np.vdot(psi, psi).real
@@ -519,7 +562,7 @@ def lattice_two_photon(
 
     dense = H1.toarray()
     lam, V = np.linalg.eig(dense)
-    eig_residual = float(np.linalg.norm(H1 @ V - V * lam) / np.linalg.norm(dense))
+    eig_residual = float(np.linalg.norm(dense @ V - V * lam) / np.linalg.norm(dense))
     if not eig_residual <= _EIG_RESIDUAL_BOUND:
         raise ValueError(
             f"one-photon eigendecomposition residual {eig_residual:.3g} exceeds "

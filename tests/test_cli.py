@@ -33,6 +33,14 @@ def run(argv, capsys):
     return code, out.out, out.err
 
 
+def package_env():
+    """The environment with this checkout's package first on the path, for
+    a fresh interpreter."""
+    src = str(Path(chiral_diode.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 class TestSingleSweep:
     def test_default_sized_sweep(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -196,14 +204,11 @@ class TestConfigMerging:
         fd7 = tmp_path / "fd7.txt"
         work = tmp_path / "work"
         work.mkdir()
-        src = str(Path(chiral_diode.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         # the shell opens fd 7 on a file and the CLI inherits it
         proc = subprocess.run(
             ["sh", "-c", '"$@" 7>"$0"', str(fd7), sys.executable, "-m", "chiral_diode.cli",
              "--config", str(cfg), "single", "--detuning", "0:1:3"],
-            cwd=work, env=env, capture_output=True, text=True, timeout=120,
+            cwd=work, env=package_env(), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == EXIT_VALIDATION
         assert proc.stderr.startswith("error: output: ")
@@ -601,6 +606,35 @@ _FUZZ_FLAGS = {
         "--outdir": (["repro"], ["a_file"]),
     },
 }
+class TestScipyFreeRuntime:
+    """The package needs numpy alone: scipy is a test-only dependency."""
+
+    def test_start_up_loads_no_scipy(self):
+        code = (
+            "import sys; import chiral_diode.cli as cli; cli.build_parser(); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=package_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "-o", "report.json"],
+        ["reproduce", "fig6", "--grid", "41"],
+        ["working-area", "--case", "two-photon-resonance", "-o", "wa.csv"],
+    ])
+    def test_commands_run_with_scipy_unimportable(self, tmp_path, argv):
+        # a None entry in sys.modules makes every scipy import raise
+        code = (
+            "import sys; sys.modules['scipy'] = None; "
+            f"from chiral_diode.cli import main; sys.exit(main({argv!r}))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=package_env(),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == EXIT_OK, proc.stderr
+
+
 # always drawn, so no run falls back to a slow default (the lattice suite
 # and 300 draws of verify, 401-point grids)
 _FUZZ_REQUIRED = {"twomap": ("--x",), "verify": ("--suite", "--draws"), "reproduce": ("--grid",)}

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from chiral_diode import (
     Direction,
@@ -101,6 +102,20 @@ class TestTwoResCurve:
             # domain: only couplings beyond the loss-matched midpoint work
             assert 0.5 * (p.kappa + p.Gamma) < g1 <= p.Gamma
 
+    @pytest.mark.parametrize("U", [10.0, -10.0])
+    def test_roots_re_null_the_density_to_rounding(self, U):
+        # bisection to adjacent floats in gamma1 leaves a density at the
+        # rounding floor (measured 4.9e-30 of the free density); a root
+        # refined only to 1e-10 in gamma1 leaves 2e-19
+        p = make_params(omega_a=0.0, kappa=0.4, U=U, gamma1=1.0, gamma2=0.0)
+        curve = working_area_two_res(p)
+        assert len(curve) > 0
+        g1 = np.array([pt.gamma1_over_Gamma for pt in curve]) * p.Gamma
+        x = np.array([pt.Gamma_abs_x for pt in curve]) / p.Gamma
+        f = TwoPhotonField(p.at_gamma1(g1), two_res_pair(p))
+        dens = np.abs(f.psi_tt(-0.5 * x, 0.5 * x)) ** 2
+        assert dens.max() < 1e-24 * FREE_PAIR_DENSITY
+
     def test_solutions_satisfy_the_tangent_condition(self):
         p = make_params(omega_a=0.0, kappa=0.4, U=10.0, gamma1=1.0, gamma2=0.0)
         s = p.kappa + p.Gamma
@@ -184,6 +199,50 @@ class TestTwoResCurve:
 
 
 class TestNumericZeroScan:
+    def test_matches_the_closed_form_curve_at_the_verify_parameters(self):
+        # the single-photon-resonance working-area check of ``verify``,
+        # whose gate is 0.05; both curves agree to 2.0e-9
+        p = params()
+        grid = np.linspace(0.52, 0.95, 9)
+        curve = working_area_single_res(p, grid)
+        scan = numeric_zero_scan(
+            p, single_res_pair(p), gamma1_grid=grid,
+            x_grid=np.linspace(0.05, 14.0, 560), threshold=1e-3,
+        )
+        found = dict(scan)
+        assert len(found) == len(curve) == len(grid)
+        for pt in curve:
+            assert abs(found[pt.gamma1_over_Gamma] - pt.Gamma_abs_x) <= 1e-8
+
+    def test_refinement_lands_on_the_reference_golden_search(self):
+        # every minimum refined one at a time by the reference
+        # implementation, from the same three-point bracket and to the
+        # same relative width
+        p = params(kappa=0.4)
+        pair = two_res_pair(p)
+        # couplings with exact zeros, so every minimum is sharp
+        gamma1 = [pt.gamma1_over_Gamma for pt in working_area_two_res(p, gx_ceiling=8.0)
+                  if pt.gamma1_over_Gamma > 0.71]
+        xs = np.linspace(0.0, 8.0, 801)
+        scan = numeric_zero_scan(p, pair, gamma1_grid=gamma1, x_grid=xs)
+        expected = []
+        for g1 in gamma1:
+            f = TwoPhotonField(p.at_gamma1(g1), pair)
+            vals = np.abs(f.psi_tt(-0.5 * xs, 0.5 * xs)) ** 2
+            for i in range(1, xs.size - 1):
+                if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]:
+                    res = minimize_scalar(
+                        lambda x: float(np.abs(f.psi_tt(-0.5 * x, 0.5 * x)) ** 2),
+                        bracket=(xs[i - 1], xs[i], xs[i + 1]), method="golden",
+                        options={"xtol": 1e-12},
+                    )
+                    if res.fun < 1e-8 * FREE_PAIR_DENSITY:
+                        expected.append((g1, res.x))
+        assert len(scan) == len(expected) > 4
+        for (g1, x), (g1_ref, x_ref) in zip(scan, expected):
+            assert g1 == g1_ref
+            assert x == pytest.approx(x_ref, abs=1e-10)
+
     def test_flags_identically_dark_couplings(self):
         # at gamma1 = Gamma = kappa with a linear cavity the transmitted
         # amplitude vanishes for every separation
