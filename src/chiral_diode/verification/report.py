@@ -370,7 +370,7 @@ def verify_all(
             raise ValueError(f"{name} applies only to suite 'all', not {suite!r}")
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
-    start = time.time()
+    start = time.perf_counter()
     rng = np.random.default_rng(seed)
     checks: list[VerifyCheck] = []
     checks += _residual_checks(rng, n_draws)
@@ -381,4 +381,4 @@ def verify_all(
         checks += _lattice_checks()
     if include_two_photon_lattice:
         checks += _two_photon_lattice_checks()
-    return VerifyReport(checks=tuple(checks), elapsed_seconds=time.time() - start)
+    return VerifyReport(checks=tuple(checks), elapsed_seconds=time.perf_counter() - start)

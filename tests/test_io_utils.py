@@ -4,8 +4,21 @@
 import numpy as np
 import pytest
 
-from chiral_diode import io_utils
+from chiral_diode import (
+    Direction,
+    TwoPhotonField,
+    TwoPhotonIn,
+    io_utils,
+    make_params,
+    map_two_photon,
+    sweep_single,
+    write_map_csv,
+    write_sweep_csv,
+)
 from chiral_diode.io_utils import format_number, write_csv
+from chiral_diode.single_photon import SWEEP_HEADER
+
+BLOCK = io_utils._BLOCK_ROWS
 
 
 def row_wise(header, rows) -> bytes:
@@ -128,7 +141,9 @@ def test_random_broadcast_layouts_match_the_row_wise_join(tmp_path, layout):
         assert written(tmp_path, header, columns) == row_wise(header, rows)
 
 
-def test_each_input_value_is_formatted_once(tmp_path, monkeypatch):
+@pytest.fixture
+def formatted(monkeypatch):
+    """Sizes of the bulk ``_format`` calls the writer makes."""
     counted = []
     bulk = io_utils._format
 
@@ -138,9 +153,87 @@ def test_each_input_value_is_formatted_once(tmp_path, monkeypatch):
         return cells
 
     monkeypatch.setattr(io_utils, "_format", counting)
+    return counted
+
+
+def test_each_input_value_is_formatted_once(tmp_path, formatted):
     g = np.linspace(0.0, 1.0, 401)
     x = np.linspace(-5.0, 5.0, 401)
     m = np.cos(g[:, None] * x[None, :])
     data = written(tmp_path, ("g", "x", "m"), (g[:, None], x[None, :], m))
-    assert sum(counted) == 401 + 401 + 401**2
+    assert sum(formatted) == 401 + 401 + 401**2
     assert data.count(b"\n") == 401**2 + 1
+
+
+@pytest.mark.parametrize("n_distinct, n_formatted", [
+    (BLOCK, BLOCK),
+    (BLOCK + 1, 3 * BLOCK + 7),
+], ids=["one_block_gathered", "past_one_block_per_block"])
+def test_distinct_values_around_one_block(tmp_path, formatted, n_distinct, n_formatted):
+    # a full-size column is formatted by value only while its distinct
+    # values fit in one block
+    rng = np.random.default_rng(n_distinct)
+    pool = rng.standard_normal(n_distinct)
+    v = np.concatenate([pool, rng.choice(pool, 3 * BLOCK + 7 - n_distinct)])
+    rng.shuffle(v)
+    assert written(tmp_path, ("v",), (v,)) == row_wise(("v",), zip(v))
+    assert sum(formatted) == n_formatted
+
+
+def test_distinct_values_past_one_block_in_the_last_block(tmp_path, formatted):
+    v = np.resize(np.linspace(-1.0, 1.0, BLOCK), 3 * BLOCK + 5)
+    v[-5:] = 2.5 + np.arange(5)
+    assert written(tmp_path, ("v",), (v,)) == row_wise(("v",), zip(v))
+    assert sum(formatted) == v.size
+
+
+def test_special_values_gathered_by_value(tmp_path, formatted):
+    n = 2 * BLOCK + 3
+    floats = np.resize(SPECIAL, n)
+    ints = np.resize(np.array([-3, 0, 2**40, -(2**52), 2**62 + 1, 7]), n)
+    flags = np.resize(np.array([True, False, False]), n)
+    header = ("f", "i", "flag")
+    data = written(tmp_path, header, (floats, ints, flags))
+    assert data == row_wise(header, zip(floats, ints, flags))
+    # -0.0 and 0.0 are one distinct value, written "0"
+    assert sum(formatted) == (SPECIAL.size - 1) + 6 + 2
+    lines = data.decode().splitlines()
+    assert [line.split(",")[0] for line in lines[1:3]] == ["0", "0"]
+    assert [line.split(",")[0] for line in lines[15:18]] == ["inf", "-inf", "nan"]
+
+
+def test_single_sweep_formats_each_grid_value_once(tmp_path, formatted):
+    p = make_params(omega_a=0.0, kappa=1.0, U=0.0, gamma1=0.7, gamma2=0.3)
+    rows = sweep_single(p, np.linspace(-2.0, 2.0, 401), np.linspace(0.0, 1.0, 401))
+    assert not rows.T[0].flags.contiguous
+    path = tmp_path / "single.csv"
+    write_sweep_csv(path, rows)
+    assert path.read_bytes() == row_wise(SWEEP_HEADER, rows)
+    # the two grid columns are gathered; T, R and loss are all distinct
+    assert sum(formatted) == 401 + 401 + 3 * 401**2
+
+
+def test_two_photon_map_is_gathered_by_value(tmp_path, formatted):
+    p = make_params(omega_a=0.0, kappa=0.4, U=6.0, gamma1=0.7, gamma2=0.3)
+    field = TwoPhotonField(p, TwoPhotonIn(Direction.LEFT_INCIDENT, 0.0, 2.0 * p.U))
+    x = np.linspace(-5.0, 5.0, 401)
+    maps = map_two_photon(field, x, ("tt", "rr", "rt"))
+    path = tmp_path / "map.csv"
+    write_map_csv(path, x, maps)
+    x1, x2 = np.meshgrid(x, x, indexing="ij")
+    rows = zip(x1.ravel(), x2.ravel(), *(m.ravel() for m in maps.values()))
+    header = ("x1", "x2", "psi_tt_sq", "psi_rr_sq", "psi_rt_sq")
+    assert path.read_bytes() == row_wise(header, rows)
+    # Toeplitz tt and rr, Hankel rt: 401, 401 and 801 distinct values
+    assert sum(formatted) == 401 + 401 + 401 + 401 + 801
+
+
+def test_toeplitz_column_past_one_block_is_formatted_per_block(tmp_path, formatted):
+    v = np.cos(np.linspace(0.0, 3.0, 2001))
+    i = np.arange(3)[:, None]
+    j = np.arange(1999)[None, :]
+    m = v[j - i + 2]
+    rows = [(a, b, m[a, b]) for a in range(3) for b in range(1999)]
+    data = written(tmp_path, ("i", "j", "m"), (i, j, m))
+    assert data == row_wise(("i", "j", "m"), rows)
+    assert sum(formatted) == 3 + 1999 + m.size

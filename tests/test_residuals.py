@@ -207,3 +207,13 @@ class TestVerifyAll:
         parsed = json.loads(rep.as_json_text())
         assert parsed["all_pass"] is True
         assert parsed["elapsed_seconds"] >= 0.0
+
+    def test_elapsed_time_ignores_wall_clock_steps(self, monkeypatch):
+        import itertools
+        import time
+
+        # every reading of the wall clock is an hour earlier than the last
+        steps = itertools.count()
+        monkeypatch.setattr(time, "time", lambda: 1.0e9 - 3600.0 * next(steps))
+        rep = verify_all(suite="residual", n_draws=1)
+        assert rep.elapsed_seconds >= 0.0
