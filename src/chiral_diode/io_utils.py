@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import math
 import os
+import shutil
+import signal
+import tempfile
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -15,6 +18,7 @@ import numpy as np
 __all__ = ["format_number", "write_csv"]
 
 _BLOCK_ROWS = 1024  # rows per write; the cell strings of one block live together
+_RANGE_BLOCKS = 16  # fewest blocks a forked range of write_csv is given
 
 
 def format_number(value) -> str:
@@ -81,6 +85,53 @@ def _column_cells(column, shape, n_rows: int):
     ].tolist()
 
 
+def _block_ranges(n_rows: int) -> list[tuple[int, int]]:
+    """Row bounds ``(start, stop)`` of the contiguous block ranges that
+    :func:`write_csv` splits a table into: one per CPU this process may run
+    on, each of at least ``_RANGE_BLOCKS`` whole blocks (the last block may
+    be short).  Without ``os.fork`` or ``os.sched_getaffinity`` there is one
+    range."""
+    n_blocks = -(-n_rows // _BLOCK_ROWS)
+    cpus = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    n = max(1, min(cpus, n_blocks // _RANGE_BLOCKS))
+    bounds = [min(k * n_blocks // n * _BLOCK_ROWS, n_rows) for k in range(n + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _write_rows(fh, cells, start: int, stop: int) -> None:
+    """Encode rows ``[start, stop)`` into a binary file, one block at a time."""
+    for i in range(start, stop, _BLOCK_ROWS):
+        fh.write(("\n".join(map(",".join, zip(*(c(i) for c in cells)))) + "\n").encode())
+
+
+def _fork_range(cells, start: int, stop: int):
+    """Fork a child that writes rows ``[start, stop)`` into an unlinked
+    temporary file and exits; return its pid and that file."""
+    tmp = tempfile.TemporaryFile()
+    try:
+        pid = os.fork()
+    except BaseException:
+        tmp.close()
+        raise
+    if pid == 0:
+        # the child leaves only by os._exit: no exit handler runs and no
+        # buffer inherited from the parent (sys.stdout, the output) is flushed
+        code = 1
+        try:
+            _write_rows(tmp, cells, start, stop)
+            tmp.flush()
+            code = 0
+        except BaseException:
+            import traceback
+
+            os.write(2, traceback.format_exc().encode())
+        finally:
+            os._exit(code)
+    return pid, tmp
+
+
 def write_csv(path: str | os.PathLike, header: Sequence[str], columns: Iterable) -> None:
     """Write broadcast columns as CSV rows under a header line.
 
@@ -94,12 +145,45 @@ def write_csv(path: str | os.PathLike, header: Sequence[str], columns: Iterable)
     block gathers its cells from those strings by value; any other
     full-size column is formatted in bulk, one block at a time.  Either way
     only one block of a full-size column's strings is alive at once.
+
+    The table's blocks are split into contiguous ranges, one per CPU in
+    ``os.sched_getaffinity(0)``, each of at least ``_RANGE_BLOCKS`` blocks;
+    a small table, a single CPU or a platform without ``os.fork`` gives one
+    range.  The calling process writes the header and the first range
+    straight into the file.  Each further range is formatted by a forked
+    child, which inherits the strings and distinct-value tables built
+    above (so each value is still formatted once), streams its encoded
+    rows into an unlinked temporary file and leaves by ``os._exit``.  The
+    caller then waits for the children in row order and appends their
+    files.  The bytes therefore do not depend on the CPU count, and there
+    is no option to choose it.  Every child is waited for, or killed and
+    waited for, before this returns or raises; a child that fails or is
+    killed makes it raise :class:`OSError` naming the exit status.
     """
     columns = [np.asarray(c) for c in columns]
     shape = np.broadcast_shapes(*(c.shape for c in columns))
     n_rows = math.prod(shape) if columns else 0
     cells = [_column_cells(c, shape, n_rows) for c in columns]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(0, n_rows, _BLOCK_ROWS):
-            fh.write("\n".join(map(",".join, zip(*(c(i) for c in cells)))) + "\n")
+    first, *rest = _block_ranges(n_rows)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        children = []  # (pid, file) of each forked range; pid None once reaped
+        try:
+            for start, stop in rest:
+                children.append(_fork_range(cells, start, stop))
+            _write_rows(fh, cells, *first)
+            for k, ((pid, tmp), (start, stop)) in enumerate(zip(children, rest)):
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                children[k] = (None, tmp)
+                if code:
+                    how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                    raise OSError(f"{path}: the process writing rows {start}-{stop - 1} "
+                                  f"failed ({how})")
+                tmp.seek(0)
+                shutil.copyfileobj(tmp, fh)
+        finally:
+            for pid, tmp in children:
+                if pid is not None:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                tmp.close()

@@ -119,6 +119,19 @@ class TestValidationErrors:
         assert code == EXIT_IO
         assert "I/O" in stderr
 
+    def test_directory_output_of_a_split_table_exits_3(self, tmp_path, capsys, monkeypatch):
+        # 401² rows are split across two CPUs; the output fails to open first
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        code, _, stderr = run(
+            ["single", "--detuning=-2:2:401", "--gamma1-grid=0:1:401", "-o", str(tmp_path)],
+            capsys,
+        )
+        assert code == EXIT_IO
+        assert stderr.startswith("I/O error: ")
+        assert "Traceback" not in stderr
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     @pytest.mark.parametrize(
         "argv", [["single", "--detuning", "0:1:3"], ["twomap", "--x=-2:2:5"]]
     )

@@ -1,5 +1,12 @@
 """The CSV writer: broadcast columns in, the bytes of a row-by-row
-``format_number`` join out, for any table size."""
+``format_number`` join out, for any table size and CPU count."""
+
+import functools
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,26 +149,45 @@ def test_random_broadcast_layouts_match_the_row_wise_join(tmp_path, layout):
 
 
 @pytest.fixture
-def formatted(monkeypatch):
-    """Sizes of the bulk ``_format`` calls the writer makes."""
-    counted = []
+def formatted(monkeypatch, tmp_path):
+    """The bulk ``_format`` calls the writer makes, in this process and in
+    the processes it forks: ``formatted()`` reads them back as a list of
+    ``(size, pid)``.  Each call appends one line to an ``O_APPEND`` log."""
+    log = tmp_path / "formatted.log"
     bulk = io_utils._format
 
     def counting(values):
         cells = bulk(values)
-        counted.append(len(cells))
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        try:
+            os.write(fd, f"{len(cells)} {os.getpid()}\n".encode())
+        finally:
+            os.close(fd)
         return cells
 
     monkeypatch.setattr(io_utils, "_format", counting)
-    return counted
+    log.touch()
+    return lambda: [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
 
 
-def test_each_input_value_is_formatted_once(tmp_path, formatted):
+def total(formatted) -> int:
+    return sum(size for size, _ in formatted())
+
+
+def cpus(monkeypatch, n):
+    """Make the writer see ``n`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def test_each_input_value_is_formatted_once(tmp_path, formatted, monkeypatch):
+    cpus(monkeypatch, 2)
     g = np.linspace(0.0, 1.0, 401)
     x = np.linspace(-5.0, 5.0, 401)
     m = np.cos(g[:, None] * x[None, :])
     data = written(tmp_path, ("g", "x", "m"), (g[:, None], x[None, :], m))
-    assert sum(formatted) == 401 + 401 + 401**2
+    assert total(formatted) == 401 + 401 + 401**2
+    # the forked ranges format their own blocks
+    assert len({pid for _, pid in formatted()}) > 1
     assert data.count(b"\n") == 401**2 + 1
 
 
@@ -177,14 +203,14 @@ def test_distinct_values_around_one_block(tmp_path, formatted, n_distinct, n_for
     v = np.concatenate([pool, rng.choice(pool, 3 * BLOCK + 7 - n_distinct)])
     rng.shuffle(v)
     assert written(tmp_path, ("v",), (v,)) == row_wise(("v",), zip(v))
-    assert sum(formatted) == n_formatted
+    assert total(formatted) == n_formatted
 
 
 def test_distinct_values_past_one_block_in_the_last_block(tmp_path, formatted):
     v = np.resize(np.linspace(-1.0, 1.0, BLOCK), 3 * BLOCK + 5)
     v[-5:] = 2.5 + np.arange(5)
     assert written(tmp_path, ("v",), (v,)) == row_wise(("v",), zip(v))
-    assert sum(formatted) == v.size
+    assert total(formatted) == v.size
 
 
 def test_special_values_gathered_by_value(tmp_path, formatted):
@@ -196,13 +222,14 @@ def test_special_values_gathered_by_value(tmp_path, formatted):
     data = written(tmp_path, header, (floats, ints, flags))
     assert data == row_wise(header, zip(floats, ints, flags))
     # -0.0 and 0.0 are one distinct value, written "0"
-    assert sum(formatted) == (SPECIAL.size - 1) + 6 + 2
+    assert total(formatted) == (SPECIAL.size - 1) + 6 + 2
     lines = data.decode().splitlines()
     assert [line.split(",")[0] for line in lines[1:3]] == ["0", "0"]
     assert [line.split(",")[0] for line in lines[15:18]] == ["inf", "-inf", "nan"]
 
 
-def test_single_sweep_formats_each_grid_value_once(tmp_path, formatted):
+def test_single_sweep_formats_each_grid_value_once(tmp_path, formatted, monkeypatch):
+    cpus(monkeypatch, 2)
     p = make_params(omega_a=0.0, kappa=1.0, U=0.0, gamma1=0.7, gamma2=0.3)
     rows = sweep_single(p, np.linspace(-2.0, 2.0, 401), np.linspace(0.0, 1.0, 401))
     assert not rows.T[0].flags.contiguous
@@ -210,7 +237,8 @@ def test_single_sweep_formats_each_grid_value_once(tmp_path, formatted):
     write_sweep_csv(path, rows)
     assert path.read_bytes() == row_wise(SWEEP_HEADER, rows)
     # the two grid columns are gathered; T, R and loss are all distinct
-    assert sum(formatted) == 401 + 401 + 3 * 401**2
+    assert total(formatted) == 401 + 401 + 3 * 401**2
+    assert len({pid for _, pid in formatted()}) > 1
 
 
 def test_two_photon_map_is_gathered_by_value(tmp_path, formatted):
@@ -225,7 +253,7 @@ def test_two_photon_map_is_gathered_by_value(tmp_path, formatted):
     header = ("x1", "x2", "psi_tt_sq", "psi_rr_sq", "psi_rt_sq")
     assert path.read_bytes() == row_wise(header, rows)
     # Toeplitz tt and rr, Hankel rt: 401, 401 and 801 distinct values
-    assert sum(formatted) == 401 + 401 + 401 + 401 + 801
+    assert total(formatted) == 401 + 401 + 401 + 401 + 801
 
 
 def test_toeplitz_column_past_one_block_is_formatted_per_block(tmp_path, formatted):
@@ -236,4 +264,150 @@ def test_toeplitz_column_past_one_block_is_formatted_per_block(tmp_path, formatt
     rows = [(a, b, m[a, b]) for a in range(3) for b in range(1999)]
     data = written(tmp_path, ("i", "j", "m"), (i, j, m))
     assert data == row_wise(("i", "j", "m"), rows)
-    assert sum(formatted) == 3 + 1999 + m.size
+    assert total(formatted) == 3 + 1999 + m.size
+
+
+# A large table is split into block ranges, one per CPU; every range but
+# the first is written by a forked child.
+
+RANGE = io_utils._RANGE_BLOCKS
+
+
+def split_table(n_rows, gathered=True):
+    """Header and columns of an ``n_rows`` table: an index and random
+    doubles (both formatted per block) and, if ``gathered``, a column of
+    300 values formatted by value."""
+    rng = np.random.default_rng(n_rows)
+    columns = [np.arange(n_rows),
+               rng.standard_normal(n_rows) * 10.0 ** rng.integers(-20, 20, n_rows)]
+    if gathered:
+        columns.append(np.resize(np.linspace(-1.0, 1.0, 300), n_rows))
+    return [f"c{k}" for k in range(len(columns))], columns
+
+
+@functools.lru_cache(maxsize=None)
+def split_reference(n_rows) -> bytes:
+    header, columns = split_table(n_rows)
+    return row_wise(header, zip(*columns))
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Pids of the children the writer forks."""
+    pids = []
+    fork = os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return pids
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2, 3])
+@pytest.mark.parametrize("n_rows", [
+    (2 * RANGE - 1) * BLOCK,
+    2 * RANGE * BLOCK,
+    (2 * RANGE + 1) * BLOCK,
+    3 * RANGE * BLOCK - 5,
+], ids=["2min-1_blocks", "2min_blocks", "2min+1_blocks", "3min_blocks_ragged"])
+def test_split_bytes_equal_the_row_wise_join(tmp_path, monkeypatch, forks, n_cpus, n_rows):
+    cpus(monkeypatch, n_cpus)
+    n_blocks = -(-n_rows // BLOCK)
+    n_ranges = max(1, min(n_cpus, n_blocks // RANGE))
+    ranges = io_utils._block_ranges(n_rows)
+    # contiguous whole-block ranges of at least RANGE blocks each
+    assert len(ranges) == n_ranges
+    assert ranges[0][0] == 0 and ranges[-1][1] == n_rows
+    assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+    assert all(start % BLOCK == 0 and -(-(stop - start) // BLOCK) >= RANGE
+               for start, stop in ranges)
+    header, columns = split_table(n_rows)
+    assert written(tmp_path, header, columns) == split_reference(n_rows)
+    assert len(forks) == n_ranges - 1
+    assert_no_children()
+
+
+def test_unwritable_path_forks_nothing(tmp_path, monkeypatch, forks):
+    cpus(monkeypatch, 2)
+    header, columns = split_table(2 * RANGE * BLOCK)
+    with pytest.raises(IsADirectoryError):
+        write_csv(tmp_path, header, columns)
+    assert forks == []
+    assert_no_children()
+
+
+def failing_format(monkeypatch, fails):
+    """Make ``_format`` fail in the processes where ``fails(pid)`` holds:
+    by raising, or in a child by a ``SIGKILL`` to itself."""
+    bulk = io_utils._format
+
+    def format_or_fail(values):
+        how = fails(os.getpid())
+        if how == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        if how:
+            raise ValueError("format failed on purpose")
+        return bulk(values)
+
+    monkeypatch.setattr(io_utils, "_format", format_or_fail)
+
+
+def test_parent_error_mid_write_kills_and_reaps_every_child(tmp_path, monkeypatch, forks):
+    cpus(monkeypatch, 3)
+    parent = os.getpid()
+    failing_format(monkeypatch, lambda pid: pid == parent)
+    header, columns = split_table(3 * RANGE * BLOCK, gathered=False)
+    with pytest.raises(ValueError, match="on purpose"):
+        write_csv(tmp_path / "t.csv", header, columns)
+    assert len(forks) == 2
+    assert_no_children()
+
+
+@pytest.mark.parametrize("how, status", [
+    ("raise", r"exit status 1"),
+    ("kill", rf"killed by signal {int(signal.SIGKILL)}"),
+])
+def test_child_failure_is_an_os_error(tmp_path, monkeypatch, forks, capfd, how, status):
+    cpus(monkeypatch, 3)
+    parent = os.getpid()
+    failing_format(monkeypatch, lambda pid: pid != parent and how)
+    n_rows = 3 * RANGE * BLOCK
+    header, columns = split_table(n_rows, gathered=False)
+    with pytest.raises(OSError, match=rf"rows {RANGE * BLOCK}-{2 * RANGE * BLOCK - 1} failed \({status}\)"):
+        write_csv(tmp_path / "t.csv", header, columns)
+    assert len(forks) == 2
+    assert_no_children()
+    if how == "raise":
+        assert "ValueError: format failed on purpose" in capfd.readouterr().err
+
+
+def test_pending_stdout_is_written_once(tmp_path):
+    # stdout to a pipe is block-buffered (without PYTHONUNBUFFERED): the
+    # line is still pending at the fork
+    script = (
+        "import os, sys, numpy as np\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "from chiral_diode.io_utils import write_csv\n"
+        "print('pending line')\n"
+        "g = np.linspace(0.0, 1.0, 401)\n"
+        "m = np.cos(g[:, None] * g[None, :])\n"
+        "write_csv(sys.argv[1], ('g', 'x', 'm'), (g[:, None], g[None, :], m))\n"
+    )
+    src = str(Path(io_utils.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    env.pop("PYTHONUNBUFFERED", None)
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "t.csv")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "pending line\n"
+    assert (tmp_path / "t.csv").read_bytes().count(b"\n") == 401**2 + 1
