@@ -153,26 +153,30 @@ class TwoPhotonIn:
     """Two incident photons from the same side.
 
     The two frequencies are stored canonically with ``omega_k1 <= omega_k2``;
-    every scattering amplitude is symmetric under their exchange.
+    every scattering amplitude is symmetric under their exchange.  Like
+    ``PhotonIn.omega_k`` they may be numpy arrays, each element validated
+    and the pair ordered elementwise, so one record describes many pairs;
+    scalar inputs are stored as Python floats.
     """
 
     direction: Direction
-    omega_k1: float
-    omega_k2: float
+    omega_k1: float | np.ndarray
+    omega_k2: float | np.ndarray
 
     def __post_init__(self) -> None:
         if not isinstance(self.direction, Direction):
             raise ValueError(f"direction must be a Direction, got {self.direction!r}")
-        w1, w2 = float(self.omega_k1), float(self.omega_k2)
-        _require_finite("omega_k1", w1)
-        _require_finite("omega_k2", w2)
-        if w1 > w2:
-            w1, w2 = w2, w1
+        _require_finite("omega_k1", self.omega_k1)
+        _require_finite("omega_k2", self.omega_k2)
+        w1 = np.minimum(self.omega_k1, self.omega_k2)
+        w2 = np.maximum(self.omega_k1, self.omega_k2)
+        if np.ndim(w1) == 0:
+            w1, w2 = float(w1), float(w2)
         object.__setattr__(self, "omega_k1", w1)
         object.__setattr__(self, "omega_k2", w2)
 
     @property
-    def omega(self) -> float:
+    def omega(self) -> float | np.ndarray:
         """Total frequency of the photon pair."""
         return self.omega_k1 + self.omega_k2
 

@@ -547,8 +547,14 @@ def lattice_two_photon(
     Raises ValueError when the eigendecomposition residual
     ``|H1 V - V diag(lam)| / |H1|`` exceeds ``_EIG_RESIDUAL_BOUND``: near
     an exceptional point H1 is defective and the eigenbasis cannot carry
-    the evolution.
+    the evolution, and when ``incoming`` holds arrays of frequencies: one
+    run launches one pair.
     """
+    if np.ndim(incoming.omega_k1) != 0:
+        raise ValueError(
+            "incoming must be one photon pair, got array frequencies of shape "
+            f"{np.shape(incoming.omega_k1)}"
+        )
     G = params.Gamma
     x = spec.positions()
     left_in = incoming.direction is Direction.LEFT_INCIDENT

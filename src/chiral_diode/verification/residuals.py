@@ -30,7 +30,7 @@ jump across x1 = 0; that one residual covers both lines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -44,6 +44,7 @@ __all__ = [
     "two_photon_residual",
     "residual_suite",
     "random_model_draw",
+    "random_model_draws",
 ]
 
 _LINE_TOL = 1e-9
@@ -71,63 +72,64 @@ class ResidualReport:
         return name, self.residuals[name]
 
 
-def single_residual(
-    params: ModelParams, omega_k: float, t_override: complex | None = None
-) -> ResidualReport:
+def single_residual(params: ModelParams, omega_k, t_override=None) -> ResidualReport:
     """Residual of the single-photon even-mode equations.
 
     The cavity amplitude is defined through the transmission jump, so the
     one relation left to check is the cavity stationarity relation with
-    the coupling-point field value ``(1 + t)/2``.  Passing
-    ``t_override`` replaces the closed-form transmission amplitude, which
-    must break the cavity relation; this provides the sensitivity
-    self-test.
+    the coupling-point field value ``(1 + t)/2``.  ``omega_k`` broadcasts
+    against array-valued rates in ``params``, and the residual is the
+    worst over all of them.  Passing ``t_override`` (a scalar or an array
+    of the broadcast shape) replaces the closed-form transmission
+    amplitude, which must break the cavity relation; this provides the
+    sensitivity self-test.
     """
     G = params.Gamma
-    t = even_mode_t(params, omega_k) if t_override is None else complex(t_override)
+    t = even_mode_t(params, omega_k) if t_override is None else np.asarray(t_override, complex)
     sq = np.sqrt(G)
     phi_a = 1j * (t - 1.0) / sq
-    res = {
-        "cavity_equation": abs(
-            (params.omega_a - omega_k - 0.5j * params.kappa) * phi_a + sq * 0.5 * (1.0 + t)
-        ),
-    }
-    return ResidualReport(res, ((omega_k,),))
-
-
-def _check_off_lines(points: Sequence[tuple[float, float]]) -> None:
-    # no relation evaluates a pair amplitude at (x1, x2) jointly, so the
-    # coincidence line x1 = x2 is a valid sample
-    for (x1, x2) in points:
-        if min(abs(x1), abs(x2)) < _LINE_TOL:
-            raise ValueError(
-                f"sample point ({x1}, {x2}) lies on a coupling line x1=0 or "
-                "x2=0; derivative checks need off-line points"
-            )
+    cavity = (params.omega_a - omega_k - 0.5j * params.kappa) * phi_a + sq * 0.5 * (1.0 + t)
+    samples = tuple((w,) for w in np.ravel(omega_k).tolist())
+    return ResidualReport({"cavity_equation": float(np.max(np.abs(cavity)))}, samples)
 
 
 def two_photon_residual(
     params: ModelParams,
     incoming: TwoPhotonIn,
-    sample_points: Sequence[tuple[float, float]],
+    sample_points,
     coeffs_override: BoundStateCoeffs | None = None,
     t_override: tuple[complex, complex] | None = None,
 ) -> ResidualReport:
     """Residuals of the two-photon even/odd equations and jump relations.
 
-    ``sample_points`` are (x1, x2) pairs strictly off the coupling lines
-    x1=0 and x2=0; their first coordinates feed the transport residuals,
-    and their second coordinates serve as the along-line offsets for the
-    jump relations.  Derivatives are analytic (the amplitudes are piecewise
-    exponentials), one-sided limits come from exact region forms, and the
-    coupling-point field values use the midpoint step convention.
+    ``sample_points`` is a sequence of (x1, x2) pairs, or an (n, 2) array,
+    strictly off the coupling lines x1=0 and x2=0; their first coordinates
+    feed the transport residuals, and their second coordinates serve as
+    the along-line offsets for the jump relations.  Derivatives are
+    analytic (the amplitudes are piecewise exponentials), one-sided limits
+    come from exact region forms, and the coupling-point field values use
+    the midpoint step convention.
 
-    ``coeffs_override``/``t_override`` inject corrupted coefficients for
-    sensitivity self-tests.
+    The points broadcast against array-valued rates in ``params`` and
+    frequencies in ``incoming``: n points with n-element arrays pair up
+    elementwise, so one call checks n independent draws.  Each residual
+    is the worst over every point.
+
+    ``coeffs_override``/``t_override`` inject corrupted coefficients
+    (scalars or arrays of the broadcast shape) for sensitivity self-tests.
     """
-    if not sample_points:
+    pts = np.asarray(sample_points, dtype=float)
+    if pts.size == 0:
         raise ValueError("need at least one sample point")
-    _check_off_lines(sample_points)
+    x1, x2 = pts.T
+    # no relation evaluates a pair amplitude at (x1, x2) jointly, so the
+    # coincidence line x1 = x2 is a valid sample
+    on_line = np.minimum(np.abs(x1), np.abs(x2)) < _LINE_TOL
+    if on_line.any():
+        raise ValueError(
+            f"sample point ({x1[on_line][0]}, {x2[on_line][0]}) lies on a coupling "
+            "line x1=0 or x2=0; derivative checks need off-line points"
+        )
     if incoming.direction is not Direction.LEFT_INCIDENT:
         raise ValueError("residuals are checked in the left-incidence frame; "
                          "mirror parameters for right incidence")
@@ -139,40 +141,42 @@ def two_photon_residual(
     om_a, kappa, U = params.omega_a, params.kappa, params.U
     sqG = np.sqrt(G)
 
-    res = {k: 0.0 for k in (
-        "ae_transport", "aa_stationarity", "oa_transport",
-        "ee_jump_x1", "oe_jump_even_arg", "ae_jump",
-    )}
-
-    def keep(name: str, value: complex) -> None:
-        res[name] = max(res[name], float(abs(value)))
-
-    for (x1, x2) in sample_points:
-        x = x1
-        # transport off the lines
-        keep("ae_transport",
-             -1j * f.d_phi_ae(x) + (om_a - om - 0.5j * kappa) * f.phi_ae(x)
-             + np.sqrt(G / 2.0) * (f.phi_ee(0.0, x) + f.phi_ee(x, 0.0)))
-        keep("aa_stationarity",
-             (2.0 * om_a - om + 2.0 * U - 1j * kappa) * c.phi_aa
-             + np.sqrt(2.0 * G) * f.phi_ae(0.0))
-        keep("oa_transport",
-             -1j * f.d_phi_oa(x) + (om_a - om - 0.5j * kappa) * f.phi_oa(x)
-             + sqG * f.phi_oe(x, 0.0))
-
+    res = {
+        # transport off the lines, at x1
+        "ae_transport": -1j * f.d_phi_ae(x1) + (om_a - om - 0.5j * kappa) * f.phi_ae(x1)
+        + np.sqrt(G / 2.0) * (f.phi_ee(0.0, x1) + f.phi_ee(x1, 0.0)),
+        "aa_stationarity": (2.0 * om_a - om + 2.0 * U - 1j * kappa) * c.phi_aa
+        + np.sqrt(2.0 * G) * f.phi_ae(0.0),
+        "oa_transport": -1j * f.d_phi_oa(x1) + (om_a - om - 0.5j * kappa) * f.phi_oa(x1)
+        + sqG * f.phi_oe(x1, 0.0),
         # discontinuity relations, offsets on the lines taken from x2
-        xg = x2
-        keep("ee_jump_x1",
-             f.phi_ee(0.0, xg, side1=+1) - f.phi_ee(0.0, xg, side1=-1)
-             + 1j * np.sqrt(G / 2.0) * f.phi_ae(xg))
-        keep("oe_jump_even_arg",
-             f.phi_oe(xg, 0.0, side2=+1) - f.phi_oe(xg, 0.0, side2=-1)
-             + 1j * sqG * f.phi_oa(xg))
-        keep("ae_jump",
-             f.phi_ae(0.0, side=+1) - f.phi_ae(0.0, side=-1)
-             + 1j * np.sqrt(2.0 * G) * c.phi_aa)
+        "ee_jump_x1": f.phi_ee(0.0, x2, side1=+1) - f.phi_ee(0.0, x2, side1=-1)
+        + 1j * np.sqrt(G / 2.0) * f.phi_ae(x2),
+        "oe_jump_even_arg": f.phi_oe(x2, 0.0, side2=+1) - f.phi_oe(x2, 0.0, side2=-1)
+        + 1j * sqG * f.phi_oa(x2),
+        "ae_jump": f.phi_ae(0.0, side=+1) - f.phi_ae(0.0, side=-1)
+        + 1j * np.sqrt(2.0 * G) * c.phi_aa,
+    }
+    worst = {name: float(np.max(np.abs(value))) for name, value in res.items()}
+    return ResidualReport(worst, tuple(map(tuple, pts.tolist())))
 
-    return ResidualReport(res, tuple(sample_points))
+
+def _draw(rng: np.random.Generator) -> tuple[float, ...]:
+    """omega_a, kappa, U, gamma1, gamma2, the two photon frequencies and
+    the point x1, x2 of one random draw."""
+    g1 = rng.uniform(0.0, 1.5)
+    g2 = rng.uniform(0.0, 1.5)
+    if g1 + g2 == 0.0:
+        g1 = 1.0
+    kappa = 0.0 if rng.uniform() < 0.15 else rng.uniform(0.0, 2.0)
+    U = 0.0 if rng.uniform() < 0.15 else rng.uniform(0.0, 20.0)
+    om_a = rng.uniform(-1.0, 1.0)
+    w1 = om_a + rng.uniform(-3.0, 3.0)
+    w2 = om_a + rng.uniform(-3.0, 3.0)
+    while True:
+        x1, x2 = rng.uniform(-4.0, 4.0, size=2)
+        if min(abs(x1), abs(x2), abs(x1 - x2)) > 1e-3:
+            return om_a, kappa, U, g1, g2, w1, w2, float(x1), float(x2)
 
 
 def random_model_draw(rng: np.random.Generator) -> tuple[ModelParams, TwoPhotonIn, tuple[float, float]]:
@@ -182,41 +186,40 @@ def random_model_draw(rng: np.random.Generator) -> tuple[ModelParams, TwoPhotonI
     probability, detunings up to a few linewidths, and coordinates within
     a few decay lengths of the cavity.
     """
-    g1 = rng.uniform(0.0, 1.5)
-    g2 = rng.uniform(0.0, 1.5)
-    if g1 + g2 == 0.0:
-        g1 = 1.0
-    kappa = 0.0 if rng.uniform() < 0.15 else rng.uniform(0.0, 2.0)
-    U = 0.0 if rng.uniform() < 0.15 else rng.uniform(0.0, 20.0)
-    om_a = rng.uniform(-1.0, 1.0)
-    p = ModelParams(om_a, kappa, U, g1, g2)
-    inc = TwoPhotonIn(
-        Direction.LEFT_INCIDENT,
-        om_a + rng.uniform(-3.0, 3.0),
-        om_a + rng.uniform(-3.0, 3.0),
-    )
-    while True:
-        x1, x2 = rng.uniform(-4.0, 4.0, size=2)
-        if min(abs(x1), abs(x2), abs(x1 - x2)) > 1e-3:
-            return p, inc, (float(x1), float(x2))
+    om_a, kappa, U, g1, g2, w1, w2, x1, x2 = _draw(rng)
+    pair = TwoPhotonIn(Direction.LEFT_INCIDENT, w1, w2)
+    return ModelParams(om_a, kappa, U, g1, g2), pair, (x1, x2)
+
+
+def random_model_draws(
+    rng: np.random.Generator, n_draws: int
+) -> tuple[ModelParams, TwoPhotonIn, np.ndarray]:
+    """``n_draws`` successive :func:`random_model_draw` results, stacked.
+
+    The generator is consumed exactly as by that many scalar draws, so the
+    same seed gives the same points.  Returns one ``ModelParams`` with
+    array rates, one ``TwoPhotonIn`` with array frequencies and the
+    (n_draws, 2) array of sample points.  ``n_draws`` must be >= 1: an
+    empty sample would report every maximum as 0.
+    """
+    if n_draws < 1:
+        raise ValueError(f"n_draws must be >= 1, got {n_draws}")
+    draws = np.array([_draw(rng) for _ in range(n_draws)])
+    om_a, kappa, U, g1, g2, w1, w2 = draws[:, :7].T
+    pair = TwoPhotonIn(Direction.LEFT_INCIDENT, w1, w2)
+    return ModelParams(om_a, kappa, U, g1, g2), pair, draws[:, 7:]
 
 
 def residual_suite(n_draws: int = 1000, seed: int = 20240817) -> ResidualReport:
     """Worst residual of both equation systems over random draws.
 
-    Deterministic for a fixed seed.  Aggregates the single-photon and
-    two-photon reports; the returned samples are the drawn points.
+    Deterministic for a fixed seed.  All draws are checked in one
+    broadcast call per equation system; the single-photon relations are
+    reported with a ``single_`` prefix, and the returned samples are the
+    drawn points.
     """
-    rng = np.random.default_rng(seed)
-    worst: dict[str, float] = {}
-    samples = []
-    for _ in range(n_draws):
-        p, inc, pt = random_model_draw(rng)
-        rep2 = two_photon_residual(p, inc, [pt])
-        rep1 = single_residual(p, inc.omega_k1)
-        samples.append(pt)
-        for rep, prefix in ((rep1, "single_"), (rep2, "")):
-            for name, value in rep.residuals.items():
-                key = prefix + name
-                worst[key] = max(worst.get(key, 0.0), value)
-    return ResidualReport(worst, tuple(samples))
+    params, incoming, points = random_model_draws(np.random.default_rng(seed), n_draws)
+    single = single_residual(params, incoming.omega_k1)
+    pair = two_photon_residual(params, incoming, points)
+    worst = {"single_" + name: value for name, value in single.residuals.items()}
+    return ResidualReport({**worst, **pair.residuals}, pair.samples)

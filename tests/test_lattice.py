@@ -247,6 +247,13 @@ class TestTwoPhotonLattice:
         with pytest.raises(ValueError, match="max_separation"):
             res.decay_fit(res.separations[1] * 0.5)
 
+    @pytest.mark.parametrize("w1, w2", [(np.array([0.0, 0.5]), 0.0), (np.zeros(1), np.zeros(1))])
+    def test_array_pair_is_rejected_naming_the_input(self, w1, w2):
+        spec = LatticeSpec(361, 0.1, 0.04, 3.0, 40)
+        p = ModelParams(0.0, 1.0, 10.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="incoming must be one photon pair"):
+            lattice_two_photon(spec, p, TwoPhotonIn(LEFT, w1, w2))
+
 
 def _product_space_run(spec, params, pair):
     """The two-excitation read-outs by direct exponentiation of the pair

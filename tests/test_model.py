@@ -88,6 +88,28 @@ class TestPhotonRecords:
         assert (pair.omega_k1, pair.omega_k2) == (-1.0, 3.0)
         assert pair.omega == 2.0
 
+    def test_array_pair_frequencies_are_ordered_elementwise(self):
+        pair = TwoPhotonIn(Direction.LEFT_INCIDENT, np.array([3.0, -2.0, 0.5]), np.array([-1.0, 4.0, 0.5]))
+        assert np.array_equal(pair.omega_k1, [-1.0, -2.0, 0.5])
+        assert np.array_equal(pair.omega_k2, [3.0, 4.0, 0.5])
+        assert np.array_equal(pair.omega, [2.0, 2.0, 1.0])
+        # a scalar partner broadcasts against the array
+        mixed = TwoPhotonIn(Direction.LEFT_INCIDENT, np.array([-1.0, 2.0]), 0.5)
+        assert np.array_equal(mixed.omega_k1, [-1.0, 0.5])
+        assert np.array_equal(mixed.omega_k2, [0.5, 2.0])
+
+    def test_non_finite_pair_element_is_named(self):
+        with pytest.raises(ValueError, match="omega_k1 must be finite, got inf"):
+            TwoPhotonIn(Direction.LEFT_INCIDENT, np.array([0.0, np.inf, np.nan]), 1.0)
+        with pytest.raises(ValueError, match="omega_k2 must be finite, got nan"):
+            TwoPhotonIn(Direction.LEFT_INCIDENT, 0.0, np.array([1.0, np.nan, -np.inf]))
+
+    @pytest.mark.parametrize("w1, w2", [(3, -1.0), (np.float64(0.25), np.array(-0.5))])
+    def test_scalar_pair_frequencies_stay_python_floats(self, w1, w2):
+        pair = TwoPhotonIn(Direction.RIGHT_INCIDENT, w1, w2)
+        assert type(pair.omega_k1) is float and type(pair.omega_k2) is float
+        assert pair.omega_k1 <= pair.omega_k2
+
     def test_pair_direction_validated(self):
         with pytest.raises(ValueError, match="direction"):
             TwoPhotonIn(None, 0.0, 0.0)

@@ -12,6 +12,7 @@ from chiral_diode.verification import VERIFY_SUITES, verify_all
 from chiral_diode.verification.residuals import (
     ResidualReport,
     random_model_draw,
+    random_model_draws,
     residual_suite,
     single_residual,
     two_photon_residual,
@@ -121,6 +122,63 @@ class TestSuite:
         rep = residual_suite(n_draws=50, seed=7)
         assert rep.max_residual < 1e-9
         assert len(rep.samples) == 50
+
+    def test_broadcast_suite_equals_per_draw_scalar_residuals(self):
+        rng = np.random.default_rng(7)
+        draws = [random_model_draw(rng) for _ in range(50)]
+        rep = residual_suite(n_draws=50, seed=7)
+        assert rep.samples == tuple(pt for _, _, pt in draws)
+        expected = {
+            "single_cavity_equation": max(
+                single_residual(p, inc.omega_k1).residuals["cavity_equation"]
+                for p, inc, _ in draws
+            ),
+        }
+        for name in sorted(RELATIONS):
+            expected[name] = max(
+                two_photon_residual(p, inc, [pt]).residuals[name] for p, inc, pt in draws
+            )
+        assert rep.residuals.keys() == expected.keys()
+        for name, value in expected.items():
+            assert abs(rep.residuals[name] - value) <= 1e-15, name
+
+    def test_broadcast_corruption_equals_per_draw_corruption(self):
+        # roundoff-level residuals cannot tell the draws apart, so corrupt
+        # D in every draw: each relation's worst must then be the same
+        # O(1e-3) number whether the draws run at once or one by one
+        params, incoming, points = random_model_draws(np.random.default_rng(7), 50)
+        c = bound_coeffs(params, incoming)
+        rep = two_photon_residual(
+            params, incoming, points, coeffs_override=dataclasses.replace(c, D=1.01 * c.D)
+        )
+        rng = np.random.default_rng(7)
+        per_draw = []
+        for _ in range(50):
+            p, inc, pt = random_model_draw(rng)
+            one = bound_coeffs(p, inc)
+            bad = dataclasses.replace(one, D=1.01 * one.D)
+            per_draw.append(two_photon_residual(p, inc, [pt], coeffs_override=bad).residuals)
+        assert rep.max_residual > 1e-3
+        for name in RELATIONS:
+            want = max(r[name] for r in per_draw)
+            assert rep.residuals[name] == pytest.approx(want, rel=1e-12, abs=1e-15), name
+
+    def test_one_corrupted_draw_among_many_fires(self):
+        # the maximum runs over every draw: a 1% error in the last one's D
+        # alone must show
+        params, incoming, points = random_model_draws(np.random.default_rng(7), 200)
+        c = bound_coeffs(params, incoming)
+        assert two_photon_residual(params, incoming, points).max_residual < 1e-9
+        D = c.D.copy()
+        D[-1] *= 1.01
+        rep = two_photon_residual(
+            params, incoming, points, coeffs_override=dataclasses.replace(c, D=D)
+        )
+        assert rep.max_residual > 1e-3
+
+    def test_empty_draw_count_rejected(self):
+        with pytest.raises(ValueError, match="n_draws"):
+            residual_suite(n_draws=0)
 
     def test_deterministic_for_a_fixed_seed(self):
         a = residual_suite(n_draws=20, seed=123)

@@ -375,6 +375,36 @@ class TestMaps:
                 row = TwoPhotonField(params(gamma1=g, gamma2=1.0 - g), pair)
                 assert np.array_equal(panel[i], row.densities(x1, x2)["tt"])
 
+    @pytest.mark.parametrize("direction", [LEFT, RIGHT])
+    def test_field_over_an_array_pair_equals_per_element_scalar_fields(self, direction):
+        rng = np.random.default_rng(5)
+        n = 25
+        grid = params(
+            omega_a=rng.uniform(-1.0, 1.0, n), kappa=rng.uniform(0.0, 2.0, n),
+            U=rng.uniform(-10.0, 10.0, n), gamma1=rng.uniform(0.1, 1.5, n),
+            gamma2=rng.uniform(0.1, 1.5, n),
+        )
+        pair = TwoPhotonIn(direction, rng.uniform(-3.0, 3.0, n), rng.uniform(-3.0, 3.0, n))
+        x1, x2 = rng.uniform(-4.0, 4.0, (2, n))
+        field = TwoPhotonField(grid, pair)
+        channels = {
+            "tt": field.psi_tt(x1, x2),
+            "rr": field.psi_rr(x1, x2),
+            "rt": field.psi_rt(x1, x2),
+            "rt printed": field.psi_rt(x1, x2, convention="printed"),
+        }
+        for i in range(n):
+            p = params(*(float(getattr(grid, k)[i]) for k in ("kappa", "U", "gamma1", "gamma2", "omega_a")))
+            one = TwoPhotonField(p, TwoPhotonIn(direction, pair.omega_k1[i], pair.omega_k2[i]))
+            scalar = {
+                "tt": one.psi_tt(x1[i], x2[i]),
+                "rr": one.psi_rr(x1[i], x2[i]),
+                "rt": one.psi_rt(x1[i], x2[i]),
+                "rt printed": one.psi_rt(x1[i], x2[i], convention="printed"),
+            }
+            for ch, value in scalar.items():
+                assert abs(channels[ch][i] - value) <= 1e-15, (ch, i)
+
     def test_diagonal_ridge_decays_at_the_loss_plus_coupling_rate(self):
         p = params()
         f = TwoPhotonField(p, resonant_pair(p))
