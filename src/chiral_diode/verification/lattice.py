@@ -7,14 +7,15 @@ frame rotating at the probe frequency, so the packet is a slowly varying
 envelope and the cavity term becomes the detuning ``omega_a - omega_k -
 i kappa/2``.  The physics is defined once, as the single-excitation
 generator H1: three diagonals over the channel sites plus the cavity's
-border column, held as numpy arrays.  The single-excitation run applies
-it in place, with no allocation, inside a classical fourth-order
-Runge-Kutta.  The two-excitation run builds no pair basis: its Kerr term
-is rank one (2U on the doubly occupied cavity), so the pair evolves
-exactly on the eigendecomposition of H1's dense matrix, and only the
-doubly occupied cavity amplitude needs a quadrature, a scalar Volterra
-equation (the time-domain Sherman-Morrison identity; the bound state it
-carries is that of Liao & Law, PRA 82, 053836).
+border column, held as numpy arrays and applied in place, with no
+allocation, to one state or a block of states.  Both runs step it with
+the same classical fourth-order Runge-Kutta.  The two-excitation run
+builds no pair basis: its Kerr term is rank one (2U on the doubly
+occupied cavity), so the pair follows from three one-photon trajectories
+(the cavity mode and the two packets, stepped as one block), and only
+the doubly occupied cavity amplitude needs a quadrature, a scalar
+Volterra equation (the time-domain Sherman-Morrison identity; the bound
+state it carries is that of Liao & Law, PRA 82, 053836).
 
 Discretization scheme, chosen so the only non-Hermitian pieces of the
 semi-discrete generator are the explicit loss terms (cavity -i kappa/2
@@ -98,15 +99,10 @@ _LAUNCH_WIDTHS = 7.5
 _ABSORBER_CLEARANCE_WIDTHS = 6.0
 _SITES_PER_WIDTH = 40
 # two-excitation quadrature: largest trapezoid step of the cavity Volterra
-# equation and largest Simpson step of the final pair integral (halving
-# both moved the 361-site profile by 8.6e-10 relative), and the time
-# samples held per block of modal phases
+# equation, half the Runge-Kutta step, and largest Simpson step of the
+# final pair integral
 _VOLTERRA_STEP = 0.0025
 _SIMPSON_STEP = 0.01
-_TIME_BLOCK = 256
-# largest accepted |H1 V - V diag(lam)| / |H1|; measured 0.5e-14 to
-# 1.7e-14 from 102 to 1443 modes
-_EIG_RESIDUAL_BOUND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -118,7 +114,7 @@ class LatticeSpec:
     (amplitude ``exp(-(x-x0)^2/(4 width^2))``).  ``absorber_width`` sites
     at each end carry a quadratic damping ramp rising to 1.  ``dt`` is
     the Runge-Kutta step of the single-excitation run; the two-excitation
-    run has no time step of its own and ignores it.
+    run steps at its quadrature's own step and ignores it.
     """
 
     n_sites: int
@@ -184,10 +180,11 @@ def default_single_spec() -> LatticeSpec:
 def default_two_photon_spec() -> LatticeSpec:
     """Geometry for the two-excitation run: 721 sites at ``dx = 0.05``.
 
-    The run's cost is a dense eigendecomposition of the one-photon
-    generator, cubic in its 722 modes (1443 when the left channel is
-    kept), so the channels are shorter than ``default_single_spec``'s.
-    ``dt`` serves only single-excitation runs on this geometry.
+    The run steps three one-photon trajectories over its 722 modes (1443
+    when the left channel is kept) at a fixed step of 0.005 for its whole
+    horizon, so its cost is linear in the sites, and the channels are
+    shorter than ``default_single_spec``'s.  ``dt`` serves only
+    single-excitation runs on this geometry.
     """
     return LatticeSpec(
         n_sites=721, dx=0.05, dt=0.02,
@@ -202,8 +199,10 @@ class LatticeResult:
     ``T``/``R`` are carrier-frequency values from amplitude-sum ratios,
     ``T_raw``/``R_raw`` the bandwidth-averaged channel norms; ``loss`` is
     ``1 - T_raw - R_raw``.  ``converged`` is False when the packet has
-    not cleared the scatterer by the final time.  ``norm_trace`` (when
-    requested) samples the total state norm once per time step.
+    not reached and cleared the scatterer by the final time: amplitude is
+    left upstream in the incident channel, near the cavity or in it.
+    ``norm_trace`` (when requested) samples the total state norm once per
+    time step.
     """
 
     T: float
@@ -267,9 +266,12 @@ def lattice_transmission(
     and reflected packets to reach mirror positions).
 
     Raises ValueError if the packet bandwidth is not narrow against the
-    cavity linewidth ``kappa + Gamma`` or the geometry cannot hold the
-    packet clear of both the cavity and the absorbers.
+    cavity linewidth ``kappa + Gamma``, the geometry cannot hold the
+    packet clear of both the cavity and the absorbers, or ``t_final`` is
+    not a positive, finite time.
     """
+    if t_final is not None and not (np.isfinite(t_final) and t_final > 0.0):
+        raise ValueError(f"t_final must be positive and finite, got {t_final}")
     G = params.Gamma
     sigma = spec.packet_width
     if 1.0 / sigma > 0.5 * (params.kappa + G):
@@ -296,7 +298,11 @@ def lattice_transmission(
     psi[off:off + n] = env
     n_steps = int(round(horizon / spec.dt))
     trace = np.empty(n_steps + 1) if track_norm else None
-    _rk4(H, psi, spec.dt, n_steps, trace)
+
+    def record(step, terms):
+        trace[step] = np.vdot(terms[0], terms[0]).real
+
+    _rk4(H, psi, spec.dt, n_steps, record if track_norm else None)
     # the left channel slice is empty when the basis has none
     R, L, c = psi[:n], psi[n:-1], psi[-1]
 
@@ -309,6 +315,9 @@ def lattice_transmission(
     j0 = n // 2
     near = slice(max(j0 - 40, 0), min(j0 + 41, n))
     leftover = float(np.sum(np.abs(R[near]) ** 2) + np.sum(np.abs(L[near]) ** 2))
+    # what of the incident packet has not yet reached the cavity
+    upstream = trans[:near.start] if left_in else trans[near.stop:]
+    leftover += float(np.sum(np.abs(upstream) ** 2))
     cav = float(abs(c) ** 2)
     converged = cav < 1e-7 and leftover < 1e-5
     return LatticeResult(
@@ -329,9 +338,8 @@ class TwoPhotonLatticeResult:
 
     ``density[i]`` is the two-point density summed over pair centers at
     photon separation ``separations[i]``, restricted to the transmitted
-    channel downstream of the cavity.  ``eig_cond`` is the condition
-    number of the one-photon eigenvector matrix V and ``eig_residual``
-    the relative residual ``|H1 V - V diag(lam)| / |H1|`` (Frobenius).
+    channel downstream of the cavity.  ``converged`` is False while the
+    doubly occupied cavity still holds ``final_double_cavity_pop >= 1e-6``.
     """
 
     separations: np.ndarray
@@ -339,8 +347,6 @@ class TwoPhotonLatticeResult:
     transmitted_norm: float
     converged: bool
     final_double_cavity_pop: float
-    eig_cond: float
-    eig_residual: float
 
     def decay_fit(self, max_separation: float) -> float:
         """Exponential decay rate of the profile, from a log-linear fit
@@ -352,7 +358,13 @@ class TwoPhotonLatticeResult:
         return float(-slope)
 
     def bunching_ratio(self, separation: float) -> float:
-        """Density at zero separation over density at ``separation``."""
+        """Density at zero separation over density at the profiled
+        separation nearest ``separation``, which must lie in the profile."""
+        if not 0.0 <= separation <= self.separations[-1]:
+            raise ValueError(
+                f"separation {separation} lies outside the profile "
+                f"[0, {self.separations[-1]:g}]"
+            )
         i = int(np.argmin(np.abs(self.separations - separation)))
         if self.density[i] == 0.0:
             return np.inf
@@ -369,7 +381,7 @@ class _Generator:
     the two channels), the cavity couples to them through the ``border``
     column and its transpose, and ``cavity`` is its diagonal entry.  The
     border's values are real; it is stored complex so that ``apply``
-    casts nothing.  ``apply`` steps with H and ``toarray`` decomposes it.
+    casts nothing.
     """
 
     diag: np.ndarray
@@ -384,30 +396,19 @@ class _Generator:
         return m, m
 
     def apply(self, psi: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
-        """``out = H psi`` with no allocation; ``work`` is scratch of
-        ``psi``'s size, and neither may be ``psi``."""
-        sites, c = psi[:-1], psi[-1]
-        body, tmp = out[:-1], work[:-1]
+        """``out = H psi`` over the last axis of one state or a (k, m) block,
+        with no allocation; ``work`` is scratch of ``psi``'s shape, and
+        neither may be ``psi``."""
+        sites, c = psi[..., :-1], psi[..., -1:]
+        body, tmp = out[..., :-1], work[..., :-1]
         np.multiply(self.diag, sites, out=body)
-        np.multiply(self.upper, sites[1:], out=tmp[1:])
-        body[:-1] += tmp[1:]
-        np.multiply(self.lower, sites[:-1], out=tmp[1:])
-        body[1:] += tmp[1:]
+        np.multiply(self.upper, sites[..., 1:], out=tmp[..., 1:])
+        body[..., :-1] += tmp[..., 1:]
+        np.multiply(self.lower, sites[..., :-1], out=tmp[..., 1:])
+        body[..., 1:] += tmp[..., 1:]
         np.multiply(self.border, c, out=tmp)
         body += tmp
-        out[-1] = self.cavity * c + np.dot(self.border, sites)
-
-    def toarray(self) -> np.ndarray:
-        """The dense matrix of H."""
-        m = self.shape[0]
-        H = np.zeros((m, m), dtype=complex)
-        i = np.arange(m - 1)
-        H[i, i] = self.diag
-        H[i[:-1], i[1:]] = self.upper
-        H[i[1:], i[:-1]] = self.lower
-        H[:-1, -1] = H[-1, :-1] = self.border
-        H[-1, -1] = self.cavity
-        return H
+        out[..., -1] = self.cavity * psi[..., -1] + sites @ self.border
 
 
 def _single_particle_operator(
@@ -446,47 +447,28 @@ def _single_particle_operator(
     return _Generator(diag, upper, -upper, border, cavity)
 
 
-def _rk4(
-    H: _Generator,
-    psi: np.ndarray,
-    dt: float,
-    n_steps: int,
-    norms: np.ndarray | None = None,
-) -> None:
+def _rk4(H: _Generator, psi: np.ndarray, dt: float, n_steps: int, record=None) -> None:
     """Advance ``dpsi/dt = -i H psi`` in place by ``n_steps`` classical
-    fourth-order Runge-Kutta steps.
-
-    Four work vectors are reused across steps, so a step allocates no
-    array.  When given, ``norms`` (length ``n_steps + 1``) receives the
-    squared state norm before every step and after the last one.
-    """
-    h, acc, stage, work = (np.empty_like(psi) for _ in range(4))
+    fourth-order Runge-Kutta steps of one state or a (k, m) block.  For a
+    linear, constant H that step is the Taylor polynomial ``sum_{j<=4}
+    k_j`` with ``k_0 = psi`` and ``k_j = (-i dt H / j) k_{j-1}``, formed so
+    in one buffer reused across steps.  ``record(step, terms)``, when
+    given, sees ``terms[j] = k_j`` before every step, and the final state
+    as ``terms[0]`` with ``terms[1:]`` zero after the last."""
+    factors = [_Generator(**{k: -1j * dt / j * v for k, v in vars(H).items()})
+               for j in range(1, 5)]
+    terms = np.empty((5,) + psi.shape, dtype=complex)
+    work = np.empty_like(psi)
     for step in range(n_steps):
-        if norms is not None:
-            norms[step] = np.vdot(psi, psi).real
-        # with h_j = H stage_j, acc = h1 + 2 h2 + 2 h3 + h4; the factor -i
-        # rides on the step sizes
-        H.apply(psi, h, work)
-        np.copyto(acc, h)
-        for scale, weight in ((-0.5j * dt, 2.0), (-0.5j * dt, 2.0), (-1j * dt, 1.0)):
-            np.multiply(scale, h, out=stage)
-            np.add(psi, stage, out=stage)
-            H.apply(stage, h, work)
-            np.multiply(weight, h, out=stage)
-            np.add(acc, stage, out=acc)
-        np.multiply(-1j * dt / 6.0, acc, out=acc)
-        np.add(psi, acc, out=psi)
-    if norms is not None:
-        norms[n_steps] = np.vdot(psi, psi).real
-
-
-def _phase_blocks(lam: np.ndarray, step: float, count: int):
-    """Yield ``(j0, E)`` with ``E[j, k] = exp(-i lam[k] (j0 + j) step)``
-    for ``j0 + j < count``, ``_TIME_BLOCK`` rows at a time, so no table
-    over every time is ever held."""
-    base = np.exp(-1j * step * np.outer(np.arange(min(_TIME_BLOCK, count)), lam))
-    for j0 in range(0, count, _TIME_BLOCK):
-        yield j0, base[:count - j0] * np.exp(-1j * (j0 * step) * lam)
+        terms[0] = psi
+        for j, factor in enumerate(factors, 1):
+            factor.apply(terms[j - 1], terms[j], work)
+        if record is not None:
+            record(step, terms)
+        terms.sum(axis=0, out=psi)
+    if record is not None:
+        terms[0], terms[1:] = psi, 0.0
+        record(n_steps, terms)
 
 
 def _trapezoid_volterra(free: np.ndarray, kernel: np.ndarray, a: complex) -> np.ndarray:
@@ -524,19 +506,21 @@ def lattice_two_photon(
     the single-excitation launch position, with momentum ramps placing
     each at its own frequency around the mean frame.  The pair amplitude
     ``Psi[p, q]`` obeys ``i dPsi/dt = H1 Psi + Psi H1^T + 2U c E_cc``,
-    where ``c = Psi[cav, cav]``: the Kerr term is rank one.  With the
-    one-photon eigendecomposition ``H1 = V diag(lam) V^-1`` the free pair
-    evolves exactly, and
+    where ``c = Psi[cav, cav]``: the Kerr term is rank one, so
 
         c(t) = c0(t) - 2iU int_0^t g(t-s)^2 c(s) ds,
         Psi(T) = Psi0(T) - 2iU int_0^T c(s) u(T-s) u(T-s)^T ds,
 
-    with ``u(tau) = exp(-i H1 tau)|cav>`` and ``g(tau) = u(tau)[cav]``.
-    The Volterra equation is solved by the trapezoid rule at a step of at
-    most ``_VOLTERRA_STEP`` = 0.0025 and at twice that, combined by
-    Richardson extrapolation, and the final integral by Simpson's rule
-    with step at most ``_SIMPSON_STEP`` = 0.01, formed only on the
-    transmitted rows; ``spec.dt`` plays no part.
+    with ``u(tau) = exp(-i H1 tau)|cav>``, ``g(tau) = u(tau)[cav]`` and
+    ``Psi0`` the free pair.  Three trajectories carry the run, ``u`` and
+    the two packets, stepped as one block by the single-excitation
+    run's Runge-Kutta at twice the Volterra step; each step's Taylor
+    terms also give the cavity entries at its midpoint.  The Volterra
+    equation is solved by the trapezoid rule at a step of at most
+    ``_VOLTERRA_STEP`` = 0.0025 and at twice that, combined by Richardson
+    extrapolation, and the final integral by Simpson's rule with step at
+    most ``_SIMPSON_STEP`` = 0.01 on the transmitted rows; ``spec.dt``
+    plays no part.
 
     The run lasts the channel half-width plus ``6/(kappa+Gamma)``, six
     bound-state decay lengths, so the pair clears the cavity.  The
@@ -544,12 +528,16 @@ def lattice_two_photon(
     separation up to ``6/(kappa+Gamma)`` (summed over pair centers
     downstream of the cavity).
 
-    Raises ValueError when the eigendecomposition residual
-    ``|H1 V - V diag(lam)| / |H1|`` exceeds ``_EIG_RESIDUAL_BOUND``: near
-    an exceptional point H1 is defective and the eigenbasis cannot carry
-    the evolution, and when ``incoming`` holds arrays of frequencies: one
+    Raises ValueError when ``incoming`` holds arrays of frequencies: one
     run launches one pair.
     """
+    return _two_photon_run(spec, params, incoming, 1.0)
+
+
+def _two_photon_run(
+    spec: LatticeSpec, params: ModelParams, incoming: TwoPhotonIn, step_scale: float
+) -> TwoPhotonLatticeResult:
+    """``lattice_two_photon`` with its time steps scaled by ``step_scale``."""
     if np.ndim(incoming.omega_k1) != 0:
         raise ValueError(
             "incoming must be one photon pair, got array frequencies of shape "
@@ -563,63 +551,61 @@ def lattice_two_photon(
     omega_frame = 0.5 * (incoming.omega_k1 + incoming.omega_k2)
     H1 = _single_particle_operator(spec, params, omega_frame, left_in)
     n = spec.n_sites
-    m = H1.shape[0]
-    cav = m - 1
 
-    dense = H1.toarray()
-    lam, V = np.linalg.eig(dense)
-    eig_residual = float(np.linalg.norm(dense @ V - V * lam) / np.linalg.norm(dense))
-    if not eig_residual <= _EIG_RESIDUAL_BOUND:
-        raise ValueError(
-            f"one-photon eigendecomposition residual {eig_residual:.3g} exceeds "
-            f"{_EIG_RESIDUAL_BOUND:g}; the generator is at or near an exceptional point"
-        )
-    eig_cond = float(np.linalg.cond(V))
-
-    # modal weights V^-1 of the cavity mode and of the two packets; the
-    # incident channel is also the transmitted one
+    # the trajectories u, phi1 and phi2; the incident channel is also the
+    # transmitted one
     off = 0 if left_in else n
-    sources = np.zeros((m, 3), dtype=complex)
-    sources[cav, 0] = 1.0
-    sources[off:off + n, 1] = _packet(spec, left_in, incoming.omega_k1 - omega_frame)
-    sources[off:off + n, 2] = _packet(spec, left_in, incoming.omega_k2 - omega_frame)
-    weights = np.linalg.solve(V, sources)
+    states = np.zeros((3, H1.shape[0]), dtype=complex)
+    states[0, -1] = 1.0
+    states[1, off:off + n] = _packet(spec, left_in, incoming.omega_k1 - omega_frame)
+    states[2, off:off + n] = _packet(spec, left_in, incoming.omega_k2 - omega_frame)
     # Psi(0) = norm (phi1 phi2^T + phi2 phi1^T), unit Frobenius norm
-    norm = 1.0 / np.sqrt(2.0 + 2.0 * abs(np.vdot(sources[:, 1], sources[:, 2])) ** 2)
+    norm = 1.0 / np.sqrt(2.0 + 2.0 * abs(np.vdot(states[1], states[2])) ** 2)
 
     # six bound-state decay lengths: the horizon margin and profile reach.
     # An even number of Simpson intervals, each split into ``ratio``
-    # extrapolated Volterra intervals of two trapezoid steps each
+    # Runge-Kutta steps of two Volterra trapezoid steps each
     reach = 6.0 / (params.kappa + G)
     horizon = spec.half_width + reach
-    n_coarse = 2 * int(np.ceil(horizon / (2.0 * _SIMPSON_STEP)))
+    n_coarse = 2 * int(np.ceil(horizon / (2.0 * step_scale * _SIMPSON_STEP)))
     ratio = max(1, round(_SIMPSON_STEP / (2.0 * _VOLTERRA_STEP)))
     coarse = horizon / n_coarse
-    fine = coarse / (2 * ratio)
-
-    # cavity amplitudes g, and a1, a2 of the two free photons, on the fine
-    # grid; c comes back on every second fine node
-    at_cavity = np.empty((2 * ratio * n_coarse + 1, 3), dtype=complex)
-    for j0, E in _phase_blocks(lam, fine, at_cavity.shape[0]):
-        at_cavity[j0:j0 + E.shape[0]] = E @ (V[cav, :, None] * weights)
-    g, a1, a2 = at_cavity.T
-    c = _volterra(2.0 * norm * a1 * a2, g**2, 2j * params.U * fine)
+    n_steps = ratio * n_coarse
 
     # transmitted channel: where the incident packet continues
     downstream = (x > 1.0 / G) if left_in else (x < -1.0 / G)
     usable = np.abs(x) < spec.half_width - spec.absorber_width * spec.dx
-    rows = V[np.nonzero(downstream & usable)[0] + off]
-    free = rows @ (np.exp(-1j * horizon * lam)[:, None] * weights[:, 1:])
-    psi = norm * (np.outer(free[:, 0], free[:, 1]) + np.outer(free[:, 1], free[:, 0]))
+    keep = np.nonzero(downstream & usable)[0] + off
+    rows = slice(keep[0], keep[-1] + 1)
+
+    # every step's Taylor terms at the cavity, and u's transmitted rows at
+    # every Simpson node
+    at_cavity = np.empty((n_steps + 1, 5, 3), dtype=complex)
+    emitted = np.empty((n_coarse + 1, keep.size), dtype=complex)
+
+    def record(step, terms):
+        at_cavity[step] = terms[..., -1]
+        if step % ratio == 0:
+            emitted[step // ratio] = terms[0, 0, rows]
+
+    _rk4(H1, states, coarse / ratio, n_steps, record)
+    # g, a1 and a2 on the Volterra grid: the step nodes and midpoints,
+    # where the Taylor polynomial takes half the step; c comes back on
+    # the step nodes
+    fine = np.empty((2 * n_steps + 1, 3), dtype=complex)
+    fine[::2], fine[1::2] = at_cavity[:, 0], 0.5 ** np.arange(5) @ at_cavity[:-1]
+    g, a1, a2 = fine.T
+    c = _volterra(2.0 * norm * a1 * a2, g**2, 1j * params.U * coarse / ratio)
+
+    free = states[1:, rows]
+    psi = norm * (np.outer(free[0], free[1]) + np.outer(free[1], free[0]))
     # Simpson over s = T - tau, indexed by tau = i * coarse; the weights
-    # are symmetric, so c(T - tau) is the reversed coarse samples
+    # are symmetric, so c(T - tau) is the reversed coarse samples.  The
+    # sum of drive_i u_i u_i^T is V^T V with V = sqrt(drive) u, in place
     simpson = np.ones(n_coarse + 1)
     simpson[1:-1:2], simpson[2:-1:2] = 4.0, 2.0
-    drive = (-2j * params.U * coarse / 3.0) * simpson * c[::ratio][::-1]
-    emitter = rows * weights[:, 0]
-    for i0, E in _phase_blocks(lam, coarse, n_coarse + 1):
-        u = emitter @ E.T
-        psi += (u * drive[i0:i0 + E.shape[0]]) @ u.T
+    emitted *= np.sqrt((-2j * params.U * coarse / 3.0) * simpson * c[::ratio][::-1])[:, None]
+    psi += emitted.T @ emitted
 
     # ordered-pair density |Psi(p, q)|^2; the transmitted rows are
     # contiguous, so diagonal offset d is photon separation d * dx
@@ -633,6 +619,4 @@ def lattice_two_photon(
         transmitted_norm=float(np.sum(density)),
         converged=double_cav < 1e-6,
         final_double_cavity_pop=double_cav,
-        eig_cond=eig_cond,
-        eig_residual=eig_residual,
     )

@@ -224,18 +224,21 @@ class TestVerifyAll:
         assert any(n.startswith("working_area") for n in names)
         assert not any(n.startswith("lattice") for n in names)
 
-    def test_two_photon_lattice_checks_pass_and_report_the_eigenbasis(self):
-        from chiral_diode.verification.report import _two_photon_lattice_checks
+    def test_two_photon_lattice_checks_pass_and_report_the_step_halving(self):
+        from chiral_diode.verification.report import (
+            _STEP_HALVING_GATE,
+            _two_photon_lattice_checks,
+        )
 
         checks = {c.name: c for c in _two_photon_lattice_checks()}
         assert set(checks) == {
             "two_photon_lattice_decay_rel_err",
             "two_photon_lattice_bunching_ratio",
-            "two_photon_lattice_eig_residual",
+            "two_photon_lattice_step_halving_rel",
             "two_photon_lattice_factorization_rel",
         }
         assert all(c.passed for c in checks.values())
-        assert 0.0 < checks["two_photon_lattice_eig_residual"].value < 1e-12
+        assert 0.0 < checks["two_photon_lattice_step_halving_rel"].value < _STEP_HALVING_GATE
 
     @pytest.mark.parametrize("suite", ["residual", "analytic"])
     @pytest.mark.parametrize(
