@@ -149,13 +149,6 @@ def _path(value, name: str) -> str:
     return value
 
 
-def _flag(value, name: str) -> bool:
-    """A switch: ``true``/``false`` in a config file, set by its bare flag."""
-    if not isinstance(value, bool):
-        raise CliError(f"{name}: expected true or false, got {value!r}")
-    return value
-
-
 def _channels(value, name: str) -> tuple[str, ...]:
     """Comma list of exit channels."""
     parts = value.split(",") if isinstance(value, str) else ()
@@ -277,18 +270,6 @@ def _params_from_args(args) -> ModelParams:
         raise CliError(str(exc)) from None
 
 
-def _resonant_frequencies(params: ModelParams, case: WorkingAreaCase) -> tuple[float, float]:
-    """Incident pair frequencies for the named tuning.
-
-    Single-photon resonance puts both photons on the cavity line; the
-    two-photon tuning splits them as (omega_a, omega_a + 2U) so the pair
-    energy matches the Kerr-shifted two-photon transition.
-    """
-    if case is WorkingAreaCase.SINGLE_PHOTON_RESONANCE:
-        return params.omega_a, params.omega_a
-    return params.omega_a, params.omega_a + 2.0 * params.U
-
-
 def _write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -367,14 +348,14 @@ def _cmd_twomap(args) -> int:
     if (args.omega1 is None) != (args.omega2 is None):
         raise CliError("omega1/omega2: give both explicit frequencies or neither")
     if args.omega1 is None:
-        w1, w2 = _resonant_frequencies(params, args.resonance)
+        incoming = args.resonance.incoming(params, args.direction)
     else:
-        w1, w2 = args.omega1, args.omega2
+        incoming = TwoPhotonIn(args.direction, args.omega1, args.omega2)
     channels = args.channels
     if args.format == "binary" and len(channels) > 1:
         raise CliError(f"channels: a binary map holds one channel, got {','.join(channels)!r}")
 
-    field = TwoPhotonField(params, TwoPhotonIn(args.direction, w1, w2))
+    field = TwoPhotonField(params, incoming)
     maps = map_two_photon(field, args.x, channels, args.convention)
 
     extension = "bin" if args.format == "binary" else args.format
@@ -445,14 +426,10 @@ def _cmd_working_area(args) -> int:
 
 _VERIFY = (
     _Option(
-        "--suite", "all", _names(*VERIFY_SUITES),
-        "residual: field-equation checks only; analytic: adds closed-form and "
-        "working-area checks; all: adds the lattice cross-checks",
-    ),
-    _Option("--skip-lattice", False, _flag, "skip the lattice cross-checks of the 'all' suite"),
-    _Option(
-        "--two-photon-lattice", False, _flag,
-        "also run the two-excitation lattice checks in the 'all' suite",
+        "--suite", "lattice", _names(*VERIFY_SUITES),
+        "each suite adds checks to the one before: residual: field-equation "
+        "checks; analytic: closed-form and working-area checks; lattice: "
+        "single-excitation lattice checks; all: two-excitation lattice checks",
     ),
     _Option(
         "--draws", 300, partial(_int, lo=1),
@@ -464,16 +441,7 @@ _VERIFY = (
 
 
 def _cmd_verify(args) -> int:
-    for name in ("skip-lattice", "two-photon-lattice"):
-        if getattr(args, name.replace("-", "_")) and args.suite != "all":
-            raise CliError(f"{name}: applies only to --suite all, not {args.suite!r}")
-    report = verify_all(
-        include_lattice=not args.skip_lattice,
-        include_two_photon_lattice=args.two_photon_lattice,
-        n_draws=args.draws,
-        seed=args.seed,
-        suite=args.suite,
-    )
+    report = verify_all(suite=args.suite, n_draws=args.draws, seed=args.seed)
     text = report.as_json_text()
     print(text)
     if args.output is not None:
@@ -564,8 +532,7 @@ def _separation_density(
     the coupling point on the exit side.  Array rates in ``params``
     broadcast against ``x``.
     """
-    w1, w2 = _resonant_frequencies(params, case)
-    field = TwoPhotonField(params, TwoPhotonIn(incident, w1, w2))
+    field = TwoPhotonField(params, case.incoming(params, incident))
     sign = 1.0 if incident is Direction.LEFT_INCIDENT else -1.0
     x1 = np.full_like(x, sign)
     x2 = sign * (1.0 + x)
@@ -726,8 +693,8 @@ _SUBCOMMANDS = (
 
 def build_parser() -> _Parser:
     """Parser whose subcommand options all take their value as a string
-    (or, for switches, are bare flags) and default to ``None``;
-    ``_apply_config`` fills in and checks the values."""
+    and default to ``None``; ``_apply_config`` fills in and checks the
+    values."""
     parser = _Parser(
         prog="chiral-diode",
         description="Photon transport through a chirally coupled dissipative Kerr cavity.",
@@ -740,15 +707,11 @@ def build_parser() -> _Parser:
     for command, summary, options, func in _SUBCOMMANDS:
         p = sub.add_parser(command, help=summary)
         for opt in options:
-            flags = opt.flags.split()
-            if opt.parse is _flag:
-                p.add_argument(*flags, action="store_true", default=None, help=opt.help)
-                continue
             help_text = opt.help if opt.default is None else f"{opt.help} (default {opt.default})"
             metavar = None
             if isinstance(opt.parse, _Choice) and opt.flags.startswith("-"):
                 metavar = "{" + ",".join(opt.parse) + "}"
-            p.add_argument(*flags, metavar=metavar, help=help_text)
+            p.add_argument(*opt.flags.split(), metavar=metavar, help=help_text)
         p.set_defaults(func=func, options=options)
     return parser
 

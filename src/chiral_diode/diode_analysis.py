@@ -66,6 +66,20 @@ class WorkingAreaCase(enum.Enum):
     SINGLE_PHOTON_RESONANCE = "single-photon-resonance"
     TWO_PHOTON_RESONANCE = "two-photon-resonance"
 
+    def incoming(
+        self, params: ModelParams, direction: Direction = Direction.LEFT_INCIDENT
+    ) -> TwoPhotonIn:
+        """The incident pair of this tuning.
+
+        Single-photon resonance puts both photons on the cavity line; the
+        two-photon tuning splits them as (omega_a, omega_a + 2U) so the
+        pair energy matches the Kerr-shifted two-photon transition.
+        """
+        w2 = params.omega_a
+        if self is WorkingAreaCase.TWO_PHOTON_RESONANCE:
+            w2 = params.omega_a + 2.0 * params.U
+        return TwoPhotonIn(direction, params.omega_a, w2)
+
 
 @dataclass(frozen=True)
 class WorkingAreaPoint:
@@ -336,25 +350,26 @@ def nonreciprocity_contrast(
     params: ModelParams,
     omega_k1: float,
     omega_k2: float,
-    x1: float,
-    x2: float,
-) -> float:
-    """Directional contrast of the transmitted pair density at one point.
+    x1: float | np.ndarray,
+    x2: float | np.ndarray,
+) -> float | np.ndarray:
+    """Directional contrast of the transmitted pair density.
 
     Returns ``(|psi_tt|^2 - |psi~_tt|^2) / (|psi_tt|^2 + |psi~_tt|^2)``
     comparing left and right incidence at the same coordinates (the
     transmitted density depends only on the photon separation, so mirrored
     and identical coordinates give the same value).  A vanishing
     denominator yields 0.  Ranges over [-1, 1]; -1 means the left-incident
-    pair is fully blocked while the right-incident one passes.
+    pair is fully blocked while the right-incident one passes.  Array
+    coordinates broadcast; scalar ones give a float.
     """
     left = TwoPhotonField(params, TwoPhotonIn(Direction.LEFT_INCIDENT, omega_k1, omega_k2))
     right = TwoPhotonField(params, TwoPhotonIn(Direction.RIGHT_INCIDENT, omega_k1, omega_k2))
-    a = float(np.abs(left.psi_tt(x1, x2)) ** 2)
-    b = float(np.abs(right.psi_tt(x1, x2)) ** 2)
-    if a + b == 0.0:
-        return 0.0
-    return (a - b) / (a + b)
+    a = np.abs(left.psi_tt(x1, x2)) ** 2
+    b = np.abs(right.psi_tt(x1, x2)) ** 2
+    total = a + b
+    contrast = np.divide(a - b, total, out=np.zeros_like(total), where=total != 0.0)
+    return float(contrast) if contrast.ndim == 0 else contrast
 
 
 WORKING_AREA_HEADER = ("gamma1_over_Gamma", "Gamma_abs_x", "branch", "diverges")

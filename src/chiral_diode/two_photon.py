@@ -72,9 +72,12 @@ __all__ = [
 ]
 
 
-def _step(x):
-    """Unit step with the midpoint value 1/2 at the discontinuity."""
+def _step(x, side=None):
+    """Unit step with the midpoint value 1/2 at the discontinuity, or,
+    given ``side`` (+1 or -1), the one-sided value from that side."""
     x = np.asarray(x)
+    if side is not None:
+        x = np.sign(x) + np.asarray(side) * (x == 0)
     return np.where(x > 0, 1.0, np.where(x < 0, 0.0, 0.5))
 
 
@@ -333,7 +336,7 @@ class EvenOddField:
         k = self._k[ki - 1]
         t = self.t_k1 if ki == 1 else self.t_k2
         x = np.asarray(x, dtype=float)
-        pos = _step(x) if side is None else _step(np.sign(x) + np.asarray(side) * (x == 0))
+        pos = _step(x, side)
         return ((1.0 - pos) + t * pos) * np.exp(1j * k * x) / np.sqrt(2.0 * np.pi)
 
     def mode_odd(self, ki: int, x):
@@ -351,9 +354,7 @@ class EvenOddField:
         """
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
-        s1 = _step(x1) if side1 is None else _step(np.sign(x1) + np.asarray(side1) * (x1 == 0))
-        s2 = _step(x2) if side2 is None else _step(np.sign(x2) + np.asarray(side2) * (x2 == 0))
-        return _step(x2 - x1) * s1 + _step(x1 - x2) * s2
+        return _step(x2 - x1) * _step(x1, side1) + _step(x1 - x2) * _step(x2, side2)
 
     def bound_term(self, x1, x2, side1=None, side2=None):
         """Kerr-induced bound contribution to phi_ee."""
@@ -381,7 +382,7 @@ class EvenOddField:
         c = self.coeffs
         k1, k2 = self._k
         x = np.asarray(x, dtype=float)
-        pos = _step(x) if side is None else _step(np.sign(x) + np.asarray(side) * (x == 0))
+        pos = _step(x, side)
         before = c.m_a1 * np.exp(1j * k1 * x) + c.m_a2 * np.exp(1j * k2 * x)
         after = (
             c.beta_k1 * np.exp(1j * k1 * x)

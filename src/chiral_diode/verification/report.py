@@ -36,7 +36,7 @@ from ..diode_analysis import (
     working_area_single_res,
     working_area_two_res,
 )
-from ..model import Direction, ModelParams, PhotonIn, TwoPhotonIn
+from ..model import Direction, ModelParams, PhotonIn
 from ..single_photon import chiral_coeffs, even_mode_t
 from ..two_photon import EvenOddField, TwoPhotonField, bound_asymptote, bound_coeffs
 from .lattice import (
@@ -55,6 +55,8 @@ __all__ = ["VERIFY_SUITES", "VerifyCheck", "VerifyReport", "verify_all"]
 # 3.1e-8 at 361 sites, 3.7e-8 with two channels; 7e-7 to 1.2e-6 from
 # twice to four times the steps
 _STEP_HALVING_GATE = 1e-7
+
+_SPR = WorkingAreaCase.SINGLE_PHOTON_RESONANCE
 
 
 @dataclass(frozen=True)
@@ -104,13 +106,6 @@ def _above(name: str, value: float, threshold: float) -> VerifyCheck:
     return VerifyCheck(name, float(value), threshold, bool(value > threshold))
 
 
-def _resonant_pair(params: ModelParams) -> TwoPhotonIn:
-    return TwoPhotonIn(
-        omega_k1=params.omega_a, omega_k2=params.omega_a,
-        direction=Direction.LEFT_INCIDENT,
-    )
-
-
 def _residual_checks(rng: np.random.Generator, n_draws: int) -> list[VerifyCheck]:
     suite = residual_suite(n_draws=n_draws, seed=int(rng.integers(2**31)))
     single_max = max(v for k, v in suite.residuals.items() if k.startswith("single_"))
@@ -129,7 +124,7 @@ def _residual_checks(rng: np.random.Generator, n_draws: int) -> list[VerifyCheck
         _above("sensitivity_corrupted_t_fires", corrupted.max_residual, 1e-3)
     )
 
-    incoming = _resonant_pair(params)
+    incoming = _SPR.incoming(params)
     coeffs = bound_coeffs(params, incoming)
     pts = ((0.7, 1.9), (-1.3, 0.4), (2.2, -0.8))
     bad_D = dataclasses.replace(coeffs, D=1.01 * coeffs.D)
@@ -207,18 +202,12 @@ def _closed_form_checks(rng: np.random.Generator, n_draws: int) -> list[VerifyCh
     checks.append(_below("ideal_diode_left_T", left.T, 1e-15))
     checks.append(_below("ideal_diode_right_T_error", abs(right.T - 1.0), 1e-15))
 
-    for case, pair_freq in (
-        ("single-photon-resonance", lambda p: (p.omega_a, p.omega_a)),
-        ("two-photon-resonance", lambda p: (p.omega_a, p.omega_a + 2.0 * p.U)),
-    ):
-        p = ModelParams(omega_a=0.3, kappa=0.7, U=4.0, gamma1=1.0, gamma2=0.0)
-        w1, w2 = pair_freq(p)
-        coeffs = bound_coeffs(
-            p, TwoPhotonIn(omega_k1=w1, omega_k2=w2, direction=Direction.LEFT_INCIDENT)
-        )
-        asym = bound_asymptote(p, case)
+    p = ModelParams(omega_a=0.3, kappa=0.7, U=4.0, gamma1=1.0, gamma2=0.0)
+    for case in WorkingAreaCase:
+        coeffs = bound_coeffs(p, case.incoming(p))
+        asym = bound_asymptote(p, case.value)
         rel = abs(asym.amplitude_sq - abs(coeffs.D) ** 2) / abs(coeffs.D) ** 2
-        checks.append(_below(f"bound_asymptote_identity_{case}", rel, 1e-12))
+        checks.append(_below(f"bound_asymptote_identity_{case.value}", rel, 1e-12))
     return checks
 
 
@@ -228,7 +217,7 @@ def _working_area_checks() -> list[VerifyCheck]:
     curve = working_area_single_res(params, grid)
     scan = numeric_zero_scan(
         params,
-        _resonant_pair(params),
+        _SPR.incoming(params),
         gamma1_grid=grid,
         x_grid=np.linspace(0.05, 14.0, 560),
         threshold=1e-3,
@@ -245,10 +234,7 @@ def _working_area_checks() -> list[VerifyCheck]:
 
     p2 = ModelParams(omega_a=0.0, kappa=0.4, U=10.0, gamma1=1.0, gamma2=0.0)
     curve2 = working_area_two_res(p2)
-    pair = TwoPhotonIn(
-        omega_k1=p2.omega_a, omega_k2=p2.omega_a + 2.0 * p2.U,
-        direction=Direction.LEFT_INCIDENT,
-    )
+    pair = WorkingAreaCase.TWO_PHOTON_RESONANCE.incoming(p2)
     g1 = np.array([pt.gamma1_over_Gamma for pt in curve2])
     x = np.array([pt.Gamma_abs_x for pt in curve2])
     f = TwoPhotonField(p2.at_gamma1(g1), pair)
@@ -305,7 +291,7 @@ def _step_halving_check(spec, params, incoming, res) -> VerifyCheck:
 def _two_photon_lattice_checks() -> list[VerifyCheck]:
     spec = default_two_photon_spec()
     p = ModelParams(omega_a=0.0, kappa=1.0, U=10.0, gamma1=1.0, gamma2=0.0)
-    incoming = _resonant_pair(p)
+    incoming = _SPR.incoming(p)
     res = lattice_two_photon(spec, p, incoming)
     linewidth = p.kappa + p.Gamma
     rate = res.decay_fit(3.0 / linewidth)
@@ -324,7 +310,7 @@ def _two_photon_lattice_checks() -> list[VerifyCheck]:
     ]
 
     free = ModelParams(omega_a=0.0, kappa=0.5, U=0.0, gamma1=1.0, gamma2=0.0)
-    pair = lattice_two_photon(spec, free, _resonant_pair(free))
+    pair = lattice_two_photon(spec, free, _SPR.incoming(free))
     single = lattice_transmission(
         spec, free, 0.0, Direction.LEFT_INCIDENT,
         t_final=spec.half_width + 6.0 / (free.kappa + free.Gamma),
@@ -334,51 +320,43 @@ def _two_photon_lattice_checks() -> list[VerifyCheck]:
     return checks
 
 
-VERIFY_SUITES = ("residual", "analytic", "all")
+# the ordered tiers: a suite runs every tier up to and including its own,
+# so it draws the same random numbers as the suites before it
+_TIERS = {
+    "residual": _residual_checks,
+    "analytic": lambda rng, n_draws: _closed_form_checks(rng, n_draws) + _working_area_checks(),
+    "lattice": lambda rng, n_draws: _lattice_checks(),
+    "all": lambda rng, n_draws: _two_photon_lattice_checks(),
+}
+VERIFY_SUITES = tuple(_TIERS)
 
 
 def verify_all(
-    include_lattice: bool = True,
-    include_two_photon_lattice: bool = False,
-    n_draws: int = 300,
-    seed: int = 20240817,
-    suite: str = "all",
+    suite: str = "lattice", n_draws: int = 300, seed: int = 20240817
 ) -> VerifyReport:
     """Run verification checks and collect a pass/fail report.
 
-    ``suite`` selects the tier: ``"residual"`` runs only the field-equation
-    residual and sensitivity checks (about 0.03 s at the default 300
-    draws), ``"analytic"`` adds the closed-form and working-area checks
-    (about 0.06 s), and ``"all"`` adds the lattice checks.  ``n_draws``
-    sets the random draws of both the residual suite and the closed-form
-    property checks; each evaluates all its draws in one broadcast pass,
-    so 5000 draws take about 0.3 s.  Within ``"all"``,
-    ``include_lattice`` covers the single-excitation lattice agreements
-    and norm invariants, all on ``default_single_spec()`` (about 2 s); the
-    two-excitation checks are off by default (about 2.5 s more, 0.6 s of
-    it the step-halving rerun).  Under another suite both lattice inputs
-    must stay at their defaults, since no lattice check runs there;
-    anything else raises ValueError.
+    The suites are ordered, and each runs the checks of the suites before
+    it plus its own: ``"residual"`` runs the field-equation residual and
+    sensitivity checks (about 0.03 s at the default 300 draws),
+    ``"analytic"`` adds the closed-form and working-area checks (about
+    0.05 s), ``"lattice"`` adds the single-excitation lattice agreements
+    and norm invariants on ``default_single_spec()`` (about 1.7 s), and
+    ``"all"`` adds the two-excitation lattice checks (about 4.3 s in all,
+    0.6 s of it the step-halving rerun).  ``n_draws`` sets the random
+    draws of both the residual suite and the closed-form property checks;
+    each evaluates all its draws in one broadcast pass, so 5000 draws take
+    about 0.3 s.
     """
     if suite not in VERIFY_SUITES:
         raise ValueError(f"suite must be one of {VERIFY_SUITES}, got {suite!r}")
-    for name, changed in (
-        ("include_lattice", not include_lattice),
-        ("include_two_photon_lattice", include_two_photon_lattice),
-    ):
-        if changed and suite != "all":
-            raise ValueError(f"{name} applies only to suite 'all', not {suite!r}")
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     checks: list[VerifyCheck] = []
-    checks += _residual_checks(rng, n_draws)
-    if suite != "residual":
-        checks += _closed_form_checks(rng, n_draws)
-        checks += _working_area_checks()
-    if include_lattice and suite == "all":
-        checks += _lattice_checks()
-    if include_two_photon_lattice:
-        checks += _two_photon_lattice_checks()
+    for name, run in _TIERS.items():
+        checks += run(rng, n_draws)
+        if name == suite:
+            break
     return VerifyReport(checks=tuple(checks), elapsed_seconds=time.perf_counter() - start)

@@ -186,7 +186,7 @@ class TestConfigMerging:
     @pytest.mark.parametrize(
         "config, argv, option",
         [
-            ({"skip_lattice": "false"}, ["verify"], "skip-lattice"),
+            ({"suite": True}, ["verify"], "suite"),
             ({"outdir": 5}, ["reproduce", "fig3"], "outdir"),
             ({"output": ["a"]}, ["single"], "output"),
             ({"direction": ["left"]}, ["twomap"], "direction"),
@@ -229,32 +229,28 @@ class TestConfigMerging:
         assert fd7.read_bytes() == b""
         assert list(work.iterdir()) == []
 
-    @pytest.mark.parametrize("name", ["skip-lattice", "two-photon-lattice"])
-    @pytest.mark.parametrize("suite", ["residual", "analytic"])
-    @pytest.mark.parametrize("from_config", [False, True])
-    def test_lattice_switches_need_the_all_suite(
-        self, name, suite, from_config, tmp_path, capsys
-    ):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({name.replace("-", "_"): True} if from_config else {}))
-        argv = ["--config", str(cfg), "verify", "--suite", suite, "--draws", "1"]
-        code, stdout, stderr = run(argv if from_config else [*argv, f"--{name}"], capsys)
+    @pytest.mark.parametrize("flag", ["--skip-lattice", "--two-photon-lattice"])
+    def test_removed_lattice_switches_exit_1(self, flag, capsys):
+        code, stdout, stderr = run(["verify", "--suite", "residual", "--draws", "1", flag], capsys)
         assert code == EXIT_VALIDATION
-        assert stderr.startswith(f"error: {name}: applies only to --suite all")
+        assert stderr.startswith("error: ") and flag in stderr
+        assert "Traceback" not in stderr
         assert stdout == ""
 
-    def test_lattice_switches_take_json_false(self, tmp_path, capsys):
+    def test_removed_lattice_switch_is_an_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"skip_lattice": False, "two_photon_lattice": False}))
-        code, stdout, _ = run(
+        cfg.write_text(json.dumps({"skip_lattice": False}))
+        code, stdout, stderr = run(
             ["--config", str(cfg), "verify", "--suite", "residual", "--draws", "1"], capsys
         )
-        assert code == EXIT_OK
-        assert json.loads(stdout)["all_pass"] is True
+        assert code == EXIT_VALIDATION
+        assert stderr.startswith("error: config: unknown keys for 'verify': ['skip_lattice']")
+        assert stdout == ""
 
 
 # Every option string and default of each subcommand, as declared before
-# the options were gathered into one table per subcommand.
+# the options were gathered into one table per subcommand (verify's as
+# declared since its suites became one ordered choice).
 _PARAM_DEFAULTS = {"--omega-a": 0.0, "--kappa": 1.0, "--gamma1": 1.0, "--gamma2": None}
 _OPTION_DEFAULTS = {
     "single": {
@@ -272,8 +268,7 @@ _OPTION_DEFAULTS = {
         "--format": "csv",
     },
     "verify": {
-        "--suite": "all", "--skip-lattice": False, "--two-photon-lattice": False,
-        "--draws": 300, "--seed": 20240817, "-o --output": None,
+        "--suite": "lattice", "--draws": 300, "--seed": 20240817, "-o --output": None,
     },
     "reproduce": {"figure": None, "--grid": 401, "--outdir": "."},
 }
@@ -688,7 +683,6 @@ def test_fuzzed_flags_exit_cleanly(tmp_path, monkeypatch, capsys):
 
 # JSON values that no option takes where its flag would take a string
 _FUZZ_NON_STRINGS = [None, True, 5, ["x"]]
-_FUZZ_SWITCHES = ([False], ["false", 0])
 
 
 def test_fuzzed_config_exits_cleanly(tmp_path, monkeypatch, capsys):
@@ -706,7 +700,6 @@ def test_fuzzed_config_exits_cleanly(tmp_path, monkeypatch, capsys):
         }
         for command, flags in _FUZZ_FLAGS.items()
     }
-    keys["verify"].update(skip_lattice=_FUZZ_SWITCHES, two_photon_lattice=_FUZZ_SWITCHES)
     required = {
         command: {flag.lstrip("-") for flag in flags} for command, flags in _FUZZ_REQUIRED.items()
     }

@@ -286,6 +286,41 @@ class TestNonreciprocityContrast:
         assert c == pytest.approx(0.0, abs=1e-14)
 
 
+    def test_array_coordinates_equal_per_point_calls(self):
+        p = make_params(omega_a=0.0, kappa=0.7, U=5.0, gamma1=0.8, gamma2=0.2)
+        x1 = np.array([0.4, 0.5, -1.0])
+        x2 = np.array([[1.9], [0.2]])
+        c = nonreciprocity_contrast(p, 0.1, 0.3, x1, x2)
+        assert c.shape == (2, 3)
+        for i, j in np.ndindex(c.shape):
+            scalar = nonreciprocity_contrast(p, 0.1, 0.3, float(x1[j]), float(x2[i, 0]))
+            assert type(scalar) is float
+            # numpy's vector exp may round differently from its scalar one
+            assert c[i, j] == pytest.approx(scalar, rel=1e-13, abs=1e-15)
+
+    def test_vanishing_density_gives_zero_elementwise(self):
+        # lossless symmetric coupling on resonance reflects every photon,
+        # so neither incidence transmits a pair
+        p = make_params(omega_a=0.0, kappa=0.0, U=0.0, gamma1=0.5, gamma2=0.5)
+        c = nonreciprocity_contrast(p, 0.0, 0.0, np.array([0.4, 2.0]), np.array([1.9, 3.0]))
+        assert c.tolist() == [0.0, 0.0]
+
+
+class TestIncomingPair:
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_named_tunings_give_the_resonant_pairs(self, direction):
+        p = make_params(omega_a=0.3, kappa=0.7, U=4.0, gamma1=1.0, gamma2=0.0)
+        single = WorkingAreaCase.SINGLE_PHOTON_RESONANCE.incoming(p, direction)
+        two = WorkingAreaCase.TWO_PHOTON_RESONANCE.incoming(p, direction)
+        assert single == TwoPhotonIn(direction, 0.3, 0.3)
+        assert two == TwoPhotonIn(direction, 0.3, 8.3)
+
+    def test_left_incidence_is_the_default(self):
+        p = params()
+        assert WorkingAreaCase.SINGLE_PHOTON_RESONANCE.incoming(p) == single_res_pair(p)
+        assert WorkingAreaCase.TWO_PHOTON_RESONANCE.incoming(p) == two_res_pair(p)
+
+
 class TestWorkingAreaCsv:
     def test_header_and_divergence_encoding(self, tmp_path):
         p = params()

@@ -2,6 +2,8 @@
 on corrupted coefficients, and the aggregate report machinery."""
 
 import dataclasses
+import functools
+import inspect
 
 import numpy as np
 import pytest
@@ -206,6 +208,49 @@ class TestSuite:
         assert rep.max_residual == 1e-3
 
 
+# the default suite's check names in report order, pinned so that reports
+# stay comparable: 5 residual, 12 analytic, 3 single-excitation lattice
+_PINNED_CHECK_NAMES = [
+    "single_photon_residual_max",
+    "two_photon_residual_max",
+    "sensitivity_corrupted_t_fires",
+    "sensitivity_corrupted_pair_amplitude_fires",
+    "sensitivity_corrupted_pair_pole_fires",
+    "unitarity_lossless_max",
+    "chiral_reconstruction_tt_max",
+    "chiral_reconstruction_rr_max",
+    "chiral_reconstruction_rt_max",
+    "psi_rt_convention_gap",
+    "mirror_duality_max",
+    "ideal_diode_left_T",
+    "ideal_diode_right_T_error",
+    "bound_asymptote_identity_single-photon-resonance",
+    "bound_asymptote_identity_two-photon-resonance",
+    "working_area_single_res_scan_max_dev",
+    "working_area_two_res_null_density_max",
+    "lattice_agreement_max_dev",
+    "lattice_norm_drift_lossless",
+    "lattice_norm_max_rise",
+]
+_OWN_CHECK_NAMES = {
+    "residual": _PINNED_CHECK_NAMES[:5],
+    "analytic": _PINNED_CHECK_NAMES[5:17],
+    "lattice": _PINNED_CHECK_NAMES[17:],
+    "all": [
+        "two_photon_lattice_decay_rel_err",
+        "two_photon_lattice_bunching_ratio",
+        "two_photon_lattice_step_halving_rel",
+        "two_photon_lattice_factorization_rel",
+    ],
+}
+
+
+@functools.cache
+def _suite_report(suite: str):
+    """One run per suite, shared by the tests that read its checks."""
+    return verify_all(suite=suite, n_draws=60)
+
+
 class TestVerifyAll:
     def test_residual_suite_tier_passes_quickly(self):
         rep = verify_all(suite="residual", n_draws=50)
@@ -225,33 +270,35 @@ class TestVerifyAll:
         assert not any(n.startswith("lattice") for n in names)
 
     def test_two_photon_lattice_checks_pass_and_report_the_step_halving(self):
-        from chiral_diode.verification.report import (
-            _STEP_HALVING_GATE,
-            _two_photon_lattice_checks,
-        )
+        from chiral_diode.verification.report import _STEP_HALVING_GATE
 
-        checks = {c.name: c for c in _two_photon_lattice_checks()}
-        assert set(checks) == {
-            "two_photon_lattice_decay_rel_err",
-            "two_photon_lattice_bunching_ratio",
-            "two_photon_lattice_step_halving_rel",
-            "two_photon_lattice_factorization_rel",
+        checks = {
+            c.name: c for c in _suite_report("all").checks
+            if c.name.startswith("two_photon_lattice_")
         }
+        assert list(checks) == _OWN_CHECK_NAMES["all"]
         assert all(c.passed for c in checks.values())
         assert 0.0 < checks["two_photon_lattice_step_halving_rel"].value < _STEP_HALVING_GATE
 
-    @pytest.mark.parametrize("suite", ["residual", "analytic"])
-    @pytest.mark.parametrize(
-        "name, value",
-        [("include_lattice", False), ("include_two_photon_lattice", True)],
-    )
-    def test_lattice_inputs_need_the_all_suite(self, suite, name, value):
-        # no lattice check runs outside "all", so a set input would be lost
-        with pytest.raises(ValueError, match=name):
-            verify_all(suite=suite, n_draws=1, **{name: value})
+    @pytest.mark.parametrize("suite", VERIFY_SUITES)
+    def test_each_suite_adds_its_checks_to_the_one_before(self, suite):
+        level = VERIFY_SUITES.index(suite)
+        report = _suite_report(suite)
+        before = [c.name for c in _suite_report(VERIFY_SUITES[level - 1]).checks] if level else []
+        assert [c.name for c in report.checks] == before + _OWN_CHECK_NAMES[suite]
+        assert report.all_pass
+        if suite == "all":
+            assert len(report.checks) == 24
+
+    @pytest.mark.parametrize("suite, count", [("residual", 5), ("analytic", 17), ("lattice", 20)])
+    def test_suites_keep_their_pinned_check_names(self, suite, count):
+        assert [c.name for c in _suite_report(suite).checks] == _PINNED_CHECK_NAMES[:count]
+
+    def test_default_suite_is_lattice(self):
+        assert inspect.signature(verify_all).parameters["suite"].default == "lattice"
 
     def test_unknown_suite_rejected(self):
-        assert VERIFY_SUITES == ("residual", "analytic", "all")
+        assert VERIFY_SUITES == ("residual", "analytic", "lattice", "all")
         with pytest.raises(ValueError, match="suite"):
             verify_all(suite="everything")
 
