@@ -7,9 +7,10 @@ frame rotating at the probe frequency, so the packet is a slowly varying
 envelope and the cavity term becomes the detuning ``omega_a - omega_k -
 i kappa/2``.  The physics is defined once, as the single-excitation
 generator H1: three diagonals over the channel sites plus the cavity's
-border column, held as numpy arrays and applied in place, with no
-allocation, to one state or a block of states.  Both runs step it with
-the same classical fourth-order Runge-Kutta.  The two-excitation run
+border column, held as numpy arrays.  Both runs step it with the same
+classical fourth-order Runge-Kutta, which for this constant H1 is one
+fixed step matrix, built once per run: nine diagonals over the sites
+plus a small dense block where the cavity couples.  The two-excitation run
 builds no pair basis: its Kerr term is rank one (2U on the doubly
 occupied cavity), so the pair follows from three one-photon trajectories
 (the cavity mode and the two packets, stepped as one block), and only
@@ -202,7 +203,8 @@ class LatticeResult:
     not reached and cleared the scatterer by the final time: amplitude is
     left upstream in the incident channel, near the cavity or in it.
     ``norm_trace`` (when requested) samples the total state norm once per
-    time step.
+    time step.  The run's cost is ``steps`` Runge-Kutta steps of ``modes``
+    amplitudes.
     """
 
     T: float
@@ -212,6 +214,8 @@ class LatticeResult:
     R_raw: float
     converged: bool
     final_cavity_pop: float
+    steps: int
+    modes: int
     norm_trace: np.ndarray | None = None
 
 
@@ -299,8 +303,8 @@ def lattice_transmission(
     n_steps = int(round(horizon / spec.dt))
     trace = np.empty(n_steps + 1) if track_norm else None
 
-    def record(step, terms):
-        trace[step] = np.vdot(terms[0], terms[0]).real
+    def record(step, state, near):
+        trace[step] = np.vdot(state, state).real
 
     _rk4(H, psi, spec.dt, n_steps, record if track_norm else None)
     # the left channel slice is empty when the basis has none
@@ -328,6 +332,8 @@ def lattice_transmission(
         R_raw=R_raw,
         converged=converged,
         final_cavity_pop=cav,
+        steps=n_steps,
+        modes=H.shape[0],
         norm_trace=trace,
     )
 
@@ -340,6 +346,8 @@ class TwoPhotonLatticeResult:
     photon separation ``separations[i]``, restricted to the transmitted
     channel downstream of the cavity.  ``converged`` is False while the
     doubly occupied cavity still holds ``final_double_cavity_pop >= 1e-6``.
+    The run's cost is ``steps`` Runge-Kutta steps of three ``modes``-long
+    one-photon trajectories.
     """
 
     separations: np.ndarray
@@ -347,6 +355,8 @@ class TwoPhotonLatticeResult:
     transmitted_norm: float
     converged: bool
     final_double_cavity_pop: float
+    steps: int
+    modes: int
 
     def decay_fit(self, max_separation: float) -> float:
         """Exponential decay rate of the profile, from a log-linear fit
@@ -408,7 +418,9 @@ class _Generator:
         body[..., 1:] += tmp[..., 1:]
         np.multiply(self.border, c, out=tmp)
         body += tmp
-        out[..., -1] = self.cavity * psi[..., -1] + sites @ self.border
+        # einsum, not BLAS: a threaded complex gemv (64 x 64 and up) was
+        # measured to stall for ~8 ms on two shared cores
+        out[..., -1] = self.cavity * psi[..., -1] + np.einsum("...i,i", sites, self.border)
 
 
 def _single_particle_operator(
@@ -447,43 +459,102 @@ def _single_particle_operator(
     return _Generator(diag, upper, -upper, border, cavity)
 
 
+# a Runge-Kutta step, degree 4 in the generator, reaches this many sites each way
+_REACH = 4
+_VOLTERRA_BLOCK = 64  # nodes per block of the Volterra solve
+
+
+def _step_matrix(H: _Generator, dt: float) -> tuple[np.ndarray, ...]:
+    """The classical Runge-Kutta step of ``dpsi/dt = -i H psi``, for constant
+    H the matrix ``P = sum_{j<=4} A^j / j!`` with ``A = -i dt H``, as
+    ``(band, rows, cols, dense)`` in O(m) memory.  ``band[i, _REACH + k]``
+    is ``P[i, i + k]`` of the site diagonals alone, by Horner's rule, with
+    a zero cavity row.  The cavity changes only the ``rows`` within
+    ``_REACH`` of the border's support and the cavity row, the last: there
+    P is ``dense`` over the ``cols`` within ``_REACH`` of those rows, each
+    column summed from the Taylor terms of ``H.apply`` on that window."""
+    # a path of four hops from a column to a row never leaves the window
+    near, window = (np.flatnonzero(np.convolve(H.border != 0.0, np.ones(2 * r + 1), "same"))
+                    for r in (_REACH, 2 * _REACH))
+    joined = np.diff(window) == 1
+    local = _Generator(H.diag[window], H.upper[window[:-1]] * joined,
+                       H.lower[window[:-1]] * joined, H.border[window], H.cavity)
+    cols = np.eye(window.size + 1, dtype=complex)
+    term, nxt, work = cols.copy(), np.empty_like(cols), np.empty_like(cols)
+    for j in range(1, _REACH + 1):
+        local.apply(term, nxt, work)
+        nxt *= -1j * dt / j
+        cols += nxt
+        term, nxt = nxt, term
+    # row i of cols is P e_i: P's column at window mode i
+    dense = cols[:, np.append(np.searchsorted(window, near), window.size)].T
+    del cols, term, nxt, work  # before the band's buffers, for a lower peak
+    # the sites' part of -i dt H is real: hop -dt/(2 dx), absorber -dt W
+    lower, diag, upper = ((-1j * dt * v).real for v in (H.lower, H.diag, H.upper))
+    band = np.zeros((H.shape[0], 2 * _REACH + 1))
+    band[:-1, _REACH] = 1.0
+    prev = np.empty_like(band[:-1])
+    for j in range(_REACH, 0, -1):
+        # band <- I + (A / j) band, in the storage band[i, _REACH + k] = M[i, i + k]
+        np.divide(band[:-1], j, out=prev)
+        np.multiply(diag[:, None], prev, out=band[:-1])
+        band[1:-1, :-1] += lower[:, None] * prev[:-1, 1:]
+        band[:-2, 1:] += upper[:, None] * prev[1:, :-1]
+        band[:-1, _REACH] += 1.0
+    # complex, as the state: a mixed-type einsum steps ~25 % slower
+    cavity = H.shape[0] - 1
+    return band.astype(complex), np.append(near, cavity), np.append(window, cavity), dense
+
+
 def _rk4(H: _Generator, psi: np.ndarray, dt: float, n_steps: int, record=None) -> None:
     """Advance ``dpsi/dt = -i H psi`` in place by ``n_steps`` classical
-    fourth-order Runge-Kutta steps of one state or a (k, m) block.  For a
-    linear, constant H that step is the Taylor polynomial ``sum_{j<=4}
-    k_j`` with ``k_0 = psi`` and ``k_j = (-i dt H / j) k_{j-1}``, formed so
-    in one buffer reused across steps.  ``record(step, terms)``, when
-    given, sees ``terms[j] = k_j`` before every step, and the final state
-    as ``terms[0]`` with ``terms[1:]`` zero after the last."""
-    factors = [_Generator(**{k: -1j * dt / j * v for k, v in vars(H).items()})
-               for j in range(1, 5)]
-    terms = np.empty((5,) + psi.shape, dtype=complex)
-    work = np.empty_like(psi)
-    for step in range(n_steps):
-        terms[0] = psi
-        for j, factor in enumerate(factors, 1):
-            factor.apply(terms[j - 1], terms[j], work)
+    fourth-order Runge-Kutta steps of one state or a (k, m) block.  Each
+    step applies the step matrix P: one banded product over the sites,
+    on windows of a zero-padded copy of the state, then one small dense
+    product for the rows the cavity changes.  ``record(step, psi, near)``,
+    when given, sees the state and its entries at ``_step_matrix``'s
+    ``cols`` before every step and after the last."""
+    band, rows, cols, dense = _step_matrix(H, dt)
+    # two padded buffers, stepped from one into the other; their pads stay zero
+    pads = np.zeros((2,) + psi.shape[:-1] + (psi.shape[-1] + 2 * _REACH,), dtype=complex)
+    states = pads[..., _REACH:-_REACH]
+    states[0] = psi
+    windows = np.lib.stride_tricks.sliding_window_view(pads, 2 * _REACH + 1, axis=-1)
+    near = np.empty(psi.shape[:-1] + cols.shape, dtype=complex)
+    for i in range(n_steps):
+        src, dst = states[i % 2], states[1 - i % 2]
+        src.take(cols, axis=-1, out=near)
         if record is not None:
-            record(step, terms)
-        terms.sum(axis=0, out=psi)
+            record(i, src, near)
+        np.einsum("ij,...ij->...i", band, windows[i % 2], out=dst)
+        # einsum, not BLAS, for the reason given in ``_Generator.apply``
+        dst[..., rows] = np.einsum("ij,...j->...i", dense, near)
+    psi[...] = states[n_steps % 2]
     if record is not None:
-        terms[0], terms[1:] = psi, 0.0
-        record(n_steps, terms)
+        record(n_steps, psi, psi[..., cols])
 
 
 def _trapezoid_volterra(free: np.ndarray, kernel: np.ndarray, a: complex) -> np.ndarray:
     """Solve ``c(t) = free(t) - A int_0^t kernel(t-s) c(s) ds`` on the
     uniform grid of ``free`` by the trapezoid rule, where ``a`` is ``A``
-    times the grid step."""
+    times the grid step, ``_VOLTERRA_BLOCK`` nodes at a time: earlier
+    blocks enter as one convolution, and a block's lower-triangular
+    Toeplitz system ``(1 + a kernel[0]/2) I + a L`` has a Toeplitz inverse,
+    whose first column ``inverse`` is the reciprocal power series."""
     c = np.empty_like(free)
     c[0] = free[0]
-    last = free.size - 1
-    rev = kernel[::-1]
-    diag = 1.0 + 0.5 * a * kernel[0]
-    for i in range(1, last + 1):
-        # kernel[i-j] c[j] for j = 1 .. i-1, as a dot with the reversed kernel
-        history = 0.5 * kernel[i] * c[0] + np.dot(rev[last - i + 1:last], c[1:i])
-        c[i] = (free[i] - a * history) / diag
+    size = max(1, min(_VOLTERRA_BLOCK, free.size - 1))
+    inverse = np.empty(size, dtype=complex)
+    inverse[0] = 1.0 / (1.0 + 0.5 * a * kernel[0])
+    for n in range(1, size):
+        inverse[n] = -a * np.dot(kernel[1:n + 1], inverse[n - 1::-1]) * inverse[0]
+    for i0 in range(1, free.size, size):
+        i1 = min(i0 + size, free.size)
+        rhs = free[i0:i1] - 0.5 * a * kernel[i0:i1] * c[0]
+        if i0 > 1:
+            # kernel[i-j] c[j] for j = 1 .. i0-1 at every node i of the block
+            rhs -= a * np.convolve(c[1:i0], kernel[1:i1 - 1], "valid")
+        c[i0:i1] = np.convolve(inverse[:i1 - i0], rhs)[:i1 - i0]
     return c
 
 
@@ -514,9 +585,10 @@ def lattice_two_photon(
     with ``u(tau) = exp(-i H1 tau)|cav>``, ``g(tau) = u(tau)[cav]`` and
     ``Psi0`` the free pair.  Three trajectories carry the run, ``u`` and
     the two packets, stepped as one block by the single-excitation
-    run's Runge-Kutta at twice the Volterra step; each step's Taylor
-    terms also give the cavity entries at its midpoint.  The Volterra
-    equation is solved by the trapezoid rule at a step of at most
+    run's Runge-Kutta at twice the Volterra step; the cavity row of the
+    step matrix at half the step gives the cavity entries at each step's
+    midpoint.  The Volterra equation is solved, blockwise, by the
+    trapezoid rule at a step of at most
     ``_VOLTERRA_STEP`` = 0.0025 and at twice that, combined by Richardson
     extrapolation, and the final integral by Simpson's rule with step at
     most ``_SIMPSON_STEP`` = 0.01 on the transmitted rows; ``spec.dt``
@@ -578,23 +650,23 @@ def _two_photon_run(
     keep = np.nonzero(downstream & usable)[0] + off
     rows = slice(keep[0], keep[-1] + 1)
 
-    # every step's Taylor terms at the cavity, and u's transmitted rows at
-    # every Simpson node
-    at_cavity = np.empty((n_steps + 1, 5, 3), dtype=complex)
+    # g, a1 and a2 on the Volterra grid: at each step node the cavity
+    # entries (the last of the step matrix's columns), at its midpoint the
+    # cavity row of the step matrix at half the step, filled and dropped
+    # after the last node; and u's transmitted rows at every Simpson node
+    half = _step_matrix(H1, 0.5 * coarse / ratio)[3]
+    readout = np.stack((np.eye(half.shape[1])[-1], half[-1]), axis=1)
+    fine = np.empty((2 * n_steps + 2, 3), dtype=complex)
     emitted = np.empty((n_coarse + 1, keep.size), dtype=complex)
 
-    def record(step, terms):
-        at_cavity[step] = terms[..., -1]
+    def record(step, state, near):
+        fine[2 * step:2 * step + 2] = (near @ readout).T
         if step % ratio == 0:
-            emitted[step // ratio] = terms[0, 0, rows]
+            emitted[step // ratio] = state[0, rows]
 
     _rk4(H1, states, coarse / ratio, n_steps, record)
-    # g, a1 and a2 on the Volterra grid: the step nodes and midpoints,
-    # where the Taylor polynomial takes half the step; c comes back on
-    # the step nodes
-    fine = np.empty((2 * n_steps + 1, 3), dtype=complex)
-    fine[::2], fine[1::2] = at_cavity[:, 0], 0.5 ** np.arange(5) @ at_cavity[:-1]
-    g, a1, a2 = fine.T
+    # c comes back on the step nodes
+    g, a1, a2 = fine[:-1].T
     c = _volterra(2.0 * norm * a1 * a2, g**2, 1j * params.U * coarse / ratio)
 
     free = states[1:, rows]
@@ -619,4 +691,6 @@ def _two_photon_run(
         transmitted_norm=float(np.sum(density)),
         converged=double_cav < 1e-6,
         final_double_cavity_pop=double_cav,
+        steps=n_steps,
+        modes=H1.shape[0],
     )

@@ -23,6 +23,7 @@ from chiral_diode.verification import (
 )
 from chiral_diode.verification.lattice import (
     _single_particle_operator,
+    _step_matrix,
     default_single_spec,
     default_two_photon_spec,
 )
@@ -237,8 +238,8 @@ class TestGenerator:
 
     @pytest.mark.parametrize("gamma2, left_in", [(0.0, True), (0.4, True), (0.0, False)])
     def test_block_apply_matches_per_state_apply(self, gamma2, left_in):
-        # the single-excitation run applies H to one state and the
-        # two-excitation run to a block of three: both must be one operator
+        # the step matrix is built by applying H to a block of probes, and
+        # the tests read H from a block too: each row must see one operator
         p = ModelParams(0.3, 0.8, 0.0, 1.0 - gamma2, gamma2)
         H = _single_particle_operator(self.TINY, p, 0.2, left_in)
         m = H.shape[0]
@@ -252,6 +253,125 @@ class TestGenerator:
         for psi, got in zip(block, out):
             H.apply(psi, one, scratch)
             assert np.linalg.norm(got - one) <= 1e-14 * np.linalg.norm(one)
+
+    @staticmethod
+    def _taylor_step(H, dt):
+        """The classical Runge-Kutta step of a constant H as a full matrix."""
+        A = -1j * dt * _dense(H)
+        P = term = np.eye(H.shape[0], dtype=complex)
+        for j in range(1, 5):
+            term = term @ A / j
+            P = P + term
+        return P
+
+    @pytest.mark.parametrize("gamma2, left_in", [(0.0, True), (0.4, True), (0.0, False)])
+    def test_step_matrix_is_the_taylor_step(self, gamma2, left_in):
+        p = ModelParams(0.3, 0.8, 0.0, 1.0 - gamma2, gamma2)
+        H = _single_particle_operator(self.TINY, p, 0.2, left_in)
+        dt = self.TINY.dt
+        P = self._taylor_step(H, dt)
+        # one step of every unit vector: row i becomes P e_i
+        stepped = np.eye(H.shape[0], dtype=complex)
+        lattice_module._rk4(H, stepped, dt, 1)
+        assert np.linalg.norm(stepped.T - P) <= 1e-14 * np.linalg.norm(P)
+        # the cavity row at half the step, which gives the midpoint values
+        # of the two-excitation run, lies on the step matrix's columns
+        _, _, cols, half = _step_matrix(H, 0.5 * dt)
+        row = self._taylor_step(H, 0.5 * dt)[-1]
+        assert np.linalg.norm(half[-1] - row[cols]) <= 1e-14 * np.linalg.norm(row)
+        assert not np.any(np.delete(row, cols))
+
+    @pytest.mark.parametrize("gamma2, left_in", [(0.0, True), (0.4, True), (0.0, False)])
+    def test_block_step_matches_per_state_steps(self, gamma2, left_in):
+        p = ModelParams(0.3, 0.8, 0.0, 1.0 - gamma2, gamma2)
+        H = _single_particle_operator(self.TINY, p, 0.2, left_in)
+        m = H.shape[0]
+        rng = np.random.default_rng(11)
+        block = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
+        states = block.copy()
+        lattice_module._rk4(H, block, self.TINY.dt, 7)
+        for psi, got in zip(states, block):
+            lattice_module._rk4(H, psi, self.TINY.dt, 7)
+            assert np.linalg.norm(got - psi) <= 1e-14 * np.linalg.norm(psi)
+
+
+def _sequential_volterra(free, kernel, a):
+    """The trapezoid-rule Volterra solve one node at a time: the reference
+    for the blockwise solve."""
+    c = np.empty_like(free)
+    c[0] = free[0]
+    last = free.size - 1
+    rev = kernel[::-1]
+    diag = 1.0 + 0.5 * a * kernel[0]
+    for i in range(1, last + 1):
+        history = 0.5 * kernel[i] * c[0] + np.dot(rev[last - i + 1:last], c[1:i])
+        c[i] = (free[i] - a * history) / diag
+    return c
+
+
+class TestBlockwiseVolterra:
+    B = lattice_module._VOLTERRA_BLOCK
+
+    @pytest.mark.parametrize("size", [2, 3, B - 1, B, B + 1, B + 2, 2 * B + 1, 4801])
+    @pytest.mark.parametrize("a", [0.025j, 0.3 - 0.2j])
+    def test_matches_the_sequential_solve(self, size, a):
+        # a decaying, oscillating kernel like g^2 and a smooth drive
+        t = np.arange(size) * 0.0025
+        kernel = np.exp(-(1.0 + 0.7j) * t) ** 2
+        free = np.exp(-((t - 3.0) ** 2)) * np.exp(0.4j * t)
+        ref = _sequential_volterra(free, kernel, a)
+        got = lattice_module._trapezoid_volterra(free, kernel, a)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+class TestPinnedReadouts:
+    """Read-outs recorded from the run that stepped four generator
+    applications per Runge-Kutta step and solved the Volterra equation one
+    node at a time; the step matrix and the blockwise solve are the same
+    arithmetic up to rounding.  Also the method's cost, in steps and modes."""
+
+    BENCH = dataclasses.replace(default_two_photon_spec(), n_sites=361, absorber_width=20)
+    PROFILE = [
+        0.0021500994195456226, 0.0023671239818388763, 0.002063408355711065,
+        0.0022311580845789463, 0.0018760801444618219, 0.0020075300913825504,
+        0.0016264824068816233, 0.00173801853776111, 0.0013569162979496182,
+        0.001461736135815403, 0.00110030266922967, 0.001205497091209241,
+        0.0008751426625800175, 0.0009823777222088778, 0.0006875525221966993,
+        0.0007953265898204624, 0.0005360590394197721, 0.0006417834769282118,
+        0.0004158714069634126, 0.0005171190744235495, 0.00032150290302462544,
+        0.0004164915935560984, 0.0002479291695503186, 0.0003355533260019232,
+        0.0001908902636727398, 0.0002705907955948228, 0.00014687098483944373,
+        0.00021850167750082916, 0.0001130237839286697, 0.00017674630326342,
+        8.708735093120661e-05, 0.00014328069789884982, 6.729037907760233e-05,
+        0.00011647008739635449, 5.2250799415746486e-05, 9.50041960991187e-05,
+        4.0888020839997356e-05, 7.783019414051157e-05, 3.235868958370038e-05,
+        6.41018164573005e-05, 2.6007399290929195e-05, 5.314136685150715e-05,
+        2.1326599923826137e-05, 4.440631931452545e-05, 1.7924723665566927e-05,
+        3.746236345210459e-05, 1.5499046491072722e-05, 3.196091713281405e-05,
+        1.381479006668067e-05, 2.7620564937916353e-05, 1.268918574498086e-05,
+        2.421392683910697e-05, 1.1979063771837564e-05, 2.1555555945005804e-05,
+        1.1571352434520564e-05, 1.9493291793414434e-05, 1.1375714366727702e-05,
+        1.7901082517859628e-05, 1.1318584403126258e-05, 1.6672305755487334e-05,
+        1.1338277510842547e-05,
+    ]
+
+    def test_single_excitation_two_channels(self):
+        p = ModelParams(0.0, 0.5, 0.0, 0.7, 0.3)
+        res = lattice_transmission(default_single_spec(), p, 0.3, LEFT)
+        assert res.converged
+        pinned = (0.14176204303494094, 0.3218384218532108,
+                  0.14795185822544324, 0.3190423362702143)
+        assert (res.T, res.R, res.T_raw, res.R_raw) == pytest.approx(pinned, rel=1e-9, abs=0.0)
+        assert (res.steps, res.modes) == (1200, 2403)
+
+    def test_two_excitation_bench_geometry(self):
+        p = ModelParams(0.0, 1.0, 10.0, 1.0, 0.0)
+        res = lattice_two_photon(self.BENCH, p, TwoPhotonIn(LEFT, 0.0, 0.0))
+        assert res.density == pytest.approx(np.array(self.PROFILE), rel=1e-9, abs=0.0)
+        assert res.transmitted_norm == pytest.approx(0.059172989210325475, rel=1e-9, abs=0.0)
+        assert res.final_double_cavity_pop == pytest.approx(
+            3.613455077760218e-14, rel=1e-9, abs=0.0)
+        assert (res.steps, res.modes) == (2400, 362)
 
 
 class TestTwoPhotonLattice:
