@@ -10,7 +10,6 @@ from .model import (
     ModelParams,
     PhotonIn,
     TwoPhotonIn,
-    load_config,
     make_params,
 )
 from .single_photon import (
@@ -30,7 +29,6 @@ from .two_photon import (
     TwoPhotonField,
     bound_asymptote,
     bound_coeffs,
-    even_odd_amplitudes,
     map_two_photon,
     write_map_binary,
     write_map_csv,
@@ -63,7 +61,6 @@ __all__ = [
     "ModelParams",
     "PhotonIn",
     "TwoPhotonIn",
-    "load_config",
     "make_params",
     "DiodeClass",
     "ScatterCoeffs",
@@ -79,7 +76,6 @@ __all__ = [
     "TwoPhotonField",
     "bound_asymptote",
     "bound_coeffs",
-    "even_odd_amplitudes",
     "map_two_photon",
     "write_map_binary",
     "write_map_csv",

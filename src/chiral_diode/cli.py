@@ -58,7 +58,6 @@ from .model import (
     ModelParams,
     PhotonIn,
     TwoPhotonIn,
-    make_params,
 )
 from .single_photon import SWEEP_HEADER, chiral_coeffs, sweep_single, write_sweep_csv
 from .two_photon import (
@@ -263,7 +262,7 @@ def _params_from_args(args) -> ModelParams:
     if gamma2 is None:
         gamma2 = 1.0 - args.gamma1 if args.gamma1 <= 1.0 else 0.0
     try:
-        return make_params(
+        return ModelParams(
             omega_a=args.omega_a, kappa=args.kappa, U=args.U, gamma1=args.gamma1, gamma2=gamma2
         )
     except ValueError as exc:
@@ -460,7 +459,7 @@ _FIG2_GAMMA1_SERIES = (0.0, 0.25, 0.5, 0.75, 1.0)
 def _reduced_params(kappa, U, gamma1) -> ModelParams:
     """Parameters in reduced units: Gamma = 1, omega_a = 0 (rates may be
     arrays)."""
-    return make_params(omega_a=0.0, kappa=kappa, U=U, gamma1=gamma1, gamma2=1.0 - gamma1)
+    return ModelParams(omega_a=0.0, kappa=kappa, U=U, gamma1=gamma1, gamma2=1.0 - gamma1)
 
 
 def _panel(outdir: Path, fig: str, panel: str, params: dict, write: Callable, *data) -> dict:

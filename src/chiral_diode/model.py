@@ -21,9 +21,6 @@ Conventions
 from __future__ import annotations
 
 import enum
-import json
-import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +31,6 @@ __all__ = [
     "PhotonIn",
     "TwoPhotonIn",
     "make_params",
-    "load_config",
 ]
 
 
@@ -198,44 +194,3 @@ def make_params(
     """
     return ModelParams(omega_a, kappa, U, gamma1, gamma2)
 
-
-_CONFIG_KEYS = ("omega_a", "kappa", "U", "gamma1", "gamma2")
-
-
-def load_config(source) -> ModelParams:
-    """Read parameters from a JSON object, file path, or mapping.
-
-    The object must use exactly the keys ``omega_a, kappa, U, gamma1,
-    gamma2``; an optional ``gamma_scale`` (default 1) multiplies every rate
-    and frequency, so values may be written in units of Gamma and rescaled
-    in one place.
-    """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    elif isinstance(source, dict):
-        data = dict(source)
-    else:
-        raise ValueError(f"config source must be a path or mapping, got {type(source)!r}")
-
-    if not isinstance(data, dict):
-        raise ValueError("config root must be a JSON object")
-
-    unknown = set(data) - set(_CONFIG_KEYS) - {"gamma_scale"}
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    missing = [k for k in _CONFIG_KEYS if k not in data]
-    if missing:
-        raise ValueError(f"missing config keys: {missing}")
-
-    scale = float(data.get("gamma_scale", 1.0))
-    if not math.isfinite(scale) or scale <= 0:
-        raise ValueError(f"gamma_scale must be a positive finite number, got {scale!r}")
-
-    vals = {}
-    for key in _CONFIG_KEYS:
-        raw = data[key]
-        if not isinstance(raw, (int, float)) or isinstance(raw, bool):
-            raise ValueError(f"config key {key} must be a number, got {raw!r}")
-        vals[key] = float(raw) * scale
-    return make_params(**vals)

@@ -131,8 +131,11 @@ def diode_condition(params: ModelParams) -> DiodeClass:
 
     The left-incident photon is blocked iff ``kappa = gamma1 - gamma2 != 0``
     and the right-incident one iff ``kappa = gamma2 - gamma1 != 0``, each
-    tested to an absolute tolerance of ``1e-12 * Gamma``.
+    tested to an absolute tolerance of ``1e-12 * Gamma``.  It classifies
+    one parameter point; array-valued rates raise ``ValueError``.
     """
+    if any(np.ndim(v) for v in (params.kappa, params.gamma1, params.gamma2)):
+        raise ValueError("diode_condition classifies one parameter point, got array-valued rates")
     asym = params.gamma1 - params.gamma2
     tol = DIODE_TOL * params.Gamma
     if abs(asym) <= tol:

@@ -22,9 +22,9 @@ nonlinear cavity; its strength ``D`` is proportional to the Kerr constant
 
 The same state expressed in the even/odd mode basis (the combination of
 right- and left-movers that does or does not couple to the cavity) is
-available through :func:`even_odd_amplitudes`; those amplitudes are
-piecewise exponentials with known jump relations at the coupling point and
-feed the independent residual checks in :mod:`chiral_diode.verification`.
+evaluated by :class:`EvenOddField`; those amplitudes are piecewise
+exponentials with known jump relations at the coupling point and feed the
+independent residual checks in :mod:`chiral_diode.verification`.
 
 Two conventions are provided for the mixed channel ``psi_rt``:
 
@@ -60,9 +60,8 @@ from .single_photon import (
 __all__ = [
     "BoundStateCoeffs",
     "TwoPhotonField",
-    "EvenOddAmplitudes",
+    "EvenOddField",
     "bound_coeffs",
-    "even_odd_amplitudes",
     "bound_asymptote",
     "map_two_photon",
     "write_map_csv",
@@ -270,26 +269,6 @@ class TwoPhotonField:
 # -- even/odd mode basis -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EvenOddAmplitudes:
-    """All even/odd-basis amplitudes at one coordinate pair.
-
-    ``phi_ee``/``phi_oe``/``phi_eo``/``phi_oo`` are the waveguide pair
-    amplitudes (subscripts name the mode of each photon), ``phi_ae`` and
-    ``phi_oa`` the one-photon-in-cavity amplitudes evaluated at the first
-    and second coordinate respectively, and ``phi_aa`` the doubly occupied
-    cavity amplitude.
-    """
-
-    phi_ee: complex
-    phi_ae: complex
-    phi_oe: complex
-    phi_eo: complex
-    phi_oo: complex
-    phi_oa: complex
-    phi_aa: complex
-
-
 class EvenOddField:
     """Region-resolved evaluators for the even/odd-basis amplitudes.
 
@@ -324,6 +303,12 @@ class EvenOddField:
             t_k = (even_mode_t(params, w1), even_mode_t(params, w2))
         self.t_k1, self.t_k2 = t_k
         self._k = (w1, w2)
+        c = self.coeffs
+        # (amplitude, wavenumber) terms of phi_ae before and after the
+        # cavity, and of phi_oa
+        self._ae_before = ((c.m_a1, w1), (c.m_a2, w2))
+        self._ae_after = ((c.beta_k1, w1), (c.beta_k2, w2), (c.chi, c.rho))
+        self._oa = ((c.sigma_k1, w1), (c.sigma_k2, w2))
         self._omega = incoming.omega
         self._decay = 1j * (self._omega - 2.0 * params.omega_a) - (
             params.kappa + params.Gamma
@@ -377,33 +362,32 @@ class EvenOddField:
         ) / np.sqrt(2.0)
         return fact + self.bound_term(x1, x2, side1, side2)
 
+    @staticmethod
+    def _exp_sum(x, before, after=(), side=None, derivative=False):
+        """Sum of a exp(i k x) over the (a, k) terms of ``before``, or its
+        x-derivative; given ``after``, the sum over those terms takes over
+        past the cavity (x > 0; at x = 0 the midpoint or the ``side``
+        limit).  A wave at complex k grows for x < 0, so ``after`` is
+        evaluated at max(x, 0), on its own side only."""
+        x = np.asarray(x, dtype=float)
+
+        def wave_sum(terms, at):
+            total = sum((k * a if derivative else a) * np.exp(1j * k * at) for a, k in terms)
+            return 1j * total if derivative else total
+
+        value = wave_sum(before, x)
+        if not after:
+            return value
+        pos = _step(x, side)
+        return (1.0 - pos) * value + pos * wave_sum(after, np.maximum(x, 0.0))
+
     def phi_ae(self, x, side=None):
         """One photon in the cavity, one even photon at x."""
-        c = self.coeffs
-        k1, k2 = self._k
-        x = np.asarray(x, dtype=float)
-        pos = _step(x, side)
-        before = c.m_a1 * np.exp(1j * k1 * x) + c.m_a2 * np.exp(1j * k2 * x)
-        after = (
-            c.beta_k1 * np.exp(1j * k1 * x)
-            + c.beta_k2 * np.exp(1j * k2 * x)
-            + c.chi * np.exp(1j * c.rho * x)
-        )
-        return (1.0 - pos) * before + pos * after
+        return self._exp_sum(x, self._ae_before, self._ae_after, side)
 
     def d_phi_ae(self, x):
         """d/dx phi_ae, analytic, valid off x = 0."""
-        c = self.coeffs
-        k1, k2 = self._k
-        x = np.asarray(x, dtype=float)
-        pos = _step(x)
-        before = 1j * (k1 * c.m_a1 * np.exp(1j * k1 * x) + k2 * c.m_a2 * np.exp(1j * k2 * x))
-        after = 1j * (
-            k1 * c.beta_k1 * np.exp(1j * k1 * x)
-            + k2 * c.beta_k2 * np.exp(1j * k2 * x)
-            + c.rho * c.chi * np.exp(1j * c.rho * x)
-        )
-        return (1.0 - pos) * before + pos * after
+        return self._exp_sum(x, self._ae_before, self._ae_after, derivative=True)
 
     def phi_oe(self, x1, x2, side2=None):
         """Odd photon at x1, even photon at x2."""
@@ -422,19 +406,11 @@ class EvenOddField:
     def phi_oa(self, x):
         """One photon in the cavity, one odd photon at x (shared by the
         odd-even and even-odd sectors)."""
-        c = self.coeffs
-        k1, k2 = self._k
-        x = np.asarray(x, dtype=float)
-        return c.sigma_k1 * np.exp(1j * k1 * x) + c.sigma_k2 * np.exp(1j * k2 * x)
+        return self._exp_sum(x, self._oa)
 
     def d_phi_oa(self, x):
         """d/dx phi_oa, analytic, exact everywhere."""
-        c = self.coeffs
-        k1, k2 = self._k
-        x = np.asarray(x, dtype=float)
-        return 1j * (
-            k1 * c.sigma_k1 * np.exp(1j * k1 * x) + k2 * c.sigma_k2 * np.exp(1j * k2 * x)
-        )
+        return self._exp_sum(x, self._oa, derivative=True)
 
     # chiral reconstruction ----------------------------------------------
 
@@ -478,26 +454,6 @@ class EvenOddField:
             - np.sqrt(2.0 * g1 * g2**3) * self.phi_oo(x1, -x2)
             + np.sqrt(2.0 * g1 * g2) * (g2 * self.phi_oe(x1, -x2) - g1 * self.phi_oe(-x2, x1))
         ) / G**2
-
-
-def even_odd_amplitudes(
-    params: ModelParams, incoming: TwoPhotonIn, x1: float, x2: float
-) -> EvenOddAmplitudes:
-    """All even/odd-basis amplitudes at (x1, x2), midpoint step convention.
-
-    ``phi_ae`` and ``phi_oa`` are one-coordinate functions; they are
-    returned at ``x1`` and ``x2`` respectively.
-    """
-    f = EvenOddField(params, incoming)
-    return EvenOddAmplitudes(
-        phi_ee=complex(f.phi_ee(x1, x2)),
-        phi_ae=complex(f.phi_ae(x1)),
-        phi_oe=complex(f.phi_oe(x1, x2)),
-        phi_eo=complex(f.phi_oe(x2, x1)),
-        phi_oo=complex(f.phi_oo(x1, x2)),
-        phi_oa=complex(f.phi_oa(x2)),
-        phi_aa=f.coeffs.phi_aa,
-    )
 
 
 # -- asymptotics ---------------------------------------------------------

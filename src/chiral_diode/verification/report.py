@@ -37,7 +37,7 @@ from ..diode_analysis import (
     working_area_two_res,
 )
 from ..model import Direction, ModelParams, PhotonIn
-from ..single_photon import chiral_coeffs, even_mode_t
+from ..single_photon import DiodeClass, chiral_coeffs, diode_condition, even_mode_t
 from ..two_photon import EvenOddField, TwoPhotonField, bound_asymptote, bound_coeffs
 from .lattice import (
     _two_photon_run,
@@ -201,6 +201,7 @@ def _closed_form_checks(rng: np.random.Generator, n_draws: int) -> list[VerifyCh
     right = chiral_coeffs(ideal, PhotonIn(omega_k=0.0, direction=Direction.RIGHT_INCIDENT))
     checks.append(_below("ideal_diode_left_T", left.T, 1e-15))
     checks.append(_below("ideal_diode_right_T_error", abs(right.T - 1.0), 1e-15))
+    checks.append(_diode_condition_check())
 
     p = ModelParams(omega_a=0.3, kappa=0.7, U=4.0, gamma1=1.0, gamma2=0.0)
     for case in WorkingAreaCase:
@@ -209,6 +210,23 @@ def _closed_form_checks(rng: np.random.Generator, n_draws: int) -> list[VerifyCh
         rel = abs(asym.amplitude_sq - abs(coeffs.D) ** 2) / abs(coeffs.D) ** 2
         checks.append(_below(f"bound_asymptote_identity_{case.value}", rel, 1e-12))
     return checks
+
+
+def _diode_condition_check(kappa_shift: float = 0.0) -> VerifyCheck:
+    """fig3d's blocking family, kappa = gamma1 - gamma2 at Gamma = 1, and
+    its mirror: ``diode_condition`` must name the blocked side, and the
+    resonant T on that side must vanish.  A wrong classification reads
+    inf; ``kappa_shift`` moves the family off the condition."""
+    worst = 0.0
+    for g1 in (0.6, 0.75, 0.9, 1.0):
+        p = ModelParams(
+            omega_a=0.0, kappa=2.0 * g1 - 1.0 + kappa_shift, U=0.0, gamma1=g1, gamma2=1.0 - g1
+        )
+        for params, side in ((p, Direction.LEFT_INCIDENT), (p.swapped(), Direction.RIGHT_INCIDENT)):
+            blocked = diode_condition(params) is DiodeClass[f"BLOCKS_{side.name}"]
+            T = chiral_coeffs(params, PhotonIn(side, 0.0)).T
+            worst = max(worst, T if blocked else np.inf)
+    return _below("diode_condition_blocked_T_max", worst, 1e-15)
 
 
 def _working_area_checks() -> list[VerifyCheck]:
@@ -339,14 +357,14 @@ def verify_all(
     The suites are ordered, and each runs the checks of the suites before
     it plus its own: ``"residual"`` runs the field-equation residual and
     sensitivity checks (about 0.03 s at the default 300 draws),
-    ``"analytic"`` adds the closed-form and working-area checks (about
-    0.05 s), ``"lattice"`` adds the single-excitation lattice agreements
-    and norm invariants on ``default_single_spec()`` (about 1.1 s), and
-    ``"all"`` adds the two-excitation lattice checks (about 3 s in all,
-    0.3 s of it the step-halving rerun).  ``n_draws`` sets the random
-    draws of both the residual suite and the closed-form property checks;
-    each evaluates all its draws in one broadcast pass, so 5000 draws take
-    about 0.3 s.
+    ``"analytic"`` adds the closed-form, diode-condition and working-area
+    checks (about 0.05 s), ``"lattice"`` adds the single-excitation
+    lattice agreements and norm invariants on ``default_single_spec()``
+    (about 1.1 s), and ``"all"`` adds the two-excitation lattice checks
+    (about 3 s in all, 0.3 s of it the step-halving rerun).  ``n_draws``
+    sets the random draws of both the residual suite and the closed-form
+    property checks; each evaluates all its draws in one broadcast pass,
+    so 5000 draws take about 0.3 s.
     """
     if suite not in VERIFY_SUITES:
         raise ValueError(f"suite must be one of {VERIFY_SUITES}, got {suite!r}")

@@ -731,3 +731,44 @@ def test_fuzzed_config_exits_cleanly(tmp_path, monkeypatch, capsys):
         assert "Traceback" not in stderr, (config, stderr)
         codes.append(code)
     assert {EXIT_OK, EXIT_VALIDATION, EXIT_IO} <= set(codes)
+
+
+# the edges of the stated parameter domain: no loss, either coupling off,
+# an attractive Kerr term, and loss far above the coupling
+_BOUNDARY_POINTS = {
+    "kappa=0": ["--kappa", "0"],
+    "gamma1=0": ["--gamma1", "0"],
+    "gamma2=0": ["--gamma1", "0.6", "--gamma2", "0"],
+    "U=-10": ["--U", "-10"],
+    "kappa=1000": ["--kappa", "1000"],
+}
+_BOUNDARY_COMMANDS = {
+    "single": ["single", "--detuning=-2:2:9"],
+    "twomap": ["twomap", "--x=-3:3:21", "--channels", "tt,rr,rt"],
+    "working-area": ["working-area", "--gamma1-grid", "0:1:9"],
+}
+
+
+@pytest.mark.parametrize("point", _BOUNDARY_POINTS)
+@pytest.mark.parametrize("command", _BOUNDARY_COMMANDS)
+def test_domain_boundaries_write_finite_cells_or_an_error_line(command, point, tmp_path, capsys):
+    """Each run writes only finite data cells, or exits 1 with an error
+    line; the one non-finite cell allowed is the inf of a diverging
+    working-area point."""
+    out = tmp_path / "out.csv"
+    argv = _BOUNDARY_COMMANDS[command] + _BOUNDARY_POINTS[point] + ["-o", str(out)]
+    code, _, stderr = run(argv, capsys)
+    assert "Traceback" not in stderr, stderr
+    if code == EXIT_VALIDATION:
+        assert stderr.startswith("error: "), stderr
+        return
+    assert code == EXIT_OK, (code, stderr)
+    # working-area keeps only gamma1 in [(kappa + Gamma)/4, Gamma], so at
+    # kappa = 1000 its table is empty
+    header, *lines = out.read_text().splitlines()
+    columns = header.split(",")
+    for line in lines:
+        cells = dict(zip(columns, line.split(",")))
+        if cells.get("diverges") == "1":
+            assert cells.pop("Gamma_abs_x") == "inf", line
+        assert all(np.isfinite(float(cell)) for cell in cells.values()), line

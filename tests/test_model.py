@@ -1,6 +1,4 @@
-"""Parameter records: validation, reduced-unit conventions, config loading."""
-
-import json
+"""Parameter records: validation and reduced-unit conventions."""
 
 import numpy as np
 import pytest
@@ -9,7 +7,6 @@ from chiral_diode import (
     Direction,
     PhotonIn,
     TwoPhotonIn,
-    load_config,
     make_params,
 )
 
@@ -114,29 +111,3 @@ class TestPhotonRecords:
         with pytest.raises(ValueError, match="direction"):
             TwoPhotonIn(None, 0.0, 0.0)
 
-
-class TestLoadConfig:
-    CONFIG = {"omega_a": 0.0, "kappa": 1.0, "U": 10.0, "gamma1": 1.0, "gamma2": 0.0}
-
-    def test_loads_mapping(self):
-        p = load_config(self.CONFIG)
-        assert (p.kappa, p.U) == (1.0, 10.0)
-
-    def test_loads_json_file(self, tmp_path):
-        path = tmp_path / "params.json"
-        path.write_text(json.dumps(self.CONFIG))
-        assert load_config(path).Gamma == 1.0
-
-    def test_gamma_scale_multiplies_all_rates(self):
-        scaled = load_config({**self.CONFIG, "gamma_scale": 2.0})
-        assert (scaled.kappa, scaled.U, scaled.gamma1) == (2.0, 20.0, 2.0)
-
-    def test_unknown_and_missing_keys_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            load_config({**self.CONFIG, "extra": 1})
-        with pytest.raises(ValueError, match="missing"):
-            load_config({k: v for k, v in self.CONFIG.items() if k != "U"})
-
-    def test_non_numeric_value_rejected(self):
-        with pytest.raises(ValueError, match="kappa"):
-            load_config({**self.CONFIG, "kappa": "one"})

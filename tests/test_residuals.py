@@ -118,6 +118,18 @@ class TestTwoPhotonResidual:
         with pytest.raises(ValueError, match="incidence"):
             two_photon_residual(params(), mirrored, POINTS)
 
+    @pytest.mark.parametrize("kappa", [1e3, 1e4])
+    @pytest.mark.parametrize("U", [-5.0, 5.0])
+    @pytest.mark.parametrize("gamma2", [0.0, 0.4])
+    def test_large_kappa_stays_finite_before_the_cavity(self, kappa, U, gamma2):
+        # the after-cavity wave exp(i rho x) overflows at x = -3.5 once
+        # (kappa + Gamma) * 3.5 / 2 passes ~709, so it must be evaluated
+        # on its own side only
+        p = make_params(omega_a=0.1, kappa=kappa, U=U, gamma1=0.8, gamma2=gamma2)
+        rep = two_photon_residual(p, pair(), [(-3.5, 1.2), (2.0, -3.5), (-3.5, -3.5)])
+        assert all(np.isfinite(v) for v in rep.residuals.values())
+        assert rep.max_residual < 1e-9
+
 
 class TestSuite:
     def test_small_suite_is_clean(self):
@@ -209,7 +221,7 @@ class TestSuite:
 
 
 # the default suite's check names in report order, pinned so that reports
-# stay comparable: 5 residual, 12 analytic, 3 single-excitation lattice
+# stay comparable: 5 residual, 13 analytic, 3 single-excitation lattice
 _PINNED_CHECK_NAMES = [
     "single_photon_residual_max",
     "two_photon_residual_max",
@@ -224,6 +236,7 @@ _PINNED_CHECK_NAMES = [
     "mirror_duality_max",
     "ideal_diode_left_T",
     "ideal_diode_right_T_error",
+    "diode_condition_blocked_T_max",
     "bound_asymptote_identity_single-photon-resonance",
     "bound_asymptote_identity_two-photon-resonance",
     "working_area_single_res_scan_max_dev",
@@ -234,8 +247,8 @@ _PINNED_CHECK_NAMES = [
 ]
 _OWN_CHECK_NAMES = {
     "residual": _PINNED_CHECK_NAMES[:5],
-    "analytic": _PINNED_CHECK_NAMES[5:17],
-    "lattice": _PINNED_CHECK_NAMES[17:],
+    "analytic": _PINNED_CHECK_NAMES[5:18],
+    "lattice": _PINNED_CHECK_NAMES[18:],
     "all": [
         "two_photon_lattice_decay_rel_err",
         "two_photon_lattice_bunching_ratio",
@@ -288,11 +301,20 @@ class TestVerifyAll:
         assert [c.name for c in report.checks] == before + _OWN_CHECK_NAMES[suite]
         assert report.all_pass
         if suite == "all":
-            assert len(report.checks) == 24
+            assert len(report.checks) == 25
 
-    @pytest.mark.parametrize("suite, count", [("residual", 5), ("analytic", 17), ("lattice", 20)])
+    @pytest.mark.parametrize("suite, count", [("residual", 5), ("analytic", 18), ("lattice", 21)])
     def test_suites_keep_their_pinned_check_names(self, suite, count):
         assert [c.name for c in _suite_report(suite).checks] == _PINNED_CHECK_NAMES[:count]
+
+    def test_diode_condition_check_fires_off_the_blocking_family(self):
+        from chiral_diode.verification.report import _diode_condition_check
+
+        assert _diode_condition_check().passed
+        # 1e-3 off kappa = gamma1 - gamma2 no side is blocked, so the
+        # classification disagrees with the family and the check reads inf
+        shifted = _diode_condition_check(kappa_shift=1e-3)
+        assert shifted.value == np.inf and not shifted.passed
 
     def test_default_suite_is_lattice(self):
         assert inspect.signature(verify_all).parameters["suite"].default == "lattice"

@@ -123,6 +123,11 @@ class TestDiodeCondition:
         assert diode_condition(p) is DiodeClass.BLOCKS_RIGHT_INCIDENT
         assert chiral_coeffs(p, PhotonIn(RIGHT, 0.0)).t == 0.0
 
+    def test_array_valued_rates_rejected(self):
+        p = params(kappa=np.array([1.0, 0.5]))
+        with pytest.raises(ValueError, match="one parameter point"):
+            diode_condition(p)
+
 
 class TestSweep:
     def test_single_point_grid_matches_direct_evaluation(self):

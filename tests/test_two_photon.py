@@ -16,7 +16,6 @@ from chiral_diode import (
     bound_asymptote,
     bound_coeffs,
     even_mode_t,
-    even_odd_amplitudes,
     make_params,
     map_two_photon,
     write_map_binary,
@@ -176,15 +175,15 @@ class TestEvenOddAmplitudes:
             p = random_params(rng)
             w1, w2 = p.omega_a + rng.uniform(-2, 2, 2)
             pair = TwoPhotonIn(LEFT, w1, w2)
-            a = even_odd_amplitudes(p, pair, *rng.uniform(-3, 3, 2))
-            assert np.isfinite(a.phi_oo)
+            f = EvenOddField(p, pair)
+            assert np.isfinite(f.phi_oo(*rng.uniform(-3, 3, 2)))
             # magnitude of a symmetrized free product never depends on params
             x1, x2 = 0.9, -1.7
             k1, k2 = pair.omega_k1, pair.omega_k2
             expect = (
                 np.exp(1j * (k1 * x1 + k2 * x2)) + np.exp(1j * (k2 * x1 + k1 * x2))
             ) / (np.sqrt(2.0) * 2.0 * np.pi)
-            got = even_odd_amplitudes(p, pair, x1, x2).phi_oo
+            got = f.phi_oo(x1, x2)
             assert got == pytest.approx(expect, abs=1e-15)
 
     def test_linear_cavity_factorizes_into_single_photon_solutions(self):
