@@ -402,6 +402,10 @@ def _cmd_working_area(args) -> int:
     params = _params_from_args(args)
     if args.case is WorkingAreaCase.SINGLE_PHOTON_RESONANCE:
         curve = working_area_single_res(params, args.gamma1_grid)
+        lo = (params.kappa + params.Gamma) / 4
+        if lo > params.Gamma:
+            print(f"note: the working area is empty: no gamma1 lies in [(kappa + Gamma)/4, "
+                  f"Gamma] = [{lo:g}, {params.Gamma:g}] once kappa > 3 Gamma", file=sys.stderr)
     else:
         curve = working_area_two_res(params, gx_ceiling=args.gx_ceiling)
     if args.format == "csv":

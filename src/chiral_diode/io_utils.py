@@ -17,7 +17,7 @@ import numpy as np
 
 __all__ = ["format_number", "write_csv"]
 
-_BLOCK_ROWS = 1024  # rows per write; the cell strings of one block live together
+_BLOCK_ROWS = 1024  # rows per write; the cells of one block live together
 _RANGE_BLOCKS = 16  # fewest blocks a forked range of write_csv is given
 
 
@@ -49,6 +49,149 @@ def _format(values) -> list[str]:
     return cells
 
 
+# A cell is _WIDTH bytes, right-aligned with NUL before it, then a comma.
+# The fast path of _cells writes a cell as six four-byte words.
+_WIDTH = 24  # the longest repr of a double, "-2.2250738585072014e-308"
+_KERNEL_MIN = 200  # fewer values are written faster by one repr each
+_P10 = np.array([float(10**k) for k in range(23)])  # exact: 5**22 < 2**53
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_MANTISSA = np.uint64(2**52 - 1)
+# word j * 10**4 + v: the four digits of v with the first j bytes NUL;
+# then the words "e-05" and "e-06"
+_WORDS = np.append(
+    np.where(np.arange(4) < np.arange(5)[:, None, None], np.uint8(0),
+             np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + np.uint8(ord("0"))),
+    np.frombuffer(b"e-05e-06", np.uint8)).view(np.uint32)
+_EXPONENT = 50000
+# _BLANK[s] turns the six digit words of a cell into words NUL before byte s
+_BLANK = 10000 * np.clip(np.arange(_WIDTH + 1)[:, None] - np.arange(0, _WIDTH, 4), 0, 4)
+# 10**j for the j fraction digits of a fixed-point cell; 10**18 exceeds every
+# digit string, so none is split at j = 0 or beyond 17
+_UNIT = np.concatenate(([10**18], _POW10[1:], [10**18] * 3))
+
+
+def _split(a):
+    """Veltkamp's split of doubles into halves of at most 26 significant bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_P10_HI, _P10_LO = _split(_P10)
+# 10**(j - 1), but inf at j = 0: there a 15-digit candidate is an integer,
+# which no value of _shortest reads as
+_DIVISOR = np.concatenate(([np.inf], _P10))
+
+
+def _scaled(a, k):
+    """``(n, f)`` with ``n + f == a * 10**k`` exactly, ``n`` an int64 and
+    ``0 <= f < 1``: Dekker's exact product of two doubles."""
+    prod = a * _P10[k]
+    ah, al = _split(a)
+    hi, lo = _P10_HI[k], _P10_LO[k]
+    err = ((ah * hi - prod) + ah * lo + al * hi) + al * lo
+    whole = np.floor(err)
+    return prod.astype(np.int64) + whole.astype(np.int64), err - whole
+
+
+def _nearest(n, f, k: int):
+    """The multiple of ``10**k`` nearest to ``n + f``, in units of ``10**k``,
+    and whether ``n + f`` lies halfway."""
+    q, r = np.divmod(n, 10**k)
+    half = 10**k // 2
+    return q + ((r > half) | ((r == half) & (f > 0))), (r == half) & (f == 0)
+
+
+def _shortest(a):
+    """Gay's shortest round-trip digits of doubles ``a`` in ``(1e-6, 1e16)``
+    that are not integers or powers of two: ``(d, p, e, ok)``, where ``a``
+    reads as the ``p`` digits of ``d`` times ``10**(e + 1 - p)``.  ``ok`` is
+    False where the digits are not certain: an exact tie, or a 16-digit
+    check on an odd ``d > 2**53``, which is not a double."""
+    k = 16 - np.floor(np.log10(a)).astype(np.int64)
+    n, f = _scaled(a, k)
+    # log10 may be one off next to a power of ten; then 10**16 <= n < 10**17 fails
+    shift = (n < 10**16).astype(np.int64) - (n >= 10**17)
+    off = np.flatnonzero(shift)
+    if off.size:
+        k[off] += shift[off]
+        n[off], f[off] = _scaled(a[off], k[off])
+    # Each candidate is checked by one correctly rounded quotient of exact
+    # doubles (Clinger's fast path).  A candidate that reads back lies
+    # within half an ulp, at most 11.1 units of n, of n + f.  With 15 digits
+    # or fewer that makes it the nearest candidate at every shorter length
+    # too, so the shortest is the 15-digit one without its trailing zeros.
+    # Otherwise the shortest has 16 digits or 17, which always suffice; the
+    # interval is symmetric (no power of two), so the nearest candidate
+    # reads back if any does.
+    d15, _ = _nearest(n, f, 2)
+    d16, tie16 = _nearest(n, f, 1)
+    ok15 = d15.astype(np.float64) / _DIVISOR[k - 1] == a
+    ok16 = d16.astype(np.float64) / _DIVISOR[k] == a
+    d = np.where(ok16, d16, n + (f > 0.5))
+    p = 17 - ok16
+    short = np.flatnonzero(ok15)
+    # 10**j divides d15 < 2**53 exactly when d15 / 10**j rounds to an integer
+    q = d15[short].astype(np.float64)[:, None] / _P10[1:15]
+    zeros = np.count_nonzero(q == np.floor(q), axis=1)
+    d[short] = d15[short] // _POW10[zeros]
+    p[short] = 15 - zeros
+    exact16 = (d16 <= 2**53) | (d16 % 2 == 0)
+    return d, p, 16 - k, ok15 | (exact16 & np.where(ok16, ~tie16, f != 0.5))
+
+
+def _fast_cells(x):
+    """The cells of float64 values ``x`` (1-D) and where they are right:
+    for non-integral values in ``(1e-6, 1e16)`` whose significand is not a
+    power of two, wherever :func:`_shortest` is certain."""
+    a = np.abs(x)
+    fast = (a > 1e-6) & (a < 1e16) & (np.trunc(a) != a) & (x.view(np.uint64) & _MANTISSA != 0)
+    d, p, e, ok = _shortest(np.where(fast, a, 0.5))  # 0.5 stands in for the others
+    sci = e < -4
+    lead = np.where(sci, 0, e)  # power of ten of the first digit as printed
+    frac = p - 1 - lead  # digits after the point, 0 to 20
+    # the digits with a 0 inserted where the point goes, at most 18
+    d = 10 * d - 9 * (d % _UNIT[frac])
+    words = np.empty((x.size, 6), np.intp)
+    hi, lo = np.divmod(d, 10**8)
+    words[:, 1], hi = np.divmod(hi, 10**8)
+    words[:, 2], words[:, 3] = np.divmod(hi, 10**4)
+    words[:, 4], words[:, 5] = np.divmod(lo, 10**4)
+    words[:, 0] = 0
+    exp = np.flatnonzero(sci)  # a scientific cell ends in its exponent word
+    words[exp, :-1] = words[exp, 1:]
+    words[exp, -1] = _EXPONENT + (e[exp] == -6)
+    # first byte of the cell without its sign (at least 2), and NUL before it
+    start = _WIDTH - (np.maximum(lead + 1, 1) + frac + (frac > 0) + 4 * sci)
+    words += _BLANK.take(start, axis=0)
+    cells = np.empty((x.size, _WIDTH + 1), np.uint8)
+    cells[:, :-1] = _WORDS.take(words).view(np.uint8)
+    cells[:, -1] = ord(",")
+    rows = np.arange(x.size)
+    point = frac > 0
+    cells[rows, np.where(point, _WIDTH - 1 - frac - 4 * sci, 0)] = np.where(point, ord("."), 0)
+    cells[rows, start - 1] = np.where(x < 0, ord("-"), 0)
+    return cells, fast & ok
+
+
+def _cells(values) -> np.ndarray:
+    """``format_number`` of every value, flattened in C order, as the rows
+    of a ``(size, _WIDTH + 1)`` uint8 array: each cell right-aligned in
+    ``_WIDTH`` bytes, NUL before it, and then a comma.  The values that
+    :func:`_fast_cells` leaves, and all of fewer than ``_KERNEL_MIN``
+    values, are written by ``_format``."""
+    x = np.asarray(values, dtype=np.float64).reshape(-1)
+    if x.size >= _KERNEL_MIN:
+        cells, done = _fast_cells(x)
+    else:
+        cells, done = np.full((x.size, _WIDTH + 1), ord(","), np.uint8), np.zeros(x.size, bool)
+    slow = np.flatnonzero(~done)
+    if slow.size:
+        text = "".join(s.rjust(_WIDTH, "\0") for s in _format(x[slow]))
+        cells[slow, :-1] = np.frombuffer(text.encode(), np.uint8).reshape(-1, _WIDTH)
+    return cells
+
+
 def _distinct(column, n_rows: int):
     """Sorted distinct float64 values of a full-size column, found one block
     at a time, or None as soon as there are more than ``_BLOCK_ROWS``.
@@ -69,20 +212,50 @@ def _distinct(column, n_rows: int):
 
 
 def _column_cells(column, shape, n_rows: int):
-    """Function from a block's first row to the column's cell strings in
-    that block, by the rule :func:`write_csv` states."""
+    """How :func:`write_csv` finds a column's cells: ``(values, index)``.
+    With ``index`` a function, the cells in the block from row ``i`` are
+    those of ``values``, formatted once, at the rows ``index(i)``.  With
+    ``index`` None, ``values`` are the column's elements in row order,
+    formatted a block at a time."""
     if column.size < n_rows:
-        strings = np.array(_format(column), dtype=object).reshape(column.shape)
-        strings = np.broadcast_to(strings, shape)
-        return lambda i: strings.flat[i : i + _BLOCK_ROWS].tolist()
+        index = np.broadcast_to(np.arange(column.size).reshape(column.shape), shape)
+        return column, lambda i: index.flat[i : i + _BLOCK_ROWS]
     column = np.broadcast_to(column, shape)
     distinct = _distinct(column, n_rows)
+    flat = column.reshape(-1) if column.flags.c_contiguous else column.flat
     if distinct is None:
-        return lambda i: _format(column.flat[i : i + _BLOCK_ROWS])
-    strings = np.array(_format(distinct), dtype=object)
-    return lambda i: strings[
-        np.searchsorted(distinct, column.flat[i : i + _BLOCK_ROWS].astype(np.float64))
-    ].tolist()
+        return flat, None
+    return distinct, lambda i: np.searchsorted(
+        distinct, flat[i : i + _BLOCK_ROWS].astype(np.float64))
+
+
+def _trim(cells):
+    """Cells without the leading byte columns that are NUL in every row."""
+    return cells[:, np.argmax(cells.any(axis=0)) :]
+
+
+def _table_cells(columns, shape, n_rows: int):
+    """Function from a block's first row to the cells of every column in
+    that block.  All values formatted once go to one ``_cells`` call, and
+    so do all values of one block."""
+    plans = [_column_cells(c, shape, n_rows) for c in columns]
+    once = [k for k, (_, index) in enumerate(plans) if index is not None]
+    each = [k for k, (_, index) in enumerate(plans) if index is None]
+    tables = {}
+    if once and n_rows:
+        cells = _cells(np.concatenate([np.ravel(plans[k][0]) for k in once]))
+        bounds = np.cumsum([0] + [plans[k][0].size for k in once])
+        tables = {k: _trim(cells[a:b]) for k, a, b in zip(once, bounds, bounds[1:])}
+
+    def block(i):
+        out = {k: tables[k].take(plans[k][1](i), axis=0) for k in once}
+        if each:
+            values = np.stack([plans[k][0][i : i + _BLOCK_ROWS] for k in each], axis=1)
+            cells = _cells(values).reshape(-1, len(each), _WIDTH + 1)
+            out.update((k, _trim(cells[:, j])) for j, k in enumerate(each))
+        return [out[k] for k in range(len(plans))]
+
+    return block
 
 
 def _block_ranges(n_rows: int) -> list[tuple[int, int]]:
@@ -101,9 +274,13 @@ def _block_ranges(n_rows: int) -> list[tuple[int, int]]:
 
 
 def _write_rows(fh, cells, start: int, stop: int) -> None:
-    """Encode rows ``[start, stop)`` into a binary file, one block at a time."""
+    """Write rows ``[start, stop)`` into a binary file, one block at a time:
+    the block's cells side by side in a byte matrix whose NUL bytes are
+    dropped, with the last comma of each row made a newline."""
     for i in range(start, stop, _BLOCK_ROWS):
-        fh.write(("\n".join(map(",".join, zip(*(c(i) for c in cells)))) + "\n").encode())
+        rows = np.concatenate(cells(i), axis=1)
+        rows[:, -1] = ord("\n")
+        fh.write(rows[rows != 0])
 
 
 def _fork_range(cells, start: int, stop: int):
@@ -139,19 +316,25 @@ def write_csv(path: str | os.PathLike, header: Sequence[str], columns: Iterable)
     columns shaped ``a[:, None]``, ``b[None, :]`` give every ``b`` for the
     first ``a``, then for the next.  Every cell has the bytes of
     :func:`format_number`.  A column smaller than the table is formatted
-    once at its own shape and its strings are broadcast.  A full-size
+    once at its own shape and its cells are broadcast.  A full-size
     column whose distinct values (after the float64 cast) fit in one block
     of ``_BLOCK_ROWS`` has each distinct value formatted once, and every
-    block gathers its cells from those strings by value; any other
-    full-size column is formatted in bulk, one block at a time.  Either way
-    only one block of a full-size column's strings is alive at once.
+    block gathers its cells from those by value; any other full-size
+    column is formatted in bulk, one block at a time.  Either way only one
+    block of a full-size column's cells is alive at once.
+
+    Cells are byte rows, not strings: ``_cells`` writes the repr of whole
+    arrays of non-integral values with ``1e-6 < |x| < 1e16`` by a numpy
+    kernel and sends the rest, any value it cannot certify and any batch
+    too small to gain, to ``repr``.  A block's cells side by side form one
+    byte matrix whose NUL padding is dropped on the way to the file.
 
     The table's blocks are split into contiguous ranges, one per CPU in
     ``os.sched_getaffinity(0)``, each of at least ``_RANGE_BLOCKS`` blocks;
     a small table, a single CPU or a platform without ``os.fork`` gives one
     range.  The calling process writes the header and the first range
     straight into the file.  Each further range is formatted by a forked
-    child, which inherits the strings and distinct-value tables built
+    child, which inherits the cells and distinct-value tables built
     above (so each value is still formatted once), streams its encoded
     rows into an unlinked temporary file and leaves by ``os._exit``.  The
     caller then waits for the children in row order and appends their
@@ -163,7 +346,7 @@ def write_csv(path: str | os.PathLike, header: Sequence[str], columns: Iterable)
     columns = [np.asarray(c) for c in columns]
     shape = np.broadcast_shapes(*(c.shape for c in columns))
     n_rows = math.prod(shape) if columns else 0
-    cells = [_column_cells(c, shape, n_rows) for c in columns]
+    cells = _table_cells(columns, shape, n_rows)
     first, *rest = _block_ranges(n_rows)
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())

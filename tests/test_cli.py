@@ -764,8 +764,13 @@ def test_domain_boundaries_write_finite_cells_or_an_error_line(command, point, t
         return
     assert code == EXIT_OK, (code, stderr)
     # working-area keeps only gamma1 in [(kappa + Gamma)/4, Gamma], so at
-    # kappa = 1000 its table is empty
+    # kappa = 1000 its table is empty, and a note says why
     header, *lines = out.read_text().splitlines()
+    empty = command == "working-area" and point == "kappa=1000"
+    assert ("note:" in stderr) == empty, stderr
+    if empty:
+        assert lines == [] and stderr.count("\n") == 1, stderr
+        assert "[250.25, 1]" in stderr, stderr
     columns = header.split(",")
     for line in lines:
         cells = dict(zip(columns, line.split(",")))

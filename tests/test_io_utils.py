@@ -15,6 +15,8 @@ from chiral_diode import (
     Direction,
     TwoPhotonField,
     TwoPhotonIn,
+    WorkingAreaCase,
+    cli,
     io_utils,
     make_params,
     map_two_photon,
@@ -148,13 +150,101 @@ def test_random_broadcast_layouts_match_the_row_wise_join(tmp_path, layout):
         assert written(tmp_path, header, columns) == row_wise(header, rows)
 
 
+# The fast path of _cells, checked cell by cell against format_number
+
+def assert_cells_are_format_number(values):
+    """The cells of the fast path where it is certain, and of ``_cells``
+    elsewhere, their commas included, against one ``format_number`` join,
+    2**16 values at a time."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    for i in range(0, values.size, 2**16):
+        chunk = values[i : i + 2**16]
+        cells, done = io_utils._fast_cells(chunk)
+        cells[~done] = io_utils._cells(chunk[~done])
+        want = "".join(format_number(v) + "," for v in chunk.tolist()).encode()
+        if cells[cells != 0].tobytes() != want:
+            got = [c[c != 0].tobytes().decode()[:-1] for c in cells]
+            bad = [(v, g) for v, g in zip(chunk.tolist(), got) if g != format_number(v)]
+            pytest.fail(f"{len(bad)} cells differ from format_number, e.g. {bad[:5]}")
+
+
+def neighbours(values, steps=4):
+    """Each value and its ``steps`` nearest doubles either way, both signs."""
+    out = [np.asarray(values, dtype=np.float64)]
+    for toward in (np.inf, -np.inf):
+        v = out[0]
+        for _ in range(steps):
+            with np.errstate(over="ignore"):
+                v = np.nextafter(v, toward)
+            out.append(v)
+    out = np.concatenate(out)
+    return np.concatenate((out, -out))
+
+
+def test_cells_of_random_bit_patterns():
+    rng = np.random.default_rng(20240817)
+    bits = rng.integers(0, 2**64, 10**6, dtype=np.uint64)
+    # the exponent field drawn from the binades around [1e-6, 1e16), where
+    # the fast path works; sign and significand bits at random
+    exponent = rng.integers(1001, 1079, bits.size, dtype=np.uint64)
+    near = (bits & np.uint64(0x800FFFFFFFFFFFFF)) | (exponent << np.uint64(52))
+    assert_cells_are_format_number(near.view(np.float64))
+    anywhere = bits[: 2 * 10**5].view(np.float64)
+    assert_cells_are_format_number(anywhere[np.isfinite(anywhere)])
+
+
+def test_cells_at_the_fast_path_boundaries():
+    powers_of_ten = np.array([float(f"1e{k}") for k in range(-7, 18)])
+    assert_cells_are_format_number(neighbours(powers_of_ten))
+    powers_of_two = 2.0 ** np.arange(-40, 64)
+    assert_cells_are_format_number(neighbours(powers_of_two, steps=2))
+    assert_cells_are_format_number(neighbours([2.0**53, 2.0**54], steps=64))
+
+
+def test_cells_of_16_and_17_digit_halfway_values():
+    # integers near 2**49..2**53 plus eighths: exact decimals whose 16- or
+    # 17-digit neighbours both read back, which repr rounds to even
+    rng = np.random.default_rng(7)
+    whole = np.concatenate([rng.integers(2**k, 2 ** (k + 1), 4000) for k in range(45, 53)])
+    halves = whole + rng.integers(1, 8, whole.size) / 8.0
+    assert_cells_are_format_number(np.concatenate((halves, -halves)))
+
+
+def test_cells_of_special_values():
+    subnormal = np.random.default_rng(3).integers(1, 2**52, 1000, dtype=np.uint64).view(np.float64)
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 2.2250738585072014e-308,
+                2.225073858507201e-308, 1.7976931348623157e308, 0.1 + 0.2, 1.5e-5]
+    assert_cells_are_format_number(np.concatenate((neighbours(specials, 1), subnormal)))
+
+
+def test_fig4_panels_take_the_fast_path(monkeypatch, tmp_path):
+    # at most a tenth of the values of a 401 x 401 fig4 panel go to repr
+    cpus(monkeypatch, 1)
+    counts = {"_cells": 0, "_format": 0}
+    for name in counts:
+        def counting(values, bulk=getattr(io_utils, name), name=name):
+            counts[name] += np.size(values)
+            return bulk(values)
+        monkeypatch.setattr(io_utils, name, counting)
+    gamma1 = np.linspace(0.0, 1.0, 401)[:, None]
+    x = np.linspace(0.0, 4.0, 401)
+    params = cli._reduced_params(1.0, 10.0, gamma1)
+    for case in WorkingAreaCase:
+        for incident in Direction:
+            counts.update(_cells=0, _format=0)
+            density = cli._separation_density(params, case, x, incident)
+            write_csv(tmp_path / "panel.csv", cli._MAP_HEADER, (gamma1, x, density))
+            assert counts["_cells"] == 401 + 401 + 401**2
+            assert counts["_format"] <= 0.1 * counts["_cells"], (case, incident, counts)
+
+
 @pytest.fixture
 def formatted(monkeypatch, tmp_path):
-    """The bulk ``_format`` calls the writer makes, in this process and in
+    """The bulk ``_cells`` calls the writer makes, in this process and in
     the processes it forks: ``formatted()`` reads them back as a list of
     ``(size, pid)``.  Each call appends one line to an ``O_APPEND`` log."""
     log = tmp_path / "formatted.log"
-    bulk = io_utils._format
+    bulk = io_utils._cells
 
     def counting(values):
         cells = bulk(values)
@@ -165,7 +255,7 @@ def formatted(monkeypatch, tmp_path):
             os.close(fd)
         return cells
 
-    monkeypatch.setattr(io_utils, "_format", counting)
+    monkeypatch.setattr(io_utils, "_cells", counting)
     log.touch()
     return lambda: [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
 
@@ -346,9 +436,9 @@ def test_unwritable_path_forks_nothing(tmp_path, monkeypatch, forks):
 
 
 def failing_format(monkeypatch, fails):
-    """Make ``_format`` fail in the processes where ``fails(pid)`` holds:
+    """Make ``_cells`` fail in the processes where ``fails(pid)`` holds:
     by raising, or in a child by a ``SIGKILL`` to itself."""
-    bulk = io_utils._format
+    bulk = io_utils._cells
 
     def format_or_fail(values):
         how = fails(os.getpid())
@@ -358,7 +448,7 @@ def failing_format(monkeypatch, fails):
             raise ValueError("format failed on purpose")
         return bulk(values)
 
-    monkeypatch.setattr(io_utils, "_format", format_or_fail)
+    monkeypatch.setattr(io_utils, "_cells", format_or_fail)
 
 
 def test_parent_error_mid_write_kills_and_reaps_every_child(tmp_path, monkeypatch, forks):
