@@ -406,6 +406,11 @@ def _cmd_working_area(args) -> int:
         if lo > params.Gamma:
             print(f"note: the working area is empty: no gamma1 lies in [(kappa + Gamma)/4, "
                   f"Gamma] = [{lo:g}, {params.Gamma:g}] once kappa > 3 Gamma", file=sys.stderr)
+        elif not curve.points:
+            g = args.gamma1_grid
+            print(f"note: the working area is empty: the gamma1 grid [{g.min():g}, {g.max():g}] "
+                  f"has no point in [(kappa + Gamma)/4, Gamma] = "
+                  f"[{lo:g}, {params.Gamma:g}]", file=sys.stderr)
     else:
         curve = working_area_two_res(params, gx_ceiling=args.gx_ceiling)
     if args.format == "csv":

@@ -17,8 +17,8 @@ import numpy as np
 
 __all__ = ["format_number", "write_csv"]
 
-_BLOCK_ROWS = 1024  # rows per write; the cells of one block live together
-_RANGE_BLOCKS = 16  # fewest blocks a forked range of write_csv is given
+_BLOCK_ROWS = 8192  # rows per write; the cells of one block live together
+_RANGE_BLOCKS = 2  # fewest blocks a forked range of write_csv is given
 
 
 def format_number(value) -> str:
@@ -34,6 +34,11 @@ def format_number(value) -> str:
     return repr(x)
 
 
+def _trunc(a):
+    """``np.trunc`` of magnitudes below 1e16, else 1e16: no signaling NaN warns."""
+    return np.trunc(np.fmin(a, 1e16))
+
+
 def _format(values) -> list[str]:
     """``format_number`` of every value, flattened in C order, in one pass.
 
@@ -43,7 +48,8 @@ def _format(values) -> list[str]:
     """
     a = np.asarray(values, dtype=np.float64).reshape(-1)
     cells = list(map(repr, a.tolist()))
-    ints = np.flatnonzero(np.isfinite(a) & (np.trunc(a) == a) & (np.abs(a) < 1e16))
+    b = np.abs(a)
+    ints = np.flatnonzero((b < 1e16) & (_trunc(b) == b))
     for k, v in zip(ints.tolist(), a[ints].astype(np.int64).tolist()):
         cells[k] = str(v)
     return cells
@@ -145,7 +151,7 @@ def _fast_cells(x):
     for non-integral values in ``(1e-6, 1e16)`` whose significand is not a
     power of two, wherever :func:`_shortest` is certain."""
     a = np.abs(x)
-    fast = (a > 1e-6) & (a < 1e16) & (np.trunc(a) != a) & (x.view(np.uint64) & _MANTISSA != 0)
+    fast = (a > 1e-6) & (a < 1e16) & (_trunc(a) != a) & (x.view(np.uint64) & _MANTISSA != 0)
     d, p, e, ok = _shortest(np.where(fast, a, 0.5))  # 0.5 stands in for the others
     sci = e < -4
     lead = np.where(sci, 0, e)  # power of ten of the first digit as printed
@@ -194,7 +200,7 @@ def _cells(values) -> np.ndarray:
 
 def _distinct(column, n_rows: int):
     """Sorted distinct float64 values of a full-size column, found one block
-    at a time, or None as soon as there are more than ``_BLOCK_ROWS``.
+    at a time, or None as soon as there are more than ``_BLOCK_ROWS`` (8192).
 
     Sorting puts equal values side by side and every NaN last, so each run
     keeps its first value.  ``np.unique`` gives the same values, but its
@@ -318,10 +324,12 @@ def write_csv(path: str | os.PathLike, header: Sequence[str], columns: Iterable)
     :func:`format_number`.  A column smaller than the table is formatted
     once at its own shape and its cells are broadcast.  A full-size
     column whose distinct values (after the float64 cast) fit in one block
-    of ``_BLOCK_ROWS`` has each distinct value formatted once, and every
-    block gathers its cells from those by value; any other full-size
+    of ``_BLOCK_ROWS`` (8192) has each distinct value formatted once, and
+    every block gathers its cells from those by value; any other full-size
     column is formatted in bulk, one block at a time.  Either way only one
-    block of a full-size column's cells is alive at once.
+    block of a full-size column's cells is alive at once.  The block size
+    sets how often the kernel's ~100 numpy calls, each column's gather
+    and the NUL drop pay their fixed cost; it changes no byte.
 
     Cells are byte rows, not strings: ``_cells`` writes the repr of whole
     arrays of non-integral values with ``1e-6 < |x| < 1e16`` by a numpy
@@ -330,15 +338,15 @@ def write_csv(path: str | os.PathLike, header: Sequence[str], columns: Iterable)
     byte matrix whose NUL padding is dropped on the way to the file.
 
     The table's blocks are split into contiguous ranges, one per CPU in
-    ``os.sched_getaffinity(0)``, each of at least ``_RANGE_BLOCKS`` blocks;
-    a small table, a single CPU or a platform without ``os.fork`` gives one
-    range.  The calling process writes the header and the first range
-    straight into the file.  Each further range is formatted by a forked
-    child, which inherits the cells and distinct-value tables built
-    above (so each value is still formatted once), streams its encoded
-    rows into an unlinked temporary file and leaves by ``os._exit``.  The
-    caller then waits for the children in row order and appends their
-    files.  The bytes therefore do not depend on the CPU count, and there
+    ``os.sched_getaffinity(0)``, each of at least ``_RANGE_BLOCKS`` blocks
+    (16,384 rows); a small table, a single CPU or a platform without
+    ``os.fork`` gives one range.  The calling process writes the header
+    and the first range straight into the file.  Each further range is
+    formatted by a forked child, which inherits the cells and
+    distinct-value tables built above (so each value is still formatted
+    once), streams its encoded rows into an unlinked temporary file and
+    leaves by ``os._exit``.  The caller then waits for the children in row
+    order and appends their files.  The bytes therefore do not depend on the CPU count, and there
     is no option to choose it.  Every child is waited for, or killed and
     waited for, before this returns or raises; a child that fails or is
     killed makes it raise :class:`OSError` naming the exit status.

@@ -749,6 +749,19 @@ _BOUNDARY_COMMANDS = {
 }
 
 
+@pytest.mark.parametrize("grid, spans", [("0:0.3:4", "[0, 0.3]"), ("0.4:1.1:2", "[0.4, 1.1]")],
+                         ids=["below", "straddling"])
+def test_working_area_grid_missing_a_nonempty_interval_notes_it(grid, spans, tmp_path, capsys):
+    # at kappa = 1 the interval [(kappa + Gamma)/4, Gamma] is [0.5, 1]
+    out = tmp_path / "out.csv"
+    argv = ["working-area", "--kappa", "1", "--gamma1-grid", grid, "-o", str(out)]
+    code, _, stderr = run(argv, capsys)
+    assert code == EXIT_OK, stderr
+    assert out.read_text().count("\n") == 1
+    assert stderr.startswith("note: ") and stderr.count("\n") == 1, stderr
+    assert f"grid {spans}" in stderr and "[0.5, 1]" in stderr, stderr
+
+
 @pytest.mark.parametrize("point", _BOUNDARY_POINTS)
 @pytest.mark.parametrize("command", _BOUNDARY_COMMANDS)
 def test_domain_boundaries_write_finite_cells_or_an_error_line(command, point, tmp_path, capsys):

@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +218,15 @@ def test_cells_of_special_values():
     assert_cells_are_format_number(np.concatenate((neighbours(specials, 1), subnormal)))
 
 
+@pytest.mark.parametrize("n", [3, io_utils._KERNEL_MIN], ids=["repr", "kernel"])
+def test_signaling_nan_cells_warn_nothing(n):
+    bits = np.array([0x7FF0000000000001, 0xFFF0000000000001, 0x7FF4000000000000], np.uint64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cells = io_utils._cells(np.resize(bits, n).view(np.float64))
+    assert cells[cells != 0].tobytes() == b"nan," * n
+
+
 def test_fig4_panels_take_the_fast_path(monkeypatch, tmp_path):
     # at most a tenth of the values of a 401 x 401 fig4 panel go to repr
     cpus(monkeypatch, 1)
@@ -347,14 +357,15 @@ def test_two_photon_map_is_gathered_by_value(tmp_path, formatted):
 
 
 def test_toeplitz_column_past_one_block_is_formatted_per_block(tmp_path, formatted):
-    v = np.cos(np.linspace(0.0, 3.0, 2001))
+    # BLOCK + 1 distinct values, one more than a block gathers by value
+    v = np.cos(np.linspace(0.0, 3.0, BLOCK + 1))
     i = np.arange(3)[:, None]
-    j = np.arange(1999)[None, :]
+    j = np.arange(BLOCK - 1)[None, :]
     m = v[j - i + 2]
-    rows = [(a, b, m[a, b]) for a in range(3) for b in range(1999)]
+    rows = [(a, b, m[a, b]) for a in range(3) for b in range(BLOCK - 1)]
     data = written(tmp_path, ("i", "j", "m"), (i, j, m))
     assert data == row_wise(("i", "j", "m"), rows)
-    assert total(formatted) == 3 + 1999 + m.size
+    assert total(formatted) == 3 + (BLOCK - 1) + m.size
 
 
 # A large table is split into block ranges, one per CPU; every range but
@@ -423,6 +434,26 @@ def test_split_bytes_equal_the_row_wise_join(tmp_path, monkeypatch, forks, n_cpu
     header, columns = split_table(n_rows)
     assert written(tmp_path, header, columns) == split_reference(n_rows)
     assert len(forks) == n_ranges - 1
+    assert_no_children()
+
+
+@pytest.mark.parametrize("block_rows", [7, 1024, BLOCK])
+def test_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, forks, block_rows):
+    # a broadcast column, a gathered one (5 distinct values), two formatted
+    # per block, a ragged last block and three forked ranges
+    monkeypatch.setattr(io_utils, "_BLOCK_ROWS", block_rows)
+    cpus(monkeypatch, 3)
+    n, m = 13, -(-3 * RANGE * BLOCK // 13)
+    rng = np.random.default_rng(5)
+    columns = [np.linspace(0.0, 1.0, n)[:, None],
+               np.resize(np.linspace(-2.0, 2.0, 5), (n, m)),
+               np.arange(n * m).reshape(n, m),
+               rng.standard_normal((n, m)) * 10.0 ** rng.integers(-20, 20, (n, m))]
+    assert (n * m) % block_rows  # a ragged last block
+    header = [f"c{k}" for k in range(len(columns))]
+    data = written(tmp_path, header, columns)
+    assert data == row_wise(header, zip(*(b.ravel() for b in np.broadcast_arrays(*columns))))
+    assert len(forks) == 2
     assert_no_children()
 
 
