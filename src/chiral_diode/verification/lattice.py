@@ -9,14 +9,15 @@ i kappa/2``.  The physics is defined once, as the single-excitation
 generator H1: three diagonals over the channel sites plus the cavity's
 border column, held as numpy arrays.  Both runs step it with the same
 classical fourth-order Runge-Kutta, which for this constant H1 is one
-fixed step matrix, built once per run: nine diagonals over the sites
-plus a small dense block where the cavity couples.  The two-excitation run
+fixed step matrix P; one product advances K steps at a time by P^K,
+built once per run: a real band of 8K + 1 diagonals over the sites plus
+a rank-5K correction where the cavity couples.  The two-excitation run
 builds no pair basis: its Kerr term is rank one (2U on the doubly
-occupied cavity), so the pair follows from three one-photon trajectories
-(the cavity mode and the two packets, stepped as one block), and only
-the doubly occupied cavity amplitude needs a quadrature, a scalar
-Volterra equation (the time-domain Sherman-Morrison identity; the bound
-state it carries is that of Liao & Law, PRA 82, 053836).
+occupied cavity), so the pair follows from one-photon trajectories (the
+cavity mode and one packet per distinct frequency), and only the doubly
+occupied cavity amplitude needs a quadrature, a scalar Volterra equation
+(the time-domain Sherman-Morrison identity; the bound state it carries
+is that of Liao & Law, PRA 82, 053836).
 
 Discretization scheme, chosen so the only non-Hermitian pieces of the
 semi-discrete generator are the explicit loss terms (cavity -i kappa/2
@@ -181,8 +182,8 @@ def default_single_spec() -> LatticeSpec:
 def default_two_photon_spec() -> LatticeSpec:
     """Geometry for the two-excitation run: 721 sites at ``dx = 0.05``.
 
-    The run steps three one-photon trajectories over its 722 modes (1443
-    when the left channel is kept) at a fixed step of 0.005 for its whole
+    The run steps up to three one-photon trajectories over its 722 modes
+    (1443 when the left channel is kept) at a fixed step of 0.005 for its whole
     horizon, so its cost is linear in the sites, and the channels are
     shorter than ``default_single_spec``'s.  ``dt`` serves only
     single-excitation runs on this geometry.
@@ -303,10 +304,14 @@ def lattice_transmission(
     n_steps = int(round(horizon / spec.dt))
     trace = np.empty(n_steps + 1) if track_norm else None
 
-    def record(step, state, near):
-        trace[step] = np.vdot(state, state).real
+    def record(step, parts, read):
+        trace[step] = np.vdot(parts, parts)
 
-    _rk4(H, psi, spec.dt, n_steps, record if track_norm else None)
+    # one step per block keeps the norm trace at every step
+    if track_norm:
+        _rk4(H, psi, spec.dt, n_steps, record)
+    else:
+        _rk4(H, psi, spec.dt, n_steps, block=_BLOCK_STEPS)
     # the left channel slice is empty when the basis has none
     R, L, c = psi[:n], psi[n:-1], psi[-1]
 
@@ -346,8 +351,8 @@ class TwoPhotonLatticeResult:
     photon separation ``separations[i]``, restricted to the transmitted
     channel downstream of the cavity.  ``converged`` is False while the
     doubly occupied cavity still holds ``final_double_cavity_pop >= 1e-6``.
-    The run's cost is ``steps`` Runge-Kutta steps of three ``modes``-long
-    one-photon trajectories.
+    The run's cost is ``steps`` Runge-Kutta steps of ``modes``-long
+    one-photon trajectories: the cavity's and one per distinct frequency.
     """
 
     separations: np.ndarray
@@ -461,77 +466,200 @@ def _single_particle_operator(
 
 # a Runge-Kutta step, degree 4 in the generator, reaches this many sites each way
 _REACH = 4
+# Runge-Kutta steps per product of the blocked stepper.  Per step the band
+# costs about the same at any K; its set-up grows as K^2 and the cavity's
+# correction as K, and 4 ran no slower than 8
+_BLOCK_STEPS = 4
 _VOLTERRA_BLOCK = 64  # nodes per block of the Volterra solve
+# p(z) = sum_{j<=4} z^j / j!: one classical Runge-Kutta step is P = p(A)
+_STEP_POLY = (1.0, 1.0, 1.0 / 2.0, 1.0 / 6.0, 1.0 / 24.0)
 
 
-def _step_matrix(H: _Generator, dt: float) -> tuple[np.ndarray, ...]:
-    """The classical Runge-Kutta step of ``dpsi/dt = -i H psi``, for constant
-    H the matrix ``P = sum_{j<=4} A^j / j!`` with ``A = -i dt H``, as
-    ``(band, rows, cols, dense)`` in O(m) memory.  ``band[i, _REACH + k]``
-    is ``P[i, i + k]`` of the site diagonals alone, by Horner's rule, with
-    a zero cavity row.  The cavity changes only the ``rows`` within
-    ``_REACH`` of the border's support and the cavity row, the last: there
-    P is ``dense`` over the ``cols`` within ``_REACH`` of those rows, each
-    column summed from the Taylor terms of ``H.apply`` on that window."""
-    # a path of four hops from a column to a row never leaves the window
-    near, window = (np.flatnonzero(np.convolve(H.border != 0.0, np.ones(2 * r + 1), "same"))
-                    for r in (_REACH, 2 * _REACH))
-    joined = np.diff(window) == 1
-    local = _Generator(H.diag[window], H.upper[window[:-1]] * joined,
-                       H.lower[window[:-1]] * joined, H.border[window], H.cavity)
-    cols = np.eye(window.size + 1, dtype=complex)
-    term, nxt, work = cols.copy(), np.empty_like(cols), np.empty_like(cols)
-    for j in range(1, _REACH + 1):
-        local.apply(term, nxt, work)
-        nxt *= -1j * dt / j
-        cols += nxt
-        term, nxt = nxt, term
-    # row i of cols is P e_i: P's column at window mode i
-    dense = cols[:, np.append(np.searchsorted(window, near), window.size)].T
-    del cols, term, nxt, work  # before the band's buffers, for a lower peak
-    # the sites' part of -i dt H is real: hop -dt/(2 dx), absorber -dt W
+def _local(H: _Generator, sites: np.ndarray, coupled: bool = True,
+           transpose: bool = False) -> _Generator:
+    """H on the given sites and the cavity, with no hop across a gap in
+    ``sites``; without the cavity's terms when not ``coupled``, and as its
+    transpose (hops swapped; the border is symmetric) when ``transpose``."""
+    joined = np.diff(sites) == 1
+    upper, lower = H.upper[sites[:-1]] * joined, H.lower[sites[:-1]] * joined
+    if transpose:
+        upper, lower = lower, upper
+    border = H.border[sites] if coupled else np.zeros(sites.size, dtype=complex)
+    return _Generator(H.diag[sites], upper, lower, border, H.cavity if coupled else 0.0)
+
+
+def _within(mask: np.ndarray, reach: int) -> np.ndarray:
+    """Where ``mask`` holds within ``reach`` entries either way."""
+    return np.convolve(mask, np.ones(2 * reach + 1))[reach:reach + mask.size] > 0.0
+
+
+def _near(H: _Generator, reach: int) -> np.ndarray:
+    """The sites within ``reach`` of the border's support."""
+    return np.flatnonzero(_within(H.border != 0.0, reach))
+
+
+def _taylor_steps(H: _Generator, block: np.ndarray, dt: float, steps: int) -> np.ndarray:
+    """The (k, m) ``block`` after 0, 1, .. ``steps`` Runge-Kutta steps of H,
+    each the Taylor terms of ``H.apply``: shape (steps + 1, k, m)."""
+    out = np.empty((steps + 1,) + block.shape, dtype=complex)
+    out[0] = block
+    term, nxt, work = (np.empty_like(out[0]) for _ in range(3))
+    for s in range(steps):
+        out[s + 1] = term[...] = out[s]
+        for j in range(1, _REACH + 1):
+            H.apply(term, nxt, work)
+            nxt *= -1j * dt / j
+            out[s + 1] += nxt
+            term, nxt = nxt, term
+    return out
+
+
+def _site_band(H: _Generator, dt: float, steps: int, reach: int) -> np.ndarray:
+    """B^K for K = ``steps``, B the Runge-Kutta step of the site diagonals
+    alone, in band storage ``band[i, reach + k] = B^K[i, i + k]`` with a zero
+    cavity row: Horner's rule on ``q = p^K``.  A site whose ``2 reach + 1``
+    neighbours each way see one hop and no absorber has the row of every
+    such site, so Horner runs on the chain with those sites cut out (each
+    stretch keeps its ends) and their rows copy a kept row ``reach`` sites
+    inside the stretch."""
+    # the sites' part of A = -i dt H is real: hop -dt/(2 dx), absorber -dt W
     lower, diag, upper = ((-1j * dt * v).real for v in (H.lower, H.diag, H.upper))
-    band = np.zeros((H.shape[0], 2 * _REACH + 1))
-    band[:-1, _REACH] = 1.0
-    prev = np.empty_like(band[:-1])
-    for j in range(_REACH, 0, -1):
-        # band <- I + (A / j) band, in the storage band[i, _REACH + k] = M[i, i + k]
-        np.divide(band[:-1], j, out=prev)
-        np.multiply(diag[:, None], prev, out=band[:-1])
-        band[1:-1, :-1] += lower[:, None] * prev[:-1, 1:]
-        band[:-2, 1:] += upper[:, None] * prev[1:, :-1]
-        band[:-1, _REACH] += 1.0
-    # complex, as the state: a mixed-type einsum steps ~25 % slower
-    cavity = H.shape[0] - 1
-    return band.astype(complex), np.append(near, cavity), np.append(window, cavity), dense
+    odd = diag != 0.0
+    odd[[0, -1]] = True
+    odd[1:-1] |= (upper[1:] != upper[:-1]) | (lower[1:] != lower[:-1])
+    cut = ~_within(odd, 2 * reach + 1)
+    kept = np.flatnonzero(~cut)
+    # the hop out of the site before a cut is the stretch's hop
+    lower, diag, upper = lower[kept[:-1]], diag[kept], upper[kept[:-1]]
+    q = np.array(_STEP_POLY)
+    for _ in range(steps - 1):
+        q = np.convolve(q, _STEP_POLY)
+    # Horner on q(A) = sum_j w_j A^j / j!, nested as w_0 + A (w_1 + A/2 (w_2 + ..))
+    weights = q * np.cumprod(np.append(1.0, np.arange(1.0, q.size)))
+    band = np.zeros((kept.size, 2 * reach + 1))
+    band[:, reach] = weights[-1]
+    for t, j in enumerate(range(q.size - 1, 0, -1), start=1):
+        # band <- w_{j-1} I + (A / j) band on the reach t it has grown to
+        live = band[:, reach - t:reach + t + 1]
+        prev = live / j
+        np.multiply(diag[:, None], prev, out=live)
+        live[1:, :-1] += lower[:, None] * prev[:-1, 1:]
+        live[:-1, 1:] += upper[:, None] * prev[1:, :-1]
+        band[:, reach] += weights[j - 1]
+    last = np.cumsum(~cut) - 1
+    out = np.zeros((cut.size + 1, 2 * reach + 1))
+    band.take(np.where(cut, last - reach, last), axis=0, out=out[:-1])
+    return out
 
 
-def _rk4(H: _Generator, psi: np.ndarray, dt: float, n_steps: int, record=None) -> None:
+def _step_matrix(H: _Generator, dt: float, steps: int = 1,
+                 reach: int | None = None) -> tuple[np.ndarray, ...]:
+    """``steps`` = K classical Runge-Kutta steps of ``dpsi/dt = -i H psi``,
+    for constant H the matrix ``P^K = q(A)`` with ``A = -i dt H`` and
+    ``q = p^K``, as ``(band, rows, left, right)`` in O(m K) memory.
+
+    ``band`` is ``_site_band``'s B^K, real, whose width ``reach`` (by
+    default 4K) sets.  The cavity adds ``C = P^K - B^K``, nonzero only on
+    the ``rows`` within ``reach`` sites of the border's support and the
+    cavity, the last, where ``C = left @ right``.  There
+    ``C = sum_k P^(K-1-k) D B^k`` with ``D = P - B`` of rank at most 5: D's
+    range is spanned by the cavity and ``A^j border`` for j < 4, where
+    paths through the cavity end.  So ``left`` holds ``P^i Q`` and
+    ``right`` ``Q^H D B^k`` for an orthonormal basis Q of that range, each
+    stepped on the ``rows`` alone, which hold every path of at most 4K
+    hops from or to Q's support."""
+    reach = _REACH * steps if reach is None else reach
+    sites = _near(H, reach)
+    # Q by Gram-Schmidt, twice, on the border and its images under the sites
+    basis = np.zeros((_REACH + 1, sites.size + 1), dtype=complex)
+    basis[0, :-1] = H.border[sites]
+    bare, work = _local(H, sites, coupled=False), np.empty_like(basis[0])
+    for j in range(1, _REACH):
+        bare.apply(basis[j - 1], basis[j], work)
+    basis[-1, -1] = 1.0
+    for j in range(_REACH):
+        for _ in range(2):
+            basis[j] -= np.einsum("k,kj->j", np.einsum("kj,j->k", basis[:j].conj(), basis[j]),
+                                  basis[:j])
+        basis[j] /= np.sqrt(np.vdot(basis[j], basis[j]).real)
+    # the rows of Q^H D from D^T = P^T - B^T, where B^T zeroes the cavity
+    # entry that the bare sites' step keeps; B^T keeps it zero after
+    bare_t = _local(H, sites, coupled=False, transpose=True)
+    start = (_taylor_steps(_local(H, sites, transpose=True), basis.conj(), dt, 1)[1]
+             - _taylor_steps(bare_t, basis.conj(), dt, 1)[1])
+    start[:, -1] += basis[:, -1].conj()
+    right = _taylor_steps(bare_t, start, dt, steps - 1)
+    right[1:, :, -1] = 0.0
+    # the columns P^i Q, in the order of right's blocks: i = K - 1 - k
+    left = _taylor_steps(_local(H, sites), basis, dt, steps - 1)[::-1]
+    return (_site_band(H, dt, steps, reach), np.append(sites, H.shape[0] - 1),
+            left.reshape(-1, sites.size + 1).T, right.reshape(-1, sites.size + 1))
+
+
+def _cavity_readout(H: _Generator, dt: float, steps: int) -> np.ndarray:
+    """The cavity entries within K = ``steps`` Runge-Kutta steps: column 2j
+    is the cavity row of P^j and column 2j + 1 that of ``P_half P^j``, with
+    ``P_half`` the step at ``dt / 2`` (the midpoint value), for j < K, on
+    the ``rows`` of ``_step_matrix(H, dt, K)``.  Each row is stepped from
+    the cavity by the transposed generator."""
+    sites = _near(H, _REACH * steps)
+    transposed = _local(H, sites, transpose=True)
+    start = np.zeros((2, sites.size + 1), dtype=complex)
+    start[:, -1] = 1.0
+    start[1] = _taylor_steps(transposed, start[1:], 0.5 * dt, 1)[1, 0]
+    return _taylor_steps(transposed, start, dt, steps - 1).reshape(2 * steps, -1).T
+
+
+def _parts(M: np.ndarray) -> np.ndarray:
+    """The complex matrix M acting on stacked real and imaginary parts."""
+    return np.array([[M.real, -M.imag], [M.imag, M.real]])
+
+
+def _rk4(H: _Generator, psi: np.ndarray, dt: float, n_steps: int, record=None,
+         block: int = 1, readout: np.ndarray | None = None) -> None:
     """Advance ``dpsi/dt = -i H psi`` in place by ``n_steps`` classical
-    fourth-order Runge-Kutta steps of one state or a (k, m) block.  Each
-    step applies the step matrix P: one banded product over the sites,
-    on windows of a zero-padded copy of the state, then one small dense
-    product for the rows the cavity changes.  ``record(step, psi, near)``,
-    when given, sees the state and its entries at ``_step_matrix``'s
-    ``cols`` before every step and after the last."""
-    band, rows, cols, dense = _step_matrix(H, dt)
-    # two padded buffers, stepped from one into the other; their pads stay zero
-    pads = np.zeros((2,) + psi.shape[:-1] + (psi.shape[-1] + 2 * _REACH,), dtype=complex)
-    states = pads[..., _REACH:-_REACH]
-    states[0] = psi
-    windows = np.lib.stride_tricks.sliding_window_view(pads, 2 * _REACH + 1, axis=-1)
-    near = np.empty(psi.shape[:-1] + cols.shape, dtype=complex)
-    for i in range(n_steps):
-        src, dst = states[i % 2], states[1 - i % 2]
-        src.take(cols, axis=-1, out=near)
-        if record is not None:
-            record(i, src, near)
-        np.einsum("ij,...ij->...i", band, windows[i % 2], out=dst)
+    fourth-order Runge-Kutta steps of one state or a (k, m) block, ``block``
+    = K steps per product of ``_step_matrix``'s P^K (a shorter last block
+    takes the rest).  The state is held as its real and imaginary parts,
+    stacked, and each product is one real banded product over the sites,
+    on windows of zero-padded copies of both parts, and the cavity's
+    rank-5K correction on its ``rows``.  ``record(step, parts, read)``,
+    when given, sees the parts and ``read``, the parts of the state's
+    entries at the K-step ``rows`` times ``readout`` (complex, one column
+    per read-out), before every block and after the last."""
+    block = max(1, min(block, n_steps))
+    full, rest = divmod(n_steps, block)
+    reach = _REACH * block
+    stages = [(_step_matrix(H, dt, block), full)]
+    if rest:
+        stages.append((_step_matrix(H, dt, rest, reach), 1))
+    rows = stages[0][0][1]
+    extra = np.empty((rows.size, 0)) if readout is None else readout
+    # two padded buffers of both parts, stepped from one into the other;
+    # their pads stay zero
+    pads = np.zeros((2, 2) + psi.shape[:-1] + (psi.shape[-1] + 2 * reach,))
+    states = pads[..., reach:-reach]
+    states[0] = psi.real, psi.imag
+    windows = np.lib.stride_tricks.sliding_window_view(pads, 2 * reach + 1, axis=-1)
+    near = np.empty((2,) + psi.shape[:-1] + rows.shape)
+    i = 0
+    for (band, _, left, right), count in stages:
+        # the correction's first factor and the read-out, in one product;
         # einsum, not BLAS, for the reason given in ``_Generator.apply``
-        dst[..., rows] = np.einsum("ij,...j->...i", dense, near)
-    psi[...] = states[n_steps % 2]
+        first, second, cut = _parts(np.vstack((right, extra.T))), _parts(left), right.shape[0]
+        for _ in range(count):
+            src, dst = states[i % 2], states[1 - i % 2]
+            src.take(rows, axis=-1, out=near)
+            inner = np.einsum("pqkj,q...j->p...k", first, near)
+            if record is not None:
+                record(i * block, src, inner[..., cut:])
+            np.einsum("ij,...ij->...i", band, windows[i % 2], out=dst)
+            dst[..., rows] += np.einsum("pqik,q...k->p...i", second, inner[..., :cut])
+            i += 1
     if record is not None:
-        record(n_steps, psi, psi[..., cols])
+        states[i % 2].take(rows, axis=-1, out=near)
+        record(n_steps, states[i % 2], np.einsum("pqkj,q...j->p...k", first, near)[..., cut:])
+    psi[...] = states[i % 2, 0] + 1j * states[i % 2, 1]
 
 
 def _trapezoid_volterra(free: np.ndarray, kernel: np.ndarray, a: complex) -> np.ndarray:
@@ -583,11 +711,14 @@ def lattice_two_photon(
         Psi(T) = Psi0(T) - 2iU int_0^T c(s) u(T-s) u(T-s)^T ds,
 
     with ``u(tau) = exp(-i H1 tau)|cav>``, ``g(tau) = u(tau)[cav]`` and
-    ``Psi0`` the free pair.  Three trajectories carry the run, ``u`` and
-    the two packets, stepped as one block by the single-excitation
-    run's Runge-Kutta at twice the Volterra step; the cavity row of the
-    step matrix at half the step gives the cavity entries at each step's
-    midpoint.  The Volterra equation is solved, blockwise, by the
+    ``Psi0`` the free pair.  Up to three trajectories carry the run,
+    ``u`` and the packets (one when both photons share a frequency),
+    stepped by the single-excitation run's Runge-Kutta at twice the
+    Volterra step: ``u`` in blocks that end on the Simpson nodes, the
+    packets in blocks of ``_BLOCK_STEPS``.  The cavity entries at each
+    step and at its midpoint (the cavity row of the step at half the
+    step) are read out from each block's start.  The Volterra equation is
+    solved, blockwise, by the
     trapezoid rule at a step of at most
     ``_VOLTERRA_STEP`` = 0.0025 and at twice that, combined by Richardson
     extrapolation, and the final integral by Simpson's rule with step at
@@ -624,15 +755,17 @@ def _two_photon_run(
     H1 = _single_particle_operator(spec, params, omega_frame, left_in)
     n = spec.n_sites
 
-    # the trajectories u, phi1 and phi2; the incident channel is also the
-    # transmitted one
+    # the trajectories u and the packets phi1, phi2 (one, stepped once, when
+    # the pair is degenerate); the incident channel is also the transmitted one
     off = 0 if left_in else n
-    states = np.zeros((3, H1.shape[0]), dtype=complex)
-    states[0, -1] = 1.0
-    states[1, off:off + n] = _packet(spec, left_in, incoming.omega_k1 - omega_frame)
-    states[2, off:off + n] = _packet(spec, left_in, incoming.omega_k2 - omega_frame)
+    u = np.zeros(H1.shape[0], dtype=complex)
+    u[-1] = 1.0
+    omegas = dict.fromkeys((incoming.omega_k1, incoming.omega_k2))
+    packets = np.zeros((len(omegas), H1.shape[0]), dtype=complex)
+    for packet, omega in zip(packets, omegas):
+        packet[off:off + n] = _packet(spec, left_in, omega - omega_frame)
     # Psi(0) = norm (phi1 phi2^T + phi2 phi1^T), unit Frobenius norm
-    norm = 1.0 / np.sqrt(2.0 + 2.0 * abs(np.vdot(states[1], states[2])) ** 2)
+    norm = 1.0 / np.sqrt(2.0 + 2.0 * abs(np.vdot(packets[0], packets[-1])) ** 2)
 
     # six bound-state decay lengths: the horizon margin and profile reach.
     # An even number of Simpson intervals, each split into ``ratio``
@@ -643,6 +776,7 @@ def _two_photon_run(
     ratio = max(1, round(_SIMPSON_STEP / (2.0 * _VOLTERRA_STEP)))
     coarse = horizon / n_coarse
     n_steps = ratio * n_coarse
+    dt = coarse / ratio
 
     # transmitted channel: where the incident packet continues
     downstream = (x > 1.0 / G) if left_in else (x < -1.0 / G)
@@ -650,27 +784,31 @@ def _two_photon_run(
     keep = np.nonzero(downstream & usable)[0] + off
     rows = slice(keep[0], keep[-1] + 1)
 
-    # g, a1 and a2 on the Volterra grid: at each step node the cavity
-    # entries (the last of the step matrix's columns), at its midpoint the
-    # cavity row of the step matrix at half the step, filled and dropped
-    # after the last node; and u's transmitted rows at every Simpson node
-    half = _step_matrix(H1, 0.5 * coarse / ratio)[3]
-    readout = np.stack((np.eye(half.shape[1])[-1], half[-1]), axis=1)
-    fine = np.empty((2 * n_steps + 2, 3), dtype=complex)
+    # g, a1 and a2 on the Volterra grid, from each block's start: the
+    # cavity entries at every step node and midpoint of the block, filled
+    # past the last node and dropped; and u's transmitted rows at every
+    # Simpson node, where u's blocks of ``ratio`` steps start
     emitted = np.empty((n_coarse + 1, keep.size), dtype=complex)
 
-    def record(step, state, near):
-        fine[2 * step:2 * step + 2] = (near @ readout).T
-        if step % ratio == 0:
-            emitted[step // ratio] = state[0, rows]
+    def trajectory(psi, block, emit=False):
+        block = min(block, n_steps)
+        fine = np.empty((2,) + psi.shape[:-1] + (2 * (n_steps + block),))
 
-    _rk4(H1, states, coarse / ratio, n_steps, record)
+        def record(step, parts, read):
+            fine[..., 2 * step:2 * (step + block)] = read
+            if emit:
+                emitted.real[step // ratio], emitted.imag[step // ratio] = parts[:, rows]
+
+        _rk4(H1, psi, dt, n_steps, record, block, _cavity_readout(H1, dt, block))
+        return fine[0, ..., :2 * n_steps + 1] + 1j * fine[1, ..., :2 * n_steps + 1]
+
+    g = trajectory(u, ratio, emit=True)
+    a = trajectory(packets, _BLOCK_STEPS)
     # c comes back on the step nodes
-    g, a1, a2 = fine[:-1].T
-    c = _volterra(2.0 * norm * a1 * a2, g**2, 1j * params.U * coarse / ratio)
+    c = _volterra(2.0 * norm * a[0] * a[-1], g**2, 1j * params.U * dt)
 
-    free = states[1:, rows]
-    psi = norm * (np.outer(free[0], free[1]) + np.outer(free[1], free[0]))
+    free = packets[:, rows]
+    psi = norm * (np.outer(free[0], free[-1]) + np.outer(free[-1], free[0]))
     # Simpson over s = T - tau, indexed by tau = i * coarse; the weights
     # are symmetric, so c(T - tau) is the reversed coarse samples.  The
     # sum of drive_i u_i u_i^T is V^T V with V = sqrt(drive) u, in place

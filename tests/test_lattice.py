@@ -275,11 +275,12 @@ class TestGenerator:
         lattice_module._rk4(H, stepped, dt, 1)
         assert np.linalg.norm(stepped.T - P) <= 1e-14 * np.linalg.norm(P)
         # the cavity row at half the step, which gives the midpoint values
-        # of the two-excitation run, lies on the step matrix's columns
-        _, _, cols, half = _step_matrix(H, 0.5 * dt)
+        # of the two-excitation run, lies on the step matrix's rows
+        rows = _step_matrix(H, dt)[1]
+        half = lattice_module._cavity_readout(H, dt, 1)[:, 1]
         row = self._taylor_step(H, 0.5 * dt)[-1]
-        assert np.linalg.norm(half[-1] - row[cols]) <= 1e-14 * np.linalg.norm(row)
-        assert not np.any(np.delete(row, cols))
+        assert np.linalg.norm(half - row[rows]) <= 1e-14 * np.linalg.norm(row)
+        assert not np.any(np.delete(row, rows))
 
     @pytest.mark.parametrize("gamma2, left_in", [(0.0, True), (0.4, True), (0.0, False)])
     def test_block_step_matches_per_state_steps(self, gamma2, left_in):
@@ -293,6 +294,131 @@ class TestGenerator:
         for psi, got in zip(states, block):
             lattice_module._rk4(H, psi, self.TINY.dt, 7)
             assert np.linalg.norm(got - psi) <= 1e-14 * np.linalg.norm(psi)
+
+
+def _dense_step(H, dt, steps):
+    """The K-step matrix of ``_step_matrix`` as a full matrix: its band
+    plus the low-rank cavity correction on its rows."""
+    band, rows, left, right = _step_matrix(H, dt, steps)
+    m, reach = H.shape[0], band.shape[1] // 2
+    M = np.zeros((m, m), dtype=complex)
+    for k in range(-reach, reach + 1):
+        i = np.arange(max(0, -k), min(m, m - k))
+        M[i, i + k] = band[i, reach + k]
+    M[np.ix_(rows, rows)] += left @ right
+    return M
+
+
+class TestBlockedStepper:
+    """K Runge-Kutta steps per product against K single Taylor steps of
+    the full matrix, in the three channel layouts."""
+
+    TINY = TestGenerator.TINY
+    LAYOUTS = [(0.0, True), (0.4, True), (0.0, False)]
+
+    def _operator(self, gamma2, left_in, kappa=0.8):
+        p = ModelParams(0.3, kappa, 0.0, 1.0 - gamma2, gamma2)
+        return _single_particle_operator(self.TINY, p, 0.2, left_in)
+
+    @pytest.mark.parametrize("gamma2, left_in", LAYOUTS)
+    @pytest.mark.parametrize("steps", [1, 2, 8])
+    def test_step_matrix_is_the_power_of_the_taylor_step(self, gamma2, left_in, steps):
+        H = self._operator(gamma2, left_in)
+        P = np.linalg.matrix_power(TestGenerator._taylor_step(H, self.TINY.dt), steps)
+        got = _dense_step(H, self.TINY.dt, steps)
+        assert np.linalg.norm(got - P) <= 1e-14 * np.linalg.norm(P)
+
+    @pytest.mark.parametrize("gamma2, left_in", LAYOUTS)
+    def test_site_band_on_a_chain_with_stretches_cut(self, gamma2, left_in):
+        # long uniform stretches: Horner runs on the cut chain, and the rows
+        # far from the absorbers, the channel ends and the join copy a kept row
+        spec = LatticeSpec(401, 0.1, 0.05, 1.0, 20)
+        p = ModelParams(0.3, 0.8, 0.0, 1.0 - gamma2, gamma2)
+        H = _single_particle_operator(spec, p, 0.2, left_in)
+        steps, reach = 2, 8
+        bare = dataclasses.replace(H, border=np.zeros_like(H.border), cavity=0.0)
+        B = np.linalg.matrix_power(TestGenerator._taylor_step(bare, spec.dt), steps)[:-1, :-1]
+        band = lattice_module._site_band(H, spec.dt, steps, reach)
+        got = np.zeros_like(B)
+        for k in range(-reach, reach + 1):
+            i = np.arange(max(0, -k), min(B.shape[0], B.shape[0] - k))
+            got[i, i + k] = band[i, reach + k]
+        assert not np.any(band[-1])
+        assert np.max(np.abs(got - B)) <= 1e-15
+
+    @pytest.mark.parametrize("steps", [2, 8])
+    def test_stiff_cavity_stays_accurate(self, steps):
+        # kappa dt / 2 = 2.5: the terms of p^8(-2.5) reach 2e7 for a value
+        # of 0.03, so summing them would lose ~1e-8; the cavity's part is
+        # stepped instead
+        H = self._operator(0.4, True, kappa=100.0)
+        P = np.linalg.matrix_power(TestGenerator._taylor_step(H, self.TINY.dt), steps)
+        got = _dense_step(H, self.TINY.dt, steps)
+        assert np.linalg.norm(got - P) <= 1e-14 * np.linalg.norm(P)
+
+    def _blocked_run(self, H, states, n_steps, block):
+        """Step ``states`` by ``_rk4`` in blocks and collect the cavity
+        entry at every step node and midpoint, as the two-excitation run
+        does."""
+        dt = self.TINY.dt
+        fine = np.empty((2,) + states.shape[:-1] + (2 * (n_steps + block),))
+
+        def record(step, parts, read):
+            fine[..., 2 * step:2 * (step + block)] = read
+
+        lattice_module._rk4(H, states, dt, n_steps, record, block,
+                            lattice_module._cavity_readout(H, dt, block))
+        return (fine[0] + 1j * fine[1])[..., :2 * n_steps + 1]
+
+    def _taylor_run(self, H, states, n_steps):
+        dt = self.TINY.dt
+        P = TestGenerator._taylor_step(H, dt)
+        half = TestGenerator._taylor_step(H, 0.5 * dt)[-1]
+        x = states.T.copy()
+        reads = np.empty(states.shape[:-1] + (2 * n_steps + 1,), dtype=complex)
+        for j in range(n_steps):
+            reads[:, 2 * j], reads[:, 2 * j + 1] = x[-1], half @ x
+            x = P @ x
+        reads[:, -1] = x[-1]
+        return x.T, reads
+
+    @pytest.mark.parametrize("gamma2, left_in", LAYOUTS)
+    @pytest.mark.parametrize("block", [1, 2, 8])
+    @pytest.mark.parametrize("n_steps", [16, 19])
+    def test_blocks_equal_single_steps(self, gamma2, left_in, block, n_steps):
+        # 19 steps leave a shorter last block for K = 2 and K = 8
+        H = self._operator(gamma2, left_in)
+        rng = np.random.default_rng(3)
+        states = rng.standard_normal((3, H.shape[0])) + 1j * rng.standard_normal((3, H.shape[0]))
+        want, want_reads = self._taylor_run(H, states, n_steps)
+        reads = self._blocked_run(H, states, n_steps, block)
+        assert np.max(np.abs(states - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.max(np.abs(reads - want_reads)) <= 1e-13 * np.max(np.abs(want_reads))
+
+    def test_one_step_short_a_block_fails(self, monkeypatch):
+        # the same comparison catches a step matrix built from p^(K-1)
+        H = self._operator(0.4, True)
+        rng = np.random.default_rng(3)
+        states = rng.standard_normal((3, H.shape[0])) + 1j * rng.standard_normal((3, H.shape[0]))
+        want, _ = self._taylor_run(H, states, 16)
+        site_band = lattice_module._site_band
+        monkeypatch.setattr(lattice_module, "_site_band",
+                            lambda H, dt, steps, reach: site_band(H, dt, steps - 1, reach))
+        self._blocked_run(H, states, 16, 8)
+        assert np.max(np.abs(states - want)) > 1e-3 * np.max(np.abs(want))
+
+    def test_norm_trace_samples_every_step(self):
+        p = ModelParams(0.0, 1.0, 0.0, 0.7, 0.3)
+        spec = default_single_spec()
+        tracked = lattice_transmission(spec, p, 0.0, LEFT, track_norm=True)
+        blocked = lattice_transmission(spec, p, 0.0, LEFT)
+        assert tracked.norm_trace.size == tracked.steps + 1
+        assert (tracked.steps, tracked.modes) == (blocked.steps, blocked.modes) == (1200, 2403)
+        assert tracked.norm_trace[0] == pytest.approx(1.0, abs=1e-15)
+        assert tracked.norm_trace[-1] == pytest.approx(blocked.T_raw + blocked.R_raw
+                                                       + blocked.final_cavity_pop, rel=1e-9)
+        for a, b in ((tracked.T, blocked.T), (tracked.R, blocked.R)):
+            assert a == pytest.approx(b, rel=1e-12)
 
 
 def _sequential_volterra(free, kernel, a):
@@ -398,6 +524,38 @@ class TestTwoPhotonLattice:
         for outside in (-1.0, 3.5, 50.0):
             with pytest.raises(ValueError, match="separation"):
                 res.bunching_ratio(outside)
+
+    def test_degenerate_pair_steps_one_packet(self, monkeypatch):
+        spec = LatticeSpec(361, 0.1, 0.04, 3.0, 40)
+        p = ModelParams(0.0, 1.0, 10.0, 1.0, 0.0)
+        pair = TwoPhotonIn(LEFT, 0.2, 0.2)
+        blocks = []
+        rk4 = lattice_module._rk4
+
+        def spy(H, psi, *args, **kwargs):
+            blocks.append(psi.shape)
+            return rk4(H, psi, *args, **kwargs)
+
+        monkeypatch.setattr(lattice_module, "_rk4", spy)
+        once = lattice_two_photon(spec, p, pair)
+        # a second frequency equal in value but not by comparison steps
+        # the same packet twice
+        class Twin(float):
+            def __eq__(self, other):
+                return False
+
+            __hash__ = float.__hash__
+
+        twice_pair = dataclasses.replace(pair)
+        object.__setattr__(twice_pair, "omega_k2", Twin(0.2))
+        twice = lattice_two_photon(spec, p, twice_pair)
+        m = spec.n_sites + 1
+        assert blocks == [(m,), (1, m), (m,), (2, m)]
+        scale = once.density.max()
+        assert np.max(np.abs(once.density - twice.density)) <= 1e-14 * scale
+        assert once.transmitted_norm == pytest.approx(twice.transmitted_norm, rel=1e-14)
+        assert once.final_double_cavity_pop == pytest.approx(
+            twice.final_double_cavity_pop, rel=1e-14)
 
     @pytest.mark.parametrize("w1, w2", [(np.array([0.0, 0.5]), 0.0), (np.zeros(1), np.zeros(1))])
     def test_array_pair_is_rejected_naming_the_input(self, w1, w2):
