@@ -9,15 +9,16 @@ i kappa/2``.  The physics is defined once, as the single-excitation
 generator H1: three diagonals over the channel sites plus the cavity's
 border column, held as numpy arrays.  Both runs step it with the same
 classical fourth-order Runge-Kutta, which for this constant H1 is one
-fixed step matrix P; one product advances K steps at a time by P^K,
-built once per run: a real band of 8K + 1 diagonals over the sites plus
-a rank-5K correction where the cavity couples.  The two-excitation run
-builds no pair basis: its Kerr term is rank one (2U on the doubly
-occupied cavity), so the pair follows from one-photon trajectories (the
-cavity mode and one packet per distinct frequency), and only the doubly
-occupied cavity amplitude needs a quadrature, a scalar Volterra equation
-(the time-domain Sherman-Morrison identity; the bound state it carries
-is that of Liao & Law, PRA 82, 053836).
+fixed step matrix P.  Each run builds P^K once, a real band of 8K + 1
+diagonals over the sites plus a rank-5K correction where the cavity
+couples, and advances all its states K steps per product.  The
+two-excitation run builds no pair basis: its Kerr term is rank one (2U
+on the doubly occupied cavity), so the pair follows from one-photon
+trajectories, the cavity mode and one packet per distinct frequency,
+stepped as the rows of one block.  Only the doubly occupied cavity
+amplitude needs a quadrature, a scalar Volterra equation (the
+time-domain Sherman-Morrison identity; the bound state it carries is
+that of Liao & Law, PRA 82, 053836).
 
 Discretization scheme, chosen so the only non-Hermitian pieces of the
 semi-discrete generator are the explicit loss terms (cavity -i kappa/2
@@ -72,6 +73,7 @@ verification report and the test suite, never assumed here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,11 +184,11 @@ def default_single_spec() -> LatticeSpec:
 def default_two_photon_spec() -> LatticeSpec:
     """Geometry for the two-excitation run: 721 sites at ``dx = 0.05``.
 
-    The run steps up to three one-photon trajectories over its 722 modes
-    (1443 when the left channel is kept) at a fixed step of 0.005 for its whole
-    horizon, so its cost is linear in the sites, and the channels are
-    shorter than ``default_single_spec``'s.  ``dt`` serves only
-    single-excitation runs on this geometry.
+    The run steps one block of up to three one-photon trajectories over
+    its 722 modes (1443 when the left channel is kept) at a fixed step of
+    0.005 for its whole horizon, so its cost is linear in the sites, and
+    the channels are shorter than ``default_single_spec``'s.  ``dt``
+    serves only single-excitation runs on this geometry.
     """
     return LatticeSpec(
         n_sites=721, dx=0.05, dt=0.02,
@@ -255,6 +257,18 @@ def _coupling_profile(spec: LatticeSpec) -> tuple[slice, np.ndarray]:
     return slice(j0 - _PROFILE_HALFSPAN, j0 + _PROFILE_HALFSPAN + 1), u
 
 
+def _one_point(params: ModelParams, omega, what: str) -> None:
+    """Raise ValueError naming the input when a rate or the frequency
+    ``omega`` is an array: a lattice run scatters one photon or pair at one
+    parameter point.  ``what`` opens the frequency's message."""
+    rates = ", ".join(f for f in ("omega_a", "kappa", "U", "gamma1", "gamma2")
+                      if np.ndim(getattr(params, f)))
+    if rates:
+        raise ValueError(f"a lattice run scatters at one parameter point, got array-valued {rates}")
+    if np.ndim(omega):
+        raise ValueError(f"{what}, got array frequencies of shape {np.shape(omega)}")
+
+
 def lattice_transmission(
     spec: LatticeSpec,
     params: ModelParams,
@@ -270,11 +284,12 @@ def lattice_transmission(
     channel half-width, twice the launch distance, enough for transmitted
     and reflected packets to reach mirror positions).
 
-    Raises ValueError if the packet bandwidth is not narrow against the
-    cavity linewidth ``kappa + Gamma``, the geometry cannot hold the
-    packet clear of both the cavity and the absorbers, or ``t_final`` is
-    not a positive, finite time.
+    Raises ValueError if a rate or ``omega_k`` is an array, the packet
+    bandwidth is not narrow against the cavity linewidth ``kappa + Gamma``,
+    the geometry cannot hold the packet clear of both the cavity and the
+    absorbers, or ``t_final`` is not a positive, finite time.
     """
+    _one_point(params, omega_k, "omega_k must be one frequency")
     if t_final is not None and not (np.isfinite(t_final) and t_final > 0.0):
         raise ValueError(f"t_final must be positive and finite, got {t_final}")
     G = params.Gamma
@@ -308,10 +323,8 @@ def lattice_transmission(
         trace[step] = np.vdot(parts, parts)
 
     # one step per block keeps the norm trace at every step
-    if track_norm:
-        _rk4(H, psi, spec.dt, n_steps, record)
-    else:
-        _rk4(H, psi, spec.dt, n_steps, block=_BLOCK_STEPS)
+    block = 1 if track_norm else math.gcd(_BLOCK_STEPS, n_steps)
+    _rk4(H, psi, spec.dt, n_steps, record if track_norm else None, block)
     # the left channel slice is empty when the basis has none
     R, L, c = psi[:n], psi[n:-1], psi[-1]
 
@@ -552,23 +565,21 @@ def _site_band(H: _Generator, dt: float, steps: int, reach: int) -> np.ndarray:
     return out
 
 
-def _step_matrix(H: _Generator, dt: float, steps: int = 1,
-                 reach: int | None = None) -> tuple[np.ndarray, ...]:
+def _step_matrix(H: _Generator, dt: float, steps: int = 1) -> tuple[np.ndarray, ...]:
     """``steps`` = K classical Runge-Kutta steps of ``dpsi/dt = -i H psi``,
     for constant H the matrix ``P^K = q(A)`` with ``A = -i dt H`` and
     ``q = p^K``, as ``(band, rows, left, right)`` in O(m K) memory.
 
-    ``band`` is ``_site_band``'s B^K, real, whose width ``reach`` (by
-    default 4K) sets.  The cavity adds ``C = P^K - B^K``, nonzero only on
-    the ``rows`` within ``reach`` sites of the border's support and the
-    cavity, the last, where ``C = left @ right``.  There
-    ``C = sum_k P^(K-1-k) D B^k`` with ``D = P - B`` of rank at most 5: D's
-    range is spanned by the cavity and ``A^j border`` for j < 4, where
-    paths through the cavity end.  So ``left`` holds ``P^i Q`` and
+    ``band`` is ``_site_band``'s B^K, real, of reach 4K.  The cavity adds
+    ``C = P^K - B^K``, nonzero only on the ``rows`` within 4K sites of the
+    border's support and the cavity, the last, where ``C = left @ right``.
+    There ``C = sum_k P^(K-1-k) D B^k`` with ``D = P - B`` of rank at most
+    5: D's range is spanned by the cavity and ``A^j border`` for j < 4,
+    where paths through the cavity end.  So ``left`` holds ``P^i Q`` and
     ``right`` ``Q^H D B^k`` for an orthonormal basis Q of that range, each
     stepped on the ``rows`` alone, which hold every path of at most 4K
     hops from or to Q's support."""
-    reach = _REACH * steps if reach is None else reach
+    reach = _REACH * steps
     sites = _near(H, reach)
     # Q by Gram-Schmidt, twice, on the border and its images under the sites
     basis = np.zeros((_REACH + 1, sites.size + 1), dtype=complex)
@@ -619,22 +630,22 @@ def _rk4(H: _Generator, psi: np.ndarray, dt: float, n_steps: int, record=None,
          block: int = 1, readout: np.ndarray | None = None) -> None:
     """Advance ``dpsi/dt = -i H psi`` in place by ``n_steps`` classical
     fourth-order Runge-Kutta steps of one state or a (k, m) block, ``block``
-    = K steps per product of ``_step_matrix``'s P^K (a shorter last block
-    takes the rest).  The state is held as its real and imaginary parts,
+    = K steps per product of ``_step_matrix``'s P^K; K must divide
+    ``n_steps``.  The state is held as its real and imaginary parts,
     stacked, and each product is one real banded product over the sites,
     on windows of zero-padded copies of both parts, and the cavity's
     rank-5K correction on its ``rows``.  ``record(step, parts, read)``,
     when given, sees the parts and ``read``, the parts of the state's
     entries at the K-step ``rows`` times ``readout`` (complex, one column
     per read-out), before every block and after the last."""
-    block = max(1, min(block, n_steps))
-    full, rest = divmod(n_steps, block)
+    if block < 1 or n_steps % block:
+        raise ValueError(f"{n_steps} steps are not a whole number of blocks of {block}")
+    band, rows, left, right = _step_matrix(H, dt, block)
     reach = _REACH * block
-    stages = [(_step_matrix(H, dt, block), full)]
-    if rest:
-        stages.append((_step_matrix(H, dt, rest, reach), 1))
-    rows = stages[0][0][1]
     extra = np.empty((rows.size, 0)) if readout is None else readout
+    # the correction's first factor and the read-out, in one product;
+    # einsum, not BLAS, for the reason given in ``_Generator.apply``
+    first, second, cut = _parts(np.vstack((right, extra.T))), _parts(left), right.shape[0]
     # two padded buffers of both parts, stepped from one into the other;
     # their pads stay zero
     pads = np.zeros((2, 2) + psi.shape[:-1] + (psi.shape[-1] + 2 * reach,))
@@ -642,24 +653,17 @@ def _rk4(H: _Generator, psi: np.ndarray, dt: float, n_steps: int, record=None,
     states[0] = psi.real, psi.imag
     windows = np.lib.stride_tricks.sliding_window_view(pads, 2 * reach + 1, axis=-1)
     near = np.empty((2,) + psi.shape[:-1] + rows.shape)
-    i = 0
-    for (band, _, left, right), count in stages:
-        # the correction's first factor and the read-out, in one product;
-        # einsum, not BLAS, for the reason given in ``_Generator.apply``
-        first, second, cut = _parts(np.vstack((right, extra.T))), _parts(left), right.shape[0]
-        for _ in range(count):
-            src, dst = states[i % 2], states[1 - i % 2]
-            src.take(rows, axis=-1, out=near)
-            inner = np.einsum("pqkj,q...j->p...k", first, near)
-            if record is not None:
-                record(i * block, src, inner[..., cut:])
-            np.einsum("ij,...ij->...i", band, windows[i % 2], out=dst)
-            dst[..., rows] += np.einsum("pqik,q...k->p...i", second, inner[..., :cut])
-            i += 1
-    if record is not None:
-        states[i % 2].take(rows, axis=-1, out=near)
-        record(n_steps, states[i % 2], np.einsum("pqkj,q...j->p...k", first, near)[..., cut:])
-    psi[...] = states[i % 2, 0] + 1j * states[i % 2, 1]
+    for i in range(n_steps // block + 1):
+        src, dst = states[i % 2], states[1 - i % 2]
+        src.take(rows, axis=-1, out=near)
+        inner = np.einsum("pqkj,q...j->p...k", first, near)
+        if record is not None:
+            record(i * block, src, inner[..., cut:])
+        if i * block == n_steps:
+            break
+        np.einsum("ij,...ij->...i", band, windows[i % 2], out=dst)
+        dst[..., rows] += np.einsum("pqik,q...k->p...i", second, inner[..., :cut])
+    psi[...] = src[0] + 1j * src[1]
 
 
 def _trapezoid_volterra(free: np.ndarray, kernel: np.ndarray, a: complex) -> np.ndarray:
@@ -713,13 +717,13 @@ def lattice_two_photon(
     with ``u(tau) = exp(-i H1 tau)|cav>``, ``g(tau) = u(tau)[cav]`` and
     ``Psi0`` the free pair.  Up to three trajectories carry the run,
     ``u`` and the packets (one when both photons share a frequency),
-    stepped by the single-excitation run's Runge-Kutta at twice the
-    Volterra step: ``u`` in blocks that end on the Simpson nodes, the
-    packets in blocks of ``_BLOCK_STEPS``.  The cavity entries at each
-    step and at its midpoint (the cavity row of the step at half the
-    step) are read out from each block's start.  The Volterra equation is
-    solved, blockwise, by the
-    trapezoid rule at a step of at most
+    stepped as the rows of one block by the single-excitation run's
+    Runge-Kutta at twice the Volterra step, two steps (one Simpson step)
+    per product, so that each Simpson node, where ``u``'s transmitted rows
+    are read, starts a product.  The cavity entries at each step and at
+    its midpoint (the cavity row of the step at half the step) are read
+    out from each product's start.  The Volterra equation is solved,
+    blockwise, by the trapezoid rule at a step of at most
     ``_VOLTERRA_STEP`` = 0.0025 and at twice that, combined by Richardson
     extrapolation, and the final integral by Simpson's rule with step at
     most ``_SIMPSON_STEP`` = 0.01 on the transmitted rows; ``spec.dt``
@@ -731,8 +735,12 @@ def lattice_two_photon(
     separation up to ``6/(kappa+Gamma)`` (summed over pair centers
     downstream of the cavity).
 
-    Raises ValueError when ``incoming`` holds arrays of frequencies: one
-    run launches one pair.
+    Unlike ``lattice_transmission`` it does not require the launch to
+    clear the cavity and the absorbers by two packet widths: on a short
+    channel the pair starts partly on the coupling profile.
+
+    Raises ValueError when ``incoming`` holds arrays of frequencies or a
+    rate is an array: one run launches one pair at one parameter point.
     """
     return _two_photon_run(spec, params, incoming, 1.0)
 
@@ -741,11 +749,7 @@ def _two_photon_run(
     spec: LatticeSpec, params: ModelParams, incoming: TwoPhotonIn, step_scale: float
 ) -> TwoPhotonLatticeResult:
     """``lattice_two_photon`` with its time steps scaled by ``step_scale``."""
-    if np.ndim(incoming.omega_k1) != 0:
-        raise ValueError(
-            "incoming must be one photon pair, got array frequencies of shape "
-            f"{np.shape(incoming.omega_k1)}"
-        )
+    _one_point(params, incoming.omega, "incoming must be one photon pair")
     G = params.Gamma
     x = spec.positions()
     left_in = incoming.direction is Direction.LEFT_INCIDENT
@@ -755,17 +759,17 @@ def _two_photon_run(
     H1 = _single_particle_operator(spec, params, omega_frame, left_in)
     n = spec.n_sites
 
-    # the trajectories u and the packets phi1, phi2 (one, stepped once, when
-    # the pair is degenerate); the incident channel is also the transmitted one
+    # the trajectories, as the rows of one block: u, then the packets phi1,
+    # phi2 (one when the pair is degenerate); the incident channel is also
+    # the transmitted one
     off = 0 if left_in else n
-    u = np.zeros(H1.shape[0], dtype=complex)
-    u[-1] = 1.0
     omegas = dict.fromkeys((incoming.omega_k1, incoming.omega_k2))
-    packets = np.zeros((len(omegas), H1.shape[0]), dtype=complex)
-    for packet, omega in zip(packets, omegas):
+    trajectories = np.zeros((1 + len(omegas), H1.shape[0]), dtype=complex)
+    trajectories[0, -1] = 1.0
+    for packet, omega in zip(trajectories[1:], omegas):
         packet[off:off + n] = _packet(spec, left_in, omega - omega_frame)
     # Psi(0) = norm (phi1 phi2^T + phi2 phi1^T), unit Frobenius norm
-    norm = 1.0 / np.sqrt(2.0 + 2.0 * abs(np.vdot(packets[0], packets[-1])) ** 2)
+    norm = 1.0 / np.sqrt(2.0 + 2.0 * abs(np.vdot(trajectories[1], trajectories[-1])) ** 2)
 
     # six bound-state decay lengths: the horizon margin and profile reach.
     # An even number of Simpson intervals, each split into ``ratio``
@@ -787,27 +791,22 @@ def _two_photon_run(
     # g, a1 and a2 on the Volterra grid, from each block's start: the
     # cavity entries at every step node and midpoint of the block, filled
     # past the last node and dropped; and u's transmitted rows at every
-    # Simpson node, where u's blocks of ``ratio`` steps start
+    # Simpson node: the block divides ``ratio``, so each node starts one
+    block = math.gcd(ratio, _BLOCK_STEPS)
+    fine = np.empty((2, trajectories.shape[0], 2 * (n_steps + block)))
     emitted = np.empty((n_coarse + 1, keep.size), dtype=complex)
 
-    def trajectory(psi, block, emit=False):
-        block = min(block, n_steps)
-        fine = np.empty((2,) + psi.shape[:-1] + (2 * (n_steps + block),))
+    def record(step, parts, read):
+        fine[..., 2 * step:2 * (step + block)] = read
+        if step % ratio == 0:
+            emitted.real[step // ratio], emitted.imag[step // ratio] = parts[:, 0, rows]
 
-        def record(step, parts, read):
-            fine[..., 2 * step:2 * (step + block)] = read
-            if emit:
-                emitted.real[step // ratio], emitted.imag[step // ratio] = parts[:, rows]
-
-        _rk4(H1, psi, dt, n_steps, record, block, _cavity_readout(H1, dt, block))
-        return fine[0, ..., :2 * n_steps + 1] + 1j * fine[1, ..., :2 * n_steps + 1]
-
-    g = trajectory(u, ratio, emit=True)
-    a = trajectory(packets, _BLOCK_STEPS)
+    _rk4(H1, trajectories, dt, n_steps, record, block, _cavity_readout(H1, dt, block))
+    g, *a = fine[0, :, :2 * n_steps + 1] + 1j * fine[1, :, :2 * n_steps + 1]
     # c comes back on the step nodes
     c = _volterra(2.0 * norm * a[0] * a[-1], g**2, 1j * params.U * dt)
 
-    free = packets[:, rows]
+    free = trajectories[1:, rows]
     psi = norm * (np.outer(free[0], free[-1]) + np.outer(free[-1], free[0]))
     # Simpson over s = T - tau, indexed by tau = i * coarse; the weights
     # are symmetric, so c(T - tau) is the reversed coarse samples.  The

@@ -361,7 +361,7 @@ def verify_all(
     checks (about 0.05 s), ``"lattice"`` adds the single-excitation
     lattice agreements and norm invariants on ``default_single_spec()``
     (about 0.6 s), and ``"all"`` adds the two-excitation lattice checks
-    (about 1.9 s in all, 0.25 s of it the step-halving rerun).  ``n_draws``
+    (about 1.3 s in all, 0.2 s of it the step-halving rerun).  ``n_draws``
     sets the random draws of both the residual suite and the closed-form
     property checks; each evaluates all its draws in one broadcast pass,
     so 5000 draws take about 0.3 s.

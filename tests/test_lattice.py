@@ -101,6 +101,24 @@ class TestRunGuards:
         assert not res.converged
         assert lattice_transmission(default_single_spec(), p, 0.0, direction).converged
 
+    @pytest.mark.parametrize("rates, names", [
+        ((np.array([0.5, 1.0]), 0.7, 0.3), "kappa"),
+        ((1.0, np.array([0.7, 0.5]), np.array([0.3, 0.5])), "gamma1, gamma2"),
+    ])
+    def test_array_rates_are_rejected_naming_them(self, rates, names):
+        kappa, g1, g2 = rates
+        p = ModelParams(0.0, kappa, 10.0, g1, g2)
+        message = f"one parameter point, got array-valued {names}$"
+        with pytest.raises(ValueError, match=message):
+            lattice_transmission(default_single_spec(), p, 0.0, LEFT)
+        with pytest.raises(ValueError, match=message):
+            lattice_two_photon(default_two_photon_spec(), p, TwoPhotonIn(LEFT, 0.0, 0.0))
+
+    def test_array_frequency_is_rejected_naming_it(self):
+        p = ModelParams(0.0, 1.0, 0.0, 0.7, 0.3)
+        with pytest.raises(ValueError, match=r"omega_k must be one frequency, .* shape \(5,\)"):
+            lattice_transmission(default_single_spec(), p, np.linspace(-1.0, 1.0, 5), LEFT)
+
 
 class TestDefaultGeometry:
     """The rule behind ``default_single_spec`` and what it buys."""
@@ -383,10 +401,8 @@ class TestBlockedStepper:
         return x.T, reads
 
     @pytest.mark.parametrize("gamma2, left_in", LAYOUTS)
-    @pytest.mark.parametrize("block", [1, 2, 8])
-    @pytest.mark.parametrize("n_steps", [16, 19])
+    @pytest.mark.parametrize("n_steps, block", [(16, 1), (16, 2), (16, 8), (19, 1)])
     def test_blocks_equal_single_steps(self, gamma2, left_in, block, n_steps):
-        # 19 steps leave a shorter last block for K = 2 and K = 8
         H = self._operator(gamma2, left_in)
         rng = np.random.default_rng(3)
         states = rng.standard_normal((3, H.shape[0])) + 1j * rng.standard_normal((3, H.shape[0]))
@@ -406,6 +422,12 @@ class TestBlockedStepper:
                             lambda H, dt, steps, reach: site_band(H, dt, steps - 1, reach))
         self._blocked_run(H, states, 16, 8)
         assert np.max(np.abs(states - want)) > 1e-3 * np.max(np.abs(want))
+
+    def test_steps_must_fill_whole_blocks(self):
+        H = self._operator(0.4, True)
+        states = np.zeros((3, H.shape[0]), dtype=complex)
+        with pytest.raises(ValueError, match="19 steps are not a whole number of blocks of 2"):
+            lattice_module._rk4(H, states, self.TINY.dt, 19, block=2)
 
     def test_norm_trace_samples_every_step(self):
         p = ModelParams(0.0, 1.0, 0.0, 0.7, 0.3)
@@ -499,6 +521,21 @@ class TestPinnedReadouts:
             3.613455077760218e-14, rel=1e-9, abs=0.0)
         assert (res.steps, res.modes) == (2400, 362)
 
+    def test_two_excitation_does_not_depend_on_the_step_block(self, monkeypatch):
+        # one Runge-Kutta step per block, for u and the packets alike
+        p = ModelParams(0.0, 1.0, 10.0, 1.0, 0.0)
+        pair = TwoPhotonIn(LEFT, 0.0, 0.0)
+        shipped = lattice_two_photon(self.BENCH, p, pair)
+        monkeypatch.setattr(lattice_module, "_BLOCK_STEPS", 1)
+        single = lattice_two_photon(self.BENCH, p, pair)
+        assert single.density == pytest.approx(shipped.density, rel=1e-12, abs=0.0)
+        assert single.transmitted_norm == pytest.approx(shipped.transmitted_norm,
+                                                        rel=1e-12, abs=0.0)
+        # the population left in the cavity, 3.6e-14, is what remains of an
+        # O(1) amplitude, so its rounding is larger relative to it (3.2e-11)
+        assert single.final_double_cavity_pop == pytest.approx(
+            shipped.final_double_cavity_pop, rel=1e-9, abs=0.0)
+
 
 class TestTwoPhotonLattice:
     def test_coarse_bunching_profile(self):
@@ -529,14 +566,20 @@ class TestTwoPhotonLattice:
         spec = LatticeSpec(361, 0.1, 0.04, 3.0, 40)
         p = ModelParams(0.0, 1.0, 10.0, 1.0, 0.0)
         pair = TwoPhotonIn(LEFT, 0.2, 0.2)
-        blocks = []
-        rk4 = lattice_module._rk4
+        calls = []
 
-        def spy(H, psi, *args, **kwargs):
-            blocks.append(psi.shape)
-            return rk4(H, psi, *args, **kwargs)
+        def spy(name, shape=lambda *args: None):
+            real = getattr(lattice_module, name)
 
-        monkeypatch.setattr(lattice_module, "_rk4", spy)
+            def call(*args, **kwargs):
+                calls.append((name, shape(*args)))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(lattice_module, name, call)
+
+        spy("_rk4", lambda H, psi, *rest: psi.shape)
+        spy("_step_matrix")
+        spy("_cavity_readout")
         once = lattice_two_photon(spec, p, pair)
         # a second frequency equal in value but not by comparison steps
         # the same packet twice
@@ -550,7 +593,10 @@ class TestTwoPhotonLattice:
         object.__setattr__(twice_pair, "omega_k2", Twin(0.2))
         twice = lattice_two_photon(spec, p, twice_pair)
         m = spec.n_sites + 1
-        assert blocks == [(m,), (1, m), (m,), (2, m)]
+        # one block per run, u and the packets, with one read-out and one
+        # step matrix
+        assert calls == [("_cavity_readout", None), ("_rk4", (2, m)), ("_step_matrix", None),
+                         ("_cavity_readout", None), ("_rk4", (3, m)), ("_step_matrix", None)]
         scale = once.density.max()
         assert np.max(np.abs(once.density - twice.density)) <= 1e-14 * scale
         assert once.transmitted_norm == pytest.approx(twice.transmitted_norm, rel=1e-14)
