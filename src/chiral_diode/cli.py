@@ -47,12 +47,15 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .diode_analysis import (
+    WORKING_AREA_HEADER,
     WorkingAreaCase,
     working_area_single_res,
+    working_area_columns,
     working_area_two_res,
     write_working_area_csv,
 )
-from .io_utils import write_csv
+# perfbench/tracing.py times the writer at the write_csv binding of each caller
+from .io_utils import write_csv, write_csv_tables  # noqa: F401
 from .model import (
     Direction,
     ModelParams,
@@ -471,28 +474,28 @@ def _reduced_params(kappa, U, gamma1) -> ModelParams:
     return ModelParams(omega_a=0.0, kappa=kappa, U=U, gamma1=gamma1, gamma2=1.0 - gamma1)
 
 
-def _panel(outdir: Path, fig: str, panel: str, params: dict, write: Callable, *data) -> dict:
-    """Write panel ``<fig><panel>.csv`` with ``write(path, *data)`` and
-    return its manifest entry."""
-    name = f"{fig}{panel}.csv"
-    write(outdir / name, *data)
-    return {"file": name, "panel": panel, "params": params}
+# A panel is its manifest entry, for file ``<fig><panel>.csv``, and the
+# header and columns of that file's table.
+_Panel = tuple[dict, Sequence[str], Sequence]
 
 
-def _fig2(n: int, outdir: Path) -> list[dict]:
+def _panel(fig: str, panel: str, params: dict, header: Sequence[str], columns) -> _Panel:
+    return {"file": f"{fig}{panel}.csv", "panel": panel, "params": params}, header, columns
+
+
+def _fig2(n: int) -> list[_Panel]:
     detuning = np.linspace(-4.0, 4.0, n)
     gamma1 = np.array(_FIG2_GAMMA1_SERIES)[:, None]
     p = _reduced_params(1.0, 0.0, gamma1)
     c = chiral_coeffs(p, PhotonIn(Direction.LEFT_INCIDENT, p.omega_a + detuning))
     return [
         _panel(
-            outdir, "fig2", panel,
+            "fig2", panel,
             {
                 "kappa_over_Gamma": 1.0,
                 "quantity": f"left-incident {column} vs detuning",
                 "gamma1_over_Gamma_series": list(_FIG2_GAMMA1_SERIES),
             },
-            write_csv,
             ("gamma1_over_Gamma", "detuning_over_Gamma", column),
             (gamma1, detuning, values),
         )
@@ -503,7 +506,7 @@ def _fig2(n: int, outdir: Path) -> list[dict]:
 _FIG3_HEADER = ("gamma1_over_Gamma", "T_left", "T_right", "R")
 
 
-def _fig3(n: int, outdir: Path) -> list[dict]:
+def _fig3(n: int) -> list[_Panel]:
     panels = [
         ("a", np.linspace(0.0, 1.0, n), lambda g1: 1.0, {"kappa_over_Gamma": 1.0}),
         ("b", np.linspace(0.0, 1.0, n), lambda g1: 0.01, {"kappa_over_Gamma": 0.01}),
@@ -522,10 +525,7 @@ def _fig3(n: int, outdir: Path) -> list[dict]:
         right = chiral_coeffs(p, PhotonIn(Direction.RIGHT_INCIDENT, p.omega_a))
         params = {"detuning": 0.0, "quantity": "T and R vs gamma1/Gamma, both incidences", **note}
         entries.append(
-            _panel(
-                outdir, "fig3", panel, params,
-                write_csv, _FIG3_HEADER, (grid, left.T, right.T, left.R),
-            )
+            _panel("fig3", panel, params, _FIG3_HEADER, (grid, left.T, right.T, left.R))
         )
     return entries
 
@@ -554,9 +554,7 @@ _CASE_LABEL = {
 }
 
 
-def _density_maps(
-    fig: str, n: int, outdir: Path, kappa: float, x_max: float
-) -> list[dict]:
+def _density_maps(fig: str, n: int, kappa: float, x_max: float) -> list[_Panel]:
     """Four panels: both tunings x both incidences, over (gamma1, separation)."""
     gamma1_grid = np.linspace(0.0, 1.0, n)[:, None]
     x_grid = np.linspace(0.0, x_max, n)
@@ -569,7 +567,7 @@ def _density_maps(
     ]
     return [
         _panel(
-            outdir, fig, panel,
+            fig, panel,
             {
                 "kappa_over_Gamma": kappa,
                 "U_over_Gamma": 10.0,
@@ -577,7 +575,6 @@ def _density_maps(
                 "incident": "left" if incident is Direction.LEFT_INCIDENT else "right",
                 "Gamma_x_max": x_max,
             },
-            write_csv,
             _MAP_HEADER,
             (gamma1_grid, x_grid, _separation_density(params, case, x_grid, incident)),
         )
@@ -589,21 +586,19 @@ _CURVE_HEADER = ("gamma1_over_Gamma", "psi_tt_sq", "psi_tt_tilde_sq")
 
 
 def _density_curves(
-    fig: str, n: int, outdir: Path, kappa: float,
-    panels: Sequence[tuple[str, WorkingAreaCase, float]],
-) -> list[dict]:
+    fig: str, n: int, kappa: float, panels: Sequence[tuple[str, WorkingAreaCase, float]],
+) -> list[_Panel]:
     gamma1_grid = np.linspace(0.0, 1.0, n)
     params = _reduced_params(kappa, 10.0, gamma1_grid)
     return [
         _panel(
-            outdir, fig, panel,
+            fig, panel,
             {
                 "kappa_over_Gamma": kappa,
                 "U_over_Gamma": 10.0,
                 "tuning": _CASE_LABEL[case],
                 "Gamma_x": gx,
             },
-            write_csv,
             _CURVE_HEADER,
             (
                 gamma1_grid,
@@ -615,30 +610,30 @@ def _density_curves(
     ]
 
 
-def _fig6(n: int, outdir: Path) -> list[dict]:
+def _fig6(n: int) -> list[_Panel]:
     single = working_area_single_res(
         _reduced_params(1.0, 10.0, 1.0), np.linspace(0.0, 1.0, n)
     )
     two = working_area_two_res(_reduced_params(0.4, 10.0, 1.0))
     return [
         _panel(
-            outdir, "fig6", "a",
+            "fig6", "a",
             {
                 "kappa_over_Gamma": 1.0,
                 "tuning": _CASE_LABEL[WorkingAreaCase.SINGLE_PHOTON_RESONANCE],
                 "curve": "strong-Kerr null separation vs gamma1/Gamma",
             },
-            write_working_area_csv, single,
+            WORKING_AREA_HEADER, working_area_columns(single),
         ),
         _panel(
-            outdir, "fig6", "b",
+            "fig6", "b",
             {
                 "kappa_over_Gamma": 0.4,
                 "U_over_Gamma": 10.0,
                 "tuning": _CASE_LABEL[WorkingAreaCase.TWO_PHOTON_RESONANCE],
                 "curve": "exact null separation vs gamma1/Gamma, all branches",
             },
-            write_working_area_csv, two,
+            WORKING_AREA_HEADER, working_area_columns(two),
         ),
     ]
 
@@ -646,7 +641,7 @@ def _fig6(n: int, outdir: Path) -> list[dict]:
 _SPR = WorkingAreaCase.SINGLE_PHOTON_RESONANCE
 _TPR = WorkingAreaCase.TWO_PHOTON_RESONANCE
 
-_FIGURES: dict[str, Callable[[int, Path], list[dict]]] = {
+_FIGURES: dict[str, Callable[[int], list[_Panel]]] = {
     "fig2": _fig2,
     "fig3": _fig3,
     "fig4": partial(_density_maps, "fig4", kappa=1.0, x_max=4.0),
@@ -676,7 +671,10 @@ _REPRODUCE = (
 def _cmd_reproduce(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    entries = _FIGURES[args.figure](args.grid, outdir)
+    panels = _FIGURES[args.figure](args.grid)
+    # one writer call, so the tables of a figure share the CPUs
+    write_csv_tables([(outdir / entry["file"], *table) for entry, *table in panels])
+    entries = [entry for entry, *_ in panels]
     manifest = {"figure": args.figure, "grid_points": args.grid, "files": entries}
     manifest_name = f"{args.figure}_manifest.json"
     _write_json(outdir / manifest_name, manifest)

@@ -44,6 +44,7 @@ __all__ = [
     "working_area_two_res",
     "numeric_zero_scan",
     "nonreciprocity_contrast",
+    "working_area_columns",
     "write_working_area_csv",
     "WORKING_AREA_HEADER",
 ]
@@ -375,8 +376,14 @@ def nonreciprocity_contrast(
 WORKING_AREA_HEADER = ("gamma1_over_Gamma", "Gamma_abs_x", "branch", "diverges")
 
 
-def write_working_area_csv(path: str | os.PathLike, curve: WorkingAreaCurve) -> None:
-    """Emit a working-area curve as CSV rows gamma1/Gamma, Gamma|x|,
-    branch, diverges (0/1); diverging points carry ``inf``."""
+def working_area_columns(curve: WorkingAreaCurve) -> np.ndarray:
+    """The columns of a working-area curve's table, in the order of
+    ``WORKING_AREA_HEADER``: gamma1/Gamma, Gamma|x|, branch, diverges
+    (0/1); diverging points carry ``inf``."""
     table = [(p.gamma1_over_Gamma, p.Gamma_abs_x, p.branch, p.diverges) for p in curve]
-    write_csv(path, WORKING_AREA_HEADER, np.reshape(table, (-1, len(WORKING_AREA_HEADER))).T)
+    return np.reshape(table, (-1, len(WORKING_AREA_HEADER))).T
+
+
+def write_working_area_csv(path: str | os.PathLike, curve: WorkingAreaCurve) -> None:
+    """Emit a working-area curve as CSV rows of :func:`working_area_columns`."""
+    write_csv(path, WORKING_AREA_HEADER, working_area_columns(curve))

@@ -15,10 +15,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["format_number", "write_csv"]
+__all__ = ["format_number", "write_csv", "write_csv_tables"]
 
 _BLOCK_ROWS = 8192  # rows per write; the cells of one block live together
-_RANGE_BLOCKS = 2  # fewest blocks a forked range of write_csv is given
+_RANGE_BLOCKS = 2  # fewest blocks' worth of rows a share of write_csv_tables is given
 
 
 def format_number(value) -> str:
@@ -264,18 +264,28 @@ def _table_cells(columns, shape, n_rows: int):
     return block
 
 
-def _block_ranges(n_rows: int) -> list[tuple[int, int]]:
-    """Row bounds ``(start, stop)`` of the contiguous block ranges that
-    :func:`write_csv` splits a table into: one per CPU this process may run
-    on, each of at least ``_RANGE_BLOCKS`` whole blocks (the last block may
-    be short).  Without ``os.fork`` or ``os.sched_getaffinity`` there is one
-    range."""
-    n_blocks = -(-n_rows // _BLOCK_ROWS)
+def _block_ranges(*sizes: int) -> list[tuple[int, int]]:
+    """Row bounds ``(start, stop)`` of the shares that
+    :func:`write_csv_tables` cuts tables of ``sizes`` rows into, counting
+    the rows of all tables in order.  There is one share per CPU this
+    process may run on, but no more than one per ``_RANGE_BLOCKS`` blocks'
+    worth of rows (16,384) in all.  Of n shares over rows that fill m
+    blocks, share k starts at the first block boundary of any table at or
+    past ``k * m // n`` blocks' worth of rows; so one table is cut into
+    ranges of at least ``_RANGE_BLOCKS`` whole blocks (the last block may
+    be short).  Without ``os.fork`` or ``os.sched_getaffinity`` there is
+    one share."""
+    total = sum(sizes)
+    n_blocks = -(-total // _BLOCK_ROWS)
     cpus = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     n = max(1, min(cpus, n_blocks // _RANGE_BLOCKS))
-    bounds = [min(k * n_blocks // n * _BLOCK_ROWS, n_rows) for k in range(n + 1)]
+    firsts = np.cumsum((0, *sizes))
+    edges = np.concatenate([np.arange(a, b, _BLOCK_ROWS) for a, b in zip(firsts, firsts[1:])]
+                           + [[total]])
+    cuts = edges[np.searchsorted(edges, np.arange(1, n) * n_blocks // n * _BLOCK_ROWS)]
+    bounds = [0, *cuts.tolist(), total]
     return list(zip(bounds[:-1], bounds[1:]))
 
 
@@ -289,22 +299,33 @@ def _write_rows(fh, cells, start: int, stop: int) -> None:
         fh.write(rows[rows != 0])
 
 
-def _fork_range(cells, start: int, stop: int):
-    """Fork a child that writes rows ``[start, stop)`` into an unlinked
-    temporary file and exits; return its pid and that file."""
-    tmp = tempfile.TemporaryFile()
+def _write_share(files, cells, share, tmp) -> None:
+    """Write the ``(table, start, stop)`` parts of a share, each straight
+    into its table's file when it starts the table, else into ``tmp``, and
+    flush."""
+    for k, start, stop in share:
+        fh = tmp if start else files[k]
+        _write_rows(fh, cells[k], start, stop)
+        fh.flush()
+
+
+def _fork_share(files, cells, share):
+    """Fork a child that writes a share and exits; return its pid and the
+    unlinked temporary file that takes the share's first part when that
+    part does not start its table (else None)."""
+    tmp = tempfile.TemporaryFile() if share[0][1] else None
     try:
         pid = os.fork()
     except BaseException:
-        tmp.close()
+        if tmp is not None:
+            tmp.close()
         raise
     if pid == 0:
         # the child leaves only by os._exit: no exit handler runs and no
-        # buffer inherited from the parent (sys.stdout, the output) is flushed
+        # buffer inherited from the parent (sys.stdout) is flushed
         code = 1
         try:
-            _write_rows(tmp, cells, start, stop)
-            tmp.flush()
+            _write_share(files, cells, share, tmp)
             code = 0
         except BaseException:
             import traceback
@@ -313,6 +334,75 @@ def _fork_range(cells, start: int, stop: int):
         finally:
             os._exit(code)
     return pid, tmp
+
+
+def write_csv_tables(tables: Iterable[tuple]) -> None:
+    """Write each ``(path, header, columns)`` of ``tables`` as
+    :func:`write_csv` does, the tables split across the CPUs together.
+
+    Each table's cells are planned first, so each value formatted once is
+    formatted in this process.  Then every file is opened and gets its
+    header, flushed, before any fork: a path that cannot be written raises
+    with no child started.  The blocks of all tables, taken in order, are
+    cut into contiguous shares by :func:`_block_ranges`: one per CPU in
+    ``os.sched_getaffinity(0)``, each of at least ``_RANGE_BLOCKS`` blocks'
+    worth of rows (16,384), so tables that small in all, a single CPU or a
+    platform without ``os.fork`` give one share.  This process writes the
+    first share and a forked child each further one; the child inherits
+    the planned cells and the open files and leaves by ``os._exit``.  A
+    table that a share holds from its first row is written straight into
+    its file; the rows that a share boundary cuts off a table go to an
+    unlinked temporary file, which this process appends in row order once
+    the children before have finished.  The bytes therefore do not depend
+    on the CPU count, and there is no option to choose it.  Every child is
+    waited for, or killed and waited for, before this returns or raises; a
+    child that fails or is killed makes it raise :class:`OSError` naming
+    the files and rows it wrote and its exit status.
+    """
+    paths, headers, cells, sizes = [], [], [], []
+    for path, header, columns in tables:
+        columns = [np.asarray(c) for c in columns]
+        shape = np.broadcast_shapes(*(c.shape for c in columns))
+        sizes.append(math.prod(shape) if columns else 0)
+        cells.append(_table_cells(columns, shape, sizes[-1]))
+        paths.append(path)
+        headers.append(header)
+    firsts = np.cumsum([0, *sizes]).tolist()
+    # the (table, start, stop) parts of the tables in each share
+    first, *rest = [
+        [(k, max(a - o, 0), min(b - o, n)) for k, (o, n) in enumerate(zip(firsts, sizes))
+         if o < b and a < o + n]
+        for a, b in _block_ranges(*sizes)
+    ]
+    files = []
+    children = []  # (pid, file) of each forked share; pid None once reaped
+    try:
+        for path, header in zip(paths, headers):
+            files.append(open(path, "wb"))
+            files[-1].write((",".join(header) + "\n").encode())
+            files[-1].flush()
+        for share in rest:
+            children.append(_fork_share(files, cells, share))
+        _write_share(files, cells, first, None)
+        for i, ((pid, tmp), share) in enumerate(zip(children, rest)):
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children[i] = (None, tmp)
+            if code:
+                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                parts = ", ".join(f"{paths[k]} rows {a}-{b - 1}" for k, a, b in share)
+                raise OSError(f"the process writing {parts} failed ({how})")
+            if tmp is not None:
+                tmp.seek(0)
+                shutil.copyfileobj(tmp, files[share[0][0]])
+    finally:
+        for pid, tmp in children:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            if tmp is not None:
+                tmp.close()
+        for fh in files:
+            fh.close()
 
 
 def write_csv(path: str | os.PathLike, header: Sequence[str], columns: Iterable) -> None:
@@ -337,44 +427,9 @@ def write_csv(path: str | os.PathLike, header: Sequence[str], columns: Iterable)
     too small to gain, to ``repr``.  A block's cells side by side form one
     byte matrix whose NUL padding is dropped on the way to the file.
 
-    The table's blocks are split into contiguous ranges, one per CPU in
-    ``os.sched_getaffinity(0)``, each of at least ``_RANGE_BLOCKS`` blocks
-    (16,384 rows); a small table, a single CPU or a platform without
-    ``os.fork`` gives one range.  The calling process writes the header
-    and the first range straight into the file.  Each further range is
-    formatted by a forked child, which inherits the cells and
-    distinct-value tables built above (so each value is still formatted
-    once), streams its encoded rows into an unlinked temporary file and
-    leaves by ``os._exit``.  The caller then waits for the children in row
-    order and appends their files.  The bytes therefore do not depend on the CPU count, and there
-    is no option to choose it.  Every child is waited for, or killed and
-    waited for, before this returns or raises; a child that fails or is
-    killed makes it raise :class:`OSError` naming the exit status.
+    This is :func:`write_csv_tables` of the one table: a table of at least
+    16,384 rows is split into contiguous block ranges, one per CPU, the
+    first written by this process and each further one by a forked child
+    into a temporary file that this process appends.
     """
-    columns = [np.asarray(c) for c in columns]
-    shape = np.broadcast_shapes(*(c.shape for c in columns))
-    n_rows = math.prod(shape) if columns else 0
-    cells = _table_cells(columns, shape, n_rows)
-    first, *rest = _block_ranges(n_rows)
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        children = []  # (pid, file) of each forked range; pid None once reaped
-        try:
-            for start, stop in rest:
-                children.append(_fork_range(cells, start, stop))
-            _write_rows(fh, cells, *first)
-            for k, ((pid, tmp), (start, stop)) in enumerate(zip(children, rest)):
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                children[k] = (None, tmp)
-                if code:
-                    how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-                    raise OSError(f"{path}: the process writing rows {start}-{stop - 1} "
-                                  f"failed ({how})")
-                tmp.seek(0)
-                shutil.copyfileobj(tmp, fh)
-        finally:
-            for pid, tmp in children:
-                if pid is not None:
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-                tmp.close()
+    write_csv_tables([(path, header, columns)])

@@ -322,9 +322,13 @@ def lattice_transmission(
     def record(step, parts, read):
         trace[step] = np.vdot(parts, parts)
 
+    # whole blocks of _BLOCK_STEPS, then the steps left one per product;
     # one step per block keeps the norm trace at every step
-    block = 1 if track_norm else math.gcd(_BLOCK_STEPS, n_steps)
-    _rk4(H, psi, spec.dt, n_steps, record if track_norm else None, block)
+    block = 1 if track_norm else _BLOCK_STEPS
+    rest = n_steps % block
+    _rk4(H, psi, spec.dt, n_steps - rest, record if track_norm else None, block)
+    if rest:
+        _rk4(H, psi, spec.dt, rest)
     # the left channel slice is empty when the basis has none
     R, L, c = psi[:n], psi[n:-1], psi[-1]
 

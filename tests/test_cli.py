@@ -566,6 +566,31 @@ class TestReproduce:
         assert digest(a) == digest(b)
         assert len(digest(a)) > 1
 
+    @pytest.mark.parametrize("figure, n_forks", [
+        ("fig2", 0), ("fig3", 0), ("fig4", 1), ("fig5", 0),
+        ("fig6", 0), ("fig7", 1), ("fig8", 0), ("fig9", 0),
+    ])
+    def test_a_figure_forks_once_per_extra_cpu(self, figure, n_forks, tmp_path, capsys,
+                                                monkeypatch):
+        # fig4's and fig7's four 401 x 401 tables go two to a CPU, written
+        # straight into their files; the small tables of the others fork nothing
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        pids = []
+        fork = os.fork
+
+        def counting():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting)
+        argv = ["reproduce", figure, "--grid", "401", "--outdir", str(tmp_path)]
+        assert run(argv, capsys)[0] == EXIT_OK
+        assert len(pids) == n_forks
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
 
 # Flag values for the fuzz test: (valid, invalid) choices per flag, at tiny
 # grids.  "Valid" means well formed; a valid draw may still be rejected when

@@ -3,6 +3,7 @@
 
 import functools
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -509,6 +510,114 @@ def test_child_failure_is_an_os_error(tmp_path, monkeypatch, forks, capfd, how, 
     assert_no_children()
     if how == "raise":
         assert "ValueError: format failed on purpose" in capfd.readouterr().err
+
+
+# Several tables in one call share the CPUs: their blocks, taken in order,
+# are cut into one share per CPU.
+
+TABLE_SETS = {
+    # two CPUs cut at the start of the third table
+    "cut_on_a_table_boundary": (2 * BLOCK, 2 * BLOCK, 2 * BLOCK, 2 * BLOCK),
+    # two CPUs cut the second table after its first block
+    "cut_inside_a_table": (BLOCK, 3 * BLOCK),
+    # two CPUs cut the first table before its ragged last block
+    "ragged_last_blocks": (2 * BLOCK + 5, 2 * BLOCK - 3, 7),
+}
+TWO_CPU_SHARES = {
+    "cut_on_a_table_boundary": [(0, 4 * BLOCK), (4 * BLOCK, 8 * BLOCK)],
+    "cut_inside_a_table": [(0, 2 * BLOCK), (2 * BLOCK, 4 * BLOCK)],
+    "ragged_last_blocks": [(0, 2 * BLOCK), (2 * BLOCK, 4 * BLOCK + 9)],
+}
+
+
+def table_set(tmp_path, sizes, gathered=True):
+    """``(path, header, columns)`` of tables of ``sizes`` rows, each with
+    its own values."""
+    tables = []
+    for k, n_rows in enumerate(sizes):
+        header, columns = split_table(n_rows, gathered)
+        columns[0] = columns[0] + 10**6 * k
+        tables.append((tmp_path / f"t{k}.csv", header, columns))
+    return tables
+
+
+@functools.lru_cache(maxsize=None)
+def set_reference(sizes) -> list[bytes]:
+    return [row_wise(header, zip(*columns))
+            for _, header, columns in table_set(Path("."), sizes)]
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2, 3])
+@pytest.mark.parametrize("name", TABLE_SETS)
+def test_table_set_bytes_equal_the_row_wise_join(tmp_path, monkeypatch, forks, name, n_cpus):
+    cpus(monkeypatch, n_cpus)
+    sizes = TABLE_SETS[name]
+    shares = io_utils._block_ranges(*sizes)
+    if n_cpus == 2:
+        assert shares == TWO_CPU_SHARES[name]
+    # contiguous shares cut at block boundaries of the tables
+    assert shares[0][0] == 0 and shares[-1][1] == sum(sizes)
+    assert all(a[1] == b[0] for a, b in zip(shares, shares[1:]))
+    firsts = np.cumsum((0, *sizes))
+    for start, _ in shares:
+        k = np.searchsorted(firsts, start, side="right") - 1
+        assert (start - firsts[k]) % BLOCK == 0
+    tables = table_set(tmp_path, sizes)
+    io_utils.write_csv_tables(tables)
+    assert [path.read_bytes() for path, _, _ in tables] == set_reference(sizes)
+    # one fork per share after the first, not per table
+    assert len(forks) == len(shares) - 1
+    assert_no_children()
+
+
+@pytest.mark.parametrize("sizes, n_forks", [
+    ((2 * BLOCK,) * 4, 1),
+    ((4000,) * 4, 0),
+    ((401,) * 4, 0),
+])
+def test_table_set_forks_once_per_extra_share(tmp_path, monkeypatch, forks, sizes, n_forks):
+    cpus(monkeypatch, 2)
+    io_utils.write_csv_tables(table_set(tmp_path, sizes))
+    assert len(forks) == n_forks
+    assert_no_children()
+
+
+def test_table_set_formats_each_value_once(tmp_path, monkeypatch, forks, formatted):
+    # the gathered columns are formatted in the calling process, one
+    # _cells call per table, before any fork
+    cpus(monkeypatch, 3)
+    sizes = TABLE_SETS["ragged_last_blocks"]
+    io_utils.write_csv_tables(table_set(tmp_path, sizes))
+    assert total(formatted) == sum(2 * n + min(n, 300) for n in sizes)
+    once = [(size, pid) for size, pid in formatted() if size == 300]
+    assert once == [(300, os.getpid())] * 2
+    assert len(forks) == 1
+    assert_no_children()
+
+
+def test_unwritable_last_path_forks_nothing(tmp_path, monkeypatch, forks):
+    cpus(monkeypatch, 2)
+    tables = table_set(tmp_path, (2 * BLOCK,) * 4)
+    tables[-1] = (tmp_path, *tables[-1][1:])
+    with pytest.raises(IsADirectoryError):
+        io_utils.write_csv_tables(tables)
+    assert forks == []
+    assert_no_children()
+
+
+@pytest.mark.parametrize("sizes, rows", [
+    ((2 * BLOCK,) * 4, [(2, 0, 2 * BLOCK - 1), (3, 0, 2 * BLOCK - 1)]),
+    ((BLOCK, 3 * BLOCK), [(1, BLOCK, 3 * BLOCK - 1)]),
+], ids=["whole_tables", "cut_off_part"])
+def test_table_set_child_failure_is_an_os_error(tmp_path, monkeypatch, forks, sizes, rows):
+    cpus(monkeypatch, 2)
+    parent = os.getpid()
+    failing_format(monkeypatch, lambda pid: pid != parent and "raise")
+    parts = ", ".join(f"{tmp_path / f't{k}.csv'} rows {a}-{b}" for k, a, b in rows)
+    with pytest.raises(OSError, match=re.escape(f"writing {parts} failed (exit status 1)")):
+        io_utils.write_csv_tables(table_set(tmp_path, sizes, gathered=False))
+    assert len(forks) == 1
+    assert_no_children()
 
 
 def test_pending_stdout_is_written_once(tmp_path):

@@ -442,6 +442,29 @@ class TestBlockedStepper:
         for a, b in ((tracked.T, blocked.T), (tracked.R, blocked.R)):
             assert a == pytest.approx(b, rel=1e-12)
 
+    def test_odd_step_count_steps_whole_blocks_then_single_steps(self, monkeypatch):
+        # 741 steps: 185 products of 4 steps, then one product of 1
+        p = ModelParams(0.0, 1.0, 0.0, 0.7, 0.3)
+        spec = default_single_spec()
+        calls = []
+        rk4 = lattice_module._rk4
+
+        def counting(H, psi, dt, n_steps, record=None, block=1, readout=None):
+            calls.append((n_steps, block))
+            rk4(H, psi, dt, n_steps, record, block, readout)
+
+        monkeypatch.setattr(lattice_module, "_rk4", counting)
+        blocked = lattice_transmission(spec, p, 0.0, LEFT, t_final=37.03)
+        assert blocked.steps == 741
+        assert calls == [(740, 4), (1, 1)]
+        calls.clear()
+        lattice_transmission(spec, p, 0.0, LEFT, t_final=37.0)
+        assert calls == [(740, 4)]
+        monkeypatch.setattr(lattice_module, "_BLOCK_STEPS", 1)
+        single = lattice_transmission(spec, p, 0.0, LEFT, t_final=37.03)
+        for name in ("T", "R", "T_raw", "R_raw"):
+            assert getattr(blocked, name) == pytest.approx(getattr(single, name), rel=1e-12)
+
 
 def _sequential_volterra(free, kernel, a):
     """The trapezoid-rule Volterra solve one node at a time: the reference
