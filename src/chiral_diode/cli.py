@@ -62,7 +62,7 @@ from .model import (
     PhotonIn,
     TwoPhotonIn,
 )
-from .single_photon import SWEEP_HEADER, chiral_coeffs, sweep_single, write_sweep_csv
+from .single_photon import SWEEP_HEADER, chiral_coeffs, sweep_columns, sweep_single
 from .two_photon import (
     TwoPhotonField,
     map_two_photon,
@@ -304,14 +304,15 @@ def _cmd_single(args) -> int:
         gamma1_grid: Sequence[float] = [params.gamma1]
     else:
         gamma1_grid = list(args.gamma1_grid)
+    sweep = sweep_columns if args.format == "csv" else sweep_single
     try:
-        rows = sweep_single(params, args.detuning, gamma1_grid, args.direction)
+        table = sweep(params, args.detuning, gamma1_grid, args.direction)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     if args.format == "csv":
-        write_sweep_csv(args.output, rows)
+        write_csv(args.output, SWEEP_HEADER, table)
     else:
-        _write_json(args.output, {"header": list(SWEEP_HEADER), "rows": rows.tolist()})
+        _write_json(args.output, {"header": list(SWEEP_HEADER), "rows": table.tolist()})
     print(args.output)
     return EXIT_OK
 

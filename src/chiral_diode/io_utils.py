@@ -112,8 +112,14 @@ def _shortest(a):
     """Gay's shortest round-trip digits of doubles ``a`` in ``(1e-6, 1e16)``
     that are not integers or powers of two: ``(d, p, e, ok)``, where ``a``
     reads as the ``p`` digits of ``d`` times ``10**(e + 1 - p)``.  ``ok`` is
-    False where the digits are not certain: an exact tie, or a 16-digit
-    check on an odd ``d > 2**53``, which is not a double."""
+    False where the digits are not certain, an exact tie: either two
+    nearest 16-digit candidates, or a 17-digit expansion ending in 5.
+
+    A 16-digit candidate ``d16`` that is an odd integer above 2**53 is not
+    a double, so the quotient check cannot certify it; there the exact
+    distance ``|10 * d16 - (n + f)|`` is compared with half an ulp of ``a``
+    times ``10**k``.  Both sides are exact doubles, and a candidate
+    strictly inside that bound reads back."""
     k = 16 - np.floor(np.log10(a)).astype(np.int64)
     n, f = _scaled(a, k)
     # log10 may be one off next to a power of ten; then 10**16 <= n < 10**17 fails
@@ -133,7 +139,11 @@ def _shortest(a):
     d15, _ = _nearest(n, f, 2)
     d16, tie16 = _nearest(n, f, 1)
     ok15 = d15.astype(np.float64) / _DIVISOR[k - 1] == a
-    ok16 = d16.astype(np.float64) / _DIVISOR[k] == a
+    # 10 * d16 - n is at most 5 and f a multiple of at least 2**-49: the
+    # distance is exact, and so is half an ulp, 2**(exponent - 54), times
+    # 10**k
+    near16 = np.abs((10 * d16 - n) - f) < np.ldexp(_P10[k], np.frexp(a)[1] - 54)
+    ok16 = (d16.astype(np.float64) / _DIVISOR[k] == a) | near16
     d = np.where(ok16, d16, n + (f > 0.5))
     p = 17 - ok16
     short = np.flatnonzero(ok15)
@@ -142,14 +152,18 @@ def _shortest(a):
     zeros = np.count_nonzero(q == np.floor(q), axis=1)
     d[short] = d15[short] // _POW10[zeros]
     p[short] = 15 - zeros
-    exact16 = (d16 <= 2**53) | (d16 % 2 == 0)
-    return d, p, 16 - k, ok15 | (exact16 & np.where(ok16, ~tie16, f != 0.5))
+    certain16 = (d16 <= 2**53) | (d16 % 2 == 0) | near16
+    return d, p, 16 - k, ok15 | (certain16 & np.where(ok16, ~tie16, f != 0.5))
 
 
 def _fast_cells(x):
-    """The cells of float64 values ``x`` (1-D) and where they are right:
-    for non-integral values in ``(1e-6, 1e16)`` whose significand is not a
-    power of two, wherever :func:`_shortest` is certain."""
+    """The kernel's layout of the cells of float64 values ``x`` (1-D) and
+    where it is right: for non-integral values in ``(1e-6, 1e16)`` whose
+    significand is not a power of two, wherever :func:`_shortest` is
+    certain.  The layout is ``(words, first, point, ok)``: the indices into
+    ``_WORDS`` of the six words of each cell, NUL before the digits; the
+    first byte of each cell, its sign included; and the byte that is the
+    point, or ``_WIDTH`` (the comma) where there is none."""
     a = np.abs(x)
     fast = (a > 1e-6) & (a < 1e16) & (_trunc(a) != a) & (x.view(np.uint64) & _MANTISSA != 0)
     d, p, e, ok = _shortest(np.where(fast, a, 0.5))  # 0.5 stands in for the others
@@ -170,32 +184,60 @@ def _fast_cells(x):
     # first byte of the cell without its sign (at least 2), and NUL before it
     start = _WIDTH - (np.maximum(lead + 1, 1) + frac + (frac > 0) + 4 * sci)
     words += _BLANK.take(start, axis=0)
-    cells = np.empty((x.size, _WIDTH + 1), np.uint8)
-    cells[:, :-1] = _WORDS.take(words).view(np.uint8)
-    cells[:, -1] = ord(",")
-    rows = np.arange(x.size)
-    point = frac > 0
-    cells[rows, np.where(point, _WIDTH - 1 - frac - 4 * sci, 0)] = np.where(point, ord("."), 0)
-    cells[rows, start - 1] = np.where(x < 0, ord("-"), 0)
-    return cells, fast & ok
+    point = np.where(frac > 0, _WIDTH - 1 - frac - 4 * sci, _WIDTH)
+    return words, start - (x < 0), point, fast & ok
 
 
-def _cells(values) -> np.ndarray:
-    """``format_number`` of every value, flattened in C order, as the rows
-    of a ``(size, _WIDTH + 1)`` uint8 array: each cell right-aligned in
-    ``_WIDTH`` bytes, NUL before it, and then a comma.  The values that
-    :func:`_fast_cells` leaves, and all of fewer than ``_KERNEL_MIN``
-    values, are written by ``_format``."""
-    x = np.asarray(values, dtype=np.float64).reshape(-1)
-    if x.size >= _KERNEL_MIN:
-        cells, done = _fast_cells(x)
+def _cells(values, slots=None) -> np.ndarray:
+    """``format_number`` of every value as a cell: right-aligned in
+    ``_WIDTH`` bytes, NUL before it, and then a comma.
+
+    ``values`` is a ``(rows, columns)`` array, or of any other shape one
+    column in C order.  All of them go to one kernel call.  Without
+    ``slots`` the cells are the rows of a new ``(size, _WIDTH + 1)`` uint8
+    array.  Otherwise ``slots(first)`` is given, for each column, the first
+    byte any of its cells takes, and returns a C-contiguous ``(rows,
+    width)`` uint8 buffer and, for each column, the byte of a row at which
+    byte 0 of its cells lies; each cell is written there from its column's
+    first byte on, and the buffer is returned.
+
+    :func:`_fast_cells` lays out every cell; the values it leaves, and all
+    of fewer than ``_KERNEL_MIN``, are written by ``_format``."""
+    x = np.asarray(values, dtype=np.float64)
+    if x.ndim != 2:
+        x = x.reshape(-1, 1)
+    flat = x.reshape(-1)
+    fast = flat.size >= _KERNEL_MIN
+    if fast:
+        words, first, point, done = _fast_cells(flat)
     else:
-        cells, done = np.full((x.size, _WIDTH + 1), ord(","), np.uint8), np.zeros(x.size, bool)
+        first, done = np.full(flat.size, _WIDTH), np.zeros(flat.size, bool)
     slow = np.flatnonzero(~done)
-    if slow.size:
-        text = "".join(s.rjust(_WIDTH, "\0") for s in _format(x[slow]))
-        cells[slow, :-1] = np.frombuffer(text.encode(), np.uint8).reshape(-1, _WIDTH)
-    return cells
+    reprs = _format(flat[slow])
+    first[slow] = np.minimum(first[slow], _WIDTH - np.fromiter(map(len, reprs), int, slow.size))
+    lo = first.reshape(x.shape).min(axis=0, initial=_WIDTH)
+    if slots is None:
+        rows, base = np.zeros((flat.size, _WIDTH + 1), np.uint8), np.zeros(1, int)
+    else:
+        rows, base = slots(lo)
+    cells = [rows[:, b + f : b + _WIDTH + 1] for b, f in zip(base.tolist(), lo.tolist())]
+    if fast:
+        digits = _WORDS.take(words).view(np.uint8).reshape(*x.shape, _WIDTH)
+        for j, cell in enumerate(cells):
+            _items(cell[:, :-1])[:] = _items(digits[:, j, lo[j] :])
+        # byte 0 of each cell in the flat buffer; a missing point or sign
+        # goes to the comma
+        at = (np.arange(x.shape[0])[:, None] * rows.shape[1] + base).reshape(-1)
+        neg = flat < 0
+        rows.reshape(-1)[at + point] = np.where(point < _WIDTH, ord("."), ord(","))
+        rows.reshape(-1)[at + np.where(neg, first, _WIDTH)] = np.where(neg, ord("-"), ord(","))
+    text = "".join(s.rjust(_WIDTH, "\0") for s in reprs).encode()
+    text = np.frombuffer(text, np.uint8).reshape(-1, _WIDTH)
+    for j, cell in enumerate(cells):
+        cell[:, -1] = ord(",")
+        mine = slow % x.shape[1] == j
+        cell[slow[mine] // x.shape[1], :-1] = text[mine, lo[j] :]
+    return rows
 
 
 def _distinct(column, n_rows: int):
@@ -219,20 +261,35 @@ def _distinct(column, n_rows: int):
 
 def _column_cells(column, shape, n_rows: int):
     """How :func:`write_csv` finds a column's cells: ``(values, index)``.
-    With ``index`` a function, the cells in the block from row ``i`` are
-    those of ``values``, formatted once, at the rows ``index(i)``.  With
-    ``index`` None, ``values`` are the column's elements in row order,
+    With ``index`` a function, the cells in the rows ``rows`` (a slice) are
+    those of ``values``, formatted once, at the positions ``index(rows)``.
+    With ``index`` None, ``values`` are the column's elements in row order,
     formatted a block at a time."""
     if column.size < n_rows:
-        index = np.broadcast_to(np.arange(column.size).reshape(column.shape), shape)
-        return column, lambda i: index.flat[i : i + _BLOCK_ROWS]
+        # a row's position in the column sums, over the axes where the
+        # column is not of length 1, the row's index along the axis times
+        # the column's stride; (rows per step, length, stride) of each
+        steps, inner, stride = [], 1, 1
+        for size, own in zip(shape[::-1], column.shape[::-1] + (1,) * len(shape)):
+            if own > 1:
+                steps.append((inner, size, stride))
+            inner, stride = inner * size, stride * own
+
+        def index(rows):
+            r = np.arange(rows.start, rows.stop)
+            at = np.zeros(r.size, np.intp)
+            for inner, size, stride in steps:
+                q = r // inner
+                at += (q - q // size * size) * stride
+            return at
+
+        return column, index
     column = np.broadcast_to(column, shape)
     distinct = _distinct(column, n_rows)
     flat = column.reshape(-1) if column.flags.c_contiguous else column.flat
     if distinct is None:
         return flat, None
-    return distinct, lambda i: np.searchsorted(
-        distinct, flat[i : i + _BLOCK_ROWS].astype(np.float64))
+    return distinct, lambda rows: np.searchsorted(distinct, flat[rows].astype(np.float64))
 
 
 def _trim(cells):
@@ -240,10 +297,20 @@ def _trim(cells):
     return cells[:, np.argmax(cells.any(axis=0)) :]
 
 
+def _items(cells):
+    """The rows of a 2-D uint8 array with a contiguous last axis as one
+    void item each, which numpy copies as a whole."""
+    return cells.view(np.dtype((np.void, cells.shape[1])))[:, 0]
+
+
 def _table_cells(columns, shape, n_rows: int):
-    """Function from a block's first row to the cells of every column in
-    that block.  All values formatted once go to one ``_cells`` call, and
-    so do all values of one block."""
+    """Function from a block's first row to the block's rows: a
+    ``(rows, width)`` uint8 view of one buffer, allocated here, that holds
+    the cells of every column side by side, each in a slot as wide as its
+    widest cell in the block and NUL before the cells.  All values
+    formatted once go to one ``_cells`` call here, their cells trimmed
+    once; all values of one block go to one ``_cells`` call, which lays
+    out the slots from its cells' first bytes."""
     plans = [_column_cells(c, shape, n_rows) for c in columns]
     once = [k for k, (_, index) in enumerate(plans) if index is not None]
     each = [k for k, (_, index) in enumerate(plans) if index is None]
@@ -251,15 +318,25 @@ def _table_cells(columns, shape, n_rows: int):
     if once and n_rows:
         cells = _cells(np.concatenate([np.ravel(plans[k][0]) for k in once]))
         bounds = np.cumsum([0] + [plans[k][0].size for k in once])
-        tables = {k: _trim(cells[a:b]) for k, a, b in zip(once, bounds, bounds[1:])}
+        tables = {k: _items(_trim(cells[a:b])) for k, a, b in zip(once, bounds, bounds[1:])}
+    widths = np.array([tables[k].itemsize if k in tables else _WIDTH + 1
+                       for k in range(len(plans))], int)
+    buf = np.empty(min(_BLOCK_ROWS, n_rows) * widths.sum(), np.uint8)
 
     def block(i):
-        out = {k: tables[k].take(plans[k][1](i), axis=0) for k in once}
-        if each:
-            values = np.stack([plans[k][0][i : i + _BLOCK_ROWS] for k in each], axis=1)
-            cells = _cells(values).reshape(-1, len(each), _WIDTH + 1)
-            out.update((k, _trim(cells[:, j])) for j, k in enumerate(each))
-        return [out[k] for k in range(len(plans))]
+        rows = slice(i, min(i + _BLOCK_ROWS, n_rows))
+
+        def slots(first):
+            widths[each] = _WIDTH + 1 - first
+            ends = np.cumsum(widths)
+            out = buf[: (rows.stop - i) * ends[-1]].reshape(-1, ends[-1])
+            for k in once:
+                _items(out[:, ends[k] - widths[k] : ends[k]])[:] = tables[k].take(plans[k][1](rows))
+            return out, ends[each] - (_WIDTH + 1)
+
+        if not each:
+            return slots(np.empty(0, int))[0]
+        return _cells(np.stack([plans[k][0][rows] for k in each], axis=1), slots)
 
     return block
 
@@ -291,10 +368,10 @@ def _block_ranges(*sizes: int) -> list[tuple[int, int]]:
 
 def _write_rows(fh, cells, start: int, stop: int) -> None:
     """Write rows ``[start, stop)`` into a binary file, one block at a time:
-    the block's cells side by side in a byte matrix whose NUL bytes are
-    dropped, with the last comma of each row made a newline."""
+    the block's row buffer with its NUL bytes dropped and the last comma of
+    each row made a newline."""
     for i in range(start, stop, _BLOCK_ROWS):
-        rows = np.concatenate(cells(i), axis=1)
+        rows = cells(i)
         rows[:, -1] = ord("\n")
         fh.write(rows[rows != 0])
 
@@ -416,16 +493,20 @@ def write_csv(path: str | os.PathLike, header: Sequence[str], columns: Iterable)
     column whose distinct values (after the float64 cast) fit in one block
     of ``_BLOCK_ROWS`` (8192) has each distinct value formatted once, and
     every block gathers its cells from those by value; any other full-size
-    column is formatted in bulk, one block at a time.  Either way only one
-    block of a full-size column's cells is alive at once.  The block size
-    sets how often the kernel's ~100 numpy calls, each column's gather
-    and the NUL drop pay their fixed cost; it changes no byte.
+    column is formatted in bulk, one block at a time, all such columns of
+    a block in one ``_cells`` call.  Either way only one block of a
+    full-size column's cells is alive at once.  The block size sets how
+    often the kernel's ~100 numpy calls, each column's gather and the NUL
+    drop pay their fixed cost; it changes no byte.
 
     Cells are byte rows, not strings: ``_cells`` writes the repr of whole
     arrays of non-integral values with ``1e-6 < |x| < 1e16`` by a numpy
-    kernel and sends the rest, any value it cannot certify and any batch
-    too small to gain, to ``repr``.  A block's cells side by side form one
-    byte matrix whose NUL padding is dropped on the way to the file.
+    kernel and sends the rest (integers, powers of two, exact ties) and
+    any batch too small to gain to ``repr``.  Each block goes into one
+    row buffer, allocated once per table, with a slot per column as wide
+    as the column's widest cell in the block; the kernel and the gathers
+    write their cells straight into the slots, and the buffer's NUL
+    padding is dropped on the way to the file.
 
     This is :func:`write_csv_tables` of the one table: a table of at least
     16,384 rows is split into contiguous block ranges, one per CPU, the

@@ -34,6 +34,7 @@ __all__ = [
     "even_mode_t",
     "chiral_coeffs",
     "diode_condition",
+    "sweep_columns",
     "sweep_single",
     "write_sweep_csv",
 ]
@@ -147,6 +148,23 @@ def diode_condition(params: ModelParams) -> DiodeClass:
     return DiodeClass.NO_BLOCK
 
 
+def sweep_columns(
+    params: ModelParams,
+    detuning_grid: Sequence[float],
+    gamma1_grid: Sequence[float],
+    direction: Direction = Direction.LEFT_INCIDENT,
+) -> tuple[np.ndarray, ...]:
+    """The columns (Delta/Gamma, gamma1/Gamma, T, R, loss) of
+    :func:`sweep_single` as broadcast arrays from one :func:`chiral_coeffs`
+    call: shapes (len(detuning_grid), 1), (1, len(gamma1_grid)), and the
+    full grid for T, R and loss."""
+    delta = np.asarray(detuning_grid, dtype=float)[:, None]
+    gamma1 = np.asarray(gamma1_grid, dtype=float)[None, :]
+    c = chiral_coeffs(params.at_gamma1(gamma1), PhotonIn(direction, params.omega_a + delta))
+    G = params.Gamma
+    return delta / G, gamma1 / G, c.T, c.R, c.loss
+
+
 def sweep_single(
     params: ModelParams,
     detuning_grid: Sequence[float],
@@ -158,20 +176,17 @@ def sweep_single(
     ``gamma1_grid`` holds absolute gamma1 values; for each one gamma2 is
     chosen to keep the total coupling Gamma of ``params`` fixed, matching
     the convention of sweeping the asymmetry at constant Gamma.  The grid
-    is evaluated in one broadcast; rows are ordered with detuning as the
-    outer loop and gamma1 as the inner loop.
+    is evaluated in one broadcast (:func:`sweep_columns`); rows are ordered
+    with detuning as the outer loop and gamma1 as the inner loop.
 
     Returns
     -------
     numpy.ndarray
         Shape (len(detuning_grid) * len(gamma1_grid), 5).
     """
-    delta = np.asarray(detuning_grid, dtype=float)[:, None]
-    gamma1 = np.asarray(gamma1_grid, dtype=float)[None, :]
-    c = chiral_coeffs(params.at_gamma1(gamma1), PhotonIn(direction, params.omega_a + delta))
-    G = params.Gamma
-    rows = np.empty((delta.size, gamma1.size, 5))
-    for i, column in enumerate((delta / G, gamma1 / G, c.T, c.R, c.loss)):
+    columns = sweep_columns(params, detuning_grid, gamma1_grid, direction)
+    rows = np.empty((*np.broadcast_shapes(*(c.shape for c in columns)), 5))
+    for i, column in enumerate(columns):
         rows[..., i] = column
     return rows.reshape(-1, 5)
 

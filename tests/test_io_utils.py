@@ -27,7 +27,7 @@ from chiral_diode import (
     write_sweep_csv,
 )
 from chiral_diode.io_utils import format_number, write_csv
-from chiral_diode.single_photon import SWEEP_HEADER
+from chiral_diode.single_photon import SWEEP_HEADER, sweep_columns
 
 BLOCK = io_utils._BLOCK_ROWS
 
@@ -155,14 +155,13 @@ def test_random_broadcast_layouts_match_the_row_wise_join(tmp_path, layout):
 # The fast path of _cells, checked cell by cell against format_number
 
 def assert_cells_are_format_number(values):
-    """The cells of the fast path where it is certain, and of ``_cells``
-    elsewhere, their commas included, against one ``format_number`` join,
-    2**16 values at a time."""
+    """The cells of ``_cells``, the kernel's where it is certain and
+    ``repr``'s elsewhere, their commas included, against one
+    ``format_number`` join, 2**16 values at a time."""
     values = np.asarray(values, dtype=np.float64).ravel()
     for i in range(0, values.size, 2**16):
         chunk = values[i : i + 2**16]
-        cells, done = io_utils._fast_cells(chunk)
-        cells[~done] = io_utils._cells(chunk[~done])
+        cells = io_utils._cells(chunk)
         want = "".join(format_number(v) + "," for v in chunk.tolist()).encode()
         if cells[cells != 0].tobytes() != want:
             got = [c[c != 0].tobytes().decode()[:-1] for c in cells]
@@ -219,6 +218,42 @@ def test_cells_of_special_values():
     assert_cells_are_format_number(np.concatenate((neighbours(specials, 1), subnormal)))
 
 
+@pytest.fixture
+def to_repr(monkeypatch):
+    """``to_repr()`` reads how many values the cells so far sent to
+    ``_format``."""
+    sent = []
+    bulk = io_utils._format
+
+    def counting(values):
+        sent.append(np.size(values))
+        return bulk(values)
+
+    monkeypatch.setattr(io_utils, "_format", counting)
+    return lambda: sum(sent)
+
+
+def odd_16_digit_decimals(rng, n):
+    """The doubles nearest odd 16-digit integers above 2**53 times 10**-k,
+    k from 4 to 21, and their neighbours one ulp either way.  (With k below
+    4 the doubles are multiples of 2**-3 to 2**-9, and up to 40 % of them
+    lie halfway between two 16-digit decimals: true ties, left to repr.)"""
+    digits = 2 * rng.integers(2**52, 5 * 10**15, n) + 1
+    k = rng.integers(4, 22, n)
+    v = np.array([float(f"{d}e-{j}") for d, j in zip(digits.tolist(), k.tolist())])
+    return np.concatenate((v, np.nextafter(v, np.inf), np.nextafter(v, -np.inf)))
+
+
+def test_16_digit_candidates_above_2_53_are_certified(to_repr):
+    # the 16-digit candidate of each odd decimal lies above 2**53, where it
+    # is not a double; uniform draws need 16 and 17 digits alike
+    rng = np.random.default_rng(2**53)
+    values = np.concatenate((odd_16_digit_decimals(rng, 20000), rng.random(20000),
+                             rng.uniform(0.9007, 1.0, 20000)))
+    assert_cells_are_format_number(values)
+    assert to_repr() <= 0.01 * values.size, to_repr()
+
+
 @pytest.mark.parametrize("n", [3, io_utils._KERNEL_MIN], ids=["repr", "kernel"])
 def test_signaling_nan_cells_warn_nothing(n):
     bits = np.array([0x7FF0000000000001, 0xFFF0000000000001, 0x7FF4000000000000], np.uint64)
@@ -228,15 +263,22 @@ def test_signaling_nan_cells_warn_nothing(n):
     assert cells[cells != 0].tobytes() == b"nan," * n
 
 
-def test_fig4_panels_take_the_fast_path(monkeypatch, tmp_path):
-    # at most a tenth of the values of a 401 x 401 fig4 panel go to repr
+@pytest.fixture
+def counts(monkeypatch):
+    """The number of values given to ``_cells`` and to ``_format``, in this
+    process (one CPU)."""
     cpus(monkeypatch, 1)
     counts = {"_cells": 0, "_format": 0}
     for name in counts:
-        def counting(values, bulk=getattr(io_utils, name), name=name):
+        def counting(values, *args, bulk=getattr(io_utils, name), name=name):
             counts[name] += np.size(values)
-            return bulk(values)
+            return bulk(values, *args)
         monkeypatch.setattr(io_utils, name, counting)
+    return counts
+
+
+def test_fig4_panels_take_the_fast_path(counts, tmp_path):
+    # at most a hundredth of the values of a 401 x 401 fig4 panel go to repr
     gamma1 = np.linspace(0.0, 1.0, 401)[:, None]
     x = np.linspace(0.0, 4.0, 401)
     params = cli._reduced_params(1.0, 10.0, gamma1)
@@ -246,7 +288,17 @@ def test_fig4_panels_take_the_fast_path(monkeypatch, tmp_path):
             density = cli._separation_density(params, case, x, incident)
             write_csv(tmp_path / "panel.csv", cli._MAP_HEADER, (gamma1, x, density))
             assert counts["_cells"] == 401 + 401 + 401**2
-            assert counts["_format"] <= 0.1 * counts["_cells"], (case, incident, counts)
+            assert counts["_format"] <= 0.01 * counts["_cells"], (case, incident, counts)
+
+
+@pytest.mark.parametrize("direction", Direction)
+def test_single_sweep_takes_the_fast_path(counts, tmp_path, direction):
+    # T, R and loss of a 401 x 401 sweep: at most a hundredth go to repr
+    p = make_params(omega_a=0.3, kappa=1.3, U=0.0, gamma1=1.0, gamma2=0.0)
+    columns = sweep_columns(p, np.linspace(-3.0, 3.0, 401), np.linspace(0.0, 1.0, 401), direction)
+    write_csv(tmp_path / "single.csv", SWEEP_HEADER, columns)
+    assert counts["_cells"] == 401 + 401 + 3 * 401**2
+    assert counts["_format"] <= 0.01 * counts["_cells"], counts
 
 
 @pytest.fixture
@@ -257,11 +309,11 @@ def formatted(monkeypatch, tmp_path):
     log = tmp_path / "formatted.log"
     bulk = io_utils._cells
 
-    def counting(values):
-        cells = bulk(values)
+    def counting(values, *args):
+        cells = bulk(values, *args)
         fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
         try:
-            os.write(fd, f"{len(cells)} {os.getpid()}\n".encode())
+            os.write(fd, f"{np.size(values)} {os.getpid()}\n".encode())
         finally:
             os.close(fd)
         return cells
@@ -340,6 +392,32 @@ def test_single_sweep_formats_each_grid_value_once(tmp_path, formatted, monkeypa
     # the two grid columns are gathered; T, R and loss are all distinct
     assert total(formatted) == 401 + 401 + 3 * 401**2
     assert len({pid for _, pid in formatted()}) > 1
+
+
+@pytest.mark.parametrize("direction", Direction)
+@pytest.mark.parametrize("gamma1_grid", [None, np.linspace(0.0, 1.0, 401)],
+                         ids=["gamma1", "gamma1_grid"])
+def test_single_cli_writes_the_public_sweep(tmp_path, formatted, monkeypatch, capsys,
+                                            direction, gamma1_grid):
+    # the broadcast columns the command writes give the bytes of the
+    # transposed sweep_single rows, and each grid value is formatted once
+    cpus(monkeypatch, 2)
+    path = tmp_path / "cli.csv"
+    argv = ["single", "--detuning=-2:2:401", "--kappa", "0.7", "--gamma1", "0.6",
+            "--gamma2", "0.4", "--direction", direction.value, "-o", str(path)]
+    if gamma1_grid is not None:
+        argv.append("--gamma1-grid=0:1:401")
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    by_cli = total(formatted)
+    p = make_params(omega_a=0.0, kappa=0.7, U=0.0, gamma1=0.6, gamma2=0.4)
+    rows = sweep_single(p, np.linspace(-2.0, 2.0, 401),
+                        [0.6] if gamma1_grid is None else gamma1_grid, direction)
+    write_sweep_csv(tmp_path / "library.csv", rows)
+    assert path.read_bytes() == (tmp_path / "library.csv").read_bytes()
+    assert by_cli == total(formatted) - by_cli
+    if gamma1_grid is not None:
+        assert by_cli == 401 + 401 + 3 * 401**2
 
 
 def test_two_photon_map_is_gathered_by_value(tmp_path, formatted):
@@ -472,13 +550,13 @@ def failing_format(monkeypatch, fails):
     by raising, or in a child by a ``SIGKILL`` to itself."""
     bulk = io_utils._cells
 
-    def format_or_fail(values):
+    def format_or_fail(values, *args):
         how = fails(os.getpid())
         if how == "kill":
             os.kill(os.getpid(), signal.SIGKILL)
         if how:
             raise ValueError("format failed on purpose")
-        return bulk(values)
+        return bulk(values, *args)
 
     monkeypatch.setattr(io_utils, "_cells", format_or_fail)
 
