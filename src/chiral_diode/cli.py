@@ -476,12 +476,14 @@ def _reduced_params(kappa, U, gamma1) -> ModelParams:
 
 
 # A panel is its manifest entry, for file ``<fig><panel>.csv``, and the
-# header and columns of that file's table.
-_Panel = tuple[dict, Sequence[str], Sequence]
+# header and columns of that file's table: arrays, or a function returning
+# them and the table's shape (see ``write_csv_tables``).
+_Panel = (tuple[dict, Sequence[str], Sequence]
+          | tuple[dict, Sequence[str], Callable[[], Sequence], tuple[int, int]])
 
 
-def _panel(fig: str, panel: str, params: dict, header: Sequence[str], columns) -> _Panel:
-    return {"file": f"{fig}{panel}.csv", "panel": panel, "params": params}, header, columns
+def _panel(fig: str, panel: str, params: dict, header: Sequence[str], *columns) -> _Panel:
+    return {"file": f"{fig}{panel}.csv", "panel": panel, "params": params}, header, *columns
 
 
 def _fig2(n: int) -> list[_Panel]:
@@ -556,7 +558,12 @@ _CASE_LABEL = {
 
 
 def _density_maps(fig: str, n: int, kappa: float, x_max: float) -> list[_Panel]:
-    """Four panels: both tunings x both incidences, over (gamma1, separation)."""
+    """Four panels: both tunings x both incidences, over (gamma1, separation).
+
+    Each panel gives a function that computes its densities, called by the
+    process that writes the panel's rows.  On two CPUs each process
+    computes two panels; on three, the share boundaries fall inside two
+    panels, and both processes that write part of one compute all of it."""
     gamma1_grid = np.linspace(0.0, 1.0, n)[:, None]
     x_grid = np.linspace(0.0, x_max, n)
     params = _reduced_params(kappa, 10.0, gamma1_grid)
@@ -577,7 +584,10 @@ def _density_maps(fig: str, n: int, kappa: float, x_max: float) -> list[_Panel]:
                 "Gamma_x_max": x_max,
             },
             _MAP_HEADER,
-            (gamma1_grid, x_grid, _separation_density(params, case, x_grid, incident)),
+            lambda case=case, incident=incident: (
+                gamma1_grid, x_grid, _separation_density(params, case, x_grid, incident)
+            ),
+            (n, n),
         )
         for panel, case, incident in panels
     ]

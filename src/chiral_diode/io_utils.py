@@ -6,6 +6,7 @@ inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import shutil
@@ -341,6 +342,21 @@ def _table_cells(columns, shape, n_rows: int):
     return block
 
 
+def _table_columns(columns, shape=None):
+    """``(columns, shape, rows)`` of a table for :func:`_table_cells`: its
+    columns as arrays, their broadcast shape and its row count.  With
+    ``shape`` given, ``columns`` is a function called here that returns
+    the columns, which must broadcast to ``shape``."""
+    if shape is not None:
+        columns = columns()
+    columns = [np.asarray(c) for c in columns]
+    own = np.broadcast_shapes(*(c.shape for c in columns))
+    n_rows = math.prod(own) if columns else 0
+    if shape is not None and (own, n_rows) != (shape, math.prod(shape)):
+        raise ValueError(f"the columns broadcast to {own}, not to the table's shape {shape}")
+    return columns, own, n_rows
+
+
 def _block_ranges(*sizes: int) -> list[tuple[int, int]]:
     """Row bounds ``(start, stop)`` of the shares that
     :func:`write_csv_tables` cuts tables of ``sizes`` rows into, counting
@@ -359,9 +375,12 @@ def _block_ranges(*sizes: int) -> list[tuple[int, int]]:
         cpus = len(os.sched_getaffinity(0))
     n = max(1, min(cpus, n_blocks // _RANGE_BLOCKS))
     firsts = np.cumsum((0, *sizes))
-    edges = np.concatenate([np.arange(a, b, _BLOCK_ROWS) for a, b in zip(firsts, firsts[1:])]
-                           + [[total]])
-    cuts = edges[np.searchsorted(edges, np.arange(1, n) * n_blocks // n * _BLOCK_ROWS)]
+    # each share's first row at the least, below the total; the table that
+    # holds it, and that table's first block boundary at or past it or,
+    # if none, the next table's first row
+    least = np.arange(1, n) * n_blocks // n * _BLOCK_ROWS
+    k = np.searchsorted(firsts, least, side="right") - 1
+    cuts = np.minimum(firsts[k] - (firsts[k] - least) // _BLOCK_ROWS * _BLOCK_ROWS, firsts[k + 1])
     bounds = [0, *cuts.tolist(), total]
     return list(zip(bounds[:-1], bounds[1:]))
 
@@ -376,17 +395,17 @@ def _write_rows(fh, cells, start: int, stop: int) -> None:
         fh.write(rows[rows != 0])
 
 
-def _write_share(files, cells, share, tmp) -> None:
+def _write_share(files, plans, share, tmp) -> None:
     """Write the ``(table, start, stop)`` parts of a share, each straight
     into its table's file when it starts the table, else into ``tmp``, and
-    flush."""
+    flush.  Each part's cells come from a call of its table's plan."""
     for k, start, stop in share:
         fh = tmp if start else files[k]
-        _write_rows(fh, cells[k], start, stop)
+        _write_rows(fh, plans[k](), start, stop)
         fh.flush()
 
 
-def _fork_share(files, cells, share):
+def _fork_share(files, plans, share):
     """Fork a child that writes a share and exits; return its pid and the
     unlinked temporary file that takes the share's first part when that
     part does not start its table (else None)."""
@@ -399,15 +418,17 @@ def _fork_share(files, cells, share):
         raise
     if pid == 0:
         # the child leaves only by os._exit: no exit handler runs and no
-        # buffer inherited from the parent (sys.stdout) is flushed
+        # buffer inherited from the parent (sys.stdout) is flushed.  It
+        # reports running out of memory by its exit status alone, and any
+        # other error by one line, without a traceback.
         code = 1
         try:
-            _write_share(files, cells, share, tmp)
+            _write_share(files, plans, share, tmp)
             code = 0
-        except BaseException:
-            import traceback
-
-            os.write(2, traceback.format_exc().encode())
+        except MemoryError:
+            code = errno.ENOMEM
+        except BaseException as exc:
+            os.write(2, f"{type(exc).__name__}: {exc}\n".encode())
         finally:
             os._exit(code)
     return pid, tmp
@@ -417,31 +438,50 @@ def write_csv_tables(tables: Iterable[tuple]) -> None:
     """Write each ``(path, header, columns)`` of ``tables`` as
     :func:`write_csv` does, the tables split across the CPUs together.
 
-    Each table's cells are planned first, so each value formatted once is
-    formatted in this process.  Then every file is opened and gets its
-    header, flushed, before any fork: a path that cannot be written raises
-    with no child started.  The blocks of all tables, taken in order, are
-    cut into contiguous shares by :func:`_block_ranges`: one per CPU in
+    A table may instead be ``(path, header, make, shape)``: ``make`` is a
+    function of no arguments that returns the columns, which must
+    broadcast to ``shape``.  Each process that writes rows of such a table
+    calls ``make`` and plans the table's cells itself, so its columns are
+    computed where they are written.  A table given as arrays is planned
+    in this process before any fork, so each value formatted once is
+    formatted here, and the children inherit its cells.
+
+    Every file is opened and gets its header, flushed, before any fork or
+    call of ``make``: a path that cannot be written raises with no child
+    started.  The blocks of all tables, taken in order, are cut into
+    contiguous shares by :func:`_block_ranges`: one per CPU in
     ``os.sched_getaffinity(0)``, each of at least ``_RANGE_BLOCKS`` blocks'
     worth of rows (16,384), so tables that small in all, a single CPU or a
     platform without ``os.fork`` give one share.  This process writes the
     first share and a forked child each further one; the child inherits
-    the planned cells and the open files and leaves by ``os._exit``.  A
-    table that a share holds from its first row is written straight into
-    its file; the rows that a share boundary cuts off a table go to an
-    unlinked temporary file, which this process appends in row order once
-    the children before have finished.  The bytes therefore do not depend
-    on the CPU count, and there is no option to choose it.  Every child is
-    waited for, or killed and waited for, before this returns or raises; a
-    child that fails or is killed makes it raise :class:`OSError` naming
-    the files and rows it wrote and its exit status.
+    the open files and leaves by ``os._exit``.  A table that a share holds
+    from its first row is written straight into its file; the rows that a
+    share boundary cuts off a table go to an unlinked temporary file,
+    which this process appends in row order once the children before have
+    finished.  Where a boundary cuts a table given by ``make``, both
+    processes that write its rows call ``make``.  The bytes therefore do
+    not depend on the CPU count, and there is no option to choose it.
+
+    Every child is waited for, or killed and waited for, before this
+    returns or raises.  A child that runs out of memory makes it raise
+    :class:`MemoryError`, and one that fails otherwise or is killed
+    :class:`OSError`, naming the files and rows the child wrote; the
+    child writes nothing but the one line of an error other than
+    :class:`MemoryError` to stderr.  A write that fails leaves every file
+    with its header and the rows written before the failure, so a
+    ``make`` that raises leaves its table's file with the header alone.
     """
-    paths, headers, cells, sizes = [], [], [], []
-    for path, header, columns in tables:
-        columns = [np.asarray(c) for c in columns]
-        shape = np.broadcast_shapes(*(c.shape for c in columns))
-        sizes.append(math.prod(shape) if columns else 0)
-        cells.append(_table_cells(columns, shape, sizes[-1]))
+    paths, headers, plans, sizes = [], [], [], []
+    for path, header, columns, *shape in tables:
+        if shape:
+            shape = tuple(shape[0])
+            sizes.append(math.prod(shape))
+            plans.append(lambda make=columns, shape=shape:
+                         _table_cells(*_table_columns(make, shape)))
+        else:
+            columns, own, n_rows = _table_columns(columns)
+            sizes.append(n_rows)
+            plans.append(lambda cells=_table_cells(columns, own, n_rows): cells)
         paths.append(path)
         headers.append(header)
     firsts = np.cumsum([0, *sizes]).tolist()
@@ -459,14 +499,16 @@ def write_csv_tables(tables: Iterable[tuple]) -> None:
             files[-1].write((",".join(header) + "\n").encode())
             files[-1].flush()
         for share in rest:
-            children.append(_fork_share(files, cells, share))
-        _write_share(files, cells, first, None)
+            children.append(_fork_share(files, plans, share))
+        _write_share(files, plans, first, None)
         for i, ((pid, tmp), share) in enumerate(zip(children, rest)):
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             children[i] = (None, tmp)
             if code:
-                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
                 parts = ", ".join(f"{paths[k]} rows {a}-{b - 1}" for k, a, b in share)
+                if code == errno.ENOMEM:
+                    raise MemoryError(f"in the process writing {parts}")
+                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
                 raise OSError(f"the process writing {parts} failed ({how})")
             if tmp is not None:
                 tmp.seek(0)
@@ -508,9 +550,10 @@ def write_csv(path: str | os.PathLike, header: Sequence[str], columns: Iterable)
     write their cells straight into the slots, and the buffer's NUL
     padding is dropped on the way to the file.
 
-    This is :func:`write_csv_tables` of the one table: a table of at least
-    16,384 rows is split into contiguous block ranges, one per CPU, the
-    first written by this process and each further one by a forked child
-    into a temporary file that this process appends.
+    This is :func:`write_csv_tables` of the one table, planned in this
+    process: a table of at least 16,384 rows is split into contiguous
+    block ranges, one per CPU, the first written by this process and each
+    further one by a forked child into a temporary file that this process
+    appends.
     """
     write_csv_tables([(path, header, columns)])

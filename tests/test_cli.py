@@ -592,6 +592,95 @@ class TestReproduce:
             os.waitpid(-1, os.WNOHANG)
 
 
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_grid_past_memory_is_an_error_line(self, n_cpus, tmp_path, capfd, monkeypatch):
+        # every process that computes a 200000 x 200000 panel runs out of
+        # memory; the run exits 1 with one line and leaves the four files
+        # with their headers alone
+        import chiral_diode.cli as cli
+
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate 596. GiB for an array")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)),
+                            raising=False)
+        monkeypatch.setattr(cli, "_separation_density", exhausted)
+        outdir = tmp_path / "out"
+        code = main(["reproduce", "fig4", "--grid", "200000", "--outdir", str(outdir)])
+        out = capfd.readouterr()
+        assert code == EXIT_VALIDATION
+        assert out.err == ("error: out of memory (Unable to allocate 596. GiB for an array);"
+                           " a smaller grid needs less\n")
+        assert out.out == ""
+        assert sorted(f.name for f in outdir.iterdir()) == [f"fig4{p}.csv" for p in "abcd"]
+        for f in outdir.iterdir():
+            assert f.read_text() == "gamma1_over_Gamma,Gamma_x,density\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_out_of_memory_is_an_error_line(self, tmp_path, capfd, monkeypatch):
+        import chiral_diode.cli as cli
+
+        parent = os.getpid()
+        density = cli._separation_density
+
+        def exhausted_in_a_child(*args):
+            if os.getpid() != parent:
+                raise MemoryError("Unable to allocate")
+            return density(*args)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(cli, "_separation_density", exhausted_in_a_child)
+        code = main(["reproduce", "fig4", "--grid", "401", "--outdir", str(tmp_path)])
+        out = capfd.readouterr()
+        assert code == EXIT_VALIDATION
+        parts = ", ".join(f"{tmp_path / f'fig4{p}.csv'} rows 0-{401**2 - 1}" for p in "cd")
+        assert out.err == (f"error: out of memory (in the process writing {parts});"
+                           " a smaller grid needs less\n")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
+    @pytest.mark.parametrize("figure", ["fig4", "fig7"])
+    def test_each_panel_is_computed_where_it_is_written(self, figure, n_cpus, tmp_path,
+                                                        capsys, monkeypatch):
+        import chiral_diode.cli as cli
+        from chiral_diode import io_utils
+
+        log = tmp_path / "density.log"
+        density = cli._separation_density
+
+        def logged(*args):
+            fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+            try:
+                os.write(fd, f"{os.getpid()}\n".encode())
+            finally:
+                os.close(fd)
+            return density(*args)
+
+        one = tmp_path / "one"
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert run(["reproduce", figure, "--outdir", str(one)], capsys)[0] == EXIT_OK
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)),
+                            raising=False)
+        monkeypatch.setattr(cli, "_separation_density", logged)
+        outdir = tmp_path / "out"
+        assert run(["reproduce", figure, "--outdir", str(outdir)], capsys)[0] == EXIT_OK
+        pids = log.read_text().split()
+        # one call per table in each process that writes rows of it: a
+        # share boundary inside a table has both processes compute it
+        shares = io_utils._block_ranges(*(401**2,) * 4)
+        cut = sum(a % 401**2 != 0 for a, _ in shares)
+        assert (len(shares), cut) == {1: (1, 0), 2: (2, 0), 3: (3, 2)}[n_cpus]
+        assert len(pids) == 4 + cut
+        assert pids.count(str(os.getpid())) == -(-shares[0][1] // 401**2)
+        assert len(set(pids)) == len(shares)
+        for f in sorted(one.iterdir()):
+            assert (outdir / f.name).read_bytes() == f.read_bytes()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
 # Flag values for the fuzz test: (valid, invalid) choices per flag, at tiny
 # grids.  "Valid" means well formed; a valid draw may still be rejected when
 # its values do not fit together (e.g. gamma1 + gamma2 above the total).

@@ -719,3 +719,170 @@ def test_pending_stdout_is_written_once(tmp_path):
     assert out.returncode == 0, out.stderr
     assert out.stdout == "pending line\n"
     assert (tmp_path / "t.csv").read_bytes().count(b"\n") == 401**2 + 1
+
+
+# A table may give a function that returns its columns, and its shape: each
+# process that writes rows of the table calls the function.
+
+def deferred(tables, log):
+    """``tables`` with each one's columns returned by a function that
+    appends ``"<table> <pid>"`` to the file ``log`` when called."""
+    def make(k, columns):
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        try:
+            os.write(fd, f"{k} {os.getpid()}\n".encode())
+        finally:
+            os.close(fd)
+        return columns
+
+    return [(path, header, functools.partial(make, k, columns),
+             np.broadcast_shapes(*(np.shape(c) for c in columns)))
+            for k, (path, header, columns) in enumerate(tables)]
+
+
+def calls(log):
+    return sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2, 3])
+@pytest.mark.parametrize("name", TABLE_SETS)
+def test_deferred_tables_are_made_where_they_are_written(tmp_path, monkeypatch, forks,
+                                                         name, n_cpus):
+    cpus(monkeypatch, n_cpus)
+    sizes = TABLE_SETS[name]
+    log = tmp_path / "made.log"
+    tables = table_set(tmp_path, sizes)
+    io_utils.write_csv_tables(deferred(tables, log))
+    assert [path.read_bytes() for path, _, _ in tables] == set_reference(sizes)
+    # the process of each share (the caller, then the children in order)
+    # makes each table it holds rows of, once
+    shares = io_utils._block_ranges(*sizes)
+    firsts = np.cumsum((0, *sizes))
+    expected = sorted((k, pid) for (a, b), pid in zip(shares, [os.getpid(), *forks])
+                      for k, n in enumerate(sizes) if firsts[k] < b and a < firsts[k] + n)
+    assert calls(log) == expected
+    cut = sum(a not in firsts for a, _ in shares)
+    assert len(expected) == len(sizes) + cut
+    assert len(forks) == len(shares) - 1
+    assert_no_children()
+
+
+def test_deferred_table_of_another_shape_is_a_value_error(tmp_path, monkeypatch):
+    cpus(monkeypatch, 1)
+    path = tmp_path / "t.csv"
+    table = (path, ("a", "b"), lambda: (np.zeros((3, 1)), np.zeros(4)), (4, 3))
+    with pytest.raises(ValueError, match=r"broadcast to \(3, 4\), not to the table's shape"):
+        io_utils.write_csv_tables([table])
+    assert path.read_bytes() == b"a,b\n"
+
+
+def test_arrays_and_deferred_tables_mix(tmp_path, monkeypatch, forks):
+    cpus(monkeypatch, 2)
+    sizes = (2 * BLOCK,) * 4
+    tables = table_set(tmp_path, sizes)
+    log = tmp_path / "made.log"
+    mixed = [*tables[:1], *deferred(tables[1:], log)]
+    io_utils.write_csv_tables(mixed)
+    assert [path.read_bytes() for path, _, _ in tables] == set_reference(sizes)
+    # the array table is no call; tables 1-3 are deferred tables 0-2
+    assert calls(log) == [(0, os.getpid()), (1, forks[0]), (2, forks[0])]
+    assert_no_children()
+
+
+def failing_make(tables, fails, error):
+    """``tables`` deferred, each ``make`` raising ``error`` in the
+    processes where ``fails(pid)`` holds."""
+    def make(columns):
+        if fails(os.getpid()):
+            raise error
+        return columns
+
+    return [(path, header, functools.partial(make, columns), (len(columns[0]),))
+            for path, header, columns in tables]
+
+
+def test_child_out_of_memory_is_a_memory_error(tmp_path, monkeypatch, forks, capfd):
+    cpus(monkeypatch, 2)
+    parent = os.getpid()
+    sizes = (2 * BLOCK,) * 4
+    tables = table_set(tmp_path, sizes)
+    parts = ", ".join(f"{tmp_path / f't{k}.csv'} rows 0-{2 * BLOCK - 1}" for k in (2, 3))
+    with pytest.raises(MemoryError, match=re.escape(f"in the process writing {parts}")):
+        io_utils.write_csv_tables(failing_make(tables, lambda pid: pid != parent,
+                                               MemoryError("Unable to allocate")))
+    assert len(forks) == 1
+    assert_no_children()
+    # nothing on stderr; the child's tables are left with their headers
+    assert capfd.readouterr().err == ""
+    written_ = [path.read_bytes() for path, _, _ in tables]
+    assert written_[:2] == set_reference(sizes)[:2]
+    assert written_[2:] == [b"c0,c1,c2\n"] * 2
+
+
+def test_child_error_is_one_line_without_a_traceback(tmp_path, monkeypatch, forks, capfd):
+    cpus(monkeypatch, 2)
+    parent = os.getpid()
+    tables = table_set(tmp_path, (2 * BLOCK,) * 4)
+    with pytest.raises(OSError, match=r"failed \(exit status 1\)"):
+        io_utils.write_csv_tables(failing_make(tables, lambda pid: pid != parent,
+                                               ValueError("make failed on purpose")))
+    assert len(forks) == 1
+    assert_no_children()
+    assert capfd.readouterr().err == "ValueError: make failed on purpose\n"
+
+
+def test_caller_out_of_memory_kills_and_reaps_the_child(tmp_path, monkeypatch, forks, capfd):
+    # the caller's own error is raised; the child, still writing, is killed
+    cpus(monkeypatch, 3)
+    parent = os.getpid()
+    tables = table_set(tmp_path, (2 * BLOCK,) * 6)
+    with pytest.raises(MemoryError, match="^Unable to allocate$"):
+        io_utils.write_csv_tables(failing_make(tables, lambda pid: pid == parent,
+                                               MemoryError("Unable to allocate")))
+    assert len(forks) == 2
+    assert_no_children()
+    assert capfd.readouterr().err == ""
+    assert tables[0][0].read_bytes() == b"c0,c1,c2\n"
+
+
+def block_ranges_by_edges(*sizes):
+    """:func:`io_utils._block_ranges` from the list of every block
+    boundary of every table."""
+    total = sum(sizes)
+    n_blocks = -(-total // BLOCK)
+    n = max(1, min(len(os.sched_getaffinity(0)), n_blocks // RANGE))
+    firsts = np.cumsum((0, *sizes))
+    edges = np.concatenate([np.arange(a, b, BLOCK) for a, b in zip(firsts, firsts[1:])]
+                           + [[total]])
+    cuts = edges[np.searchsorted(edges, np.arange(1, n) * n_blocks // n * BLOCK)]
+    bounds = [0, *cuts.tolist(), total]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+@pytest.mark.parametrize("n_cpus", [2, 3, 5, 8])
+def test_block_ranges_cut_at_the_first_boundary_past_each_share(monkeypatch, n_cpus):
+    cpus(monkeypatch, n_cpus)
+    rng = np.random.default_rng(n_cpus)
+    for _ in range(200):
+        sizes = rng.integers(0, 6 * BLOCK, rng.integers(1, 7))
+        sizes = tuple(int(n) for n in np.where(rng.random(sizes.size) < 0.2, 0, sizes))
+        assert io_utils._block_ranges(*sizes) == block_ranges_by_edges(*sizes)
+
+
+def test_block_ranges_of_huge_tables_allocate_no_edges(monkeypatch):
+    import tracemalloc
+
+    cpus(monkeypatch, 3)
+    sizes = (200_000**2,) * 4
+    tracemalloc.start()
+    try:
+        shares = io_utils._block_ranges(*sizes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    assert len(shares) == 3 and shares[-1][1] == sum(sizes)
+    firsts = np.cumsum((0, *sizes))
+    for a, _ in shares:
+        k = np.searchsorted(firsts, a, side="right") - 1
+        assert (a - firsts[k]) % BLOCK == 0
