@@ -404,19 +404,25 @@ _WORKING_AREA = (
 
 def _cmd_working_area(args) -> int:
     params = _params_from_args(args)
+    G = params.Gamma
     if args.case is WorkingAreaCase.SINGLE_PHOTON_RESONANCE:
         curve = working_area_single_res(params, args.gamma1_grid)
-        lo = (params.kappa + params.Gamma) / 4
-        if lo > params.Gamma:
-            print(f"note: the working area is empty: no gamma1 lies in [(kappa + Gamma)/4, "
-                  f"Gamma] = [{lo:g}, {params.Gamma:g}] once kappa > 3 Gamma", file=sys.stderr)
-        elif not curve.points:
-            g = args.gamma1_grid
-            print(f"note: the working area is empty: the gamma1 grid [{g.min():g}, {g.max():g}] "
-                  f"has no point in [(kappa + Gamma)/4, Gamma] = "
-                  f"[{lo:g}, {params.Gamma:g}]", file=sys.stderr)
+        lo, g = (params.kappa + G) / 4, args.gamma1_grid
+        span = f"[(kappa + Gamma)/4, Gamma] = [{lo:g}, {G:g}]"
+        why = (f"no gamma1 lies in {span} once kappa > 3 Gamma" if lo > G else
+               f"the gamma1 grid [{g.min():g}, {g.max():g}] has no point in {span}")
     else:
         curve = working_area_two_res(params, gx_ceiling=args.gx_ceiling)
+        # the reasons in the order ``working_area_two_res`` tests them
+        if params.kappa + G >= 2.0 * G:
+            why = (f"no gamma1 lies in ((kappa + Gamma)/2, Gamma] = "
+                   f"({(params.kappa + G) / 2:g}, {G:g}] once kappa >= Gamma")
+        elif params.U == 0.0:
+            why = "a linear cavity (U = 0) has no two-photon bound state"
+        else:
+            why = f"no null has Gamma|x| <= --gx-ceiling {args.gx_ceiling:g}"
+    if not curve.points:
+        print(f"note: the working area is empty: {why}", file=sys.stderr)
     if args.format == "csv":
         write_working_area_csv(args.output, curve)
     else:

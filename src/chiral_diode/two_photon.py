@@ -555,9 +555,8 @@ def _is_uniform(x) -> bool:
 
 
 MAP_MAGIC = b"CDMAP002"
-# struct layout after the magic: rows, cols and the x-range; CDMAP001 files,
-# written before the x-range was stored as float64, are still read
-_MAP_HEADERS = {MAP_MAGIC: "<II4d", b"CDMAP001": "<II4f"}
+# struct layout after the magic: rows, cols and the x-range
+_MAP_LAYOUT = "<II4d"
 
 
 def write_map_csv(path: str | os.PathLike, x_grid, maps: dict) -> None:
@@ -580,7 +579,7 @@ def write_map_binary(path: str | os.PathLike, x_grid, matrix: np.ndarray) -> Non
     x = np.asarray(x_grid, dtype=float)
     m = np.ascontiguousarray(matrix, dtype="<f8")
     header = MAP_MAGIC + struct.pack(
-        _MAP_HEADERS[MAP_MAGIC], m.shape[0], m.shape[1], x[0], x[-1], x[0], x[-1]
+        _MAP_LAYOUT, m.shape[0], m.shape[1], x[0], x[-1], x[0], x[-1]
     )
     with open(path, "wb") as fh:
         fh.write(header)
@@ -590,23 +589,21 @@ def write_map_binary(path: str | os.PathLike, x_grid, matrix: np.ndarray) -> Non
 def read_map_binary(path: str | os.PathLike):
     """Inverse of :func:`write_map_binary`; returns (matrix, x_range).
 
-    Reads ``CDMAP002`` (48-byte header, float64 x-range) and the older
-    ``CDMAP001`` (32-byte header, float32 x-range).  Raises ``ValueError``
-    for a foreign, truncated or overlong file.  The payload is read straight
-    into a fresh, writable, C-contiguous ``<f8`` matrix.
+    Raises ``ValueError`` for a foreign magic (the older ``CDMAP001``
+    layout included), a truncated or an overlong file.  The payload is read
+    straight into a fresh, writable, C-contiguous ``<f8`` matrix.
     """
     with open(path, "rb") as fh:
         magic = fh.read(8)
-        if magic not in _MAP_HEADERS:
+        if magic != MAP_MAGIC:
             raise ValueError(f"not a map file: bad magic {magic!r}")
-        layout = _MAP_HEADERS[magic]
-        size = 8 + struct.calcsize(layout)
+        size = 8 + struct.calcsize(_MAP_LAYOUT)
         header = magic + fh.read(size - 8)
         if len(header) < size:
             raise ValueError(
                 f"{path}: header has {len(header)} bytes, a {magic.decode()} map header has {size}"
             )
-        rows, cols, x1_min, x1_max, x2_min, x2_max = struct.unpack(layout, header[8:])
+        rows, cols, x1_min, x1_max, x2_min, x2_max = struct.unpack(_MAP_LAYOUT, header[8:])
         payload = os.fstat(fh.fileno()).st_size - size
         if payload != rows * cols * 8:
             raise ValueError(

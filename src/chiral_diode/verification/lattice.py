@@ -46,7 +46,10 @@ momentum offset from its frequency, and the absorbing ramps rise
 quadratically to 1 over ``absorber_width`` sites.  A single-excitation
 run lasts the half-width unless the caller sets ``t_final``; a
 two-excitation run lasts the half-width plus ``6/(kappa+Gamma)`` and
-profiles separations up to ``6/(kappa+Gamma)``.
+profiles separations up to ``6/(kappa+Gamma)``.  Both runs step on the
+fewest whole blocks of ``_GRID_STEPS`` = 4 equal Runge-Kutta steps that
+end exactly at the horizon, each step at most the stable ``dx/2`` (one
+excitation) or twice the Volterra step (two excitations).
 
 The default single-excitation geometry (``default_single_spec``) follows
 from two rules.  The packet width is twice the minimum the bandwidth
@@ -54,10 +57,9 @@ guard ``1/width <= (kappa+Gamma)/2`` allows at kappa = 0, Gamma = 1, so
 width 4, which covers every line with ``kappa + Gamma >= 0.5``.  The
 packet is launched 7.5 widths from the cavity: a 5-width launch was
 measured not to converge, 6 and 7.5 widths do.  The rest follows: 40
-sites per width, the stable step ``dt = dx/2``, and 6 widths of clearance
-between the launch point and the absorber.  Carrier values need no finer
-grid, since the amplitude-sum read-out is exact at the carrier for any
-``dx``.
+sites per width and 6 widths of clearance between the launch point and
+the absorber.  Carrier values need no finer grid, since the amplitude-sum
+read-out is exact at the carrier for any ``dx``.
 
 Transmission and reflection are reported two ways: raw channel norms
 (which average the response over the packet bandwidth) and the ratio of
@@ -107,6 +109,7 @@ _SITES_PER_WIDTH = 40
 # final pair integral
 _VOLTERRA_STEP = 0.0025
 _SIMPSON_STEP = 0.01
+_GRID_STEPS = 4  # Runge-Kutta steps per time-grid block; ``_BLOCK_STEPS`` divides it
 
 
 @dataclass(frozen=True)
@@ -116,14 +119,12 @@ class LatticeSpec:
     ``n_sites`` counts lattice sites per chiral channel; the cavity sits
     at the center site.  ``packet_width`` is the Gaussian position spread
     (amplitude ``exp(-(x-x0)^2/(4 width^2))``).  ``absorber_width`` sites
-    at each end carry a quadratic damping ramp rising to 1.  ``dt`` is
-    the Runge-Kutta step of the single-excitation run; the two-excitation
-    run steps at its quadrature's own step and ignores it.
+    at each end carry a quadratic damping ramp rising to 1.  The time
+    step follows from ``dx`` by the module's grid rule.
     """
 
     n_sites: int
     dx: float
-    dt: float
     packet_width: float
     absorber_width: int
 
@@ -132,11 +133,6 @@ class LatticeSpec:
             raise ValueError(f"n_sites must be at least 64, got {self.n_sites}")
         if not (self.dx > 0.0 and np.isfinite(self.dx)):
             raise ValueError(f"dx must be positive and finite, got {self.dx}")
-        if not (0.0 < self.dt <= 0.5 * self.dx + 1e-15):
-            raise ValueError(
-                f"dt must satisfy 0 < dt <= dx/2 for stable transport, got "
-                f"dt={self.dt}, dx={self.dx}"
-            )
         if self.packet_width < 4.0 * self.dx:
             raise ValueError(
                 f"packet_width {self.packet_width} under-resolved at dx={self.dx}"
@@ -164,9 +160,9 @@ def default_single_spec() -> LatticeSpec:
     Derived from two rules: the packet width is twice the bandwidth
     guard's minimum ``2/(kappa+Gamma)`` at kappa = 0, Gamma = 1, and the
     packet is launched 7.5 widths from the cavity (5 widths was measured
-    not to converge).  With 40 sites per width, ``dt = dx/2`` and 6 widths
-    from the launch point to the absorber this gives
-    ``LatticeSpec(1201, 0.1, 0.05, 4.0, 60)``.  It covers every line with
+    not to converge).  With 40 sites per width and 6 widths from the
+    launch point to the absorber this gives
+    ``LatticeSpec(1201, 0.1, 4.0, 60)``.  It covers every line with
     ``kappa + Gamma >= 0.5``; narrower lines need a wider packet, as the
     guard in ``lattice_transmission`` says.
     """
@@ -176,8 +172,8 @@ def default_single_spec() -> LatticeSpec:
     half_sites = round(_LAUNCH_WIDTHS * width / _LAUNCH_FRACTION / dx)
     absorber_start = round((_LAUNCH_WIDTHS + _ABSORBER_CLEARANCE_WIDTHS) * width / dx)
     return LatticeSpec(
-        n_sites=2 * half_sites + 1, dx=dx, dt=0.5 * dx,
-        packet_width=width, absorber_width=half_sites - absorber_start,
+        n_sites=2 * half_sites + 1, dx=dx, packet_width=width,
+        absorber_width=half_sites - absorber_start,
     )
 
 
@@ -185,15 +181,11 @@ def default_two_photon_spec() -> LatticeSpec:
     """Geometry for the two-excitation run: 721 sites at ``dx = 0.05``.
 
     The run steps one block of up to three one-photon trajectories over
-    its 722 modes (1443 when the left channel is kept) at a fixed step of
+    its 722 modes (1443 when the left channel is kept) at a step of at most
     0.005 for its whole horizon, so its cost is linear in the sites, and
-    the channels are shorter than ``default_single_spec``'s.  ``dt``
-    serves only single-excitation runs on this geometry.
+    the channels are shorter than ``default_single_spec``'s.
     """
-    return LatticeSpec(
-        n_sites=721, dx=0.05, dt=0.02,
-        packet_width=3.0, absorber_width=40,
-    )
+    return LatticeSpec(n_sites=721, dx=0.05, packet_width=3.0, absorber_width=40)
 
 
 @dataclass(frozen=True)
@@ -316,19 +308,15 @@ def lattice_transmission(
     psi = np.zeros(H.shape[0], dtype=complex)
     off = 0 if left_in else n
     psi[off:off + n] = env
-    n_steps = int(round(horizon / spec.dt))
+    n_steps, dt = _time_grid(horizon, 0.5 * spec.dx)
     trace = np.empty(n_steps + 1) if track_norm else None
 
     def record(step, parts, read):
         trace[step] = np.vdot(parts, parts)
 
-    # whole blocks of _BLOCK_STEPS, then the steps left one per product;
-    # one step per block keeps the norm trace at every step
-    block = 1 if track_norm else _BLOCK_STEPS
-    rest = n_steps % block
-    _rk4(H, psi, spec.dt, n_steps - rest, record if track_norm else None, block)
-    if rest:
-        _rk4(H, psi, spec.dt, rest)
+    # one step per product keeps the norm trace at every step
+    _rk4(H, psi, dt, n_steps, record if track_norm else None,
+         1 if track_norm else _BLOCK_STEPS)
     # the left channel slice is empty when the basis has none
     R, L, c = psi[:n], psi[n:-1], psi[-1]
 
@@ -670,6 +658,14 @@ def _rk4(H: _Generator, psi: np.ndarray, dt: float, n_steps: int, record=None,
     psi[...] = src[0] + 1j * src[1]
 
 
+def _time_grid(horizon: float, max_step: float) -> tuple[int, float]:
+    """Step count and step of the fewest whole ``_GRID_STEPS``-step blocks
+    of steps at most ``max_step`` ending at ``horizon``; a block count within
+    a relative 1e-9 of a whole number rounds to it, adding no block."""
+    blocks = math.ceil(horizon / (_GRID_STEPS * max_step) * (1.0 - 1e-9))
+    return _GRID_STEPS * blocks, horizon / (_GRID_STEPS * blocks)
+
+
 def _trapezoid_volterra(free: np.ndarray, kernel: np.ndarray, a: complex) -> np.ndarray:
     """Solve ``c(t) = free(t) - A int_0^t kernel(t-s) c(s) ds`` on the
     uniform grid of ``free`` by the trapezoid rule, where ``a`` is ``A``
@@ -722,16 +718,15 @@ def lattice_two_photon(
     ``Psi0`` the free pair.  Up to three trajectories carry the run,
     ``u`` and the packets (one when both photons share a frequency),
     stepped as the rows of one block by the single-excitation run's
-    Runge-Kutta at twice the Volterra step, two steps (one Simpson step)
+    Runge-Kutta on the module's time grid, two steps (one Simpson step)
     per product, so that each Simpson node, where ``u``'s transmitted rows
     are read, starts a product.  The cavity entries at each step and at
     its midpoint (the cavity row of the step at half the step) are read
     out from each product's start.  The Volterra equation is solved,
-    blockwise, by the trapezoid rule at a step of at most
-    ``_VOLTERRA_STEP`` = 0.0025 and at twice that, combined by Richardson
+    blockwise, by the trapezoid rule at half the Runge-Kutta step, at most
+    ``_VOLTERRA_STEP`` = 0.0025, and at twice that, combined by Richardson
     extrapolation, and the final integral by Simpson's rule with step at
-    most ``_SIMPSON_STEP`` = 0.01 on the transmitted rows; ``spec.dt``
-    plays no part.
+    most ``_SIMPSON_STEP`` = 0.01 on the transmitted rows.
 
     The run lasts the channel half-width plus ``6/(kappa+Gamma)``, six
     bound-state decay lengths, so the pair clears the cavity.  The
@@ -776,15 +771,12 @@ def _two_photon_run(
     norm = 1.0 / np.sqrt(2.0 + 2.0 * abs(np.vdot(trajectories[1], trajectories[-1])) ** 2)
 
     # six bound-state decay lengths: the horizon margin and profile reach.
-    # An even number of Simpson intervals, each split into ``ratio``
-    # Runge-Kutta steps of two Volterra trapezoid steps each
+    # A step is two Volterra trapezoid steps and a Simpson interval ``ratio``
+    # = 2 steps, so the grid's 4-step blocks hold an even number of intervals
     reach = 6.0 / (params.kappa + G)
-    horizon = spec.half_width + reach
-    n_coarse = 2 * int(np.ceil(horizon / (2.0 * step_scale * _SIMPSON_STEP)))
+    n_steps, dt = _time_grid(spec.half_width + reach, 2.0 * _VOLTERRA_STEP * step_scale)
     ratio = max(1, round(_SIMPSON_STEP / (2.0 * _VOLTERRA_STEP)))
-    coarse = horizon / n_coarse
-    n_steps = ratio * n_coarse
-    dt = coarse / ratio
+    n_coarse, coarse = n_steps // ratio, ratio * dt
 
     # transmitted channel: where the incident packet continues
     downstream = (x > 1.0 / G) if left_in else (x < -1.0 / G)

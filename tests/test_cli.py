@@ -876,6 +876,31 @@ def test_working_area_grid_missing_a_nonempty_interval_notes_it(grid, spans, tmp
     assert f"grid {spans}" in stderr and "[0.5, 1]" in stderr, stderr
 
 
+@pytest.mark.parametrize("flags, reason", [
+    (["--kappa", "2"], "no gamma1 lies in ((kappa + Gamma)/2, Gamma] = (1.5, 1] "
+                       "once kappa >= Gamma"),
+    (["--kappa", "0.4", "--U", "0"], "a linear cavity (U = 0) has no two-photon bound state"),
+    (["--kappa", "0.4", "--gx-ceiling", "0.1"], "no null has Gamma|x| <= --gx-ceiling 0.1"),
+    (["--kappa", "0.4"], None),
+], ids=["kappa>=Gamma", "U=0", "below-ceiling", "nonempty"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_two_res_working_area_notes_why_it_is_empty(flags, reason, fmt, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["working-area", "--case", "two-photon-resonance", *flags, "--format", fmt,
+            "-o", str(out)]
+    code, _, stderr = run(argv, capsys)
+    assert code == EXIT_OK, stderr
+    if fmt == "csv":
+        n_points = out.read_text().count("\n") - 1
+    else:
+        n_points = len(json.loads(out.read_text())["points"])
+    if reason is None:
+        assert stderr == "" and n_points > 5
+    else:
+        assert stderr == f"note: the working area is empty: {reason}\n"
+        assert n_points == 0
+
+
 @pytest.mark.parametrize("point", _BOUNDARY_POINTS)
 @pytest.mark.parametrize("command", _BOUNDARY_COMMANDS)
 def test_domain_boundaries_write_finite_cells_or_an_error_line(command, point, tmp_path, capsys):

@@ -33,30 +33,24 @@ LEFT = Direction.LEFT_INCIDENT
 RIGHT = Direction.RIGHT_INCIDENT
 
 # small but converged geometry for sub-second scattering runs
-SMALL = LatticeSpec(
-    n_sites=2401, dx=0.1, dt=0.05, packet_width=10.0, absorber_width=60,
-)
+SMALL = LatticeSpec(n_sites=2401, dx=0.1, packet_width=10.0, absorber_width=60)
 
 
 class TestSpecValidation:
     def test_default_geometries_are_valid(self):
         assert default_single_spec().n_sites > default_two_photon_spec().n_sites
 
-    def test_transport_stability_bound(self):
-        with pytest.raises(ValueError, match="dt"):
-            LatticeSpec(2001, 0.1, 0.06, 10.0, 60)
-
     def test_minimum_size(self):
         with pytest.raises(ValueError, match="n_sites"):
-            LatticeSpec(32, 0.1, 0.05, 10.0, 0)
+            LatticeSpec(32, 0.1, 10.0, 0)
 
     def test_packet_resolution(self):
         with pytest.raises(ValueError, match="under-resolved"):
-            LatticeSpec(2001, 0.1, 0.05, 0.3, 60)
+            LatticeSpec(2001, 0.1, 0.3, 60)
 
     def test_absorber_fraction(self):
         with pytest.raises(ValueError, match="absorber_width"):
-            LatticeSpec(2001, 0.1, 0.05, 10.0, 600)
+            LatticeSpec(2001, 0.1, 10.0, 600)
 
     def test_positions_are_centered(self):
         x = SMALL.positions()
@@ -67,14 +61,14 @@ class TestSpecValidation:
 
 class TestRunGuards:
     def test_packet_bandwidth_must_resolve_the_linewidth(self):
-        spec = LatticeSpec(2401, 0.1, 0.05, 1.0, 60)
+        spec = LatticeSpec(2401, 0.1, 1.0, 60)
         p = ModelParams(0.0, 0.0, 0.0, 0.5, 0.5)
         with pytest.raises(ValueError, match="narrow"):
             lattice_transmission(spec, p, 0.0, LEFT)
 
     def test_launch_must_clear_cavity_and_absorbers(self):
         # the packet starts 10 from the cavity, under two widths of 6
-        spec = LatticeSpec(401, 0.1, 0.05, 6.0, 20)
+        spec = LatticeSpec(401, 0.1, 6.0, 20)
         p = ModelParams(0.0, 1.0, 0.0, 0.5, 0.5)
         with pytest.raises(ValueError, match="launch"):
             lattice_transmission(spec, p, 0.0, LEFT)
@@ -125,7 +119,7 @@ class TestDefaultGeometry:
 
     def test_rule_fixes_the_geometry(self):
         spec = default_single_spec()
-        assert spec == LatticeSpec(1201, 0.1, 0.05, 4.0, 60)
+        assert spec == LatticeSpec(1201, 0.1, 4.0, 60)
         sigma = spec.packet_width
         # twice the bandwidth guard's minimum 2/(kappa+Gamma) at kappa = 0,
         # Gamma = 1
@@ -158,7 +152,7 @@ class TestDefaultGeometry:
 
     def test_five_width_launch_does_not_converge(self):
         # the packet tail still drives the cavity when the run ends
-        short = LatticeSpec(1601, 0.05, 0.025, 4.0, 120)
+        short = LatticeSpec(1601, 0.05, 4.0, 120)
         d0 = lattice_module._LAUNCH_FRACTION * short.half_width
         assert d0 == pytest.approx(5.0 * short.packet_width)
         p = ModelParams(0.0, 0.01, 0.0, 1.0, 0.0)
@@ -203,13 +197,13 @@ class TestSinglePhotonAgreement:
 
 class TestNormBehavior:
     def test_norm_conserved_without_any_loss(self):
-        spec = LatticeSpec(2001, 0.08, 0.04, 6.0, 0)
+        spec = LatticeSpec(2001, 0.08, 6.0, 0)
         p = ModelParams(0.0, 0.0, 0.0, 0.5, 0.5)
         res = lattice_transmission(spec, p, 0.0, LEFT, track_norm=True)
         assert float(np.max(np.abs(res.norm_trace - 1.0))) < 1e-8
 
     def test_norm_never_increases_with_loss_on(self):
-        spec = LatticeSpec(2001, 0.08, 0.04, 6.0, 80)
+        spec = LatticeSpec(2001, 0.08, 6.0, 80)
         p = ModelParams(0.0, 1.0, 0.0, 0.7, 0.3)
         res = lattice_transmission(spec, p, 0.0, LEFT, track_norm=True)
         assert float(np.max(np.diff(res.norm_trace))) < 1e-10
@@ -227,7 +221,9 @@ def _dense(H):
 
 class TestGenerator:
     # small enough for dense linear algebra on the (2n+1)-mode generator
-    TINY = LatticeSpec(101, 0.1, 0.05, 1.0, 10)
+    TINY = LatticeSpec(101, 0.1, 1.0, 10)
+    # the single-excitation run's step at this dx
+    DT = 0.5 * TINY.dx
 
     def test_hermitian_without_losses(self):
         spec = dataclasses.replace(self.TINY, absorber_width=0)
@@ -286,7 +282,7 @@ class TestGenerator:
     def test_step_matrix_is_the_taylor_step(self, gamma2, left_in):
         p = ModelParams(0.3, 0.8, 0.0, 1.0 - gamma2, gamma2)
         H = _single_particle_operator(self.TINY, p, 0.2, left_in)
-        dt = self.TINY.dt
+        dt = self.DT
         P = self._taylor_step(H, dt)
         # one step of every unit vector: row i becomes P e_i
         stepped = np.eye(H.shape[0], dtype=complex)
@@ -308,9 +304,9 @@ class TestGenerator:
         rng = np.random.default_rng(11)
         block = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
         states = block.copy()
-        lattice_module._rk4(H, block, self.TINY.dt, 7)
+        lattice_module._rk4(H, block, self.DT, 7)
         for psi, got in zip(states, block):
-            lattice_module._rk4(H, psi, self.TINY.dt, 7)
+            lattice_module._rk4(H, psi, self.DT, 7)
             assert np.linalg.norm(got - psi) <= 1e-14 * np.linalg.norm(psi)
 
 
@@ -331,7 +327,7 @@ class TestBlockedStepper:
     """K Runge-Kutta steps per product against K single Taylor steps of
     the full matrix, in the three channel layouts."""
 
-    TINY = TestGenerator.TINY
+    TINY, DT = TestGenerator.TINY, TestGenerator.DT
     LAYOUTS = [(0.0, True), (0.4, True), (0.0, False)]
 
     def _operator(self, gamma2, left_in, kappa=0.8):
@@ -342,21 +338,21 @@ class TestBlockedStepper:
     @pytest.mark.parametrize("steps", [1, 2, 8])
     def test_step_matrix_is_the_power_of_the_taylor_step(self, gamma2, left_in, steps):
         H = self._operator(gamma2, left_in)
-        P = np.linalg.matrix_power(TestGenerator._taylor_step(H, self.TINY.dt), steps)
-        got = _dense_step(H, self.TINY.dt, steps)
+        P = np.linalg.matrix_power(TestGenerator._taylor_step(H, self.DT), steps)
+        got = _dense_step(H, self.DT, steps)
         assert np.linalg.norm(got - P) <= 1e-14 * np.linalg.norm(P)
 
     @pytest.mark.parametrize("gamma2, left_in", LAYOUTS)
     def test_site_band_on_a_chain_with_stretches_cut(self, gamma2, left_in):
         # long uniform stretches: Horner runs on the cut chain, and the rows
         # far from the absorbers, the channel ends and the join copy a kept row
-        spec = LatticeSpec(401, 0.1, 0.05, 1.0, 20)
+        spec = LatticeSpec(401, 0.1, 1.0, 20)
         p = ModelParams(0.3, 0.8, 0.0, 1.0 - gamma2, gamma2)
         H = _single_particle_operator(spec, p, 0.2, left_in)
         steps, reach = 2, 8
         bare = dataclasses.replace(H, border=np.zeros_like(H.border), cavity=0.0)
-        B = np.linalg.matrix_power(TestGenerator._taylor_step(bare, spec.dt), steps)[:-1, :-1]
-        band = lattice_module._site_band(H, spec.dt, steps, reach)
+        B = np.linalg.matrix_power(TestGenerator._taylor_step(bare, 0.5 * spec.dx), steps)[:-1, :-1]
+        band = lattice_module._site_band(H, 0.5 * spec.dx, steps, reach)
         got = np.zeros_like(B)
         for k in range(-reach, reach + 1):
             i = np.arange(max(0, -k), min(B.shape[0], B.shape[0] - k))
@@ -370,15 +366,15 @@ class TestBlockedStepper:
         # of 0.03, so summing them would lose ~1e-8; the cavity's part is
         # stepped instead
         H = self._operator(0.4, True, kappa=100.0)
-        P = np.linalg.matrix_power(TestGenerator._taylor_step(H, self.TINY.dt), steps)
-        got = _dense_step(H, self.TINY.dt, steps)
+        P = np.linalg.matrix_power(TestGenerator._taylor_step(H, self.DT), steps)
+        got = _dense_step(H, self.DT, steps)
         assert np.linalg.norm(got - P) <= 1e-14 * np.linalg.norm(P)
 
     def _blocked_run(self, H, states, n_steps, block):
         """Step ``states`` by ``_rk4`` in blocks and collect the cavity
         entry at every step node and midpoint, as the two-excitation run
         does."""
-        dt = self.TINY.dt
+        dt = self.DT
         fine = np.empty((2,) + states.shape[:-1] + (2 * (n_steps + block),))
 
         def record(step, parts, read):
@@ -389,7 +385,7 @@ class TestBlockedStepper:
         return (fine[0] + 1j * fine[1])[..., :2 * n_steps + 1]
 
     def _taylor_run(self, H, states, n_steps):
-        dt = self.TINY.dt
+        dt = self.DT
         P = TestGenerator._taylor_step(H, dt)
         half = TestGenerator._taylor_step(H, 0.5 * dt)[-1]
         x = states.T.copy()
@@ -427,7 +423,7 @@ class TestBlockedStepper:
         H = self._operator(0.4, True)
         states = np.zeros((3, H.shape[0]), dtype=complex)
         with pytest.raises(ValueError, match="19 steps are not a whole number of blocks of 2"):
-            lattice_module._rk4(H, states, self.TINY.dt, 19, block=2)
+            lattice_module._rk4(H, states, self.DT, 19, block=2)
 
     def test_norm_trace_samples_every_step(self):
         p = ModelParams(0.0, 1.0, 0.0, 0.7, 0.3)
@@ -442,28 +438,38 @@ class TestBlockedStepper:
         for a, b in ((tracked.T, blocked.T), (tracked.R, blocked.R)):
             assert a == pytest.approx(b, rel=1e-12)
 
-    def test_odd_step_count_steps_whole_blocks_then_single_steps(self, monkeypatch):
-        # 741 steps: 185 products of 4 steps, then one product of 1
+    def test_odd_horizon_steps_whole_blocks_to_the_horizon(self, monkeypatch):
+        # 37.03 is no whole number of dx/2 = 0.05 steps: the run takes the
+        # fewest whole 4-step blocks of shorter steps, in one call
         p = ModelParams(0.0, 1.0, 0.0, 0.7, 0.3)
         spec = default_single_spec()
         calls = []
         rk4 = lattice_module._rk4
 
         def counting(H, psi, dt, n_steps, record=None, block=1, readout=None):
-            calls.append((n_steps, block))
+            calls.append((n_steps, dt, block))
             rk4(H, psi, dt, n_steps, record, block, readout)
 
         monkeypatch.setattr(lattice_module, "_rk4", counting)
         blocked = lattice_transmission(spec, p, 0.0, LEFT, t_final=37.03)
-        assert blocked.steps == 741
-        assert calls == [(740, 4), (1, 1)]
+        [(n_steps, dt, block)] = calls
+        assert n_steps % 4 == 0 and block == 4 and blocked.steps == n_steps == 744
+        assert dt <= 0.5 * spec.dx
+        assert n_steps * dt == pytest.approx(37.03, rel=0.0, abs=1e-12)
         calls.clear()
-        lattice_transmission(spec, p, 0.0, LEFT, t_final=37.0)
-        assert calls == [(740, 4)]
         monkeypatch.setattr(lattice_module, "_BLOCK_STEPS", 1)
         single = lattice_transmission(spec, p, 0.0, LEFT, t_final=37.03)
+        assert [(n, b) for n, _, b in calls] == [(n_steps, 1)] and single.steps == n_steps
         for name in ("T", "R", "T_raw", "R_raw"):
             assert getattr(blocked, name) == pytest.approx(getattr(single, name), rel=1e-12)
+
+    def test_horizon_a_rounding_error_past_whole_blocks_adds_none(self):
+        # the default horizon is 600 dx = 60; a horizon an ulp or a relative
+        # 1e-10 past it keeps 1,200 steps, and 1e-8 past it adds one block
+        assert lattice_module._time_grid(60.0, 0.05) == (1200, 0.05)
+        for horizon in (np.nextafter(60.0, np.inf), 60.0 * (1.0 + 1e-10)):
+            assert lattice_module._time_grid(horizon, 0.05)[0] == 1200
+        assert lattice_module._time_grid(60.0 * (1.0 + 1e-8), 0.05)[0] == 1204
 
 
 def _sequential_volterra(free, kernel, a):
@@ -562,7 +568,7 @@ class TestPinnedReadouts:
 
 class TestTwoPhotonLattice:
     def test_coarse_bunching_profile(self):
-        spec = LatticeSpec(361, 0.1, 0.04, 3.0, 40)
+        spec = LatticeSpec(361, 0.1, 3.0, 40)
         p = ModelParams(0.0, 1.0, 10.0, 1.0, 0.0)
         pair = TwoPhotonIn(LEFT, 0.0, 0.0)
         res = lattice_two_photon(spec, p, pair)
@@ -574,7 +580,7 @@ class TestTwoPhotonLattice:
         assert res.bunching_ratio(2.0) > 5.0
 
     def test_profile_accessors_validate(self):
-        spec = LatticeSpec(361, 0.1, 0.04, 3.0, 40)
+        spec = LatticeSpec(361, 0.1, 3.0, 40)
         p = ModelParams(0.0, 1.0, 10.0, 1.0, 0.0)
         res = lattice_two_photon(spec, p, TwoPhotonIn(LEFT, 0.0, 0.0))
         with pytest.raises(ValueError, match="max_separation"):
@@ -586,7 +592,7 @@ class TestTwoPhotonLattice:
                 res.bunching_ratio(outside)
 
     def test_degenerate_pair_steps_one_packet(self, monkeypatch):
-        spec = LatticeSpec(361, 0.1, 0.04, 3.0, 40)
+        spec = LatticeSpec(361, 0.1, 3.0, 40)
         p = ModelParams(0.0, 1.0, 10.0, 1.0, 0.0)
         pair = TwoPhotonIn(LEFT, 0.2, 0.2)
         calls = []
@@ -628,7 +634,7 @@ class TestTwoPhotonLattice:
 
     @pytest.mark.parametrize("w1, w2", [(np.array([0.0, 0.5]), 0.0), (np.zeros(1), np.zeros(1))])
     def test_array_pair_is_rejected_naming_the_input(self, w1, w2):
-        spec = LatticeSpec(361, 0.1, 0.04, 3.0, 40)
+        spec = LatticeSpec(361, 0.1, 3.0, 40)
         p = ModelParams(0.0, 1.0, 10.0, 1.0, 0.0)
         with pytest.raises(ValueError, match="incoming must be one photon pair"):
             lattice_two_photon(spec, p, TwoPhotonIn(LEFT, w1, w2))
@@ -669,7 +675,7 @@ def _product_space_run(spec, params, pair):
 
 
 class TestTwoPhotonEigenbasis:
-    TINY = LatticeSpec(101, 0.2, 0.1, 1.0, 10)
+    TINY = LatticeSpec(101, 0.2, 1.0, 10)
     BENCH = dataclasses.replace(default_two_photon_spec(), n_sites=361, absorber_width=20)
 
     @pytest.mark.parametrize(

@@ -26,12 +26,6 @@ LEFT = Direction.LEFT_INCIDENT
 RIGHT = Direction.RIGHT_INCIDENT
 
 
-def write_legacy_map(path, x, m):
-    """A map in the older ``CDMAP001`` layout: 32-byte header, float32 x-range."""
-    header = struct.pack("<II4f", *m.shape, x[0], x[-1], x[0], x[-1])
-    path.write_bytes(b"CDMAP001" + header + np.ascontiguousarray(m, dtype="<f8").tobytes())
-
-
 def params(kappa=1.0, U=10.0, gamma1=1.0, gamma2=0.0, omega_a=0.0):
     return make_params(omega_a=omega_a, kappa=kappa, U=U, gamma1=gamma1, gamma2=gamma2)
 
@@ -456,15 +450,13 @@ class TestMaps:
         m[0, 0] = -1.0
         assert read_map_binary(path)[0][0, 0] == 0.0
 
-    def test_binary_reader_keeps_reading_the_float32_layout(self, tmp_path):
-        x = np.linspace(-2, 2.1, 5)
-        m = np.arange(25.0).reshape(5, 5)
+    def test_binary_reader_rejects_the_float32_layout(self, tmp_path):
+        # CDMAP001: a 32-byte header with the x-range as four float32
         path = tmp_path / "legacy.bin"
-        write_legacy_map(path, x, m)
-        assert path.stat().st_size == 32 + 25 * 8
-        m_back, x_range = read_map_binary(path)
-        assert np.array_equal(m_back, m)
-        assert x_range == (-2.0, float(np.float32(2.1)), -2.0, float(np.float32(2.1)))
+        header = struct.pack("<II4f", 5, 5, -2.0, 2.1, -2.0, 2.1)
+        path.write_bytes(b"CDMAP001" + header + np.arange(25.0).tobytes())
+        with pytest.raises(ValueError, match="not a map file: bad magic b'CDMAP001'"):
+            read_map_binary(path)
 
     def test_binary_reader_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -475,18 +467,16 @@ class TestMaps:
     def test_binary_reader_rejects_wrong_sizes_naming_file_and_sizes(self, tmp_path):
         x = np.linspace(-1.0, 1.0, 5)
         write_map_binary(tmp_path / "map.bin", x, np.ones((5, 5)))
-        write_legacy_map(tmp_path / "legacy.bin", x, np.ones((5, 5)))
-        for source, header in (("map.bin", 48), ("legacy.bin", 32)):
-            data = (tmp_path / source).read_bytes()
-            cases = {
-                "short_header.bin": (data[:20], rf"short_header\.bin: header has 20 bytes.* {header}"),
-                "truncated.bin": (data[:-8], r"truncated\.bin: payload has 192 bytes.* needs 200"),
-                "trailing.bin": (data + b"\0" * 8, r"trailing\.bin: payload has 208 bytes.* needs 200"),
-            }
-            for name, (blob, message) in cases.items():
-                (tmp_path / name).write_bytes(blob)
-                with pytest.raises(ValueError, match=message):
-                    read_map_binary(tmp_path / name)
+        data = (tmp_path / "map.bin").read_bytes()
+        cases = {
+            "short_header.bin": (data[:20], r"short_header\.bin: header has 20 bytes.* 48"),
+            "truncated.bin": (data[:-8], r"truncated\.bin: payload has 192 bytes.* needs 200"),
+            "trailing.bin": (data + b"\0" * 8, r"trailing\.bin: payload has 208 bytes.* needs 200"),
+        }
+        for name, (blob, message) in cases.items():
+            (tmp_path / name).write_bytes(blob)
+            with pytest.raises(ValueError, match=message):
+                read_map_binary(tmp_path / name)
 
     def test_binary_reader_rejects_a_file_that_shrinks_while_read(self, tmp_path, monkeypatch):
         # the size taken before the payload is read promises 8 more bytes
