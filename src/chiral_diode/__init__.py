@@ -37,7 +37,6 @@ from .diode_analysis import (
     FREE_PAIR_DENSITY,
     WorkingAreaCase,
     WorkingAreaCurve,
-    WorkingAreaPoint,
     ZeroScanResult,
     nonreciprocity_contrast,
     numeric_zero_scan,
@@ -82,7 +81,6 @@ __all__ = [
     "FREE_PAIR_DENSITY",
     "WorkingAreaCase",
     "WorkingAreaCurve",
-    "WorkingAreaPoint",
     "ZeroScanResult",
     "nonreciprocity_contrast",
     "numeric_zero_scan",

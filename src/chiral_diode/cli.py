@@ -35,7 +35,6 @@ memory), 2 verification failure, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import re
@@ -50,7 +49,6 @@ from .diode_analysis import (
     WORKING_AREA_HEADER,
     WorkingAreaCase,
     working_area_single_res,
-    working_area_columns,
     working_area_two_res,
     write_working_area_csv,
 )
@@ -86,13 +84,13 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage errors raise instead of exiting 2.
 
-    Also widens argparse's negative-number detection so grid values such
-    as ``-4:4:401`` are read as option values, not unknown flags.
+    Also widens argparse's negative-number detection so values such as
+    ``-4:4:401`` and ``-.3`` are read as option values, not unknown flags.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+[\d.:eE+-]*$")
+        self._negative_number_matcher = re.compile(r"^-\.?\d[\d.:eE+-]*$")
 
     def error(self, message):  # noqa: A002 - argparse API
         raise CliError(message)
@@ -404,35 +402,22 @@ _WORKING_AREA = (
 
 def _cmd_working_area(args) -> int:
     params = _params_from_args(args)
-    G = params.Gamma
     if args.case is WorkingAreaCase.SINGLE_PHOTON_RESONANCE:
         curve = working_area_single_res(params, args.gamma1_grid)
-        lo, g = (params.kappa + G) / 4, args.gamma1_grid
-        span = f"[(kappa + Gamma)/4, Gamma] = [{lo:g}, {G:g}]"
-        why = (f"no gamma1 lies in {span} once kappa > 3 Gamma" if lo > G else
-               f"the gamma1 grid [{g.min():g}, {g.max():g}] has no point in {span}")
     else:
-        curve = working_area_two_res(params, gx_ceiling=args.gx_ceiling)
-        # the reasons in the order ``working_area_two_res`` tests them
-        if params.kappa + G >= 2.0 * G:
-            why = (f"no gamma1 lies in ((kappa + Gamma)/2, Gamma] = "
-                   f"({(params.kappa + G) / 2:g}, {G:g}] once kappa >= Gamma")
-        elif params.U == 0.0:
-            why = "a linear cavity (U = 0) has no two-photon bound state"
-        else:
-            why = f"no null has Gamma|x| <= --gx-ceiling {args.gx_ceiling:g}"
-    if not curve.points:
-        print(f"note: the working area is empty: {why}", file=sys.stderr)
+        try:
+            curve = working_area_two_res(params, gx_ceiling=args.gx_ceiling)
+        except ValueError as exc:
+            raise CliError(str(exc)) from None
+    if curve.empty:
+        print(f"note: the working area is empty: {curve.empty}", file=sys.stderr)
     if args.format == "csv":
         write_working_area_csv(args.output, curve)
     else:
-        points = []
-        for p in curve.points:
-            d = dataclasses.asdict(p)
-            if not np.isfinite(d["Gamma_abs_x"]):
-                # keep the JSON strictly standard: divergences carry null
-                d["Gamma_abs_x"] = None
-            points.append(d)
+        g1, x, branch, diverges = curve.columns()
+        # keep the JSON strictly standard: divergences carry null
+        rows = zip(*(c.tolist() for c in (g1, np.where(np.isfinite(x), x, None), branch, diverges)))
+        points = [dict(zip(WORKING_AREA_HEADER, row)) for row in rows]
         _write_json(args.output, {"case": curve.case.value, "points": points})
     print(args.output)
     return EXIT_OK
@@ -640,7 +625,7 @@ def _fig6(n: int) -> list[_Panel]:
                 "tuning": _CASE_LABEL[WorkingAreaCase.SINGLE_PHOTON_RESONANCE],
                 "curve": "strong-Kerr null separation vs gamma1/Gamma",
             },
-            WORKING_AREA_HEADER, working_area_columns(single),
+            WORKING_AREA_HEADER, single.columns(),
         ),
         _panel(
             "fig6", "b",
@@ -650,7 +635,7 @@ def _fig6(n: int) -> list[_Panel]:
                 "tuning": _CASE_LABEL[WorkingAreaCase.TWO_PHOTON_RESONANCE],
                 "curve": "exact null separation vs gamma1/Gamma, all branches",
             },
-            WORKING_AREA_HEADER, working_area_columns(two),
+            WORKING_AREA_HEADER, two.columns(),
         ),
     ]
 

@@ -37,14 +37,12 @@ from .two_photon import TwoPhotonField
 
 __all__ = [
     "WorkingAreaCase",
-    "WorkingAreaPoint",
     "WorkingAreaCurve",
     "ZeroScanResult",
     "working_area_single_res",
     "working_area_two_res",
     "numeric_zero_scan",
     "nonreciprocity_contrast",
-    "working_area_columns",
     "write_working_area_csv",
     "WORKING_AREA_HEADER",
 ]
@@ -82,41 +80,38 @@ class WorkingAreaCase(enum.Enum):
         return TwoPhotonIn(direction, params.omega_a, w2)
 
 
-@dataclass(frozen=True)
-class WorkingAreaPoint:
-    """One point of a working-area curve, in reduced units.
-
-    ``branch`` is the tangent-branch index for the two-photon-resonance
-    solver and 0 for the closed-form single-photon-resonance curve.
-    ``diverges`` marks couplings where the separation grows without bound;
-    there ``Gamma_abs_x`` is ``inf``.
-    """
-
-    gamma1_over_Gamma: float
-    Gamma_abs_x: float
-    branch: int = 0
-    diverges: bool = False
+WORKING_AREA_HEADER = ("gamma1_over_Gamma", "Gamma_abs_x", "branch", "diverges")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WorkingAreaCurve:
-    """A working-area locus with the parameters that produced it."""
+    """A working-area locus with the parameters that produced it: one
+    numpy array per column of ``WORKING_AREA_HEADER``, in reduced units.
+    ``branch`` (int) is the two-photon-resonance solver's tangent branch,
+    0 on the single-photon-resonance curve; ``diverges`` (bool) marks rows
+    whose separation grows without bound, where ``Gamma_abs_x`` is inf.
+    ``empty`` is None, or on a curve without rows the solver's reason."""
 
     case: WorkingAreaCase
     params: ModelParams
-    points: tuple[WorkingAreaPoint, ...]
+    gamma1_over_Gamma: np.ndarray
+    Gamma_abs_x: np.ndarray
+    branch: np.ndarray
+    diverges: np.ndarray
+    empty: str | None = None
 
-    def __iter__(self):
-        return iter(self.points)
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The columns in the order of ``WORKING_AREA_HEADER``."""
+        return self.gamma1_over_Gamma, self.Gamma_abs_x, self.branch, self.diverges
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.gamma1_over_Gamma.size
 
 
-def _single_res_gx(params: ModelParams, g1: float) -> float:
-    """Gamma*|x| of the strong-Kerr single-photon-resonance curve."""
-    s = params.kappa + params.Gamma
-    return (2.0 * params.Gamma / s) * math.log(4.0 * g1**2 / (s - 2.0 * g1) ** 2)
+def _empty_curve(case: WorkingAreaCase, params: ModelParams, why: str) -> WorkingAreaCurve:
+    return WorkingAreaCurve(
+        case, params, np.empty(0), np.empty(0), np.empty(0, int), np.empty(0, bool), why
+    )
 
 
 def working_area_single_res(params: ModelParams, gamma1_grid: Sequence[float]) -> WorkingAreaCurve:
@@ -124,26 +119,29 @@ def working_area_single_res(params: ModelParams, gamma1_grid: Sequence[float]) -
 
     ``gamma1_grid`` holds absolute gamma1 values; gamma2 is implied by the
     fixed total coupling of ``params``.  Grid values outside
-    ``[(kappa+Gamma)/4, Gamma]`` are omitted; at the pole ``gamma1 =
-    (kappa+Gamma)/2`` the point is kept with the ``diverges`` flag set.
+    ``[(kappa+Gamma)/4, Gamma]`` are omitted and the rest evaluated in one
+    broadcast; at the pole ``gamma1 = (kappa+Gamma)/2`` the row is kept
+    with ``diverges`` set.  When no grid value is left, ``empty`` says
+    whether the interval is empty (kappa > 3 Gamma) or the grid misses it.
     """
     G = params.Gamma
     s = params.kappa + G
     lo = 0.25 * s
-    pts = []
-    for g1 in gamma1_grid:
-        g1 = float(g1)
-        if g1 < lo - 1e-12 * G or g1 > G + 1e-12 * G:
-            continue
-        if abs(s - 2.0 * g1) < _DIVERGE_TOL * G:
-            pts.append(WorkingAreaPoint(g1 / G, math.inf, 0, True))
-            continue
-        gx = _single_res_gx(params, g1)
-        if gx < 0.0:
-            # only possible from rounding right at the lower edge
-            gx = 0.0
-        pts.append(WorkingAreaPoint(g1 / G, gx, 0, False))
-    return WorkingAreaCurve(WorkingAreaCase.SINGLE_PHOTON_RESONANCE, params, tuple(pts))
+    case = WorkingAreaCase.SINGLE_PHOTON_RESONANCE
+    grid = np.asarray(gamma1_grid, dtype=float)
+    g1 = grid[(grid >= lo - 1e-12 * G) & (grid <= G + 1e-12 * G)]
+    if not g1.size:
+        span = f"[(kappa + Gamma)/4, Gamma] = [{lo:g}, {G:g}]"
+        if lo > G:
+            return _empty_curve(case, params, f"no gamma1 lies in {span} once kappa > 3 Gamma")
+        ends = f"[{grid.min():g}, {grid.max():g}]" if grid.size else "[]"
+        return _empty_curve(case, params, f"the gamma1 grid {ends} has no point in {span}")
+    diverges = np.abs(s - 2.0 * g1) < _DIVERGE_TOL * G
+    with np.errstate(divide="ignore"):
+        gx = (2.0 * G / s) * np.log(4.0 * g1**2 / (s - 2.0 * g1) ** 2)
+    # a negative separation only comes from rounding right at the lower edge
+    gx = np.where(diverges, np.inf, np.maximum(gx, 0.0))
+    return WorkingAreaCurve(case, params, g1 / G, gx, np.zeros(g1.size, int), diverges)
 
 
 def _two_res_x(params: ModelParams, g1: float | np.ndarray) -> float | np.ndarray:
@@ -153,11 +151,12 @@ def _two_res_x(params: ModelParams, g1: float | np.ndarray) -> float | np.ndarra
     return (2.0 / s) * np.log(2.0 * g1**2 / ((2.0 * g1 - s) * s))
 
 
-def _two_res_g1_at_x(params: ModelParams, x: float) -> float:
+def _two_res_g1_at_x(params: ModelParams, x: np.ndarray) -> np.ndarray:
     """Inverse of :func:`_two_res_x` on the branch gamma1 in (s/2, s)."""
     s = params.kappa + params.Gamma
-    E = math.exp(0.5 * s * x)
-    return 0.5 * s * (E - math.sqrt(E * (E - 2.0)))
+    # math.exp keeps the bits of the scan windows, and so of the roots
+    E = np.array([math.exp(v) for v in (0.5 * s * x).tolist()])
+    return 0.5 * s * (E - np.sqrt(E * (E - 2.0)))
 
 
 def _bisect(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -187,43 +186,57 @@ def working_area_two_res(
     Substitutes the separation condition into the tangent condition and
     root-finds the mismatch over gamma1 on every tangent branch ``n``
     (``|U x|`` restricted to ``(n pi - pi/2, n pi + pi/2)``), up to
-    separations ``Gamma |x| <= gx_ceiling``.  Each branch is scanned for
-    sign changes, and every bracket is bisected down to adjacent floats in
-    gamma1, so a root is exact to rounding.  The returned points are exact
-    zeros of the transmitted density, sorted by (branch, gamma1).
+    separations ``Gamma |x| <= gx_ceiling``.  The first and last branch
+    follow in closed form, and all branches are scanned at once for sign
+    changes; every bracket is bisected down to adjacent floats in gamma1,
+    so a root is exact to rounding.  The rows are exact zeros of the
+    transmitted density, ordered by (branch, gamma1).
 
-    The curve is empty when the domain ``(kappa+Gamma)/2 < gamma1 <=
-    Gamma`` is empty (kappa >= Gamma), for a linear cavity (U = 0), or when
-    no branch meets it below the ceiling.  Attractive and repulsive Kerr
-    (U < 0 and U > 0) share one zero set.
+    The curve is empty, and ``empty`` says why, when the domain
+    ``(kappa+Gamma)/2 < gamma1 <= Gamma`` is empty (kappa >= Gamma), for
+    a linear cavity (U = 0), or when no branch meets it below the
+    ceiling.  Attractive and repulsive Kerr (U < 0 and U > 0) share one
+    zero set.  A last branch of 2**53 or more, which float64 cannot tell
+    from its neighbours, raises :class:`ValueError`.
     """
     G = params.Gamma
     s = params.kappa + G
+    case = WorkingAreaCase.TWO_PHOTON_RESONANCE
     # both conditions are invariant under U -> -U, so the branches of |U|
     # give the zero set for either sign
     U = abs(params.U)
-    if s >= 2.0 * G or U == 0.0:
-        return WorkingAreaCurve(WorkingAreaCase.TWO_PHOTON_RESONANCE, params, ())
+    if s >= 2.0 * G:
+        return _empty_curve(case, params, f"no gamma1 lies in ((kappa + Gamma)/2, Gamma] = "
+                                          f"({s / 2:g}, {G:g}] once kappa >= Gamma")
+    if U == 0.0:
+        return _empty_curve(case, params, "a linear cavity (U = 0) has no two-photon bound state")
+    below = f"no null has Gamma|x| <= gx_ceiling {gx_ceiling:g}"
     x_cap = gx_ceiling / G
+    x_min = _two_res_x(params, G)  # the separation at gamma1 = Gamma
+    if not x_min < x_cap:
+        return _empty_curve(case, params, below)
+    # branch n scans the separations with |U x| within 0.5 of its interval,
+    # clipped to [x_min, x_cap]: none before the first reaches x_min, and
+    # the last has n pi - pi/2 <= |U| x_cap, tested on one more candidate
+    last = (U * x_cap + 0.5 * math.pi) / math.pi
+    if not last < 2.0**53:
+        raise ValueError(f"{last:.3g} tangent branches lie below gx_ceiling {gx_ceiling:g} "
+                         f"at |U| = {U:g}, more than float64 tells apart (2**53)")
+    first = max(math.floor((U * x_min - 0.5 * math.pi - 0.5) / math.pi), 0)
+    n = np.arange(first, math.floor(last) + 2)
+    x_hi = np.minimum((n * math.pi + 0.5 * math.pi + 0.5) / U, x_cap)
+    x_lo = np.maximum((n * math.pi - 0.5 * math.pi - 0.5) / U, x_min)
+    meets = (n * math.pi - 0.5 * math.pi <= U * x_cap) & (x_hi > x_lo)
+    # gamma1 window where the separation lies in each branch's interval
+    g_lo = _two_res_g1_at_x(params, x_hi[meets])
+    g_hi = np.minimum(_two_res_g1_at_x(params, x_lo[meets]), G)
+    wide = g_hi > g_lo
+    grid = np.linspace(g_lo[wide], g_hi[wide], _TWO_RES_SCAN_POINTS, axis=-1)
+    branch = n[meets][wide, None]
 
     def mismatch(g1: np.ndarray, n: np.ndarray) -> np.ndarray:
         return U * _two_res_x(params, g1) - n * math.pi - np.arctan((s - 2.0 * g1) / (4.0 * U))
 
-    branches, grids = [], []
-    n = 0
-    while n * math.pi - 0.5 * math.pi <= U * x_cap:
-        # gamma1 window where the separation lies in this branch's interval
-        x_hi = min((n * math.pi + 0.5 * math.pi + 0.5) / U, x_cap)
-        x_lo = max((n * math.pi - 0.5 * math.pi - 0.5) / U, _two_res_x(params, G))
-        if x_hi > x_lo:
-            g_lo = _two_res_g1_at_x(params, x_hi)
-            g_hi = min(_two_res_g1_at_x(params, x_lo), G)
-            if g_hi > g_lo:
-                branches.append(n)
-                grids.append(np.linspace(g_lo, g_hi, _TWO_RES_SCAN_POINTS))
-        n += 1
-    grid = np.reshape(grids, (-1, _TWO_RES_SCAN_POINTS))
-    branch = np.array(branches, dtype=int)[:, None]
     vals = mismatch(grid, branch)
     # a grid node that is an exact zero, then every sign change, bisected
     b0, i0 = np.nonzero(vals[:, :-1] == 0.0)
@@ -233,12 +246,9 @@ def working_area_two_res(
     n_of_root = np.concatenate((branch[b0, 0], branch[b, 0]))
     gx = G * _two_res_x(params, g1)
     keep = gx <= gx_ceiling + 1e-9
-    pts = sorted(
-        (WorkingAreaPoint(float(r) / G, float(x), int(k), False)
-         for r, x, k in zip(g1[keep], gx[keep], n_of_root[keep])),
-        key=lambda p: (p.branch, p.gamma1_over_Gamma),
-    )
-    return WorkingAreaCurve(WorkingAreaCase.TWO_PHOTON_RESONANCE, params, tuple(pts))
+    order = np.flatnonzero(keep)[np.lexsort((g1[keep], n_of_root[keep]))]
+    return WorkingAreaCurve(case, params, g1[order] / G, gx[order], n_of_root[order],
+                            np.zeros(order.size, bool), None if order.size else below)
 
 
 @dataclass(frozen=True)
@@ -373,17 +383,8 @@ def nonreciprocity_contrast(
     return float(contrast) if contrast.ndim == 0 else contrast
 
 
-WORKING_AREA_HEADER = ("gamma1_over_Gamma", "Gamma_abs_x", "branch", "diverges")
-
-
-def working_area_columns(curve: WorkingAreaCurve) -> np.ndarray:
-    """The columns of a working-area curve's table, in the order of
-    ``WORKING_AREA_HEADER``: gamma1/Gamma, Gamma|x|, branch, diverges
-    (0/1); diverging points carry ``inf``."""
-    table = [(p.gamma1_over_Gamma, p.Gamma_abs_x, p.branch, p.diverges) for p in curve]
-    return np.reshape(table, (-1, len(WORKING_AREA_HEADER))).T
-
-
 def write_working_area_csv(path: str | os.PathLike, curve: WorkingAreaCurve) -> None:
-    """Emit a working-area curve as CSV rows of :func:`working_area_columns`."""
-    write_csv(path, WORKING_AREA_HEADER, working_area_columns(curve))
+    """Write a working-area curve's columns as CSV rows under
+    ``WORKING_AREA_HEADER``: ``branch`` and ``diverges`` as integers
+    (0/1), and the ``Gamma_abs_x`` of a diverging row as ``inf``."""
+    write_csv(path, WORKING_AREA_HEADER, curve.columns())

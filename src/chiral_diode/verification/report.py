@@ -233,37 +233,22 @@ def _working_area_checks() -> list[VerifyCheck]:
     params = ModelParams(omega_a=0.0, kappa=1.0, U=10.0, gamma1=1.0, gamma2=0.0)
     grid = np.linspace(0.52, 0.95, 9)
     curve = working_area_single_res(params, grid)
-    scan = numeric_zero_scan(
-        params,
-        _SPR.incoming(params),
-        gamma1_grid=grid,
-        x_grid=np.linspace(0.05, 14.0, 560),
-        threshold=1e-3,
-    )
-    worst = 0.0
-    for pt in curve:
-        near = [
-            abs(x - pt.Gamma_abs_x)
-            for g1, x in scan
-            if abs(g1 - pt.gamma1_over_Gamma) < 1e-9
-        ]
-        worst = max(worst, min(near) if near else np.inf)
+    scan = numeric_zero_scan(params, _SPR.incoming(params), gamma1_grid=grid,
+                             x_grid=np.linspace(0.05, 14.0, 560), threshold=1e-3)
+    # each curve row against the scan minima at its coupling; inf where none
+    g1, x = np.reshape(scan.points, (-1, 2)).T
+    near = np.abs(g1 - curve.gamma1_over_Gamma[:, None]) < 1e-9
+    dev = np.where(near, np.abs(x - curve.Gamma_abs_x[:, None]), np.inf)
+    worst = np.max(np.min(dev, axis=1, initial=np.inf), initial=0.0)
     checks = [_below("working_area_single_res_scan_max_dev", worst, 0.05)]
 
     p2 = ModelParams(omega_a=0.0, kappa=0.4, U=10.0, gamma1=1.0, gamma2=0.0)
     curve2 = working_area_two_res(p2)
-    pair = WorkingAreaCase.TWO_PHOTON_RESONANCE.incoming(p2)
-    g1 = np.array([pt.gamma1_over_Gamma for pt in curve2])
-    x = np.array([pt.Gamma_abs_x for pt in curve2])
-    f = TwoPhotonField(p2.at_gamma1(g1), pair)
+    x = curve2.Gamma_abs_x
+    f = TwoPhotonField(p2.at_gamma1(curve2.gamma1_over_Gamma), curve2.case.incoming(p2))
     worst_density = np.max(np.abs(f.psi_tt(-0.5 * x, 0.5 * x)) ** 2, initial=0.0)
-    checks.append(
-        _below(
-            "working_area_two_res_null_density_max",
-            worst_density,
-            1e-10 * FREE_PAIR_DENSITY,
-        )
-    )
+    gate = 1e-10 * FREE_PAIR_DENSITY
+    checks.append(_below("working_area_two_res_null_density_max", worst_density, gate))
     return checks
 
 

@@ -157,24 +157,18 @@ def test_working_area_curves_agree_with_direct_nulls(verdict):
         threshold=1e-3,
     )
     worst_dx = 0.0
-    for pt in curve:
-        near = [
-            abs(x - pt.Gamma_abs_x)
-            for g1, x in scan
-            if abs(g1 - pt.gamma1_over_Gamma) < 1e-9
-        ]
+    for g1_curve, x_curve in zip(curve.gamma1_over_Gamma, curve.Gamma_abs_x):
+        near = [abs(x - x_curve) for g1, x in scan if abs(g1 - g1_curve) < 1e-9]
         worst_dx = max(worst_dx, min(near) if near else np.inf)
 
     p2 = make_params(omega_a=0.0, kappa=0.4, U=10.0, gamma1=1.0, gamma2=0.0)
     pair = TwoPhotonIn(LEFT, p2.omega_a, p2.omega_a + 2.0 * p2.U)
     worst_dens = 0.0
     curve2 = working_area_two_res(p2)
-    for pt in curve2:
-        g1 = pt.gamma1_over_Gamma * p2.Gamma
+    for g1, x in zip(curve2.gamma1_over_Gamma * p2.Gamma, curve2.Gamma_abs_x):
         f = TwoPhotonField(
             ModelParams(p2.omega_a, p2.kappa, p2.U, g1, p2.Gamma - g1), pair
         )
-        x = pt.Gamma_abs_x
         worst_dens = max(worst_dens, float(abs(f.psi_tt(-0.5 * x, 0.5 * x)) ** 2))
     ok = worst_dx < 0.05 and worst_dens < 1e-10 * FREE_PAIR_DENSITY
     verdict(

@@ -144,6 +144,21 @@ class TestValidationErrors:
         assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("short, long", [
+    (["twomap", "--omega1", "-.3", "--omega2", "0.2", "--x=-2:2:5"],
+     ["twomap", "--omega1", "-0.3", "--omega2", "0.2", "--x=-2:2:5"]),
+    (["single", "--detuning", "-.5:.5:3"], ["single", "--detuning", "-0.5:0.5:3"]),
+], ids=["omega1", "detuning"])
+def test_negative_values_with_a_leading_point_are_values(short, long, tmp_path, capsys):
+    outputs = []
+    for k, argv in enumerate((short, long)):
+        out = tmp_path / f"out{k}.csv"
+        code, _, stderr = run([*argv, "-o", str(out)], capsys)
+        assert code == EXIT_OK, stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 class TestConfigMerging:
     def test_flags_beat_config_values(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -457,6 +472,23 @@ class TestWorkingArea:
         assert len(lines) > 5
         branches = {int(l.split(",")[2]) for l in lines[1:]}
         assert len(branches) > 3  # several tangent branches below the ceiling
+
+    def test_two_res_branch_count_float64_cannot_resolve_exits_1(self, tmp_path):
+        # |U| gx_ceiling / pi ~ 6e300 branches: the solver counts them in
+        # closed form and refuses, where counting up from 0 never ended
+        code = (
+            "import sys, time; from chiral_diode.cli import main; t = time.perf_counter(); "
+            "code = main(sys.argv[1:]); print(time.perf_counter() - t); sys.exit(code)"
+        )
+        argv = ["working-area", "--case", "two-photon-resonance", "--kappa", "0.4",
+                "--U", "1e300", "-o", str(tmp_path / "wa.csv")]
+        proc = subprocess.run([sys.executable, "-c", code, *argv], env=package_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_VALIDATION
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "2**53" in proc.stderr
+        assert float(proc.stdout) < 2.0
+        assert not (tmp_path / "wa.csv").exists()
 
 
 class TestVerifyCommand:
@@ -880,7 +912,7 @@ def test_working_area_grid_missing_a_nonempty_interval_notes_it(grid, spans, tmp
     (["--kappa", "2"], "no gamma1 lies in ((kappa + Gamma)/2, Gamma] = (1.5, 1] "
                        "once kappa >= Gamma"),
     (["--kappa", "0.4", "--U", "0"], "a linear cavity (U = 0) has no two-photon bound state"),
-    (["--kappa", "0.4", "--gx-ceiling", "0.1"], "no null has Gamma|x| <= --gx-ceiling 0.1"),
+    (["--kappa", "0.4", "--gx-ceiling", "0.1"], "no null has Gamma|x| <= gx_ceiling 0.1"),
     (["--kappa", "0.4"], None),
 ], ids=["kappa>=Gamma", "U=0", "below-ceiling", "nonempty"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])

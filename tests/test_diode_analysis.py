@@ -20,6 +20,7 @@ from chiral_diode import (
     working_area_two_res,
     write_working_area_csv,
 )
+from chiral_diode.diode_analysis import _bisect
 
 LEFT = Direction.LEFT_INCIDENT
 
@@ -39,29 +40,27 @@ def two_res_pair(p):
 class TestSingleResCurve:
     def test_lossless_three_quarter_coupling_value(self):
         curve = working_area_single_res(params(kappa=0.0), [0.75])
-        (pt,) = curve.points
-        assert pt.gamma1_over_Gamma == 0.75
-        assert pt.Gamma_abs_x == pytest.approx(2.0 * math.log(9.0), rel=1e-14)
-        assert pt.branch == 0 and not pt.diverges
+        assert curve.gamma1_over_Gamma.tolist() == [0.75]
+        assert curve.Gamma_abs_x == pytest.approx([2.0 * math.log(9.0)], rel=1e-14)
+        assert curve.branch.tolist() == [0] and curve.diverges.tolist() == [False]
+        assert curve.empty is None
 
     def test_separation_vanishes_at_the_lower_edge(self):
         p = params()  # s = 2, lower edge gamma1 = 0.5
         curve = working_area_single_res(p, [0.5])
-        (pt,) = curve.points
-        assert pt.Gamma_abs_x == pytest.approx(0.0, abs=1e-12)
+        assert curve.Gamma_abs_x == pytest.approx([0.0], abs=1e-12)
 
     def test_pole_is_kept_and_flagged(self):
         p = params()  # s = 2, pole at gamma1 = 1.0
         curve = working_area_single_res(p, [0.6, 1.0])
         assert len(curve) == 2
-        assert not curve.points[0].diverges
-        assert curve.points[1].diverges
-        assert math.isinf(curve.points[1].Gamma_abs_x)
+        assert curve.diverges.tolist() == [False, True]
+        assert np.isinf(curve.Gamma_abs_x).tolist() == [False, True]
 
     def test_out_of_domain_grid_values_are_omitted(self):
         p = params()  # domain [0.5, 1.0]
         curve = working_area_single_res(p, [0.1, 0.3, 0.49, 0.7, 0.9])
-        assert [pt.gamma1_over_Gamma for pt in curve] == [0.7, 0.9]
+        assert curve.gamma1_over_Gamma.tolist() == [0.7, 0.9]
         assert curve.case is WorkingAreaCase.SINGLE_PHOTON_RESONANCE
 
     def test_curve_tracks_numeric_density_minima(self):
@@ -75,12 +74,8 @@ class TestSingleResCurve:
             x_grid=np.linspace(0.05, 8.0, 320),
             threshold=1e-3,
         )
-        for pt in curve:
-            near = [
-                abs(x - pt.Gamma_abs_x)
-                for g1, x in scan
-                if abs(g1 - pt.gamma1_over_Gamma) < 1e-9
-            ]
+        for g1_curve, x_curve in zip(curve.gamma1_over_Gamma, curve.Gamma_abs_x):
+            near = [abs(x - x_curve) for g1, x in scan if abs(g1 - g1_curve) < 1e-9]
             assert near and min(near) < 0.05
 
 
@@ -90,13 +85,11 @@ class TestTwoResCurve:
         curve = working_area_two_res(p)
         assert len(curve) > 0
         pair = two_res_pair(p)
-        for pt in curve:
-            g1 = pt.gamma1_over_Gamma * p.Gamma
+        for g1, x in zip(curve.gamma1_over_Gamma * p.Gamma, curve.Gamma_abs_x):
             f = TwoPhotonField(
                 make_params(omega_a=0.0, kappa=0.4, U=10.0, gamma1=g1, gamma2=p.Gamma - g1),
                 pair,
             )
-            x = pt.Gamma_abs_x
             dens = abs(f.psi_tt(-0.5 * x, 0.5 * x)) ** 2
             assert dens < 1e-10 * FREE_PAIR_DENSITY
             # domain: only couplings beyond the loss-matched midpoint work
@@ -110,8 +103,8 @@ class TestTwoResCurve:
         p = make_params(omega_a=0.0, kappa=0.4, U=U, gamma1=1.0, gamma2=0.0)
         curve = working_area_two_res(p)
         assert len(curve) > 0
-        g1 = np.array([pt.gamma1_over_Gamma for pt in curve]) * p.Gamma
-        x = np.array([pt.Gamma_abs_x for pt in curve]) / p.Gamma
+        g1 = curve.gamma1_over_Gamma * p.Gamma
+        x = curve.Gamma_abs_x / p.Gamma
         f = TwoPhotonField(p.at_gamma1(g1), two_res_pair(p))
         dens = np.abs(f.psi_tt(-0.5 * x, 0.5 * x)) ** 2
         assert dens.max() < 1e-24 * FREE_PAIR_DENSITY
@@ -119,29 +112,23 @@ class TestTwoResCurve:
     def test_solutions_satisfy_the_tangent_condition(self):
         p = make_params(omega_a=0.0, kappa=0.4, U=10.0, gamma1=1.0, gamma2=0.0)
         s = p.kappa + p.Gamma
-        for pt in working_area_two_res(p):
-            x = pt.Gamma_abs_x / p.Gamma
-            g1 = pt.gamma1_over_Gamma * p.Gamma
-            mismatch = p.U * x - pt.branch * math.pi - math.atan(
-                (s - 2.0 * g1) / (4.0 * p.U)
-            )
-            # the mismatch slope in gamma1 diverges near the domain edge, so
-            # the root tolerance in gamma1 translates to a looser one here
-            assert abs(mismatch) < 1e-4
+        curve = working_area_two_res(p)
+        x = curve.Gamma_abs_x / p.Gamma
+        g1 = curve.gamma1_over_Gamma * p.Gamma
+        mismatch = p.U * x - curve.branch * math.pi - np.arctan((s - 2.0 * g1) / (4.0 * p.U))
+        # the mismatch slope in gamma1 diverges near the domain edge, so
+        # the root tolerance in gamma1 translates to a looser one here
+        assert len(curve) > 0 and np.abs(mismatch).max() < 1e-4
 
     def test_ceiling_truncates_but_does_not_move_solutions(self):
         p = make_params(omega_a=0.0, kappa=0.4, U=10.0, gamma1=1.0, gamma2=0.0)
         small = working_area_two_res(p, gx_ceiling=10.0)
         large = working_area_two_res(p, gx_ceiling=20.0)
         assert 0 < len(small) < len(large)
-        for pt in small:
-            match = [
-                q
-                for q in large
-                if q.branch == pt.branch
-                and abs(q.gamma1_over_Gamma - pt.gamma1_over_Gamma) < 1e-8
-            ]
-            assert len(match) == 1
+        match = (small.branch[:, None] == large.branch) & (
+            np.abs(small.gamma1_over_Gamma[:, None] - large.gamma1_over_Gamma) < 1e-8
+        )
+        assert match.sum(axis=1).tolist() == [1] * len(small)
 
     def test_attractive_kerr_has_the_repulsive_zero_set(self):
         # both exact conditions are invariant under U -> -U
@@ -149,17 +136,14 @@ class TestTwoResCurve:
         minus = make_params(omega_a=0.0, kappa=0.4, U=-10.0, gamma1=1.0, gamma2=0.0)
         a, b = working_area_two_res(plus), working_area_two_res(minus)
         assert len(b) == len(a) > 0
-        for p, q in zip(a, b):
-            assert abs(p.gamma1_over_Gamma - q.gamma1_over_Gamma) < 1e-8
-            assert abs(p.Gamma_abs_x - q.Gamma_abs_x) < 1e-8
+        assert np.abs(a.gamma1_over_Gamma - b.gamma1_over_Gamma).max() < 1e-8
+        assert np.abs(a.Gamma_abs_x - b.Gamma_abs_x).max() < 1e-8
         pair = two_res_pair(minus)
-        for pt in b:
-            g1 = pt.gamma1_over_Gamma * minus.Gamma
+        for g1, x in zip(b.gamma1_over_Gamma * minus.Gamma, b.Gamma_abs_x):
             f = TwoPhotonField(
                 make_params(omega_a=0.0, kappa=0.4, U=-10.0, gamma1=g1, gamma2=minus.Gamma - g1),
                 pair,
             )
-            x = pt.Gamma_abs_x
             assert abs(f.psi_tt(-0.5 * x, 0.5 * x)) ** 2 < 1e-10 * FREE_PAIR_DENSITY
 
     def test_attractive_kerr_zero_set_matches_the_numeric_scan(self):
@@ -171,11 +155,9 @@ class TestTwoResCurve:
         # from ~12 on the bound part is below it at every coupling, and the
         # plane-wave interference nulls count as zeros.
         p = make_params(omega_a=0.0, kappa=0.4, U=-10.0, gamma1=1.0, gamma2=0.0)
-        curve = sorted(
-            (pt.gamma1_over_Gamma, pt.Gamma_abs_x)
-            for pt in working_area_two_res(p)
-            if pt.gamma1_over_Gamma > 0.71
-        )
+        full = working_area_two_res(p)
+        inner = full.gamma1_over_Gamma > 0.71
+        curve = sorted(zip(full.gamma1_over_Gamma[inner], full.Gamma_abs_x[inner]))
         assert len(curve) > 5
         scan = numeric_zero_scan(
             p,
@@ -197,6 +179,128 @@ class TestTwoResCurve:
         p = make_params(omega_a=0.0, kappa=0.4, U=0.0, gamma1=1.0, gamma2=0.0)
         assert len(working_area_two_res(p)) == 0
 
+    def test_too_many_branches_for_float64_raise(self):
+        # ~6e300 tangent branches below the ceiling; counting them one by
+        # one would never end
+        p = make_params(omega_a=0.0, kappa=0.4, U=1e300, gamma1=1.0, gamma2=0.0)
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            working_area_two_res(p)
+
+
+def loop_single_res(p, grid):
+    """The per-point loop that the broadcast replaced, with ``math.log``."""
+    G, s = p.Gamma, p.kappa + p.Gamma
+    rows = []
+    for g1 in map(float, grid):
+        if g1 < 0.25 * s - 1e-12 * G or g1 > G + 1e-12 * G:
+            continue
+        if abs(s - 2.0 * g1) < 1e-12 * G:
+            rows.append((g1 / G, math.inf, 0, True))
+        else:
+            gx = (2.0 * G / s) * math.log(4.0 * g1**2 / (s - 2.0 * g1) ** 2)
+            rows.append((g1 / G, max(gx, 0.0), 0, False))
+    return rows
+
+
+def loop_two_res(p, gx_ceiling=20.0):
+    """The solver that counted tangent branches up from n = 0, scanned one
+    branch's window at a time and sorted its rows as tuples."""
+    G, s, U = p.Gamma, p.kappa + p.Gamma, abs(p.U)
+
+    def x_of(g1):
+        return (2.0 / s) * np.log(2.0 * g1**2 / ((2.0 * g1 - s) * s))
+
+    def g1_at(x):
+        E = math.exp(0.5 * s * x)
+        return 0.5 * s * (E - math.sqrt(E * (E - 2.0)))
+
+    def mismatch(g1, n):
+        return U * x_of(g1) - n * math.pi - np.arctan((s - 2.0 * g1) / (4.0 * U))
+
+    rows, n, x_cap = [], 0, gx_ceiling / G
+    while n * math.pi - 0.5 * math.pi <= U * x_cap:
+        x_hi = min((n * math.pi + 0.5 * math.pi + 0.5) / U, x_cap)
+        x_lo = max((n * math.pi - 0.5 * math.pi - 0.5) / U, x_of(G))
+        if x_hi > x_lo and min(g1_at(x_lo), G) > g1_at(x_hi):
+            grid = np.linspace(g1_at(x_hi), min(g1_at(x_lo), G), 80)
+            vals = mismatch(grid, n)
+            i = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+            roots = _bisect(lambda g: mismatch(g, n), grid[i], grid[i + 1])
+            for g1 in np.concatenate((grid[:-1][vals[:-1] == 0.0], roots)).tolist():
+                if G * x_of(g1) <= gx_ceiling + 1e-9:
+                    rows.append((n, g1 / G, float(G * x_of(g1))))
+        n += 1
+    return sorted(rows)
+
+
+class TestLoopReferences:
+    """The broadcast solvers against the loops they replaced."""
+
+    @pytest.mark.parametrize("kappa, grid", [
+        (0.0, np.linspace(0.0, 1.0, 401)),
+        (0.3, np.linspace(0.0, 1.0, 1001)),
+        (1.0, [0.5 - 1e-13, 0.5, 0.6, 1.0, 1.0 + 1e-13, 1.0 + 1e-11]),
+    ])
+    def test_single_res_equals_the_point_loop(self, kappa, grid):
+        p = params(kappa=kappa)
+        curve = working_area_single_res(p, grid)
+        g1, gx, branch, diverges = (list(c) for c in zip(*loop_single_res(p, grid)))
+        assert curve.gamma1_over_Gamma.tolist() == g1
+        assert curve.branch.tolist() == branch and curve.diverges.tolist() == diverges
+        # np.log may round differently from math.log, by an ulp
+        np.testing.assert_allclose(curve.Gamma_abs_x, gx, rtol=4 * np.finfo(float).eps, atol=0)
+
+    @pytest.mark.parametrize("kappa, U, gx_ceiling", [
+        (0.4, 10.0, 20.0), (0.4, -10.0, 20.0), (0.13, 3.7, 35.0), (0.0, 40.0, 20.0),
+        (0.999999, 10.0, 20.0), (0.4, 10.0, 3.0),
+    ])
+    def test_two_res_equals_the_branch_loop(self, kappa, U, gx_ceiling):
+        # the same windows, roots and order: every bit equal
+        p = params(kappa=kappa, U=U)
+        curve = working_area_two_res(p, gx_ceiling=gx_ceiling)
+        rows = loop_two_res(p, gx_ceiling)
+        assert len(rows) > 0
+        assert curve.branch.tolist() == [n for n, _, _ in rows]
+        assert curve.gamma1_over_Gamma.tolist() == [g1 for _, g1, _ in rows]
+        assert curve.Gamma_abs_x.tolist() == [gx for _, _, gx in rows]
+        assert not curve.diverges.any()
+
+
+class TestEmptyCurve:
+    """``empty`` names the solver's reason for a curve without rows."""
+
+    @pytest.mark.parametrize("solve, reason", [
+        (lambda: working_area_two_res(params(kappa=1.0)),
+         "no gamma1 lies in ((kappa + Gamma)/2, Gamma] = (1, 1] once kappa >= Gamma"),
+        (lambda: working_area_two_res(params(kappa=0.4, U=0.0)),
+         "a linear cavity (U = 0) has no two-photon bound state"),
+        (lambda: working_area_two_res(params(kappa=0.4), gx_ceiling=0.1),
+         "no null has Gamma|x| <= gx_ceiling 0.1"),
+        (lambda: working_area_single_res(params(kappa=5.0), np.linspace(0.0, 1.0, 11)),
+         "no gamma1 lies in [(kappa + Gamma)/4, Gamma] = [1.5, 1] once kappa > 3 Gamma"),
+        (lambda: working_area_single_res(params(), [0.0, 0.1, 0.2]),
+         "the gamma1 grid [0, 0.2] has no point in [(kappa + Gamma)/4, Gamma] = [0.5, 1]"),
+    ], ids=["kappa>=Gamma", "U=0", "below-ceiling", "kappa>3Gamma", "grid-misses"])
+    def test_each_reason(self, solve, reason, tmp_path):
+        curve = solve()
+        assert curve.empty == reason
+        assert len(curve) == 0
+        assert [c.dtype.kind for c in curve.columns()] == ["f", "f", "i", "b"]
+        assert [c.shape for c in curve.columns()] == [(0,)] * 4
+        write_working_area_csv(tmp_path / "wa.csv", curve)
+        assert (tmp_path / "wa.csv").read_text() == (
+            "gamma1_over_Gamma,Gamma_abs_x,branch,diverges\n"
+        )
+
+    @pytest.mark.parametrize("solve", [
+        lambda: working_area_two_res(params(kappa=0.4)),
+        lambda: working_area_single_res(params(), [0.6, 1.0]),
+    ], ids=["two-res", "single-res"])
+    def test_none_on_a_curve_with_rows(self, solve):
+        curve = solve()
+        assert curve.empty is None and len(curve) > 0
+        assert [c.dtype.kind for c in curve.columns()] == ["f", "f", "i", "b"]
+
 
 class TestNumericZeroScan:
     def test_matches_the_closed_form_curve_at_the_verify_parameters(self):
@@ -211,8 +315,8 @@ class TestNumericZeroScan:
         )
         found = dict(scan)
         assert len(found) == len(curve) == len(grid)
-        for pt in curve:
-            assert abs(found[pt.gamma1_over_Gamma] - pt.Gamma_abs_x) <= 1e-8
+        for g1, x in zip(curve.gamma1_over_Gamma, curve.Gamma_abs_x):
+            assert abs(found[g1] - x) <= 1e-8
 
     def test_refinement_lands_on_the_reference_golden_search(self):
         # every minimum refined one at a time by the reference
@@ -221,8 +325,8 @@ class TestNumericZeroScan:
         p = params(kappa=0.4)
         pair = two_res_pair(p)
         # couplings with exact zeros, so every minimum is sharp
-        gamma1 = [pt.gamma1_over_Gamma for pt in working_area_two_res(p, gx_ceiling=8.0)
-                  if pt.gamma1_over_Gamma > 0.71]
+        gamma1 = working_area_two_res(p, gx_ceiling=8.0).gamma1_over_Gamma
+        gamma1 = gamma1[gamma1 > 0.71].tolist()
         xs = np.linspace(0.0, 8.0, 801)
         scan = numeric_zero_scan(p, pair, gamma1_grid=gamma1, x_grid=xs)
         expected = []
