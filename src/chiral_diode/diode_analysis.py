@@ -13,8 +13,8 @@ covered:
   shifted by twice the Kerr constant), where exact zeros at finite Kerr
   strength require simultaneously ``|x| = (2/(kappa+Gamma)) ln[2 gamma1^2
   / ((2 gamma1 - kappa - Gamma)(kappa + Gamma))]`` and ``tan(U |x|) =
-  (Gamma + kappa - 2 gamma1)/(4U)``, solved per tangent branch on
-  ``gamma1 > (kappa+Gamma)/2``.
+  (Gamma + kappa - 2 gamma1)/(4U)``, solved in one walk over the
+  separation on ``gamma1 > (kappa+Gamma)/2``.
 
 A direct numerical scan of the density minima provides the
 independent cross-check, and a scalar contrast summarizes the
@@ -51,7 +51,8 @@ __all__ = [
 FREE_PAIR_DENSITY = 1.0 / (2.0 * np.pi**2)
 
 _DIVERGE_TOL = 1e-12
-# two-photon-resonance root finding: scan points per tangent branch
+# two-photon-resonance root finding: walk steps per half-period pi/|U| of
+# the tangent condition
 _TWO_RES_SCAN_POINTS = 80
 # golden-section search of the null scan: the golden-ratio conjugate, and
 # the relative width at which a search stops
@@ -144,21 +145,6 @@ def working_area_single_res(params: ModelParams, gamma1_grid: Sequence[float]) -
     return WorkingAreaCurve(case, params, g1 / G, gx, np.zeros(g1.size, int), diverges)
 
 
-def _two_res_x(params: ModelParams, g1: float | np.ndarray) -> float | np.ndarray:
-    """|x|(gamma1) of the two-photon-resonance separation condition; a
-    gamma1 array gives an array."""
-    s = params.kappa + params.Gamma
-    return (2.0 / s) * np.log(2.0 * g1**2 / ((2.0 * g1 - s) * s))
-
-
-def _two_res_g1_at_x(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_two_res_x` on the branch gamma1 in (s/2, s)."""
-    s = params.kappa + params.Gamma
-    # math.exp keeps the bits of the scan windows, and so of the roots
-    E = np.array([math.exp(v) for v in (0.5 * s * x).tolist()])
-    return 0.5 * s * (E - np.sqrt(E * (E - 2.0)))
-
-
 def _bisect(f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Roots of ``f`` in the brackets ``[lo, hi]``, all refined at once.
 
@@ -183,27 +169,30 @@ def working_area_two_res(
 ) -> WorkingAreaCurve:
     """Exact finite-Kerr working area at two-photon resonance.
 
-    Substitutes the separation condition into the tangent condition and
-    root-finds the mismatch over gamma1 on every tangent branch ``n``
-    (``|U x|`` restricted to ``(n pi - pi/2, n pi + pi/2)``), up to
-    separations ``Gamma |x| <= gx_ceiling``.  The first and last branch
-    follow in closed form, and all branches are scanned at once for sign
-    changes; every bracket is bisected down to adjacent floats in gamma1,
-    so a root is exact to rounding.  The rows are exact zeros of the
-    transmitted density, ordered by (branch, gamma1).
+    Walks the separation ``|x|`` from ``x_min``, where the separation
+    condition puts gamma1 at Gamma, up to ``gx_ceiling / Gamma``, in
+    ``_TWO_RES_SCAN_POINTS`` steps per half-period ``pi/|U|``.  At each
+    node the separation condition gives gamma1 in closed form, and the
+    tangent condition holds where the phase ``|U x| - arctan((kappa +
+    Gamma - 2 gamma1)/(4|U|))`` is a multiple ``branch`` of pi.  Every
+    sign change of its sine, and every node where it is zero, is a root;
+    each bracket is bisected down to adjacent floats in ``x``, so a root
+    is exact to rounding.  The nodes do not depend on the ceiling, which
+    only cuts the walk short.  The rows are exact zeros of the transmitted
+    density, ordered by (branch, gamma1).
 
     The curve is empty, and ``empty`` says why, when the domain
     ``(kappa+Gamma)/2 < gamma1 <= Gamma`` is empty (kappa >= Gamma), for
-    a linear cavity (U = 0), or when no branch meets it below the
-    ceiling.  Attractive and repulsive Kerr (U < 0 and U > 0) share one
-    zero set.  A last branch of 2**53 or more, which float64 cannot tell
-    from its neighbours, raises :class:`ValueError`.
+    a linear cavity (U = 0), or when no null lies below the ceiling.
+    Attractive and repulsive Kerr (U < 0 and U > 0) share one zero set.
+    A walk of 2**53 steps or more, which float64 cannot count, raises
+    :class:`ValueError`.
     """
     G = params.Gamma
     s = params.kappa + G
     case = WorkingAreaCase.TWO_PHOTON_RESONANCE
-    # both conditions are invariant under U -> -U, so the branches of |U|
-    # give the zero set for either sign
+    # both conditions are invariant under U -> -U, so |U| gives the zero
+    # set for either sign
     U = abs(params.U)
     if s >= 2.0 * G:
         return _empty_curve(case, params, f"no gamma1 lies in ((kappa + Gamma)/2, Gamma] = "
@@ -212,42 +201,37 @@ def working_area_two_res(
         return _empty_curve(case, params, "a linear cavity (U = 0) has no two-photon bound state")
     below = f"no null has Gamma|x| <= gx_ceiling {gx_ceiling:g}"
     x_cap = gx_ceiling / G
-    x_min = _two_res_x(params, G)  # the separation at gamma1 = Gamma
+    # the separation |x| = (2/s) ln[2 gamma1^2 / ((2 gamma1 - s) s)] at gamma1 = Gamma
+    x_min = (2.0 / s) * math.log(2.0 * G**2 / ((2.0 * G - s) * s))
     if not x_min < x_cap:
         return _empty_curve(case, params, below)
-    # branch n scans the separations with |U x| within 0.5 of its interval,
-    # clipped to [x_min, x_cap]: none before the first reaches x_min, and
-    # the last has n pi - pi/2 <= |U| x_cap, tested on one more candidate
-    last = (U * x_cap + 0.5 * math.pi) / math.pi
-    if not last < 2.0**53:
-        raise ValueError(f"{last:.3g} tangent branches lie below gx_ceiling {gx_ceiling:g} "
-                         f"at |U| = {U:g}, more than float64 tells apart (2**53)")
-    first = max(math.floor((U * x_min - 0.5 * math.pi - 0.5) / math.pi), 0)
-    n = np.arange(first, math.floor(last) + 2)
-    x_hi = np.minimum((n * math.pi + 0.5 * math.pi + 0.5) / U, x_cap)
-    x_lo = np.maximum((n * math.pi - 0.5 * math.pi - 0.5) / U, x_min)
-    meets = (n * math.pi - 0.5 * math.pi <= U * x_cap) & (x_hi > x_lo)
-    # gamma1 window where the separation lies in each branch's interval
-    g_lo = _two_res_g1_at_x(params, x_hi[meets])
-    g_hi = np.minimum(_two_res_g1_at_x(params, x_lo[meets]), G)
-    wide = g_hi > g_lo
-    grid = np.linspace(g_lo[wide], g_hi[wide], _TWO_RES_SCAN_POINTS, axis=-1)
-    branch = n[meets][wide, None]
+    h = math.pi / (_TWO_RES_SCAN_POINTS * U)
+    # (x_cap - x_min) / h, without dividing by an h that rounds to 0
+    steps = (x_cap - x_min) * _TWO_RES_SCAN_POINTS * U / math.pi
+    if not steps < 2.0**53:
+        raise ValueError(f"{steps:.3g} scan steps lie below gx_ceiling {gx_ceiling:g} "
+                         f"at |U| = {U:g}, more than float64 counts (2**53)")
+    x = x_min + h * np.arange(math.ceil(steps))
+    # steps may round up past an integer, and so x past x_cap
+    x = np.append(x[x < x_cap], x_cap)
 
-    def mismatch(g1: np.ndarray, n: np.ndarray) -> np.ndarray:
-        return U * _two_res_x(params, g1) - n * math.pi - np.arctan((s - 2.0 * g1) / (4.0 * U))
+    def gamma1(x: np.ndarray) -> np.ndarray:
+        # the separation condition solved for gamma1 without cancellation;
+        # at gamma1 = s (kappa = 0) the radicand can round below 0
+        return s / (1.0 + np.sqrt(np.maximum(1.0 - 2.0 * np.exp(-0.5 * s * x), 0.0)))
 
-    vals = mismatch(grid, branch)
-    # a grid node that is an exact zero, then every sign change, bisected
-    b0, i0 = np.nonzero(vals[:, :-1] == 0.0)
-    b, i = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
-    roots = _bisect(lambda g: mismatch(g, branch[b, 0]), grid[b, i], grid[b, i + 1])
-    g1 = np.concatenate((grid[b0, i0], roots))
-    n_of_root = np.concatenate((branch[b0, 0], branch[b, 0]))
-    gx = G * _two_res_x(params, g1)
-    keep = gx <= gx_ceiling + 1e-9
-    order = np.flatnonzero(keep)[np.lexsort((g1[keep], n_of_root[keep]))]
-    return WorkingAreaCurve(case, params, g1[order] / G, gx[order], n_of_root[order],
+    def phase(x: np.ndarray) -> np.ndarray:
+        return U * x - np.arctan((s - 2.0 * gamma1(x)) / (4.0 * U))
+
+    vals = np.sin(phase(x))
+    # every node that is an exact zero, then every sign change, bisected
+    i = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    roots = np.concatenate((x[vals == 0.0],
+                            _bisect(lambda x: np.sin(phase(x)), x[i], x[i + 1])))
+    g1 = gamma1(roots)
+    branch = np.rint(phase(roots) / math.pi).astype(int)
+    order = np.lexsort((g1, branch))
+    return WorkingAreaCurve(case, params, g1[order] / G, G * roots[order], branch[order],
                             np.zeros(order.size, bool), None if order.size else below)
 
 

@@ -49,7 +49,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .io_utils import write_csv
-from .model import Direction, ModelParams, TwoPhotonIn
+from .model import Direction, ModelParams, TwoPhotonIn, _first
 from .single_photon import (
     as_python_complex,
     even_mode_t,
@@ -462,10 +462,11 @@ class EvenOddField:
 @dataclass(frozen=True)
 class BoundAsymptote:
     """Closed-form transmitted-pair density when only the bound state
-    contributes: ``density(x) = amplitude_sq * exp(-decay_rate |x|)``."""
+    contributes: ``density(x) = amplitude_sq * exp(-decay_rate |x|)``.
+    Both fields are floats, or arrays of one shape for array rates."""
 
-    amplitude_sq: float
-    decay_rate: float
+    amplitude_sq: float | np.ndarray
+    decay_rate: float | np.ndarray
 
     def density(self, x):
         return self.amplitude_sq * np.exp(-self.decay_rate * np.abs(x))
@@ -482,13 +483,16 @@ def bound_asymptote(params: ModelParams, case: str) -> BoundAsymptote:
     kappa = Gamma, leaving this profile as the full transmitted density.
 
     Only valid at gamma1 = Gamma (gamma2 = 0); other couplings are
-    rejected.
+    rejected, elementwise for array rates.  Array rates broadcast, and
+    both fields then take the broadcast shape of kappa, U and the rates.
     """
     G = params.Gamma
-    if abs(params.gamma1 - G) > 1e-12 * G:
+    off = np.abs(params.gamma1 - G) > 1e-12 * G
+    if off.any():
         raise ValueError(
             f"bound asymptote requires gamma1 = Gamma (gamma2 = 0), got "
-            f"gamma1={params.gamma1}, Gamma={G}"
+            f"gamma1={_first(np.broadcast_to(params.gamma1, off.shape), off)}, "
+            f"Gamma={_first(G, off)}"
         )
     s = params.kappa + G
     U = params.U
@@ -498,7 +502,10 @@ def bound_asymptote(params: ModelParams, case: str) -> BoundAsymptote:
         amp = 32.0 * G**4 * U**2 / (np.pi**2 * s**4 * (16.0 * U**2 + s**2))
     else:
         raise ValueError(f"unknown asymptote case {case!r}")
-    return BoundAsymptote(amplitude_sq=float(amp), decay_rate=float(s))
+    if np.ndim(amp) == 0:
+        return BoundAsymptote(amplitude_sq=float(amp), decay_rate=float(s))
+    # amp depends on every rate, so its shape is the broadcast one
+    return BoundAsymptote(amplitude_sq=amp, decay_rate=np.broadcast_to(s, amp.shape).copy())
 
 
 # -- dense maps ----------------------------------------------------------

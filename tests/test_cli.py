@@ -473,9 +473,24 @@ class TestWorkingArea:
         branches = {int(l.split(",")[2]) for l in lines[1:]}
         assert len(branches) > 3  # several tangent branches below the ceiling
 
+    @pytest.mark.parametrize("gx_ceiling, rows", [("1100", 3498), ("5000", 15912)])
+    @pytest.mark.filterwarnings("error")
+    def test_two_res_high_ceiling_writes_every_branch(self, gx_ceiling, rows, tmp_path, capsys):
+        # past Gamma|x| ~ 700 exp(s |x|/2) overflows float64
+        out = tmp_path / "wa.csv"
+        code, _, stderr = run(
+            ["working-area", "--case", "two-photon-resonance", "--kappa", "0.4",
+             "--gx-ceiling", gx_ceiling, "-o", str(out)],
+            capsys,
+        )
+        assert code == EXIT_OK and stderr == ""
+        branch = np.loadtxt(out, delimiter=",", skiprows=1, usecols=2, dtype=int)
+        assert branch.size == rows
+        assert np.unique(branch).tolist() == list(range(branch.min(), branch.max() + 1))
+
     def test_two_res_branch_count_float64_cannot_resolve_exits_1(self, tmp_path):
-        # |U| gx_ceiling / pi ~ 6e300 branches: the solver counts them in
-        # closed form and refuses, where counting up from 0 never ended
+        # |U| gx_ceiling ~ 2e301: the walk's step count is past 2**53, and
+        # the solver refuses before it allocates a node
         code = (
             "import sys, time; from chiral_diode.cli import main; t = time.perf_counter(); "
             "code = main(sys.argv[1:]); print(time.perf_counter() - t); sys.exit(code)"

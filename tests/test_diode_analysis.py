@@ -79,6 +79,7 @@ class TestSingleResCurve:
             assert near and min(near) < 0.05
 
 
+@pytest.mark.filterwarnings("error")
 class TestTwoResCurve:
     def test_every_solution_is_an_exact_transmission_null(self):
         p = make_params(omega_a=0.0, kappa=0.4, U=10.0, gamma1=1.0, gamma2=0.0)
@@ -97,17 +98,12 @@ class TestTwoResCurve:
 
     @pytest.mark.parametrize("U", [10.0, -10.0])
     def test_roots_re_null_the_density_to_rounding(self, U):
-        # bisection to adjacent floats in gamma1 leaves a density at the
-        # rounding floor (measured 4.9e-30 of the free density); a root
+        # bisection to adjacent floats in x leaves a density at the
+        # rounding floor (measured 4.5e-31 of the free density); a root
         # refined only to 1e-10 in gamma1 leaves 2e-19
         p = make_params(omega_a=0.0, kappa=0.4, U=U, gamma1=1.0, gamma2=0.0)
         curve = working_area_two_res(p)
-        assert len(curve) > 0
-        g1 = curve.gamma1_over_Gamma * p.Gamma
-        x = curve.Gamma_abs_x / p.Gamma
-        f = TwoPhotonField(p.at_gamma1(g1), two_res_pair(p))
-        dens = np.abs(f.psi_tt(-0.5 * x, 0.5 * x)) ** 2
-        assert dens.max() < 1e-24 * FREE_PAIR_DENSITY
+        assert len(curve) > 0 and null_density_max(p, curve) < 1e-24
 
     def test_solutions_satisfy_the_tangent_condition(self):
         p = make_params(omega_a=0.0, kappa=0.4, U=10.0, gamma1=1.0, gamma2=0.0)
@@ -121,14 +117,33 @@ class TestTwoResCurve:
         assert len(curve) > 0 and np.abs(mismatch).max() < 1e-4
 
     def test_ceiling_truncates_but_does_not_move_solutions(self):
+        # the walk's nodes do not depend on the ceiling: a lower one keeps
+        # exactly the rows below it, bit for bit
         p = make_params(omega_a=0.0, kappa=0.4, U=10.0, gamma1=1.0, gamma2=0.0)
         small = working_area_two_res(p, gx_ceiling=10.0)
         large = working_area_two_res(p, gx_ceiling=20.0)
         assert 0 < len(small) < len(large)
-        match = (small.branch[:, None] == large.branch) & (
-            np.abs(small.gamma1_over_Gamma[:, None] - large.gamma1_over_Gamma) < 1e-8
-        )
-        assert match.sum(axis=1).tolist() == [1] * len(small)
+        kept = large.Gamma_abs_x <= 10.0
+        for a, b in zip(small.columns(), large.columns()):
+            assert a.tolist() == b[kept].tolist()
+
+    @pytest.mark.parametrize("gx_ceiling, rows", [(100.0, 315), (1100.0, 3498), (5000.0, 15912)])
+    def test_high_ceilings_find_every_branch(self, gx_ceiling, rows):
+        # far out gamma1 rounds to (kappa + Gamma)/2, and past Gamma|x| ~
+        # 700 exp(s |x|/2) overflows float64; no branch may go missing
+        p = make_params(omega_a=0.0, kappa=0.4, U=10.0, gamma1=1.0, gamma2=0.0)
+        curve = working_area_two_res(p, gx_ceiling=gx_ceiling)
+        branches = np.unique(curve.branch)
+        assert len(curve) == rows and branches[-1] - branches[0] + 1 == branches.size
+        assert null_density_max(p, curve) < 1e-10
+
+    def test_large_kerr_finds_every_branch(self):
+        p = make_params(omega_a=0.0, kappa=0.4, U=1e4, gamma1=1.0, gamma2=0.0)
+        curve = working_area_two_res(p)
+        assert len(curve) == 59717
+        branches = np.unique(curve.branch)
+        assert (branches[0], branches[-1], branches.size) == (3945, 63661, 59717)
+        assert null_density_max(p, curve) < 1e-10
 
     def test_attractive_kerr_has_the_repulsive_zero_set(self):
         # both exact conditions are invariant under U -> -U
@@ -180,11 +195,12 @@ class TestTwoResCurve:
         assert len(working_area_two_res(p)) == 0
 
     def test_too_many_branches_for_float64_raise(self):
-        # ~6e300 tangent branches below the ceiling; counting them one by
-        # one would never end
-        p = make_params(omega_a=0.0, kappa=0.4, U=1e300, gamma1=1.0, gamma2=0.0)
-        with pytest.raises(ValueError, match=r"2\*\*53"):
-            working_area_two_res(p)
+        # ~5e302 walk steps below the ceiling, which float64 cannot count;
+        # at 1e307 the step pi/(80 |U|) itself rounds to 0
+        for U in (1e300, 1e307):
+            p = make_params(omega_a=0.0, kappa=0.4, U=U, gamma1=1.0, gamma2=0.0)
+            with pytest.raises(ValueError, match=r"2\*\*53"):
+                working_area_two_res(p)
 
 
 def loop_single_res(p, grid):
@@ -202,37 +218,87 @@ def loop_single_res(p, grid):
     return rows
 
 
-def loop_two_res(p, gx_ceiling=20.0):
-    """The solver that counted tangent branches up from n = 0, scanned one
-    branch's window at a time and sorted its rows as tuples."""
+def loop_two_res(p, gx_ceiling=20.0, points=400):
+    """Every root of the exact tangent condition, one tangent branch at a
+    time, in scalar ``math``: the completeness reference of the walk.
+
+    The separation condition is parametrized by t = ln(2 gamma1 - s), in
+    which gamma1 = (s + e^t)/2 and |x| = (2/s)(ln(2 gamma1^2 / s) - t)
+    follow without cancellation.  On branch n the mismatch U|x| + arctan(
+    e^t/(4U)) - n pi can only vanish while U|x| lies in (n pi - pi/2,
+    n pi); that window, cut to [x(Gamma), gx_ceiling/Gamma], is mapped to
+    t by bisection, scanned at ``points`` nodes, and every sign change is
+    bisected to adjacent floats in t.  Returns sorted (n, gamma1/Gamma,
+    Gamma|x|) rows."""
     G, s, U = p.Gamma, p.kappa + p.Gamma, abs(p.U)
 
-    def x_of(g1):
-        return (2.0 / s) * np.log(2.0 * g1**2 / ((2.0 * g1 - s) * s))
+    def g1_of(t):
+        return 0.5 * (s + math.exp(t))
 
-    def g1_at(x):
-        E = math.exp(0.5 * s * x)
-        return 0.5 * s * (E - math.sqrt(E * (E - 2.0)))
+    def x_of(t):
+        return (2.0 / s) * (math.log(2.0 * g1_of(t) ** 2 / s) - t)
 
-    def mismatch(g1, n):
-        return U * x_of(g1) - n * math.pi - np.arctan((s - 2.0 * g1) / (4.0 * U))
+    def mismatch(t, n):
+        return U * x_of(t) + math.atan(math.exp(t) / (4.0 * U)) - n * math.pi
 
-    rows, n, x_cap = [], 0, gx_ceiling / G
-    while n * math.pi - 0.5 * math.pi <= U * x_cap:
-        x_hi = min((n * math.pi + 0.5 * math.pi + 0.5) / U, x_cap)
-        x_lo = max((n * math.pi - 0.5 * math.pi - 0.5) / U, x_of(G))
-        if x_hi > x_lo and min(g1_at(x_lo), G) > g1_at(x_hi):
-            grid = np.linspace(g1_at(x_hi), min(g1_at(x_lo), G), 80)
-            vals = mismatch(grid, n)
-            i = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-            roots = _bisect(lambda g: mismatch(g, n), grid[i], grid[i + 1])
-            for g1 in np.concatenate((grid[:-1][vals[:-1] == 0.0], roots)).tolist():
-                if G * x_of(g1) <= gx_ceiling + 1e-9:
-                    rows.append((n, g1 / G, float(G * x_of(g1))))
-        n += 1
+    def bisect(f, lo, hi):
+        # f(lo) < 0 < f(hi), or the reverse; halve down to adjacent floats
+        sign_lo = f(lo) > 0.0
+        while lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            if (f(mid) > 0.0) == sign_lo:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    t_max = math.log(2.0 * G - s)  # gamma1 = Gamma
+    x_min, x_cap = x_of(t_max), gx_ceiling / G
+
+    def t_at(x):
+        # |x| falls as t grows; at t_lo it is at least x, as gamma1 >= s/2
+        t_lo = math.log(0.5 * s) - 0.5 * s * x - 1.0
+        return bisect(lambda t: x_of(t) - x, t_lo, t_max)
+
+    rows = []
+    for n in range(math.floor(U * x_min / math.pi), math.floor(U * x_cap / math.pi + 0.5) + 2):
+        lo, hi = max((n - 0.5) * math.pi / U, x_min), min(n * math.pi / U, x_cap)
+        if not lo < hi:
+            continue
+        t_lo, t_hi = t_at(hi), (t_max if lo == x_min else t_at(lo))
+        ts = [t_lo + (t_hi - t_lo) * k / (points - 1) for k in range(points)]
+        vals = [mismatch(t, n) for t in ts]
+        for k in range(points - 1):
+            if vals[k] == 0.0:
+                t = ts[k]
+            elif vals[k] * vals[k + 1] < 0.0:
+                t = bisect(lambda t: mismatch(t, n), ts[k], ts[k + 1])
+            else:
+                continue
+            rows.append((n, g1_of(t) / G, G * x_of(t)))
     return sorted(rows)
 
 
+def assert_equals_the_branch_loop(p, gx_ceiling):
+    curve = working_area_two_res(p, gx_ceiling=gx_ceiling)
+    rows = loop_two_res(p, gx_ceiling)
+    assert len(rows) > 0
+    assert curve.branch.tolist() == [n for n, _, _ in rows]
+    np.testing.assert_allclose(curve.gamma1_over_Gamma, [g1 for _, g1, _ in rows],
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(curve.Gamma_abs_x, [gx for _, _, gx in rows], rtol=0, atol=1e-9)
+    assert not curve.diverges.any()
+
+
+def null_density_max(p, curve):
+    """The largest transmitted density at the rows of ``curve``, in units
+    of the free pair density."""
+    x = curve.Gamma_abs_x / p.Gamma
+    f = TwoPhotonField(p.at_gamma1(curve.gamma1_over_Gamma * p.Gamma), two_res_pair(p))
+    return np.max(np.abs(f.psi_tt(-0.5 * x, 0.5 * x)) ** 2, initial=0.0) / FREE_PAIR_DENSITY
+
+
+@pytest.mark.filterwarnings("error")
 class TestLoopReferences:
     """The broadcast solvers against the loops they replaced."""
 
@@ -255,15 +321,26 @@ class TestLoopReferences:
         (0.999999, 10.0, 20.0), (0.4, 10.0, 3.0),
     ])
     def test_two_res_equals_the_branch_loop(self, kappa, U, gx_ceiling):
-        # the same windows, roots and order: every bit equal
-        p = params(kappa=kappa, U=U)
-        curve = working_area_two_res(p, gx_ceiling=gx_ceiling)
-        rows = loop_two_res(p, gx_ceiling)
-        assert len(rows) > 0
-        assert curve.branch.tolist() == [n for n, _, _ in rows]
-        assert curve.gamma1_over_Gamma.tolist() == [g1 for _, g1, _ in rows]
-        assert curve.Gamma_abs_x.tolist() == [gx for _, _, gx in rows]
-        assert not curve.diverges.any()
+        # the same branches and roots as the per-branch reference; on the
+        # far branches gamma1 lies within rounding of (kappa + Gamma)/2,
+        # where an inverse that subtracts nearly equal numbers loses them
+        assert_equals_the_branch_loop(params(kappa=kappa, U=U), gx_ceiling)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_two_res_equals_the_branch_loop_at_random_draws(self, seed):
+        # the benchmark's range: kappa in [0, 0.8), |U| in [4, 15), either sign
+        rng = np.random.default_rng(seed)
+        U = rng.uniform(4.0, 15.0) * rng.choice([-1.0, 1.0])
+        p = make_params(omega_a=rng.uniform(-1.0, 1.0), kappa=rng.uniform(0.0, 0.8), U=U,
+                        gamma1=1.0, gamma2=0.0)
+        assert_equals_the_branch_loop(p, 20.0)
+
+    def test_two_res_equals_the_branch_loop_lossless_at_gamma_not_one(self):
+        # kappa = 0 puts gamma1 = Gamma at the edge s of the inverse, where
+        # its radicand rounds to about 0
+        p = make_params(omega_a=0.0, kappa=0.0, U=10.0, gamma1=0.7, gamma2=0.6)
+        assert_equals_the_branch_loop(p, 20.0)
+        assert null_density_max(p, working_area_two_res(p)) < 1e-10
 
 
 class TestEmptyCurve:

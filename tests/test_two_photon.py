@@ -11,6 +11,7 @@ import pytest
 from chiral_diode import (
     Direction,
     EvenOddField,
+    ModelParams,
     TwoPhotonField,
     TwoPhotonIn,
     bound_asymptote,
@@ -251,6 +252,25 @@ class TestBoundAsymptote:
     def test_unknown_case_rejected(self):
         with pytest.raises(ValueError, match="case"):
             bound_asymptote(params(), "three-photon-resonance")
+
+    @pytest.mark.parametrize("case", ["single-photon-resonance", "two-photon-resonance"])
+    def test_array_rates_broadcast_to_the_scalar_values(self, case):
+        kappa = np.array([0.5, 1.0])
+        U = np.array([[4.0], [-2.0], [0.0]])
+        gamma1 = np.array([[[1.0]], [[0.7]]])
+        prof = bound_asymptote(ModelParams(0.0, kappa, U, gamma1, 0.0), case)
+        assert prof.amplitude_sq.shape == prof.decay_rate.shape == (2, 3, 2)
+        for i, j, k in np.ndindex(2, 3, 2):
+            one = bound_asymptote(ModelParams(0.0, kappa[k], U[j, 0], gamma1[i, 0, 0], 0.0), case)
+            assert type(one.amplitude_sq) is type(one.decay_rate) is float
+            # numpy's vector power may round differently from the scalar one
+            assert prof.amplitude_sq[i, j, k] == pytest.approx(one.amplitude_sq, rel=1e-14)
+            assert prof.decay_rate[i, j, k] == one.decay_rate
+
+    def test_array_coupling_off_full_chirality_names_the_first(self):
+        p = ModelParams(0.0, 1.0, 4.0, np.array([1.0, 0.7, 0.6]), np.array([0.0, 0.3, 0.4]))
+        with pytest.raises(ValueError, match=r"gamma1=0\.7, Gamma=1\.0"):
+            bound_asymptote(p, "single-photon-resonance")
 
     @pytest.mark.parametrize(
         "case,pair_of",
