@@ -24,7 +24,6 @@ from .lattice import (
 from .report import VERIFY_SUITES, VerifyCheck, VerifyReport, verify_all
 from .residuals import (
     ResidualReport,
-    random_model_draw,
     residual_suite,
     single_residual,
     two_photon_residual,
@@ -43,7 +42,6 @@ __all__ = [
     "VerifyReport",
     "verify_all",
     "ResidualReport",
-    "random_model_draw",
     "residual_suite",
     "single_residual",
     "two_photon_residual",

@@ -41,15 +41,18 @@ and absorbing ramps):
   symmetry and the induced width is exactly gamma/2 per channel.
 
 The packet geometry is fixed by rule, not by caller inputs: every packet
-starts half the channel half-width upstream of the cavity with no
-momentum offset from its frequency, and the absorbing ramps rise
-quadratically to 1 over ``absorber_width`` sites.  A single-excitation
-run lasts the half-width unless the caller sets ``t_final``; a
-two-excitation run lasts the half-width plus ``6/(kappa+Gamma)`` and
-profiles separations up to ``6/(kappa+Gamma)``.  Both runs step on the
-fewest whole blocks of ``_GRID_STEPS`` = 4 equal Runge-Kutta steps that
-end exactly at the horizon, each step at most the stable ``dx/2`` (one
-excitation) or twice the Volterra step (two excitations).
+starts in the right channel, half the channel half-width left of the
+cavity, with no momentum offset from its frequency, and the absorbing
+ramps rise quadratically to 1 over ``absorber_width`` sites.  The lattice
+is symmetric about the cavity, so right incidence runs as the mirrored
+left incidence, with ``gamma1`` and ``gamma2`` swapped.  A
+single-excitation run lasts the half-width unless the caller sets
+``t_final``; a two-excitation run lasts the half-width plus
+``6/(kappa+Gamma)`` and profiles separations up to ``6/(kappa+Gamma)``.
+Both runs step on the fewest whole blocks of ``_GRID_STEPS`` = 4 equal
+Runge-Kutta steps that end exactly at the horizon, each step at most the
+stable ``dx/2`` (one excitation) or twice the Volterra step (two
+excitations).
 
 The default single-excitation geometry (``default_single_spec``) follows
 from two rules.  The packet width is twice the minimum the bandwidth
@@ -224,13 +227,12 @@ def _absorber(spec: LatticeSpec) -> np.ndarray:
     return W
 
 
-def _packet(spec: LatticeSpec, left_in: bool, k: float = 0.0) -> np.ndarray:
-    """Unit-norm Gaussian envelope over one channel, centered
-    ``_LAUNCH_FRACTION`` of the half-width upstream of the cavity, with
+def _packet(spec: LatticeSpec, k: float = 0.0) -> np.ndarray:
+    """Unit-norm Gaussian envelope over the right channel, centered
+    ``_LAUNCH_FRACTION`` of the half-width left of the cavity, with
     wavenumber ``k`` relative to the rotating frame."""
     x = spec.positions()
-    d0 = _LAUNCH_FRACTION * spec.half_width
-    x0 = -d0 if left_in else d0
+    x0 = -_LAUNCH_FRACTION * spec.half_width
     env = np.exp(-((x - x0) ** 2) / (4.0 * spec.packet_width**2)) * np.exp(1j * k * x)
     return env / np.sqrt(np.sum(np.abs(env) ** 2))
 
@@ -274,7 +276,9 @@ def lattice_transmission(
     The packet starts half the channel half-width upstream of the cavity
     in the incident channel and is evolved for ``t_final`` (default: the
     channel half-width, twice the launch distance, enough for transmitted
-    and reflected packets to reach mirror positions).
+    and reflected packets to reach mirror positions).  Right incidence
+    runs as the mirrored left incidence, with ``gamma1`` and ``gamma2``
+    swapped: the lattice is symmetric about the cavity.
 
     Raises ValueError if a rate or ``omega_k`` is an array, the packet
     bandwidth is not narrow against the cavity linewidth ``kappa + Gamma``,
@@ -301,13 +305,13 @@ def lattice_transmission(
         )
     horizon = 2.0 * d0 if t_final is None else float(t_final)
 
-    left_in = direction is Direction.LEFT_INCIDENT
-    env = _packet(spec, left_in)
+    if direction is Direction.RIGHT_INCIDENT:
+        params = params.swapped()
+    env = _packet(spec)
     n = spec.n_sites
-    H = _single_particle_operator(spec, params, omega_k, left_in)
+    H = _single_particle_operator(spec, params, omega_k)
     psi = np.zeros(H.shape[0], dtype=complex)
-    off = 0 if left_in else n
-    psi[off:off + n] = env
+    psi[:n] = env
     n_steps, dt = _time_grid(horizon, 0.5 * spec.dx)
     trace = np.empty(n_steps + 1) if track_norm else None
 
@@ -318,9 +322,7 @@ def lattice_transmission(
     _rk4(H, psi, dt, n_steps, record if track_norm else None,
          1 if track_norm else _BLOCK_STEPS)
     # the left channel slice is empty when the basis has none
-    R, L, c = psi[:n], psi[n:-1], psi[-1]
-
-    trans, refl = (R, L) if left_in else (L, R)
+    trans, refl, c = psi[:n], psi[n:-1], psi[-1]
     T_raw = float(np.sum(np.abs(trans) ** 2))
     R_raw = float(np.sum(np.abs(refl) ** 2))
     dc_in = np.sum(env)
@@ -328,10 +330,9 @@ def lattice_transmission(
     R_dc = float(abs(np.sum(refl) / dc_in) ** 2)
     j0 = n // 2
     near = slice(max(j0 - 40, 0), min(j0 + 41, n))
-    leftover = float(np.sum(np.abs(R[near]) ** 2) + np.sum(np.abs(L[near]) ** 2))
+    leftover = float(np.sum(np.abs(trans[near]) ** 2) + np.sum(np.abs(refl[near]) ** 2))
     # what of the incident packet has not yet reached the cavity
-    upstream = trans[:near.start] if left_in else trans[near.stop:]
-    leftover += float(np.sum(np.abs(upstream) ** 2))
+    leftover += float(np.sum(np.abs(trans[:near.start]) ** 2))
     cav = float(abs(c) ** 2)
     converged = cav < 1e-7 and leftover < 1e-5
     return LatticeResult(
@@ -437,13 +438,12 @@ def _single_particle_operator(
     spec: LatticeSpec,
     params: ModelParams,
     omega_frame: float,
-    left_in: bool,
 ) -> _Generator:
     """Generator H (state evolves by dpsi/dt = -i H psi) for one
     excitation in the frame rotating at ``omega_frame``.
 
-    The left channel is kept when it couples (gamma2 > 0) or carries the
-    incident packet (right incidence); otherwise it stays empty and is
+    The left channel is kept when it couples (gamma2 > 0); otherwise it
+    stays empty, since every run launches into the right channel, and is
     left out of the basis.
     """
     n = spec.n_sites
@@ -458,7 +458,7 @@ def _single_particle_operator(
         col[cpl] = np.sqrt(gamma * dx) * u
         return col
 
-    if params.gamma2 > 0.0 or not left_in:
+    if params.gamma2 > 0.0:
         upper = np.concatenate((hop, [0.0], -hop))
         diag = np.concatenate((loss, loss))
         border = np.concatenate((column(params.gamma1), column(params.gamma2)))
@@ -734,7 +734,9 @@ def lattice_two_photon(
     separation up to ``6/(kappa+Gamma)`` (summed over pair centers
     downstream of the cavity).
 
-    Unlike ``lattice_transmission`` it does not require the launch to
+    Right incidence runs as the mirrored left incidence, with ``gamma1``
+    and ``gamma2`` swapped, as in ``lattice_transmission``.  Unlike
+    ``lattice_transmission`` it does not require the launch to
     clear the cavity and the absorbers by two packet widths: on a short
     channel the pair starts partly on the coupling profile.
 
@@ -751,22 +753,19 @@ def _two_photon_run(
     _one_point(params, incoming.omega, "incoming must be one photon pair")
     G = params.Gamma
     x = spec.positions()
-    left_in = incoming.direction is Direction.LEFT_INCIDENT
-    if not left_in and params.gamma2 <= 0.0:
-        raise ValueError("right incidence needs gamma2 > 0 for an incident channel")
+    if incoming.direction is Direction.RIGHT_INCIDENT:
+        params = params.swapped()
     omega_frame = 0.5 * (incoming.omega_k1 + incoming.omega_k2)
-    H1 = _single_particle_operator(spec, params, omega_frame, left_in)
+    H1 = _single_particle_operator(spec, params, omega_frame)
     n = spec.n_sites
 
     # the trajectories, as the rows of one block: u, then the packets phi1,
-    # phi2 (one when the pair is degenerate); the incident channel is also
-    # the transmitted one
-    off = 0 if left_in else n
+    # phi2 (one when the pair is degenerate), in the right channel
     omegas = dict.fromkeys((incoming.omega_k1, incoming.omega_k2))
     trajectories = np.zeros((1 + len(omegas), H1.shape[0]), dtype=complex)
     trajectories[0, -1] = 1.0
     for packet, omega in zip(trajectories[1:], omegas):
-        packet[off:off + n] = _packet(spec, left_in, omega - omega_frame)
+        packet[:n] = _packet(spec, omega - omega_frame)
     # Psi(0) = norm (phi1 phi2^T + phi2 phi1^T), unit Frobenius norm
     norm = 1.0 / np.sqrt(2.0 + 2.0 * abs(np.vdot(trajectories[1], trajectories[-1])) ** 2)
 
@@ -778,10 +777,9 @@ def _two_photon_run(
     ratio = max(1, round(_SIMPSON_STEP / (2.0 * _VOLTERRA_STEP)))
     n_coarse, coarse = n_steps // ratio, ratio * dt
 
-    # transmitted channel: where the incident packet continues
-    downstream = (x > 1.0 / G) if left_in else (x < -1.0 / G)
+    # transmitted channel: the right channel downstream of the cavity
     usable = np.abs(x) < spec.half_width - spec.absorber_width * spec.dx
-    keep = np.nonzero(downstream & usable)[0] + off
+    keep = np.nonzero((x > 1.0 / G) & usable)[0]
     rows = slice(keep[0], keep[-1] + 1)
 
     # g, a1 and a2 on the Volterra grid, from each block's start: the

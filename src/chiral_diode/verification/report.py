@@ -348,8 +348,9 @@ def verify_all(
     (about 0.6 s), and ``"all"`` adds the two-excitation lattice checks
     (about 1.3 s in all, 0.2 s of it the step-halving rerun).  ``n_draws``
     sets the random draws of both the residual suite and the closed-form
-    property checks; each evaluates all its draws in one broadcast pass,
-    so 5000 draws take about 0.3 s.
+    property checks; each draws and evaluates all its draws in one
+    broadcast pass, so 5000 draws take about 0.06 s and 50,000 about
+    0.55 s.
     """
     if suite not in VERIFY_SUITES:
         raise ValueError(f"suite must be one of {VERIFY_SUITES}, got {suite!r}")

@@ -43,7 +43,6 @@ __all__ = [
     "single_residual",
     "two_photon_residual",
     "residual_suite",
-    "random_model_draw",
     "random_model_draws",
 ]
 
@@ -161,53 +160,40 @@ def two_photon_residual(
     return ResidualReport(worst, tuple(map(tuple, pts.tolist())))
 
 
-def _draw(rng: np.random.Generator) -> tuple[float, ...]:
-    """omega_a, kappa, U, gamma1, gamma2, the two photon frequencies and
-    the point x1, x2 of one random draw."""
-    g1 = rng.uniform(0.0, 1.5)
-    g2 = rng.uniform(0.0, 1.5)
-    if g1 + g2 == 0.0:
-        g1 = 1.0
-    kappa = 0.0 if rng.uniform() < 0.15 else rng.uniform(0.0, 2.0)
-    U = 0.0 if rng.uniform() < 0.15 else rng.uniform(0.0, 20.0)
-    om_a = rng.uniform(-1.0, 1.0)
-    w1 = om_a + rng.uniform(-3.0, 3.0)
-    w2 = om_a + rng.uniform(-3.0, 3.0)
-    while True:
-        x1, x2 = rng.uniform(-4.0, 4.0, size=2)
-        if min(abs(x1), abs(x2), abs(x1 - x2)) > 1e-3:
-            return om_a, kappa, U, g1, g2, w1, w2, float(x1), float(x2)
-
-
-def random_model_draw(rng: np.random.Generator) -> tuple[ModelParams, TwoPhotonIn, tuple[float, float]]:
-    """One random parameter set, incident pair, and off-line sample point.
-
-    Covers lossless (kappa=0) and linear (U=0) edges with finite
-    probability, detunings up to a few linewidths, and coordinates within
-    a few decay lengths of the cavity.
-    """
-    om_a, kappa, U, g1, g2, w1, w2, x1, x2 = _draw(rng)
-    pair = TwoPhotonIn(Direction.LEFT_INCIDENT, w1, w2)
-    return ModelParams(om_a, kappa, U, g1, g2), pair, (x1, x2)
-
-
 def random_model_draws(
     rng: np.random.Generator, n_draws: int
 ) -> tuple[ModelParams, TwoPhotonIn, np.ndarray]:
-    """``n_draws`` successive :func:`random_model_draw` results, stacked.
+    """``n_draws`` random parameter sets, incident pairs and off-line
+    sample points, stacked.
 
-    The generator is consumed exactly as by that many scalar draws, so the
-    same seed gives the same points.  Returns one ``ModelParams`` with
-    array rates, one ``TwoPhotonIn`` with array frequencies and the
-    (n_draws, 2) array of sample points.  ``n_draws`` must be >= 1: an
-    empty sample would report every maximum as 0.
+    Covers lossless (kappa=0) and linear (U=0) edges with finite
+    probability, detunings up to a few linewidths, and coordinates within
+    a few decay lengths of the cavity; no point lies within 1e-3 of the
+    lines x1 = 0, x2 = 0 or x1 = x2.  Each field takes one call to the
+    generator, apart from redrawing the points near those lines, so the
+    same seed and count give the same draws.  Returns
+    one ``ModelParams`` with array rates, one left-incident
+    ``TwoPhotonIn`` with array frequencies and the (n_draws, 2) array of
+    sample points.  ``n_draws`` must be >= 1: an empty sample would
+    report every maximum as 0.
     """
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
-    draws = np.array([_draw(rng) for _ in range(n_draws)])
-    om_a, kappa, U, g1, g2, w1, w2 = draws[:, :7].T
+    g1, g2 = rng.uniform(0.0, 1.5, (2, n_draws))
+    g1[g1 + g2 == 0.0] = 1.0
+    # kappa and U are each 0 on 15 % of draws
+    zero = rng.uniform(size=(2, n_draws)) < 0.15
+    kappa, U = np.where(zero, 0.0, rng.uniform(0.0, [[2.0], [20.0]], (2, n_draws)))
+    om_a = rng.uniform(-1.0, 1.0, n_draws)
+    w1, w2 = om_a + rng.uniform(-3.0, 3.0, (2, n_draws))
+    points = np.empty((n_draws, 2))
+    near = np.ones(n_draws, dtype=bool)
+    while near.any():
+        points[near] = rng.uniform(-4.0, 4.0, (np.count_nonzero(near), 2))
+        x1, x2 = points.T
+        near = np.min(np.abs([x1, x2, x1 - x2]), axis=0) <= 1e-3
     pair = TwoPhotonIn(Direction.LEFT_INCIDENT, w1, w2)
-    return ModelParams(om_a, kappa, U, g1, g2), pair, draws[:, 7:]
+    return ModelParams(om_a, kappa, U, g1, g2), pair, points
 
 
 def residual_suite(n_draws: int = 1000, seed: int = 20240817) -> ResidualReport:

@@ -186,6 +186,15 @@ class TestSinglePhotonAgreement:
             assert abs(res.T - ref.T) < 0.02
             assert abs(res.R - ref.R) < 0.02
 
+    def test_right_incidence_without_a_right_coupling_steps_one_channel(self):
+        # the mirrored run leaves its uncoupled left channel out of the basis
+        p = ModelParams(0.1, 0.3, 0.0, 0.0, 1.0)
+        spec = default_single_spec()
+        res = lattice_transmission(spec, p, 0.2, RIGHT)
+        ref = chiral_coeffs(p, PhotonIn(omega_k=0.2, direction=RIGHT))
+        assert res.converged and res.modes == spec.n_sites + 1
+        assert abs(res.T - ref.T) < 1e-4 and res.R == ref.R == 0.0
+
     def test_raw_norms_bracket_the_carrier_values(self):
         # bandwidth averaging can only pull the raw transmission toward
         # the off-resonant value, here upward from the resonant dip
@@ -210,6 +219,18 @@ class TestNormBehavior:
         assert res.norm_trace[-1] < 1.0
 
 
+# the generator's channel layouts: left incidence at gamma2 = 0 (the left
+# channel left out) and 0.4, and right incidence at gamma2 = 0, which runs
+# as left incidence at gamma2 = 1 (the right channel uncoupled)
+LAYOUTS = [(0.0, True), (0.4, True), (0.0, False)]
+
+
+def _operator(spec, gamma2, left_in, kappa=0.8):
+    """The generator of the run incident from the given side."""
+    p = ModelParams(0.3, kappa, 0.0, 1.0 - gamma2, gamma2)
+    return _single_particle_operator(spec, p if left_in else p.swapped(), 0.2)
+
+
 def _dense(H):
     """The matrix of H from ``apply`` on the identity block: row i of the
     result is ``H e_i``, so the block holds H transposed."""
@@ -228,34 +249,30 @@ class TestGenerator:
     def test_hermitian_without_losses(self):
         spec = dataclasses.replace(self.TINY, absorber_width=0)
         p = ModelParams(0.3, 0.0, 0.0, 0.7, 0.3)
-        for left_in in (True, False):
-            D = _dense(_single_particle_operator(spec, p, 0.0, left_in))
-            assert D.shape == (2 * spec.n_sites + 1,) * 2
-            assert np.array_equal(D, D.conj().T)
+        D = _dense(_single_particle_operator(spec, p, 0.0))
+        assert D.shape == (2 * spec.n_sites + 1,) * 2
+        assert np.array_equal(D, D.conj().T)
 
-    def test_left_channel_kept_only_when_coupled_or_incident(self):
+    def test_left_channel_kept_only_when_coupled(self):
         p = ModelParams(0.0, 1.0, 0.0, 1.0, 0.0)
         n = self.TINY.n_sites
-        left = _single_particle_operator(self.TINY, p, 0.0, True)
-        right = _single_particle_operator(self.TINY, p, 0.0, False)
-        assert left.shape == (n + 1, n + 1)
-        assert right.shape == (2 * n + 1, 2 * n + 1)
+        assert _single_particle_operator(self.TINY, p, 0.0).shape == (n + 1, n + 1)
+        swapped = _single_particle_operator(self.TINY, p.swapped(), 0.0)
+        assert swapped.shape == (2 * n + 1, 2 * n + 1)
 
     @pytest.mark.parametrize("g1", [0.0, 0.6, 1.0])
     def test_losses_never_raise_the_norm(self, g1):
         # d|psi|^2/dt = 2 psi^H Re(A) psi with A = -iH, so the Hermitian
         # part of A must be negative semidefinite
         p = ModelParams(0.2, 0.8, 0.0, g1, 1.0 - g1)
-        for left_in in (True, False):
-            A = -1j * _dense(_single_particle_operator(self.TINY, p, 0.0, left_in))
-            assert np.linalg.eigvalsh(0.5 * (A + A.conj().T)).max() < 1e-12
+        A = -1j * _dense(_single_particle_operator(self.TINY, p, 0.0))
+        assert np.linalg.eigvalsh(0.5 * (A + A.conj().T)).max() < 1e-12
 
-    @pytest.mark.parametrize("gamma2, left_in", [(0.0, True), (0.4, True), (0.0, False)])
+    @pytest.mark.parametrize("gamma2, left_in", LAYOUTS)
     def test_block_apply_matches_per_state_apply(self, gamma2, left_in):
         # the step matrix is built by applying H to a block of probes, and
         # the tests read H from a block too: each row must see one operator
-        p = ModelParams(0.3, 0.8, 0.0, 1.0 - gamma2, gamma2)
-        H = _single_particle_operator(self.TINY, p, 0.2, left_in)
+        H = _operator(self.TINY, gamma2, left_in)
         m = H.shape[0]
         channels = 1 if gamma2 == 0.0 and left_in else 2
         assert m == channels * self.TINY.n_sites + 1
@@ -278,10 +295,9 @@ class TestGenerator:
             P = P + term
         return P
 
-    @pytest.mark.parametrize("gamma2, left_in", [(0.0, True), (0.4, True), (0.0, False)])
+    @pytest.mark.parametrize("gamma2, left_in", LAYOUTS)
     def test_step_matrix_is_the_taylor_step(self, gamma2, left_in):
-        p = ModelParams(0.3, 0.8, 0.0, 1.0 - gamma2, gamma2)
-        H = _single_particle_operator(self.TINY, p, 0.2, left_in)
+        H = _operator(self.TINY, gamma2, left_in)
         dt = self.DT
         P = self._taylor_step(H, dt)
         # one step of every unit vector: row i becomes P e_i
@@ -296,10 +312,9 @@ class TestGenerator:
         assert np.linalg.norm(half - row[rows]) <= 1e-14 * np.linalg.norm(row)
         assert not np.any(np.delete(row, rows))
 
-    @pytest.mark.parametrize("gamma2, left_in", [(0.0, True), (0.4, True), (0.0, False)])
+    @pytest.mark.parametrize("gamma2, left_in", LAYOUTS)
     def test_block_step_matches_per_state_steps(self, gamma2, left_in):
-        p = ModelParams(0.3, 0.8, 0.0, 1.0 - gamma2, gamma2)
-        H = _single_particle_operator(self.TINY, p, 0.2, left_in)
+        H = _operator(self.TINY, gamma2, left_in)
         m = H.shape[0]
         rng = np.random.default_rng(11)
         block = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
@@ -328,16 +343,11 @@ class TestBlockedStepper:
     the full matrix, in the three channel layouts."""
 
     TINY, DT = TestGenerator.TINY, TestGenerator.DT
-    LAYOUTS = [(0.0, True), (0.4, True), (0.0, False)]
-
-    def _operator(self, gamma2, left_in, kappa=0.8):
-        p = ModelParams(0.3, kappa, 0.0, 1.0 - gamma2, gamma2)
-        return _single_particle_operator(self.TINY, p, 0.2, left_in)
 
     @pytest.mark.parametrize("gamma2, left_in", LAYOUTS)
     @pytest.mark.parametrize("steps", [1, 2, 8])
     def test_step_matrix_is_the_power_of_the_taylor_step(self, gamma2, left_in, steps):
-        H = self._operator(gamma2, left_in)
+        H = _operator(self.TINY, gamma2, left_in)
         P = np.linalg.matrix_power(TestGenerator._taylor_step(H, self.DT), steps)
         got = _dense_step(H, self.DT, steps)
         assert np.linalg.norm(got - P) <= 1e-14 * np.linalg.norm(P)
@@ -347,8 +357,7 @@ class TestBlockedStepper:
         # long uniform stretches: Horner runs on the cut chain, and the rows
         # far from the absorbers, the channel ends and the join copy a kept row
         spec = LatticeSpec(401, 0.1, 1.0, 20)
-        p = ModelParams(0.3, 0.8, 0.0, 1.0 - gamma2, gamma2)
-        H = _single_particle_operator(spec, p, 0.2, left_in)
+        H = _operator(spec, gamma2, left_in)
         steps, reach = 2, 8
         bare = dataclasses.replace(H, border=np.zeros_like(H.border), cavity=0.0)
         B = np.linalg.matrix_power(TestGenerator._taylor_step(bare, 0.5 * spec.dx), steps)[:-1, :-1]
@@ -365,7 +374,7 @@ class TestBlockedStepper:
         # kappa dt / 2 = 2.5: the terms of p^8(-2.5) reach 2e7 for a value
         # of 0.03, so summing them would lose ~1e-8; the cavity's part is
         # stepped instead
-        H = self._operator(0.4, True, kappa=100.0)
+        H = _operator(self.TINY, 0.4, True, kappa=100.0)
         P = np.linalg.matrix_power(TestGenerator._taylor_step(H, self.DT), steps)
         got = _dense_step(H, self.DT, steps)
         assert np.linalg.norm(got - P) <= 1e-14 * np.linalg.norm(P)
@@ -399,7 +408,7 @@ class TestBlockedStepper:
     @pytest.mark.parametrize("gamma2, left_in", LAYOUTS)
     @pytest.mark.parametrize("n_steps, block", [(16, 1), (16, 2), (16, 8), (19, 1)])
     def test_blocks_equal_single_steps(self, gamma2, left_in, block, n_steps):
-        H = self._operator(gamma2, left_in)
+        H = _operator(self.TINY, gamma2, left_in)
         rng = np.random.default_rng(3)
         states = rng.standard_normal((3, H.shape[0])) + 1j * rng.standard_normal((3, H.shape[0]))
         want, want_reads = self._taylor_run(H, states, n_steps)
@@ -409,7 +418,7 @@ class TestBlockedStepper:
 
     def test_one_step_short_a_block_fails(self, monkeypatch):
         # the same comparison catches a step matrix built from p^(K-1)
-        H = self._operator(0.4, True)
+        H = _operator(self.TINY, 0.4, True)
         rng = np.random.default_rng(3)
         states = rng.standard_normal((3, H.shape[0])) + 1j * rng.standard_normal((3, H.shape[0]))
         want, _ = self._taylor_run(H, states, 16)
@@ -420,7 +429,7 @@ class TestBlockedStepper:
         assert np.max(np.abs(states - want)) > 1e-3 * np.max(np.abs(want))
 
     def test_steps_must_fill_whole_blocks(self):
-        H = self._operator(0.4, True)
+        H = _operator(self.TINY, 0.4, True)
         states = np.zeros((3, H.shape[0]), dtype=complex)
         with pytest.raises(ValueError, match="19 steps are not a whole number of blocks of 2"):
             lattice_module._rk4(H, states, self.DT, 19, block=2)
@@ -632,6 +641,18 @@ class TestTwoPhotonLattice:
         assert once.final_double_cavity_pop == pytest.approx(
             twice.final_double_cavity_pop, rel=1e-14)
 
+    def test_right_incidence_without_a_left_coupling_passes_the_cavity(self):
+        # the ideal diode's transparent side: the pair never couples, so
+        # the Kerr term cannot act on it
+        spec = LatticeSpec(361, 0.05, 3.0, 20)
+        pair = TwoPhotonIn(RIGHT, 0.0, 0.0)
+        runs = [lattice_two_photon(spec, ModelParams(0.0, 1.0, U, 1.0, 0.0), pair)
+                for U in (0.0, 10.0)]
+        for res in runs:
+            assert res.converged and res.transmitted_norm > 0.0
+            assert res.modes == 2 * spec.n_sites + 1
+        assert np.array_equal(runs[0].density, runs[1].density)
+
     @pytest.mark.parametrize("w1, w2", [(np.array([0.0, 0.5]), 0.0), (np.zeros(1), np.zeros(1))])
     def test_array_pair_is_rejected_naming_the_input(self, w1, w2):
         spec = LatticeSpec(361, 0.1, 3.0, 40)
@@ -643,17 +664,23 @@ class TestTwoPhotonLattice:
 def _product_space_run(spec, params, pair):
     """The two-excitation read-outs by direct exponentiation of the pair
     generator ``H1 x I + I x H1 + 2U e_cc e_cc^T`` on the full product
-    space: neither Runge-Kutta nor the Volterra quadrature."""
+    space: neither Runge-Kutta nor the Volterra quadrature.  A right
+    incident pair is launched as it comes, into the left channel right of
+    the cavity, not as the oracle's mirrored run; this needs gamma2 > 0,
+    which keeps the left channel in the basis."""
     left_in = pair.direction is LEFT
     frame = 0.5 * (pair.omega_k1 + pair.omega_k2)
     # scipy is the test's own oracle here, independent of the generator's
     # time stepping; only the matrix comes from ``apply``
-    H1 = sp.csr_matrix(_dense(_single_particle_operator(spec, params, frame, left_in)))
+    H1 = sp.csr_matrix(_dense(_single_particle_operator(spec, params, frame)))
     m, n = H1.shape[0], spec.n_sites
+    assert left_in or m == 2 * n + 1
     cav, off = m - 1, (0 if left_in else n)
     phi = np.zeros((2, m), dtype=complex)
-    phi[0, off:off + n] = lattice_module._packet(spec, left_in, pair.omega_k1 - frame)
-    phi[1, off:off + n] = lattice_module._packet(spec, left_in, pair.omega_k2 - frame)
+    for row, omega in zip(phi, (pair.omega_k1, pair.omega_k2)):
+        packet = lattice_module._packet(spec, omega - frame)
+        # a left-mover right of the cavity: the right-mover mirrored
+        row[off:off + n] = packet if left_in else packet[::-1]
     psi = np.outer(phi[0], phi[1]) + np.outer(phi[1], phi[0])
     psi /= np.linalg.norm(psi)
     eye = sp.identity(m, format="csr")

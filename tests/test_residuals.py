@@ -13,7 +13,6 @@ from chiral_diode.two_photon import bound_coeffs
 from chiral_diode.verification import VERIFY_SUITES, verify_all
 from chiral_diode.verification.residuals import (
     ResidualReport,
-    random_model_draw,
     random_model_draws,
     residual_suite,
     single_residual,
@@ -37,6 +36,22 @@ RELATIONS = {
     "ae_transport", "aa_stationarity", "oa_transport",
     "ee_jump_x1", "oe_jump_even_arg", "ae_jump",
 }
+
+
+def scalar_draws(seed, n):
+    """The draws of one stacked ``random_model_draws`` call, each sliced
+    out as a scalar parameter set, pair and point."""
+    params, incoming, points = random_model_draws(np.random.default_rng(seed), n)
+    for i in range(n):
+        p = make_params(*(float(getattr(params, f.name)[i]) for f in dataclasses.fields(params)))
+        pair = TwoPhotonIn(LEFT, float(incoming.omega_k1[i]), float(incoming.omega_k2[i]))
+        yield p, pair, tuple(points[i].tolist())
+
+
+def reads_D(params, points):
+    """Draws where some two-photon relation reads the bound-state
+    coefficient D: U != 0 and at least one coordinate past the cavity."""
+    return (params.U != 0.0) & (points.max(axis=1) > 0.0)
 
 
 def one_percent_corruptions():
@@ -138,8 +153,7 @@ class TestSuite:
         assert len(rep.samples) == 50
 
     def test_broadcast_suite_equals_per_draw_scalar_residuals(self):
-        rng = np.random.default_rng(7)
-        draws = [random_model_draw(rng) for _ in range(50)]
+        draws = list(scalar_draws(7, 50))
         rep = residual_suite(n_draws=50, seed=7)
         assert rep.samples == tuple(pt for _, _, pt in draws)
         expected = {
@@ -165,10 +179,8 @@ class TestSuite:
         rep = two_photon_residual(
             params, incoming, points, coeffs_override=dataclasses.replace(c, D=1.01 * c.D)
         )
-        rng = np.random.default_rng(7)
         per_draw = []
-        for _ in range(50):
-            p, inc, pt = random_model_draw(rng)
+        for p, inc, pt in scalar_draws(7, 50):
             one = bound_coeffs(p, inc)
             bad = dataclasses.replace(one, D=1.01 * one.D)
             per_draw.append(two_photon_residual(p, inc, [pt], coeffs_override=bad).residuals)
@@ -178,17 +190,41 @@ class TestSuite:
             assert rep.residuals[name] == pytest.approx(want, rel=1e-12, abs=1e-15), name
 
     def test_one_corrupted_draw_among_many_fires(self):
-        # the maximum runs over every draw: a 1% error in the last one's D
-        # alone must show
+        # the maximum runs over every draw: a 1% error in one draw's D
+        # alone must show above the verify gate, at that draw's own
+        # residual.  The corrupted draw is the last one where a relation
+        # reads D (see the blind-spot test below)
         params, incoming, points = random_model_draws(np.random.default_rng(7), 200)
         c = bound_coeffs(params, incoming)
         assert two_photon_residual(params, incoming, points).max_residual < 1e-9
+        k = np.flatnonzero(reads_D(params, points))[-1]
         D = c.D.copy()
-        D[-1] *= 1.01
+        D[k] *= 1.01
         rep = two_photon_residual(
             params, incoming, points, coeffs_override=dataclasses.replace(c, D=D)
         )
-        assert rep.max_residual > 1e-3
+        assert rep.max_residual > 1e-6
+        p, inc, pt = list(scalar_draws(7, 200))[k]
+        one = bound_coeffs(p, inc)
+        alone = two_photon_residual(
+            p, inc, [pt], coeffs_override=dataclasses.replace(one, D=1.01 * one.D)
+        )
+        assert rep.max_residual == pytest.approx(alone.max_residual, rel=1e-12)
+
+    def test_corrupted_D_is_invisible_where_no_relation_reads_it(self):
+        # pins a known blind spot of the oracle: no relation reads D at
+        # U = 0, where it vanishes, or at a point before the cavity in both
+        # coordinates, so a 1% error in D at those draws stays below the
+        # verify gate.  When the oracle learns to read D there, this flips
+        params, incoming, points = random_model_draws(np.random.default_rng(7), 200)
+        c = bound_coeffs(params, incoming)
+        blind = ~reads_D(params, points)
+        assert np.count_nonzero(blind) == 73
+        D = np.where(blind, 1.01 * c.D, c.D)
+        rep = two_photon_residual(
+            params, incoming, points, coeffs_override=dataclasses.replace(c, D=D)
+        )
+        assert rep.max_residual < 1e-9
 
     def test_empty_draw_count_rejected(self):
         with pytest.raises(ValueError, match="n_draws"):
@@ -200,13 +236,23 @@ class TestSuite:
         assert a.residuals == b.residuals
         assert a.samples == b.samples
 
-    def test_random_draws_stay_in_the_valid_domain(self):
-        rng = np.random.default_rng(31)
-        for _ in range(200):
-            p, inc, (x1, x2) = random_model_draw(rng)
-            assert p.Gamma > 0 and p.kappa >= 0 and p.U >= 0
-            assert inc.direction is LEFT
-            assert min(abs(x1), abs(x2), abs(x1 - x2)) > 1e-3
+    def test_random_draws_keep_their_distributions(self):
+        n = 10**5
+        p, inc, points = random_model_draws(np.random.default_rng(31), n)
+        assert inc.direction is LEFT
+        # the lossless and linear edges each on 15 % of the draws
+        for rate in (p.kappa, p.U):
+            assert rate.shape == (n,)
+            assert abs(np.count_nonzero(rate == 0.0) / n - 0.15) < 0.01
+        for rate, high in ((p.gamma1, 1.5), (p.gamma2, 1.5), (p.kappa, 2.0), (p.U, 20.0)):
+            assert np.all((0.0 <= rate) & (rate < high))
+        assert np.all(p.Gamma > 0.0)
+        assert np.all((-1.0 <= p.omega_a) & (p.omega_a < 1.0))
+        for w in (inc.omega_k1, inc.omega_k2):
+            assert np.all(np.abs(w - p.omega_a) <= 3.0)
+        assert points.shape == (n, 2) and np.all(np.abs(points) <= 4.0)
+        x1, x2 = points.T
+        assert np.min(np.abs([x1, x2, x1 - x2])) > 1e-3
 
     def test_report_rejects_non_finite_residuals(self):
         with pytest.raises(ValueError, match="finite"):
