@@ -54,10 +54,6 @@ _DIVERGE_TOL = 1e-12
 # two-photon-resonance root finding: walk steps per half-period pi/|U| of
 # the tangent condition
 _TWO_RES_SCAN_POINTS = 80
-# golden-section search of the null scan: the golden-ratio conjugate, and
-# the relative width at which a search stops
-_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
-_GOLDEN_XTOL = 1e-12
 
 
 class WorkingAreaCase(enum.Enum):
@@ -139,7 +135,7 @@ def working_area_single_res(params: ModelParams, gamma1_grid: Sequence[float]) -
         return _empty_curve(case, params, f"the gamma1 grid {ends} has no point in {span}")
     diverges = np.abs(s - 2.0 * g1) < _DIVERGE_TOL * G
     with np.errstate(divide="ignore"):
-        gx = (2.0 * G / s) * np.log(4.0 * g1**2 / (s - 2.0 * g1) ** 2)
+        gx = (2.0 * G / s) * np.log(4.0 * (g1 / G) ** 2 / ((s - 2.0 * g1) / G) ** 2)
     # a negative separation only comes from rounding right at the lower edge
     gx = np.where(diverges, np.inf, np.maximum(gx, 0.0))
     return WorkingAreaCurve(case, params, g1 / G, gx, np.zeros(g1.size, int), diverges)
@@ -202,7 +198,7 @@ def working_area_two_res(
     below = f"no null has Gamma|x| <= gx_ceiling {gx_ceiling:g}"
     x_cap = gx_ceiling / G
     # the separation |x| = (2/s) ln[2 gamma1^2 / ((2 gamma1 - s) s)] at gamma1 = Gamma
-    x_min = (2.0 / s) * math.log(2.0 * G**2 / ((2.0 * G - s) * s))
+    x_min = (2.0 / s) * math.log(2.0 / ((2.0 - s / G) * (s / G)))
     if not x_min < x_cap:
         return _empty_curve(case, params, below)
     h = math.pi / (_TWO_RES_SCAN_POINTS * U)
@@ -240,59 +236,20 @@ class ZeroScanResult:
     """Minima of the transmitted pair density found by direct scanning.
 
     ``points`` holds (gamma1/Gamma, Gamma*|x|) for every refined local
-    minimum whose density is below ``threshold`` times the free pair
-    density.  ``degenerate_gamma1`` lists couplings at which the
-    transmitted amplitude vanishes identically (linear cavity with the
-    plane part nulled), where minima are meaningless.
+    minimum whose density is below the scan's threshold.
+    ``degenerate_gamma1`` lists couplings at which the transmitted
+    amplitude vanishes identically (linear cavity with the plane part
+    nulled), where minima are meaningless.
     """
 
     points: tuple[tuple[float, float], ...]
-    threshold: float
     degenerate_gamma1: tuple[float, ...] = field(default=())
-
-    @property
-    def degenerate_full_null(self) -> bool:
-        return bool(self.degenerate_gamma1)
 
     def __iter__(self):
         return iter(self.points)
 
     def __len__(self) -> int:
         return len(self.points)
-
-
-def _golden_minimize(
-    f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray, c: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Minima of ``f`` in the brackets ``a < b < c``, all refined at once.
-
-    ``f`` maps an array of points, one per bracket, to its values there.
-    Golden-section search: each bracket ``[x0, x3]`` holds two probes
-    ``x1 < x2`` and loses the part beyond the worse probe, until
-    ``|x3 - x0| <= _GOLDEN_XTOL (|x1| + |x2|)``.  Returns the better
-    final probe of each bracket and its value.
-    """
-    r, q = _GOLDEN, 1.0 - _GOLDEN
-    # the first new probe goes into the wider half of the bracket
-    wide = np.abs(c - b) > np.abs(b - a)
-    x1 = np.where(wide, b, b - q * (b - a))
-    x2 = np.where(wide, b + q * (c - b), b)
-    state = np.array([a, x1, x2, c, f(x1), f(x2)])
-    while True:
-        x0, x1, x2, x3, f1, f2 = state
-        live = np.abs(x3 - x0) > _GOLDEN_XTOL * (np.abs(x1) + np.abs(x2))
-        if not live.any():
-            break
-        # f2 < f1: keep [x1, x3] and probe right of x2; else keep [x0, x2]
-        # and probe left of x1
-        right = f2 < f1
-        probe = np.where(right, r * x2 + q * x3, r * x1 + q * x0)
-        fp = f(probe)
-        stepped = np.where(right, [x1, x2, probe, x3, f2, fp], [x0, probe, x1, x2, fp, f1])
-        state = np.where(live, stepped, state)
-    x0, x1, x2, x3, f1, f2 = state
-    first = f1 < f2
-    return np.where(first, x1, x2), np.where(first, f1, f2)
 
 
 def numeric_zero_scan(
@@ -307,11 +264,20 @@ def numeric_zero_scan(
     For each absolute gamma1 value (gamma2 keeps the total coupling of
     ``params`` fixed) the density is sampled at pair center zero over the
     separations in ``x_grid`` (all couplings in one broadcast).  Every
-    interior local minimum, bracketed by its two grid neighbours, is then
-    refined by golden-section search to a relative width of 1e-12, all
-    minima at once over one field holding each minimum's coupling.  Minima
-    below ``threshold`` times the free pair density 1/(2 pi^2) are
-    reported in reduced units.
+    interior local minimum ``xs[j + 1]`` is then refined in its bracket
+    ``[xs[j], xs[j + 2]]`` by ``_bisect`` on the sign of the central
+    difference ``density(x + h) - density(x - h)``, with ``h`` a millionth
+    of the bracket: all minima at once, over one field holding each
+    minimum's coupling, and both points of a difference in one
+    evaluation.  Minima below ``threshold`` times the free pair density
+    1/(2 pi^2) are reported in reduced units.
+
+    The difference changes sign on the minimum itself, so bisection
+    places it to adjacent floats in ``x``.  A search that compares
+    density values, such as golden section, cannot place a minimum that
+    is not an exact zero closer than about sqrt(eps) relative, where the
+    density is flat to rounding: 2e-9 at the ``verify`` parameters,
+    against 3e-11 by bisection.
 
     ``threshold`` is relative to the free pair density so the criterion
     does not depend on the wavefunction normalization convention.
@@ -320,7 +286,6 @@ def numeric_zero_scan(
     xs = np.asarray(sorted(float(v) for v in x_grid))
     if xs.size < 3:
         raise ValueError("x_grid needs at least 3 points for minimum bracketing")
-    cutoff = threshold * FREE_PAIR_DENSITY
     gamma1 = np.asarray(gamma1_grid, dtype=float)
     # every coupling sampled in one broadcast: rows gamma1, columns separation
     grid = TwoPhotonField(params.at_gamma1(gamma1[:, None]), incoming)
@@ -329,16 +294,22 @@ def numeric_zero_scan(
     interior = (vals[:, 1:-1] <= vals[:, :-2]) & (vals[:, 1:-1] <= vals[:, 2:])
     # the minimum at xs[j + 1], bracketed by its neighbours
     row, j = np.nonzero(interior & ~dark[:, None])
-    pts: list[tuple[float, float]] = []
-    if row.size:
-        fld = TwoPhotonField(params.at_gamma1(gamma1[row]), incoming)
-        x, dens = _golden_minimize(
-            lambda x: np.abs(fld.psi_tt(-0.5 * x, 0.5 * x)) ** 2, xs[j], xs[j + 1], xs[j + 2]
-        )
-        found = dens < cutoff
-        pts = [(g1 / G, G * xm) for g1, xm in zip(gamma1[row[found]].tolist(), x[found].tolist())]
-    degenerate = tuple(g1 / G for g1 in gamma1[dark].tolist())
-    return ZeroScanResult(tuple(pts), threshold, degenerate)
+    fld = TwoPhotonField(params.at_gamma1(gamma1[row]), incoming)
+    h = 1e-6 * (xs[j + 2] - xs[j])
+
+    def density(x: np.ndarray) -> np.ndarray:
+        return np.abs(fld.psi_tt(-0.5 * x, 0.5 * x)) ** 2
+
+    def rising(x: np.ndarray) -> np.ndarray:
+        # a level difference counts as falling: at x = 0, where the density
+        # is even in x, a bracket's lower end reads exactly level
+        up, down = density(np.stack((x + h, x - h)))
+        return np.where(up > down, 1.0, -1.0)
+
+    x = _bisect(rising, xs[j], xs[j + 2])
+    found = density(x) < threshold * FREE_PAIR_DENSITY
+    pts = zip((gamma1[row[found]] / G).tolist(), (G * x[found]).tolist())
+    return ZeroScanResult(tuple(pts), tuple((gamma1[dark] / G).tolist()))
 
 
 def nonreciprocity_contrast(

@@ -267,24 +267,10 @@ def _column_cells(column, shape, n_rows: int):
     With ``index`` None, ``values`` are the column's elements in row order,
     formatted a block at a time."""
     if column.size < n_rows:
-        # a row's position in the column sums, over the axes where the
-        # column is not of length 1, the row's index along the axis times
-        # the column's stride; (rows per step, length, stride) of each
-        steps, inner, stride = [], 1, 1
-        for size, own in zip(shape[::-1], column.shape[::-1] + (1,) * len(shape)):
-            if own > 1:
-                steps.append((inner, size, stride))
-            inner, stride = inner * size, stride * own
-
-        def index(rows):
-            r = np.arange(rows.start, rows.stop)
-            at = np.zeros(r.size, np.intp)
-            for inner, size, stride in steps:
-                q = r // inner
-                at += (q - q // size * size) * stride
-            return at
-
-        return column, index
+        # each row's position in the column: the column's own positions,
+        # broadcast to the table's shape without a copy
+        at = np.broadcast_to(np.arange(column.size).reshape(column.shape), shape)
+        return column, lambda rows: at.flat[rows]
     column = np.broadcast_to(column, shape)
     distinct = _distinct(column, n_rows)
     flat = column.reshape(-1) if column.flags.c_contiguous else column.flat
@@ -438,6 +424,37 @@ def write_csv_tables(tables: Iterable[tuple]) -> None:
     """Write each ``(path, header, columns)`` of ``tables`` as
     :func:`write_csv` does, the tables split across the CPUs together.
 
+    Every cell has the bytes of :func:`format_number`.  A table's columns
+    broadcast together and its rows are made ``_BLOCK_ROWS`` (8192) at a
+    time, so memory stays flat for any table size.  A column smaller than
+    the table (a scalar, ``gamma1[:, None]``, ``x[None, :]``) is formatted
+    once at its own shape and its cells are broadcast.  A full-size column
+    whose distinct values (after the float64 cast) fit in one block, such
+    as the grid columns of ``sweep_single``'s rows or the Toeplitz and
+    Hankel maps of ``twomap``, has each distinct value formatted once, and
+    every block gathers its cells from those by value.  Any other
+    full-size column is formatted in bulk, one block at a time, all such
+    columns of a block in one ``_cells`` call.  So no cell is made twice
+    for one input element.  The block size sets how often the kernel's
+    ~100 numpy calls, each gather and the NUL drop pay their fixed cost;
+    it changes no byte.
+
+    Cells are byte rows, not strings.  ``_cells`` writes the repr of whole
+    arrays of non-integral values with ``1e-6 < |x| < 1e16`` by a numpy
+    kernel: it takes each value's exact decimal expansion from a Dekker
+    product and checks each candidate digit string with one correctly
+    rounded division (Clinger's fast path).  A 16-digit candidate that is
+    an odd integer above 2**53 is not a double; it is certified instead by
+    comparing its exact distance from the expansion with half an ulp.
+    Integers, other magnitudes, non-finite values, powers of two, exact
+    ties and batches of fewer than ``_KERNEL_MIN`` (200) values go to
+    ``repr``: 0.03-0.6 % of the values of the 401 x 401 figure maps.
+    Each block goes into one row buffer, allocated once per table, with a
+    slot per column as wide as the column's widest cell in the block; the
+    kernel and the gathers write their cells straight into the slots, the
+    last comma of each row becomes a newline, and the buffer's NUL padding
+    is dropped on the way to the file.
+
     A table may instead be ``(path, header, make, shape)``: ``make`` is a
     function of no arguments that returns the columns, which must
     broadcast to ``shape``.  Each process that writes rows of such a table
@@ -529,31 +546,7 @@ def write_csv(path: str | os.PathLike, header: Sequence[str], columns: Iterable)
 
     Rows follow the C order of the broadcast shape (last axis fastest), so
     columns shaped ``a[:, None]``, ``b[None, :]`` give every ``b`` for the
-    first ``a``, then for the next.  Every cell has the bytes of
-    :func:`format_number`.  A column smaller than the table is formatted
-    once at its own shape and its cells are broadcast.  A full-size
-    column whose distinct values (after the float64 cast) fit in one block
-    of ``_BLOCK_ROWS`` (8192) has each distinct value formatted once, and
-    every block gathers its cells from those by value; any other full-size
-    column is formatted in bulk, one block at a time, all such columns of
-    a block in one ``_cells`` call.  Either way only one block of a
-    full-size column's cells is alive at once.  The block size sets how
-    often the kernel's ~100 numpy calls, each column's gather and the NUL
-    drop pay their fixed cost; it changes no byte.
-
-    Cells are byte rows, not strings: ``_cells`` writes the repr of whole
-    arrays of non-integral values with ``1e-6 < |x| < 1e16`` by a numpy
-    kernel and sends the rest (integers, powers of two, exact ties) and
-    any batch too small to gain to ``repr``.  Each block goes into one
-    row buffer, allocated once per table, with a slot per column as wide
-    as the column's widest cell in the block; the kernel and the gathers
-    write their cells straight into the slots, and the buffer's NUL
-    padding is dropped on the way to the file.
-
-    This is :func:`write_csv_tables` of the one table, planned in this
-    process: a table of at least 16,384 rows is split into contiguous
-    block ranges, one per CPU, the first written by this process and each
-    further one by a forked child into a temporary file that this process
-    appends.
+    first ``a``, then for the next.  This is :func:`write_csv_tables` of
+    the one table, which says how the cells are made and written.
     """
     write_csv_tables([(path, header, columns)])

@@ -113,8 +113,9 @@ def transmission_amplitude(params: ModelParams, omega_k, direction: Direction):
 def reflection_amplitude(params: ModelParams, omega_k):
     """Reflection amplitude, identical for both incidence directions."""
     delta = np.asarray(omega_k, dtype=float) - params.omega_a
-    r = -1j * np.sqrt(params.gamma1 * params.gamma2) / (
-        delta + 0.5j * (params.kappa + params.Gamma)
+    G = params.Gamma
+    r = -1j * G * np.sqrt((params.gamma1 / G) * (params.gamma2 / G)) / (
+        delta + 0.5j * (params.kappa + G)
     )
     return as_python_complex(r)
 

@@ -174,9 +174,11 @@ class TwoPhotonField:
 
         g_near = params.gamma1 if d is Direction.LEFT_INCIDENT else params.gamma2
         g_far = params.gamma2 if d is Direction.LEFT_INCIDENT else params.gamma1
-        self._w_tt = g_near**2 / G**2
-        self._w_rr = params.gamma1 * params.gamma2 / G**2
-        self._w_rt = np.sqrt(2.0 * g_near**3 * g_far) / G**2
+        # rates over Gamma before any product, so no rate scale overflows
+        near, far = g_near / G, g_far / G
+        self._w_tt = near**2
+        self._w_rr = near * far
+        self._w_rt = np.sqrt(2.0 * near**3 * far)
         # incident photons move in +x (left incidence) or -x direction
         self._sgn = 1.0 if d is Direction.LEFT_INCIDENT else -1.0
         # mixed channel: amplitude products for photon 1 resp. photon 2

@@ -51,11 +51,9 @@ _LINE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Worst absolute residual per relation, with the samples that
-    produced them."""
+    """Worst absolute residual per relation."""
 
     residuals: Mapping[str, float]
-    samples: tuple
 
     def __post_init__(self):
         for name, value in self.residuals.items():
@@ -65,10 +63,6 @@ class ResidualReport:
     @property
     def max_residual(self) -> float:
         return max(self.residuals.values()) if self.residuals else 0.0
-
-    def worst(self) -> tuple[str, float]:
-        name = max(self.residuals, key=self.residuals.get)
-        return name, self.residuals[name]
 
 
 def single_residual(params: ModelParams, omega_k, t_override=None) -> ResidualReport:
@@ -88,8 +82,7 @@ def single_residual(params: ModelParams, omega_k, t_override=None) -> ResidualRe
     sq = np.sqrt(G)
     phi_a = 1j * (t - 1.0) / sq
     cavity = (params.omega_a - omega_k - 0.5j * params.kappa) * phi_a + sq * 0.5 * (1.0 + t)
-    samples = tuple((w,) for w in np.ravel(omega_k).tolist())
-    return ResidualReport({"cavity_equation": float(np.max(np.abs(cavity)))}, samples)
+    return ResidualReport({"cavity_equation": float(np.max(np.abs(cavity)))})
 
 
 def two_photon_residual(
@@ -157,7 +150,7 @@ def two_photon_residual(
         + 1j * np.sqrt(2.0 * G) * c.phi_aa,
     }
     worst = {name: float(np.max(np.abs(value))) for name, value in res.items()}
-    return ResidualReport(worst, tuple(map(tuple, pts.tolist())))
+    return ResidualReport(worst)
 
 
 def random_model_draws(
@@ -201,11 +194,10 @@ def residual_suite(n_draws: int = 1000, seed: int = 20240817) -> ResidualReport:
 
     Deterministic for a fixed seed.  All draws are checked in one
     broadcast call per equation system; the single-photon relations are
-    reported with a ``single_`` prefix, and the returned samples are the
-    drawn points.
+    reported with a ``single_`` prefix.
     """
     params, incoming, points = random_model_draws(np.random.default_rng(seed), n_draws)
     single = single_residual(params, incoming.omega_k1)
     pair = two_photon_residual(params, incoming, points)
     worst = {"single_" + name: value for name, value in single.residuals.items()}
-    return ResidualReport({**worst, **pair.residuals}, pair.samples)
+    return ResidualReport({**worst, **pair.residuals})

@@ -506,6 +506,56 @@ class TestWorkingArea:
         assert not (tmp_path / "wa.csv").exists()
 
 
+def scaled_command(command, k):
+    """A command's argv with each rate, frequency and detuning times 2**k
+    and each position times 2**-k, and its scale-free columns."""
+    a = 2.0**k
+
+    def rates(**values):
+        return [f for name, v in values.items() for f in (f"--{name}", repr(v * a))]
+
+    def grid(lo, hi, n, scale):
+        return f"{repr(lo * scale)}:{repr(hi * scale)}:{n}"
+
+    area = ["gamma1_over_Gamma", "Gamma_abs_x", "branch", "diverges"]
+    return {
+        "single": (["single", *rates(**{"omega-a": 0.3, "kappa": 0.6, "gamma1": 0.7, "gamma2": 0.5}),
+                    f"--detuning={grid(-2.0, 2.0, 41, a)}", f"--gamma1-grid={grid(0.0, 1.2, 21, a)}"],
+                   ["detuning_over_Gamma", "gamma1_over_Gamma", "T", "R", "loss"]),
+        "twomap": (["twomap", *rates(**{"omega-a": 0.3, "kappa": 0.6, "U": 3.0, "gamma1": 0.7,
+                                        "gamma2": 0.5}),
+                    f"--x={grid(-5.0, 5.0, 41, 1.0 / a)}", "--channels", "tt,rr,rt"],
+                   ["psi_tt_sq", "psi_rr_sq", "psi_rt_sq"]),
+        "working-area-single": (["working-area", *rates(kappa=0.6, U=10.0, gamma1=0.7, gamma2=0.5),
+                                 f"--gamma1-grid={grid(0.0, 1.2, 41, a)}"], area),
+        "working-area-two": (["working-area", "--case", "two-photon-resonance",
+                              *rates(kappa=0.4, U=10.0, gamma1=0.7, gamma2=0.5)], area),
+    }[command]
+
+
+class TestRateScale:
+    # every rate and frequency times 2**k and every position times 2**-k is
+    # the same model: the scale-free columns must be bit-identical
+    @pytest.mark.parametrize("k", [600, -600])
+    @pytest.mark.parametrize("command", ["single", "twomap", "working-area-single",
+                                         "working-area-two"])
+    @pytest.mark.filterwarnings("error")
+    def test_scale_free_columns_do_not_depend_on_the_rate_scale(self, command, k, tmp_path,
+                                                                capsys):
+        def columns(k):
+            argv, names = scaled_command(command, k)
+            out = tmp_path / f"{k}.csv"
+            code, _, stderr = run([*argv, "-o", str(out)], capsys)
+            assert code == EXIT_OK and stderr == ""
+            lines = out.read_text().splitlines()
+            at = [lines[0].split(",").index(name) for name in names]
+            return [[row.split(",")[i] for i in at] for row in lines[1:]]
+
+        base = columns(0)
+        assert len(base) > 10 and "nan" not in str(base)
+        assert columns(k) == base
+
+
 class TestVerifyCommand:
     def test_residual_suite_passes_and_prints_json(self, tmp_path, capsys):
         out = tmp_path / "report.json"

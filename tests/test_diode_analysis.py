@@ -382,7 +382,7 @@ class TestEmptyCurve:
 class TestNumericZeroScan:
     def test_matches_the_closed_form_curve_at_the_verify_parameters(self):
         # the single-photon-resonance working-area check of ``verify``,
-        # whose gate is 0.05; both curves agree to 2.0e-9
+        # whose gate is 0.05; both curves agree to 3.2e-11
         p = params()
         grid = np.linspace(0.52, 0.95, 9)
         curve = working_area_single_res(p, grid)
@@ -393,7 +393,21 @@ class TestNumericZeroScan:
         found = dict(scan)
         assert len(found) == len(curve) == len(grid)
         for g1, x in zip(curve.gamma1_over_Gamma, curve.Gamma_abs_x):
-            assert abs(found[g1] - x) <= 1e-8
+            assert abs(found[g1] - x) <= 1e-10
+
+    def test_minima_land_on_the_two_photon_resonance_roots(self):
+        # at couplings with exact zeros every minimum is one of
+        # working_area_two_res's roots, which are exact to rounding
+        p = params(kappa=0.4)
+        curve = working_area_two_res(p, gx_ceiling=8.0)
+        keep = curve.gamma1_over_Gamma > 0.71
+        roots = dict(zip(curve.gamma1_over_Gamma[keep].tolist(), curve.Gamma_abs_x[keep].tolist()))
+        scan = numeric_zero_scan(
+            p, two_res_pair(p), gamma1_grid=list(roots), x_grid=np.linspace(0.0, 8.0, 801)
+        )
+        assert len(scan) == len(roots) > 4
+        for g1, x in scan:
+            assert x == pytest.approx(roots[g1], rel=1e-14, abs=0.0)
 
     def test_refinement_lands_on_the_reference_golden_search(self):
         # every minimum refined one at a time by the reference
@@ -424,6 +438,25 @@ class TestNumericZeroScan:
             assert g1 == g1_ref
             assert x == pytest.approx(x_ref, abs=1e-10)
 
+    def test_minimum_in_the_bracket_at_zero_separation(self):
+        # the density is even in x, so its central difference is exactly 0
+        # at the bracket's lower end x = 0; the minimum still lies inside,
+        # away from that end
+        p = make_params(omega_a=0.0, kappa=1.37, U=-16.4, gamma1=1.0, gamma2=0.0)
+        pair = single_res_pair(p)
+        xs = np.linspace(0.0, 1.0, 41)
+        scan = numeric_zero_scan(p, pair, gamma1_grid=[0.5975], x_grid=xs, threshold=1e-3)
+        f = TwoPhotonField(p.at_gamma1(0.5975), pair)
+        ref = minimize_scalar(
+            lambda x: float(np.abs(f.psi_tt(-0.5 * x, 0.5 * x)) ** 2),
+            bracket=tuple(xs[:3]), method="golden", options={"xtol": 1e-12},
+        )
+        assert len(scan) == 1
+        (g1, x), = scan
+        assert g1 == 0.5975
+        assert x == pytest.approx(ref.x, abs=1e-7)
+        assert x > xs[1]
+
     def test_flags_identically_dark_couplings(self):
         # at gamma1 = Gamma = kappa with a linear cavity the transmitted
         # amplitude vanishes for every separation
@@ -431,7 +464,6 @@ class TestNumericZeroScan:
         scan = numeric_zero_scan(
             p, single_res_pair(p), gamma1_grid=[1.0], x_grid=np.linspace(0.0, 4.0, 41)
         )
-        assert scan.degenerate_full_null
         assert scan.degenerate_gamma1 == (1.0,)
         assert len(scan) == 0
 

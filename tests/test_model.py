@@ -6,8 +6,14 @@ import pytest
 from chiral_diode import (
     Direction,
     PhotonIn,
+    TwoPhotonField,
     TwoPhotonIn,
+    WorkingAreaCase,
+    chiral_coeffs,
     make_params,
+    numeric_zero_scan,
+    working_area_single_res,
+    working_area_two_res,
 )
 
 
@@ -111,3 +117,40 @@ class TestPhotonRecords:
         with pytest.raises(ValueError, match="direction"):
             TwoPhotonIn(None, 0.0, 0.0)
 
+
+
+def scale_free_results(k):
+    """Every closed form's scale-free output with each rate and frequency
+    times 2**k and each position times 2**-k."""
+    a = 2.0**k
+    p = make_params(omega_a=0.3 * a, kappa=0.6 * a, U=3.0 * a, gamma1=0.7 * a, gamma2=0.5 * a)
+    x = np.linspace(-5.0, 5.0, 41) / a
+    x1, x2 = x[:, None], x[None, :]
+    out = []
+    for d in Direction:
+        c = chiral_coeffs(p, PhotonIn(d, np.linspace(-2.0, 2.0, 41) * a))
+        out += [c.T, c.R]
+        for case in WorkingAreaCase:
+            f = TwoPhotonField(p, case.incoming(p, d))
+            out += [np.abs(psi(x1, x2)) ** 2 for psi in (f.psi_tt, f.psi_rr, f.psi_rt)]
+    out += working_area_single_res(p, np.linspace(0.0, 1.2, 41) * a).columns()
+    out += working_area_two_res(p).columns()
+    q = make_params(omega_a=0.0, kappa=0.4 * a, U=10.0 * a, gamma1=1.0 * a, gamma2=0.0)
+    scan = numeric_zero_scan(q, WorkingAreaCase.TWO_PHOTON_RESONANCE.incoming(q),
+                             np.linspace(0.72, 1.0, 15) * a, np.linspace(0.0, 8.0, 401) / a,
+                             threshold=1e-3)
+    out.append(np.array(scan.points))
+    return out
+
+
+class TestRateScale:
+    # scaling every rate and frequency by 2**k and every position by 2**-k
+    # is exact in float64 and leaves the model unchanged, so each
+    # scale-free output must be bit-identical, far from unit rates too
+    @pytest.mark.parametrize("k", [600, -600])
+    @pytest.mark.filterwarnings("error")
+    def test_outputs_do_not_depend_on_the_rate_scale(self, k):
+        base = scale_free_results(0)
+        assert base[-1].size > 0
+        for want, got in zip(base, scale_free_results(k), strict=True):
+            assert np.array_equal(want, got)
