@@ -385,7 +385,8 @@ _WORKING_AREA = (
     *_param_options(U=10.0),
     _Option(
         "--case", WorkingAreaCase.SINGLE_PHOTON_RESONANCE.value,
-        _Choice({c.value: c for c in WorkingAreaCase}), "incident pair tuning",
+        _Choice({c.value: c for c in WorkingAreaCase}),
+        "incident pair tuning; two-photon-resonance needs kappa < Gamma",
     ),
     _Option(
         "--gamma1-grid", "0:1:401", _parse_grid,

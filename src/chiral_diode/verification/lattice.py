@@ -200,9 +200,10 @@ class LatticeResult:
     ``1 - T_raw - R_raw``.  ``converged`` is False when the packet has
     not reached and cleared the scatterer by the final time: amplitude is
     left upstream in the incident channel, near the cavity or in it.
-    ``norm_trace`` (when requested) samples the total state norm once per
-    time step.  The run's cost is ``steps`` Runge-Kutta steps of ``modes``
-    amplitudes.
+    ``norm_trace`` samples the total state norm at the start of every
+    product of ``_BLOCK_STEPS`` Runge-Kutta steps and at the end,
+    ``steps // _BLOCK_STEPS + 1`` samples.  The run's cost is ``steps``
+    Runge-Kutta steps of ``modes`` amplitudes.
     """
 
     T: float
@@ -214,7 +215,7 @@ class LatticeResult:
     final_cavity_pop: float
     steps: int
     modes: int
-    norm_trace: np.ndarray | None = None
+    norm_trace: np.ndarray
 
 
 def _absorber(spec: LatticeSpec) -> np.ndarray:
@@ -269,7 +270,6 @@ def lattice_transmission(
     omega_k: float,
     direction: Direction,
     t_final: float | None = None,
-    track_norm: bool = False,
 ) -> LatticeResult:
     """Scatter a single-photon wavepacket off the cavity on the lattice.
 
@@ -278,7 +278,9 @@ def lattice_transmission(
     channel half-width, twice the launch distance, enough for transmitted
     and reflected packets to reach mirror positions).  Right incidence
     runs as the mirrored left incidence, with ``gamma1`` and ``gamma2``
-    swapped: the lattice is symmetric about the cavity.
+    swapped: the lattice is symmetric about the cavity.  Every run steps
+    ``_BLOCK_STEPS`` Runge-Kutta steps per product and returns the state
+    norm at each product's start and at the end as ``norm_trace``.
 
     Raises ValueError if a rate or ``omega_k`` is an array, the packet
     bandwidth is not narrow against the cavity linewidth ``kappa + Gamma``,
@@ -313,14 +315,12 @@ def lattice_transmission(
     psi = np.zeros(H.shape[0], dtype=complex)
     psi[:n] = env
     n_steps, dt = _time_grid(horizon, 0.5 * spec.dx)
-    trace = np.empty(n_steps + 1) if track_norm else None
+    trace = np.empty(n_steps // _BLOCK_STEPS + 1)
 
     def record(step, parts, read):
-        trace[step] = np.vdot(parts, parts)
+        trace[step // _BLOCK_STEPS] = np.vdot(parts, parts)
 
-    # one step per product keeps the norm trace at every step
-    _rk4(H, psi, dt, n_steps, record if track_norm else None,
-         1 if track_norm else _BLOCK_STEPS)
+    _rk4(H, psi, dt, n_steps, record, _BLOCK_STEPS)
     # the left channel slice is empty when the basis has none
     trans, refl, c = psi[:n], psi[n:-1], psi[-1]
     T_raw = float(np.sum(np.abs(trans) ** 2))
@@ -398,16 +398,16 @@ class _Generator:
 
     Mode layout: right-channel sites, then left-channel sites when the
     left channel is kept, then the cavity.  The sites form one
-    tridiagonal block (``diag``, ``upper``, ``lower``; no hopping joins
-    the two channels), the cavity couples to them through the ``border``
-    column and its transpose, and ``cavity`` is its diagonal entry.  The
-    border's values are real; it is stored complex so that ``apply``
-    casts nothing.
+    tridiagonal block (``diag``, and the hop ``upper`` above it and
+    ``-upper`` below it: the transport is skew-symmetric, and no hopping
+    joins the two channels), the cavity couples to them through the
+    ``border`` column and its transpose, and ``cavity`` is its diagonal
+    entry.  The border's values are real; it is stored complex so that
+    ``apply`` casts nothing.
     """
 
     diag: np.ndarray
     upper: np.ndarray
-    lower: np.ndarray
     border: np.ndarray
     cavity: complex
 
@@ -425,8 +425,8 @@ class _Generator:
         np.multiply(self.diag, sites, out=body)
         np.multiply(self.upper, sites[..., 1:], out=tmp[..., 1:])
         body[..., :-1] += tmp[..., 1:]
-        np.multiply(self.lower, sites[..., :-1], out=tmp[..., 1:])
-        body[..., 1:] += tmp[..., 1:]
+        np.multiply(self.upper, sites[..., :-1], out=tmp[..., 1:])
+        body[..., 1:] -= tmp[..., 1:]
         np.multiply(self.border, c, out=tmp)
         body += tmp
         # einsum, not BLAS: a threaded complex gemv (64 x 64 and up) was
@@ -466,7 +466,7 @@ def _single_particle_operator(
         upper, diag, border = hop, loss, column(params.gamma1)
     # the difference matrix is skew-symmetric, so the transport is Hermitian
     cavity = (params.omega_a - omega_frame) - 0.5j * params.kappa
-    return _Generator(diag, upper, -upper, border, cavity)
+    return _Generator(diag, upper, border, cavity)
 
 
 # a Runge-Kutta step, degree 4 in the generator, reaches this many sites each way
@@ -484,13 +484,12 @@ def _local(H: _Generator, sites: np.ndarray, coupled: bool = True,
            transpose: bool = False) -> _Generator:
     """H on the given sites and the cavity, with no hop across a gap in
     ``sites``; without the cavity's terms when not ``coupled``, and as its
-    transpose (hops swapped; the border is symmetric) when ``transpose``."""
-    joined = np.diff(sites) == 1
-    upper, lower = H.upper[sites[:-1]] * joined, H.lower[sites[:-1]] * joined
+    transpose (hop negated; the border is symmetric) when ``transpose``."""
+    upper = H.upper[sites[:-1]] * (np.diff(sites) == 1)
     if transpose:
-        upper, lower = lower, upper
+        upper = -upper
     border = H.border[sites] if coupled else np.zeros(sites.size, dtype=complex)
-    return _Generator(H.diag[sites], upper, lower, border, H.cavity if coupled else 0.0)
+    return _Generator(H.diag[sites], upper, border, H.cavity if coupled else 0.0)
 
 
 def _within(mask: np.ndarray, reach: int) -> np.ndarray:
@@ -528,14 +527,14 @@ def _site_band(H: _Generator, dt: float, steps: int, reach: int) -> np.ndarray:
     stretch keeps its ends) and their rows copy a kept row ``reach`` sites
     inside the stretch."""
     # the sites' part of A = -i dt H is real: hop -dt/(2 dx), absorber -dt W
-    lower, diag, upper = ((-1j * dt * v).real for v in (H.lower, H.diag, H.upper))
+    diag, upper = ((-1j * dt * v).real for v in (H.diag, H.upper))
     odd = diag != 0.0
     odd[[0, -1]] = True
-    odd[1:-1] |= (upper[1:] != upper[:-1]) | (lower[1:] != lower[:-1])
+    odd[1:-1] |= upper[1:] != upper[:-1]
     cut = ~_within(odd, 2 * reach + 1)
     kept = np.flatnonzero(~cut)
     # the hop out of the site before a cut is the stretch's hop
-    lower, diag, upper = lower[kept[:-1]], diag[kept], upper[kept[:-1]]
+    diag, upper = diag[kept], upper[kept[:-1]]
     q = np.array(_STEP_POLY)
     for _ in range(steps - 1):
         q = np.convolve(q, _STEP_POLY)
@@ -548,7 +547,8 @@ def _site_band(H: _Generator, dt: float, steps: int, reach: int) -> np.ndarray:
         live = band[:, reach - t:reach + t + 1]
         prev = live / j
         np.multiply(diag[:, None], prev, out=live)
-        live[1:, :-1] += lower[:, None] * prev[:-1, 1:]
+        # the hop below the diagonal is -upper
+        live[1:, :-1] -= upper[:, None] * prev[:-1, 1:]
         live[:-1, 1:] += upper[:, None] * prev[1:, :-1]
         band[:, reach] += weights[j - 1]
     last = np.cumsum(~cut) - 1

@@ -240,7 +240,7 @@ def _working_area_checks() -> list[VerifyCheck]:
     near = np.abs(g1 - curve.gamma1_over_Gamma[:, None]) < 1e-9
     dev = np.where(near, np.abs(x - curve.Gamma_abs_x[:, None]), np.inf)
     worst = np.max(np.min(dev, axis=1, initial=np.inf), initial=0.0)
-    checks = [_below("working_area_single_res_scan_max_dev", worst, 0.05)]
+    checks = [_below("working_area_single_res_scan_max_dev", worst, 1e-8)]
 
     p2 = ModelParams(omega_a=0.0, kappa=0.4, U=10.0, gamma1=1.0, gamma2=0.0)
     curve2 = working_area_two_res(p2)
@@ -254,7 +254,7 @@ def _working_area_checks() -> list[VerifyCheck]:
 
 def _lattice_checks() -> list[VerifyCheck]:
     spec = default_single_spec()
-    worst = 0.0
+    worst, rises = 0.0, []
     for kappa in (0.01, 1.0, 100.0):
         for g1 in (0.0, 0.5, 1.0):
             p = ModelParams(omega_a=0.0, kappa=kappa, U=0.0, gamma1=g1, gamma2=1.0 - g1)
@@ -263,24 +263,20 @@ def _lattice_checks() -> list[VerifyCheck]:
             worst = max(worst, abs(res.T - ref.T), abs(res.R - ref.R))
             if not res.converged:
                 worst = np.inf
+            rises.append(np.max(np.diff(res.norm_trace)))
     checks = [_below("lattice_agreement_max_dev", worst, 0.02)]
 
-    # the norm invariants on the same geometry; without the absorber and
-    # kappa nothing may leave the lattice
+    # the norm invariants of the same stepper: without the absorber and
+    # kappa nothing may leave the lattice, and with them the norm of the
+    # runs above may never rise
     lossless = ModelParams(omega_a=0.0, kappa=0.0, U=0.0, gamma1=0.5, gamma2=0.5)
     res = lattice_transmission(
-        dataclasses.replace(spec, absorber_width=0), lossless, 0.0,
-        Direction.LEFT_INCIDENT, track_norm=True,
+        dataclasses.replace(spec, absorber_width=0), lossless, 0.0, Direction.LEFT_INCIDENT
     )
     drift = float(np.max(np.abs(res.norm_trace - 1.0)))
     checks.append(_below("lattice_norm_drift_lossless", drift, 1e-8))
-
-    lossy = ModelParams(omega_a=0.0, kappa=1.0, U=0.0, gamma1=0.7, gamma2=0.3)
-    res = lattice_transmission(
-        spec, lossy, 0.0, Direction.LEFT_INCIDENT, track_norm=True
-    )
-    rise = float(np.max(np.diff(res.norm_trace)))
-    checks.append(_below("lattice_norm_max_rise", rise, 1e-10))
+    # np.max, not max: a nan rise from a run that overflowed must fail
+    checks.append(_below("lattice_norm_max_rise", np.max(rises), 1e-10))
     return checks
 
 
@@ -344,9 +340,10 @@ def verify_all(
     sensitivity checks (about 0.03 s at the default 300 draws),
     ``"analytic"`` adds the closed-form, diode-condition and working-area
     checks (about 0.05 s), ``"lattice"`` adds the single-excitation
-    lattice agreements and norm invariants on ``default_single_spec()``
-    (about 0.6 s), and ``"all"`` adds the two-excitation lattice checks
-    (about 1.3 s in all, 0.2 s of it the step-halving rerun).  ``n_draws``
+    lattice agreements on ``default_single_spec()`` and the norm
+    invariants read off the same stepper (about 0.35 s), and ``"all"``
+    adds the two-excitation lattice checks (about 1 s in all, 0.2 s of it
+    the step-halving rerun).  ``n_draws``
     sets the random draws of both the residual suite and the closed-form
     property checks; each draws and evaluates all its draws in one
     broadcast pass, so 5000 draws take about 0.06 s and 50,000 about

@@ -460,6 +460,14 @@ class TestWorkingArea:
         pole = payload["points"][-1]
         assert pole["diverges"] is True and pole["Gamma_abs_x"] is None
 
+    def test_help_says_two_photon_resonance_needs_kappa_below_gamma(self, capsys):
+        # with no other flag the default kappa = 1 equals Gamma, and the
+        # two-photon-resonance curve is empty
+        with pytest.raises(SystemExit):
+            main(["working-area", "--help"])
+        shown = " ".join(capsys.readouterr().out.split())
+        assert "two-photon-resonance needs kappa < Gamma" in shown
+
     def test_two_res_case(self, tmp_path, capsys):
         out = tmp_path / "wa2.csv"
         code, _, _ = run(

@@ -382,7 +382,7 @@ class TestEmptyCurve:
 class TestNumericZeroScan:
     def test_matches_the_closed_form_curve_at_the_verify_parameters(self):
         # the single-photon-resonance working-area check of ``verify``,
-        # whose gate is 0.05; both curves agree to 3.2e-11
+        # whose gate is 1e-8; both curves agree to 3.2e-11
         p = params()
         grid = np.linspace(0.52, 0.95, 9)
         curve = working_area_single_res(p, grid)

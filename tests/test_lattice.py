@@ -27,7 +27,11 @@ from chiral_diode.verification.lattice import (
     default_single_spec,
     default_two_photon_spec,
 )
-from chiral_diode.verification.report import _STEP_HALVING_GATE, _step_halving_check
+from chiral_diode.verification.report import (
+    _STEP_HALVING_GATE,
+    _lattice_checks,
+    _step_halving_check,
+)
 
 LEFT = Direction.LEFT_INCIDENT
 RIGHT = Direction.RIGHT_INCIDENT
@@ -208,15 +212,47 @@ class TestNormBehavior:
     def test_norm_conserved_without_any_loss(self):
         spec = LatticeSpec(2001, 0.08, 6.0, 0)
         p = ModelParams(0.0, 0.0, 0.0, 0.5, 0.5)
-        res = lattice_transmission(spec, p, 0.0, LEFT, track_norm=True)
+        res = lattice_transmission(spec, p, 0.0, LEFT)
         assert float(np.max(np.abs(res.norm_trace - 1.0))) < 1e-8
 
     def test_norm_never_increases_with_loss_on(self):
         spec = LatticeSpec(2001, 0.08, 6.0, 80)
         p = ModelParams(0.0, 1.0, 0.0, 0.7, 0.3)
-        res = lattice_transmission(spec, p, 0.0, LEFT, track_norm=True)
+        res = lattice_transmission(spec, p, 0.0, LEFT)
         assert float(np.max(np.diff(res.norm_trace))) < 1e-10
         assert res.norm_trace[-1] < 1.0
+
+    @staticmethod
+    def _checks_with_cavity(monkeypatch, cavity):
+        """verify's single-excitation lattice checks, every generator's
+        cavity entry mapped by ``cavity``."""
+        build = lattice_module._single_particle_operator
+
+        def mutant(*args):
+            H = build(*args)
+            return dataclasses.replace(H, cavity=cavity(H.cavity))
+
+        monkeypatch.setattr(lattice_module, "_single_particle_operator", mutant)
+        return {c.name: c for c in _lattice_checks()}
+
+    def test_verify_drift_check_fires_on_a_cavity_leak(self, monkeypatch):
+        # a leak the agreement check cannot see: T and R move by ~1e-5
+        checks = self._checks_with_cavity(monkeypatch, lambda c: c - 1e-6j)
+        assert checks["lattice_agreement_max_dev"].passed
+        drift = checks["lattice_norm_drift_lossless"]
+        assert not drift.passed and drift.value > 1e-6
+
+    @pytest.mark.parametrize("gain", [
+        # a net gain at kappa = 0.01 alone
+        lambda c: c + 0.01j,
+        # the kappa = 100 loss turned gain: that run alone overflows, and
+        # its nan rise must fail the check, not drop out of the maximum
+        lambda c: c.conjugate() if c.imag < -10.0 else c,
+    ], ids=["slight", "overflowing"])
+    def test_verify_rise_check_fires_on_cavity_gain(self, gain, monkeypatch):
+        with np.errstate(all="ignore"):
+            checks = self._checks_with_cavity(monkeypatch, gain)
+        assert not checks["lattice_norm_max_rise"].passed
 
 
 # the generator's channel layouts: left incidence at gamma2 = 0 (the left
@@ -434,17 +470,21 @@ class TestBlockedStepper:
         with pytest.raises(ValueError, match="19 steps are not a whole number of blocks of 2"):
             lattice_module._rk4(H, states, self.DT, 19, block=2)
 
-    def test_norm_trace_samples_every_step(self):
+    def test_norm_trace_samples_every_product(self, monkeypatch):
         p = ModelParams(0.0, 1.0, 0.0, 0.7, 0.3)
         spec = default_single_spec()
-        tracked = lattice_transmission(spec, p, 0.0, LEFT, track_norm=True)
         blocked = lattice_transmission(spec, p, 0.0, LEFT)
-        assert tracked.norm_trace.size == tracked.steps + 1
-        assert (tracked.steps, tracked.modes) == (blocked.steps, blocked.modes) == (1200, 2403)
-        assert tracked.norm_trace[0] == pytest.approx(1.0, abs=1e-15)
-        assert tracked.norm_trace[-1] == pytest.approx(blocked.T_raw + blocked.R_raw
-                                                       + blocked.final_cavity_pop, rel=1e-9)
-        for a, b in ((tracked.T, blocked.T), (tracked.R, blocked.R)):
+        assert (blocked.steps, blocked.modes) == (1200, 2403)
+        assert blocked.norm_trace.size == blocked.steps // 4 + 1
+        assert blocked.norm_trace[0] == pytest.approx(1.0, abs=1e-15)
+        assert blocked.norm_trace[-1] == pytest.approx(blocked.T_raw + blocked.R_raw
+                                                       + blocked.final_cavity_pop, rel=1e-12)
+        # one step per product samples every step, each 4th on the blocked trace
+        monkeypatch.setattr(lattice_module, "_BLOCK_STEPS", 1)
+        single = lattice_transmission(spec, p, 0.0, LEFT)
+        assert single.norm_trace.size == single.steps + 1 == blocked.steps + 1
+        assert np.max(np.abs(single.norm_trace[::4] - blocked.norm_trace)) <= 1e-12
+        for a, b in ((single.T, blocked.T), (single.R, blocked.R)):
             assert a == pytest.approx(b, rel=1e-12)
 
     def test_odd_horizon_steps_whole_blocks_to_the_horizon(self, monkeypatch):

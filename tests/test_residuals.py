@@ -358,6 +358,20 @@ class TestVerifyAll:
         shifted = _diode_condition_check(kappa_shift=1e-3)
         assert shifted.value == np.inf and not shifted.passed
 
+    def test_working_area_check_fires_on_a_one_ppm_curve_error(self, monkeypatch):
+        from chiral_diode.verification import report
+
+        exact = report.working_area_single_res
+
+        def off(*args):
+            curve = exact(*args)
+            return dataclasses.replace(curve, Gamma_abs_x=curve.Gamma_abs_x * (1.0 + 1e-6))
+
+        monkeypatch.setattr(report, "working_area_single_res", off)
+        check = report._working_area_checks()[0]
+        assert check.name == "working_area_single_res_scan_max_dev"
+        assert not check.passed and check.value > 1e-6
+
     def test_default_suite_is_lattice(self):
         assert inspect.signature(verify_all).parameters["suite"].default == "lattice"
 
