@@ -52,8 +52,9 @@ FREE_PAIR_DENSITY = 1.0 / (2.0 * np.pi**2)
 
 _DIVERGE_TOL = 1e-12
 # two-photon-resonance root finding: walk steps per half-period pi/|U| of
-# the tangent condition
+# the tangent condition, walked this many nodes at a time
 _TWO_RES_SCAN_POINTS = 80
+_TWO_RES_CHUNK_NODES = 2**16
 
 
 class WorkingAreaCase(enum.Enum):
@@ -174,8 +175,9 @@ def working_area_two_res(
     sign change of its sine, and every node where it is zero, is a root;
     each bracket is bisected down to adjacent floats in ``x``, so a root
     is exact to rounding.  The nodes do not depend on the ceiling, which
-    only cuts the walk short.  The rows are exact zeros of the transmitted
-    density, ordered by (branch, gamma1).
+    only cuts the walk short.  It holds ``_TWO_RES_CHUNK_NODES`` nodes at a
+    time, so its memory does not grow with ``|U| gx_ceiling``.  The rows are
+    exact zeros of the transmitted density, ordered by (branch, gamma1).
 
     The curve is empty, and ``empty`` says why, when the domain
     ``(kappa+Gamma)/2 < gamma1 <= Gamma`` is empty (kappa >= Gamma), for
@@ -207,9 +209,7 @@ def working_area_two_res(
     if not steps < 2.0**53:
         raise ValueError(f"{steps:.3g} scan steps lie below gx_ceiling {gx_ceiling:g} "
                          f"at |U| = {U:g}, more than float64 counts (2**53)")
-    x = x_min + h * np.arange(math.ceil(steps))
-    # steps may round up past an integer, and so x past x_cap
-    x = np.append(x[x < x_cap], x_cap)
+    n = math.ceil(steps)
 
     def gamma1(x: np.ndarray) -> np.ndarray:
         # the separation condition solved for gamma1 without cancellation;
@@ -219,11 +219,23 @@ def working_area_two_res(
     def phase(x: np.ndarray) -> np.ndarray:
         return U * x - np.arctan((s - 2.0 * gamma1(x)) / (4.0 * U))
 
-    vals = np.sin(phase(x))
-    # every node that is an exact zero, then every sign change, bisected
-    i = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-    roots = np.concatenate((x[vals == 0.0],
-                            _bisect(lambda x: np.sin(phase(x)), x[i], x[i + 1])))
+    # every node that is an exact zero, then every sign change, bisected;
+    # each chunk of nodes starts at the last node of the one before, so a
+    # sign change across the boundary is found and a zero counted once
+    zeros, brackets = [], []
+    x_last = v_last = np.empty(0)
+    for start in range(0, n, _TWO_RES_CHUNK_NODES):
+        x = x_min + h * np.arange(start, min(start + _TWO_RES_CHUNK_NODES, n))
+        # steps may round up past an integer, and so x past x_cap
+        x = np.append(x[x < x_cap], [x_cap] if start + _TWO_RES_CHUNK_NODES >= n else [])
+        vals = np.sin(phase(x))
+        zeros.append(x[vals == 0.0])
+        x, vals = np.concatenate((x_last, x)), np.concatenate((v_last, vals))
+        i = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+        brackets.append((x[i], x[i + 1]))
+        x_last, v_last = x[-1:], vals[-1:]
+    lo, hi = np.concatenate(brackets, axis=1)
+    roots = np.concatenate(zeros + [_bisect(lambda x: np.sin(phase(x)), lo, hi)])
     g1 = gamma1(roots)
     branch = np.rint(phase(roots) / math.pi).astype(int)
     order = np.lexsort((g1, branch))

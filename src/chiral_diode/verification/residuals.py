@@ -5,10 +5,11 @@ waveguide-cavity equations.  This module re-evaluates those equations off
 the coupling lines (transport residuals, with analytic derivatives of the
 closed-form exponentials) and the discontinuity relations on them
 (one-sided limits taken from the exact region forms), and reports the
-worst absolute violation per relation.  Every quantity is computed from
-the model coefficients alone, so a corrupted coefficient injected through
-the override arguments must light up at least one residual; that
-sensitivity is itself part of the verification suite.
+largest violation per relation, the single-photon one as a backward error.
+Every quantity is computed from the model coefficients alone, so a
+corrupted coefficient injected through the override arguments must light
+up at least one residual; that sensitivity is itself part of the
+verification suite.
 
 Residual names
 --------------
@@ -51,18 +52,14 @@ _LINE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Worst absolute residual per relation."""
+    """Largest residual per relation; ``max_residual`` is nan if any of them
+    is nan or if there is none, so that either fails a gate."""
 
     residuals: Mapping[str, float]
 
-    def __post_init__(self):
-        for name, value in self.residuals.items():
-            if not (np.isfinite(value) and value >= 0.0):
-                raise ValueError(f"residual {name} is not a finite nonnegative number: {value}")
-
     @property
     def max_residual(self) -> float:
-        return max(self.residuals.values()) if self.residuals else 0.0
+        return float(np.max([*self.residuals.values()])) if self.residuals else np.nan
 
 
 def single_residual(params: ModelParams, omega_k, t_override=None) -> ResidualReport:
@@ -70,19 +67,25 @@ def single_residual(params: ModelParams, omega_k, t_override=None) -> ResidualRe
 
     The cavity amplitude is defined through the transmission jump, so the
     one relation left to check is the cavity stationarity relation with
-    the coupling-point field value ``(1 + t)/2``.  ``omega_k`` broadcasts
-    against array-valued rates in ``params``, and the residual is the
-    worst over all of them.  Passing ``t_override`` (a scalar or an array
-    of the broadcast shape) replaces the closed-form transmission
+    the coupling-point field value ``(1 + t)/2``.  The relation R is
+    linear in t, with slope R' = i(omega_a - omega - i kappa/2)/sqrt(Gamma)
+    + sqrt(Gamma)/2, so it is reported as the backward error
+    |R| / (|R'| max(|t|, |1 - t|)), whose rounding floor is a few eps at
+    any rates; |R| alone grows as eps kappa/sqrt(Gamma).  ``omega_k``
+    broadcasts against array-valued rates in ``params``, and the residual
+    is the largest over all of them.  Passing ``t_override`` (a scalar or
+    an array of the broadcast shape) replaces the closed-form transmission
     amplitude, which must break the cavity relation; this provides the
     sensitivity self-test.
     """
     G = params.Gamma
     t = even_mode_t(params, omega_k) if t_override is None else np.asarray(t_override, complex)
     sq = np.sqrt(G)
-    phi_a = 1j * (t - 1.0) / sq
-    cavity = (params.omega_a - omega_k - 0.5j * params.kappa) * phi_a + sq * 0.5 * (1.0 + t)
-    return ResidualReport({"cavity_equation": float(np.max(np.abs(cavity)))})
+    detuning = params.omega_a - omega_k - 0.5j * params.kappa
+    cavity = detuning * 1j * (t - 1.0) / sq + sq * 0.5 * (1.0 + t)
+    slope = 1j * detuning / sq + 0.5 * sq
+    eta = np.abs(cavity) / (np.abs(slope) * np.maximum(np.abs(t), np.abs(1.0 - t)))
+    return ResidualReport({"cavity_equation": float(np.max(eta))})
 
 
 def two_photon_residual(
@@ -105,7 +108,7 @@ def two_photon_residual(
     The points broadcast against array-valued rates in ``params`` and
     frequencies in ``incoming``: n points with n-element arrays pair up
     elementwise, so one call checks n independent draws.  Each residual
-    is the worst over every point.
+    is the largest over every point.
 
     ``coeffs_override``/``t_override`` inject corrupted coefficients
     (scalars or arrays of the broadcast shape) for sensitivity self-tests.
@@ -149,8 +152,7 @@ def two_photon_residual(
         "ae_jump": f.phi_ae(0.0, side=+1) - f.phi_ae(0.0, side=-1)
         + 1j * np.sqrt(2.0 * G) * c.phi_aa,
     }
-    worst = {name: float(np.max(np.abs(value))) for name, value in res.items()}
-    return ResidualReport(worst)
+    return ResidualReport({name: float(np.max(np.abs(value))) for name, value in res.items()})
 
 
 def random_model_draws(
@@ -190,7 +192,7 @@ def random_model_draws(
 
 
 def residual_suite(n_draws: int = 1000, seed: int = 20240817) -> ResidualReport:
-    """Worst residual of both equation systems over random draws.
+    """Largest residual of both equation systems over random draws.
 
     Deterministic for a fixed seed.  All draws are checked in one
     broadcast call per equation system; the single-photon relations are
@@ -199,5 +201,5 @@ def residual_suite(n_draws: int = 1000, seed: int = 20240817) -> ResidualReport:
     params, incoming, points = random_model_draws(np.random.default_rng(seed), n_draws)
     single = single_residual(params, incoming.omega_k1)
     pair = two_photon_residual(params, incoming, points)
-    worst = {"single_" + name: value for name, value in single.residuals.items()}
-    return ResidualReport({**worst, **pair.residuals})
+    named = {"single_" + name: value for name, value in single.residuals.items()}
+    return ResidualReport({**named, **pair.residuals})

@@ -20,6 +20,7 @@ from chiral_diode import (
     working_area_two_res,
     write_working_area_csv,
 )
+from chiral_diode import diode_analysis
 from chiral_diode.diode_analysis import _bisect
 
 LEFT = Direction.LEFT_INCIDENT
@@ -126,6 +127,17 @@ class TestTwoResCurve:
         kept = large.Gamma_abs_x <= 10.0
         for a, b in zip(small.columns(), large.columns()):
             assert a.tolist() == b[kept].tolist()
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 1000])
+    def test_walk_in_chunks_finds_the_same_rows(self, chunk, monkeypatch):
+        # each chunk starts at the last node of the one before: every sign
+        # change across a boundary is found, and no row is lost or doubled
+        p = make_params(omega_a=0.0, kappa=0.4, U=10.0, gamma1=1.0, gamma2=0.0)
+        whole = working_area_two_res(p)
+        assert len(whole) > 0
+        monkeypatch.setattr(diode_analysis, "_TWO_RES_CHUNK_NODES", chunk)
+        for a, b in zip(working_area_two_res(p).columns(), whole.columns()):
+            assert a.tolist() == b.tolist()
 
     @pytest.mark.parametrize("gx_ceiling, rows", [(100.0, 315), (1100.0, 3498), (5000.0, 15912)])
     def test_high_ceilings_find_every_branch(self, gx_ceiling, rows):

@@ -27,11 +27,7 @@ from chiral_diode.verification.lattice import (
     default_single_spec,
     default_two_photon_spec,
 )
-from chiral_diode.verification.report import (
-    _STEP_HALVING_GATE,
-    _lattice_checks,
-    _step_halving_check,
-)
+from chiral_diode.verification.report import _GATES, _lattice_checks, _step_halving_check
 
 LEFT = Direction.LEFT_INCIDENT
 RIGHT = Direction.RIGHT_INCIDENT
@@ -777,7 +773,7 @@ class TestTwoPhotonEigenbasis:
         p = ModelParams(0.0, 1.0, 10.0, 1.0, 0.0)
         pair = TwoPhotonIn(LEFT, 0.0, 0.0)
         check = _step_halving_check(self.BENCH, p, pair, lattice_two_photon(self.BENCH, p, pair))
-        assert check.passed and check.threshold == _STEP_HALVING_GATE
+        assert check.passed and check.threshold == _GATES["two_photon_lattice_step_halving_rel"][0]
         monkeypatch.setattr(lattice_module, "_VOLTERRA_STEP", 2.0 * lattice_module._VOLTERRA_STEP)
         monkeypatch.setattr(lattice_module, "_SIMPSON_STEP", 2.0 * lattice_module._SIMPSON_STEP)
         coarse = lattice_two_photon(self.BENCH, p, pair)

@@ -4,13 +4,16 @@ on corrupted coefficients, and the aggregate report machinery."""
 import dataclasses
 import functools
 import inspect
+import json
 
 import numpy as np
 import pytest
 
 from chiral_diode import Direction, TwoPhotonIn, even_mode_t, make_params
+from chiral_diode.diode_analysis import _empty_curve
+from chiral_diode.single_photon import DiodeClass
 from chiral_diode.two_photon import bound_coeffs
-from chiral_diode.verification import VERIFY_SUITES, verify_all
+from chiral_diode.verification import VERIFY_SUITES, report, verify_all
 from chiral_diode.verification.residuals import (
     ResidualReport,
     random_model_draws,
@@ -83,6 +86,15 @@ class TestSinglePhotonResidual:
             make_params(omega_a=-0.8, kappa=2.0, U=9.0, gamma1=1.5, gamma2=0.0),
         ):
             assert single_residual(p, p.omega_a + 2.7).max_residual < 1e-14
+
+    def test_backward_error_stays_at_rounding_where_kappa_dwarfs_gamma(self):
+        # the absolute residual's rounding floor grows as eps kappa/sqrt(Gamma),
+        # 2.4e-11 here; the backward error's does not
+        p = make_params(omega_a=0.0, kappa=882.6, U=0.0, gamma1=0.0, gamma2=2.4e-5)
+        omega = np.linspace(-3.0, 3.0, 61)
+        assert single_residual(p, omega).max_residual <= 1e-15
+        t = (1.0 + 1e-3) * even_mode_t(p, omega)
+        assert single_residual(p, omega, t_override=t).max_residual == pytest.approx(1e-3, rel=1e-2)
 
 
 class TestTwoPhotonResidual:
@@ -170,7 +182,7 @@ class TestSuite:
 
     def test_broadcast_corruption_equals_per_draw_corruption(self):
         # roundoff-level residuals cannot tell the draws apart, so corrupt
-        # D in every draw: each relation's worst must then be the same
+        # D in every draw: each relation's largest must then be the same
         # O(1e-3) number whether the draws run at once or one by one
         params, incoming, points = random_model_draws(np.random.default_rng(7), 50)
         c = bound_coeffs(params, incoming)
@@ -251,15 +263,30 @@ class TestSuite:
         x1, x2 = points.T
         assert np.min(np.abs([x1, x2, x1 - x2])) > 1e-3
 
-    def test_report_rejects_non_finite_residuals(self):
-        with pytest.raises(ValueError, match="finite"):
-            ResidualReport({"bad": float("nan")})
-        with pytest.raises(ValueError, match="finite"):
-            ResidualReport({"bad": -1.0})
+    def test_nan_residual_fails_verify_without_a_traceback(self, monkeypatch, capsys):
+        from chiral_diode import cli
+        from chiral_diode.verification import residuals
+
+        exact = residuals.even_mode_t
+
+        def nan_in_one_draw(params, omega_k):
+            t = np.array(exact(params, omega_k))
+            t[3] = np.nan
+            return t
+
+        monkeypatch.setattr(residuals, "even_mode_t", nan_in_one_draw)
+        assert cli.main(["verify", "--suite", "residual", "--draws", "20"]) == cli.EXIT_VERIFY
+        out = capsys.readouterr()
+        check = json.loads(out.out)["checks"][0]
+        assert check["name"] == "single_photon_residual_max"
+        assert np.isnan(check["value"]) and check["pass"] is False
+        assert out.err == ""
 
     def test_max_residual_is_the_largest_entry(self):
         assert ResidualReport({"a": 1e-3, "b": 2e-5}).max_residual == 1e-3
-        assert ResidualReport({}).max_residual == 0.0
+        # a nan, or no residual at all, must fail any gate
+        assert np.isnan(ResidualReport({"a": 1e-3, "b": np.nan}).max_residual)
+        assert np.isnan(ResidualReport({}).max_residual)
 
 
 # the default suite's check names in report order, pinned so that reports
@@ -325,15 +352,14 @@ class TestVerifyAll:
         assert not any(n.startswith("lattice") for n in names)
 
     def test_two_photon_lattice_checks_pass_and_report_the_step_halving(self):
-        from chiral_diode.verification.report import _STEP_HALVING_GATE
-
+        gate, _ = report._GATES["two_photon_lattice_step_halving_rel"]
         checks = {
             c.name: c for c in _suite_report("all").checks
             if c.name.startswith("two_photon_lattice_")
         }
         assert list(checks) == _OWN_CHECK_NAMES["all"]
         assert all(c.passed for c in checks.values())
-        assert 0.0 < checks["two_photon_lattice_step_halving_rel"].value < _STEP_HALVING_GATE
+        assert 0.0 < checks["two_photon_lattice_step_halving_rel"].value < gate
 
     @pytest.mark.parametrize("suite", VERIFY_SUITES)
     def test_each_suite_adds_its_checks_to_the_one_before(self, suite):
@@ -349,18 +375,68 @@ class TestVerifyAll:
     def test_suites_keep_their_pinned_check_names(self, suite, count):
         assert [c.name for c in _suite_report(suite).checks] == _PINNED_CHECK_NAMES[:count]
 
-    def test_diode_condition_check_fires_off_the_blocking_family(self):
-        from chiral_diode.verification.report import _diode_condition_check
+    def test_every_check_is_declared_once_in_report_order(self):
+        checks = _suite_report("all").checks
+        assert [c.name for c in checks] == list(report._GATES)
+        for c in checks:
+            assert c.to_json()["threshold"] == report._GATES[c.name][0]
 
-        assert _diode_condition_check().passed
-        # 1e-3 off kappa = gamma1 - gamma2 no side is blocked, so the
+    def test_check_reads_nan_and_fails_on_a_nan_or_on_no_values(self):
+        for name in ("lattice_norm_max_rise", "two_photon_lattice_bunching_ratio"):
+            for values in ((), (np.array([1.0, np.nan]), 0.0), (np.empty(0),)):
+                check = report._check(name, *values)
+                assert np.isnan(check.value) and not check.passed
+        # an ungated value is recorded, never failed
+        assert report._check("psi_rt_convention_gap").passed
+
+    def test_diode_condition_check_fires_off_the_blocking_family(self, monkeypatch):
+        assert report._diode_condition_check().passed
+        # off kappa = gamma1 - gamma2 no side is blocked, so the
         # classification disagrees with the family and the check reads inf
-        shifted = _diode_condition_check(kappa_shift=1e-3)
-        assert shifted.value == np.inf and not shifted.passed
+        monkeypatch.setattr(report, "diode_condition", lambda params: DiodeClass.NO_BLOCK)
+        check = report._diode_condition_check()
+        assert check.value == np.inf and not check.passed
+
+    def test_diode_condition_check_fails_on_a_nan_T(self, monkeypatch):
+        exact = report.chiral_coeffs
+
+        def nan_T_at_one_coupling(params, photon):
+            c = exact(params, photon)
+            return dataclasses.replace(c, T=np.nan) if params.gamma1 == 0.75 else c
+
+        monkeypatch.setattr(report, "chiral_coeffs", nan_T_at_one_coupling)
+        check = report._diode_condition_check()
+        assert np.isnan(check.value) and not check.passed
+
+    def test_mirror_duality_fails_on_a_nan_in_one_right_incident_draw(self, monkeypatch):
+        class NanRightRR(report.TwoPhotonField):
+            def psi_rr(self, x1, x2):
+                psi = np.array(super().psi_rr(x1, x2))
+                if self.incoming.direction is Direction.RIGHT_INCIDENT:
+                    psi[5] = np.nan
+                return psi
+
+        monkeypatch.setattr(report, "TwoPhotonField", NanRightRR)
+        checks = {c.name: c for c in report._closed_form_checks(np.random.default_rng(3), 40)}
+        check = checks["mirror_duality_max"]
+        assert np.isnan(check.value) and not check.passed
+        assert checks["chiral_reconstruction_rr_max"].passed
+
+    def test_working_area_checks_fail_on_empty_curves(self, monkeypatch):
+        def empty(case):
+            return lambda params, *args: _empty_curve(case, params, "no rows")
+
+        monkeypatch.setattr(report, "working_area_single_res", empty(report._SPR))
+        monkeypatch.setattr(report, "working_area_two_res",
+                            empty(report.WorkingAreaCase.TWO_PHOTON_RESONANCE))
+        checks = report._working_area_checks()
+        assert [c.name for c in checks] == [
+            "working_area_single_res_scan_max_dev", "working_area_two_res_null_density_max"
+        ]
+        for check in checks:
+            assert np.isnan(check.value) and not check.passed
 
     def test_working_area_check_fires_on_a_one_ppm_curve_error(self, monkeypatch):
-        from chiral_diode.verification import report
-
         exact = report.working_area_single_res
 
         def off(*args):

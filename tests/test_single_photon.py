@@ -144,7 +144,7 @@ class TestSweep:
 
     def test_overdamped_cavity_is_nearly_transparent(self):
         # at kappa >> Gamma the resonant dip is suppressed to O(Gamma/kappa):
-        # worst case (full coupling) T = ((kappa - Gamma)/(kappa + Gamma))^2
+        # at full coupling, the least transparent, T = ((kappa - Gamma)/(kappa + Gamma))^2
         rows = sweep_single(params(kappa=100.0), [0.0], np.linspace(0.0, 1.0, 11), LEFT)
         assert np.all(np.abs(rows[:, 2] - 1.0) < 4.0 / 100.0)
         assert rows[-1, 2] == pytest.approx((99.0 / 101.0) ** 2, rel=1e-12)
