@@ -60,7 +60,7 @@ from .model import (
     PhotonIn,
     TwoPhotonIn,
 )
-from .single_photon import SWEEP_HEADER, chiral_coeffs, sweep_columns, sweep_single
+from .single_photon import SWEEP_HEADER, chiral_coeffs, sweep_single, sweep_table
 from .two_photon import (
     TwoPhotonField,
     map_two_photon,
@@ -302,13 +302,14 @@ def _cmd_single(args) -> int:
         gamma1_grid: Sequence[float] = [params.gamma1]
     else:
         gamma1_grid = list(args.gamma1_grid)
-    sweep = sweep_columns if args.format == "csv" else sweep_single
+    # the CSV table is made a block of detuning rows at a time
+    sweep = sweep_table if args.format == "csv" else sweep_single
     try:
         table = sweep(params, args.detuning, gamma1_grid, args.direction)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     if args.format == "csv":
-        write_csv(args.output, SWEEP_HEADER, table)
+        write_csv(args.output, SWEEP_HEADER, *table)
     else:
         _write_json(args.output, {"header": list(SWEEP_HEADER), "rows": table.tolist()})
     print(args.output)
@@ -468,10 +469,11 @@ def _reduced_params(kappa, U, gamma1) -> ModelParams:
 
 
 # A panel is its manifest entry, for file ``<fig><panel>.csv``, and the
-# header and columns of that file's table: arrays, or a function returning
-# them and the table's shape (see ``write_csv_tables``).
+# header and columns of that file's table: arrays, or the grid's arrays
+# and a function that makes the further columns of a slice of rows (see
+# ``write_csv_tables``).
 _Panel = (tuple[dict, Sequence[str], Sequence]
-          | tuple[dict, Sequence[str], Callable[[], Sequence], tuple[int, int]])
+          | tuple[dict, Sequence[str], Sequence, Callable[[slice], Sequence]])
 
 
 def _panel(fig: str, panel: str, params: dict, header: Sequence[str], *columns) -> _Panel:
@@ -552,13 +554,16 @@ _CASE_LABEL = {
 def _density_maps(fig: str, n: int, kappa: float, x_max: float) -> list[_Panel]:
     """Four panels: both tunings x both incidences, over (gamma1, separation).
 
-    Each panel gives a function that computes its densities, called by the
-    process that writes the panel's rows.  On two CPUs each process
-    computes two panels; on three, the share boundaries fall inside two
-    panels, and both processes that write part of one compute all of it."""
+    Each panel gives its grid and a function that computes the densities
+    of a slice of its gamma1 rows, called for each block by the process
+    that writes it."""
     gamma1_grid = np.linspace(0.0, 1.0, n)[:, None]
     x_grid = np.linspace(0.0, x_max, n)
-    params = _reduced_params(kappa, 10.0, gamma1_grid)
+
+    def densities(rows, case, incident):
+        params = _reduced_params(kappa, 10.0, gamma1_grid[rows])
+        return (_separation_density(params, case, x_grid, incident),)
+
     panels = [
         ("a", WorkingAreaCase.SINGLE_PHOTON_RESONANCE, Direction.LEFT_INCIDENT),
         ("b", WorkingAreaCase.SINGLE_PHOTON_RESONANCE, Direction.RIGHT_INCIDENT),
@@ -576,10 +581,8 @@ def _density_maps(fig: str, n: int, kappa: float, x_max: float) -> list[_Panel]:
                 "Gamma_x_max": x_max,
             },
             _MAP_HEADER,
-            lambda case=case, incident=incident: (
-                gamma1_grid, x_grid, _separation_density(params, case, x_grid, incident)
-            ),
-            (n, n),
+            (gamma1_grid, x_grid),
+            partial(densities, case=case, incident=incident),
         )
         for panel, case, incident in panels
     ]

@@ -241,9 +241,10 @@ def _cells(values, slots=None) -> np.ndarray:
     return rows
 
 
-def _distinct(column, n_rows: int):
-    """Sorted distinct float64 values of a full-size column, found one block
-    at a time, or None as soon as there are more than ``_BLOCK_ROWS`` (8192).
+def _distinct(flat, n_rows: int):
+    """Sorted distinct float64 values of a full-size column, read by
+    ``flat`` (see :func:`_flat`) one block at a time, or None as soon as
+    there are more than ``_BLOCK_ROWS`` (8192).
 
     Sorting puts equal values side by side and every NaN last, so each run
     keeps its first value.  ``np.unique`` gives the same values, but its
@@ -252,7 +253,7 @@ def _distinct(column, n_rows: int):
     """
     distinct = np.empty(0)
     for i in range(0, n_rows, _BLOCK_ROWS):
-        block = column.flat[i : i + _BLOCK_ROWS].astype(np.float64)
+        block = flat(slice(i, i + _BLOCK_ROWS)).astype(np.float64)
         a = np.sort(np.concatenate((distinct, block)))
         distinct = a[np.concatenate(([True], (a[1:] != a[:-1]) & ~np.isnan(a[:-1])))]
         if distinct.size > _BLOCK_ROWS:
@@ -260,23 +261,43 @@ def _distinct(column, n_rows: int):
     return distinct
 
 
+def _flat(column):
+    """Function from a slice of a full-size column's elements, in C order,
+    to those elements.  A strided column, such as a sliding-window view, is
+    read through the rows of its leading axis that the slice spans, by one
+    strided copy of those few rows: far faster than ``.flat``, which copies
+    element by element, and never the whole column.  Where a leading row is
+    longer than a block, the slice is read inside the rows it spans, each
+    row read as a column of its own."""
+    if column.flags.c_contiguous:
+        return column.reshape(-1).__getitem__
+    unit = _unit(column.shape)
+
+    def rows(r):
+        i, j = r.start // unit, min(-(-r.stop // unit), column.shape[0])
+        if unit <= _BLOCK_ROWS:
+            return column[i:j].reshape(-1)[r.start - i * unit : r.stop - i * unit]
+        return np.concatenate([_flat(column[k])(slice(max(r.start - k * unit, 0), r.stop - k * unit))
+                               for k in range(i, j)])
+
+    return rows
+
+
 def _column_cells(column, shape, n_rows: int):
     """How :func:`write_csv` finds a column's cells: ``(values, index)``.
     With ``index`` a function, the cells in the rows ``rows`` (a slice) are
     those of ``values``, formatted once, at the positions ``index(rows)``.
-    With ``index`` None, ``values`` are the column's elements in row order,
-    formatted a block at a time."""
+    With ``index`` None, ``values`` is a function that returns the column's
+    elements in the rows ``rows``, formatted a block at a time."""
     if column.size < n_rows:
         # each row's position in the column: the column's own positions,
         # broadcast to the table's shape without a copy
-        at = np.broadcast_to(np.arange(column.size).reshape(column.shape), shape)
-        return column, lambda rows: at.flat[rows]
-    column = np.broadcast_to(column, shape)
-    distinct = _distinct(column, n_rows)
-    flat = column.reshape(-1) if column.flags.c_contiguous else column.flat
+        return column, _flat(np.broadcast_to(np.arange(column.size).reshape(column.shape), shape))
+    flat = _flat(np.broadcast_to(column, shape))
+    distinct = _distinct(flat, n_rows)
     if distinct is None:
         return flat, None
-    return distinct, lambda rows: np.searchsorted(distinct, flat[rows].astype(np.float64))
+    return distinct, lambda rows: np.searchsorted(distinct, flat(rows).astype(np.float64))
 
 
 def _trim(cells):
@@ -290,60 +311,137 @@ def _items(cells):
     return cells.view(np.dtype((np.void, cells.shape[1])))[:, 0]
 
 
-def _table_cells(columns, shape, n_rows: int):
-    """Function from a block's first row to the block's rows: a
-    ``(rows, width)`` uint8 view of one buffer, allocated here, that holds
-    the cells of every column side by side, each in a slot as wide as its
-    widest cell in the block and NUL before the cells.  All values
-    formatted once go to one ``_cells`` call here, their cells trimmed
-    once; all values of one block go to one ``_cells`` call, which lays
-    out the slots from its cells' first bytes."""
+def _table_cells(columns, shape, n_rows: int, make=None, n_made: int = 0):
+    """Function ``block(start, stop)`` from a block's rows to the block's
+    rows: a ``(rows, width)`` uint8 view of one buffer, allocated here,
+    that holds the cells of every column side by side, each in a slot as
+    wide as its widest cell in the block and NUL before the cells.  All
+    values formatted once go to ``_cells`` here, a block of them per call
+    so that the kernel's temporaries stay a block's, and their cells are
+    trimmed once; all values of one block go to one ``_cells`` call,
+    which lays out the slots from its cells' first bytes.
+
+    With ``make``, ``columns`` are followed by ``n_made`` columns that
+    ``make(rows)`` returns for the leading rows ``rows`` a block spans.
+    Blocks are then written in order, ``_step(shape)`` rows each: whole
+    leading rows, or, where a leading row is longer than a block, a
+    block's rows of it.  Such a row is made by its first block and kept
+    for the blocks after, so no leading row is made twice here."""
     plans = [_column_cells(c, shape, n_rows) for c in columns]
+    plans += [(None, None)] * n_made
     once = [k for k, (_, index) in enumerate(plans) if index is not None]
     each = [k for k, (_, index) in enumerate(plans) if index is None]
     tables = {}
     if once and n_rows:
-        cells = _cells(np.concatenate([np.ravel(plans[k][0]) for k in once]))
+        values = np.concatenate([np.ravel(plans[k][0]) for k in once])
+        cells = np.concatenate([_cells(values[i : i + _BLOCK_ROWS])
+                                for i in range(0, values.size, _BLOCK_ROWS)])
         bounds = np.cumsum([0] + [plans[k][0].size for k in once])
         tables = {k: _items(_trim(cells[a:b])) for k, a, b in zip(once, bounds, bounds[1:])}
     widths = np.array([tables[k].itemsize if k in tables else _WIDTH + 1
                        for k in range(len(plans))], int)
+    unit = _unit(shape)
     buf = np.empty(min(_BLOCK_ROWS, n_rows) * widths.sum(), np.uint8)
+    kept = [0, 0, []]  # the leading rows [a, b) made last, their columns flat
 
-    def block(i):
-        rows = slice(i, min(i + _BLOCK_ROWS, n_rows))
+    def made(start, stop):
+        """The made columns' elements in the table rows [start, stop)."""
+        parts = []
+        while start < stop:
+            a, b, cols = kept
+            if not a * unit <= start < b * unit:
+                # the block's leading rows, or the one long row at start
+                a = start // unit
+                b = -(-stop // unit) if unit <= _BLOCK_ROWS else a + 1
+                cols = [c.reshape(-1) for c in _made(make, a, b, shape, n_made)]
+                kept[:] = a, b, cols
+            end = min(stop, b * unit)
+            parts.append([c[start - a * unit : end - a * unit] for c in cols])
+            start = end
+        return [np.concatenate(p) for p in zip(*parts)]
+
+    def block(start, stop):
+        rows = slice(start, stop)
 
         def slots(first):
             widths[each] = _WIDTH + 1 - first
             ends = np.cumsum(widths)
-            out = buf[: (rows.stop - i) * ends[-1]].reshape(-1, ends[-1])
+            out = buf[: (stop - start) * ends[-1]].reshape(-1, ends[-1])
             for k in once:
                 _items(out[:, ends[k] - widths[k] : ends[k]])[:] = tables[k].take(plans[k][1](rows))
             return out, ends[each] - (_WIDTH + 1)
 
+        values = [plans[k][0](rows) for k in each if k < len(columns)]
+        if make:
+            values += made(start, stop)
         if not each:
             return slots(np.empty(0, int))[0]
-        return _cells(np.stack([plans[k][0][rows] for k in each], axis=1), slots)
+        return _cells(np.stack(values, axis=1), slots)
 
     return block
 
 
-def _table_columns(columns, shape=None):
+def _made(make, start: int, stop: int, shape, n_made: int) -> list:
+    """The ``n_made`` columns ``make(slice(start, stop))`` returns for
+    those leading rows of a table of ``shape``, broadcast to the rows'
+    shape; a ValueError if they are more or fewer or do not broadcast."""
+    made = [np.asarray(c) for c in make(slice(start, stop))]
+    want = (stop - start, *shape[1:])
+    own = np.broadcast_shapes(want, *(c.shape for c in made))
+    if (len(made), own) != (n_made, want):
+        raise ValueError(f"make of rows {start}-{stop - 1} gave {len(made)} columns "
+                         f"broadcast to {own}, not {n_made} of shape {want}")
+    return [np.broadcast_to(c, want) for c in made]
+
+
+def _table_columns(columns):
     """``(columns, shape, rows)`` of a table for :func:`_table_cells`: its
-    columns as arrays, their broadcast shape and its row count.  With
-    ``shape`` given, ``columns`` is a function called here that returns
-    the columns, which must broadcast to ``shape``."""
-    if shape is not None:
-        columns = columns()
+    columns as arrays, their broadcast shape and its row count."""
     columns = [np.asarray(c) for c in columns]
-    own = np.broadcast_shapes(*(c.shape for c in columns))
-    n_rows = math.prod(own) if columns else 0
-    if shape is not None and (own, n_rows) != (shape, math.prod(shape)):
-        raise ValueError(f"the columns broadcast to {own}, not to the table's shape {shape}")
-    return columns, own, n_rows
+    shape = np.broadcast_shapes(*(c.shape for c in columns))
+    return columns, shape, math.prod(shape) if columns else 0
 
 
-def _block_ranges(*sizes: int) -> list[tuple[int, int]]:
+def _unit(shape) -> int:
+    """Table rows in one row of the leading axis of ``shape``."""
+    return max(math.prod(shape[1:]), 1)
+
+
+def _step(shape) -> int:
+    """Rows in a block of a table made a block of leading rows at a time:
+    as many whole leading rows as fit in ``_BLOCK_ROWS``, or
+    ``_BLOCK_ROWS`` where one leading row is longer."""
+    return _BLOCK_ROWS // _unit(shape) * _unit(shape) or _BLOCK_ROWS
+
+
+def _plan(header, columns, make=None):
+    """``(rows, unit, step, plan)`` of a table for
+    :func:`write_csv_tables`: its row count, the rows that a share
+    boundary must not cut, the rows of a block, and ``plan()``, which
+    returns the table's cells by :func:`_table_cells`.  Given ``make``,
+    ``columns`` are the grid, which sets the table's shape, and ``make``
+    gives the further columns.  A boundary must then not cut a leading
+    row, unless the row is longer than a block: the row is then cut
+    between blocks, like a table of arrays, and both processes that write
+    part of it make it.  A table of one block is made by one ``make`` call
+    in ``plan()`` and planned as if given as arrays, so a value it repeats
+    is formatted once; any other table is planned here."""
+    columns, shape, n_rows = _table_columns(columns)
+    if make is None:
+        cells = _table_cells(columns, shape, n_rows)
+        return n_rows, 1, _BLOCK_ROWS, lambda: cells
+    # a grid of scalars is one row, of a leading axis of one
+    shape = shape or (1,)
+    n_made, unit, step = len(header) - len(columns), _unit(shape), _step(shape)
+    uncut = unit if unit <= _BLOCK_ROWS else 1
+    if n_rows > step:
+        cells = _table_cells(columns, shape, n_rows, make, n_made)
+        return n_rows, uncut, step, lambda: cells
+    return n_rows, uncut, step, lambda: _table_cells(
+        [*columns, *_made(make, 0, shape[0], shape, n_made)], shape, n_rows)
+
+
+def _block_ranges(*sizes: int, units: Sequence[int] = ()) -> list[tuple[int, int]]:
     """Row bounds ``(start, stop)`` of the shares that
     :func:`write_csv_tables` cuts tables of ``sizes`` rows into, counting
     the rows of all tables in order.  There is one share per CPU this
@@ -352,8 +450,11 @@ def _block_ranges(*sizes: int) -> list[tuple[int, int]]:
     blocks, share k starts at the first block boundary of any table at or
     past ``k * m // n`` blocks' worth of rows; so one table is cut into
     ranges of at least ``_RANGE_BLOCKS`` whole blocks (the last block may
-    be short).  Without ``os.fork`` or ``os.sched_getaffinity`` there is
-    one share."""
+    be short).  ``units``, if given, holds for each table the rows that a
+    boundary must not cut, such as a leading row: a boundary inside a
+    table then moves on to the next multiple of them from the table's
+    start, and a share this leaves empty is dropped.  Without
+    ``os.fork`` or ``os.sched_getaffinity`` there is one share."""
     total = sum(sizes)
     n_blocks = -(-total // _BLOCK_ROWS)
     cpus = 1
@@ -367,16 +468,19 @@ def _block_ranges(*sizes: int) -> list[tuple[int, int]]:
     least = np.arange(1, n) * n_blocks // n * _BLOCK_ROWS
     k = np.searchsorted(firsts, least, side="right") - 1
     cuts = np.minimum(firsts[k] - (firsts[k] - least) // _BLOCK_ROWS * _BLOCK_ROWS, firsts[k + 1])
+    if units:
+        unit = np.asarray(units)[k]
+        cuts = firsts[k] - (firsts[k] - cuts) // unit * unit
     bounds = [0, *cuts.tolist(), total]
-    return list(zip(bounds[:-1], bounds[1:]))
+    return [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b] or [(0, total)]
 
 
-def _write_rows(fh, cells, start: int, stop: int) -> None:
-    """Write rows ``[start, stop)`` into a binary file, one block at a time:
-    the block's row buffer with its NUL bytes dropped and the last comma of
-    each row made a newline."""
-    for i in range(start, stop, _BLOCK_ROWS):
-        rows = cells(i)
+def _write_rows(fh, cells, start: int, stop: int, step: int) -> None:
+    """Write rows ``[start, stop)`` into a binary file, ``step`` at a
+    time: the block's row buffer with its NUL bytes dropped and the last
+    comma of each row made a newline."""
+    for i in range(start, stop, step):
+        rows = cells(i, min(i + step, stop))
         rows[:, -1] = ord("\n")
         fh.write(rows[rows != 0])
 
@@ -384,10 +488,12 @@ def _write_rows(fh, cells, start: int, stop: int) -> None:
 def _write_share(files, plans, share, tmp) -> None:
     """Write the ``(table, start, stop)`` parts of a share, each straight
     into its table's file when it starts the table, else into ``tmp``, and
-    flush.  Each part's cells come from a call of its table's plan."""
+    flush.  Each part's cells come from a call of its table's plan, a
+    ``(step, plan)`` pair."""
     for k, start, stop in share:
         fh = tmp if start else files[k]
-        _write_rows(fh, plans[k](), start, stop)
+        step, plan = plans[k]
+        _write_rows(fh, plan(), start, stop, step)
         fh.flush()
 
 
@@ -420,22 +526,40 @@ def _fork_share(files, plans, share):
     return pid, tmp
 
 
+def _keep_block_heap() -> None:
+    """Let glibc's malloc keep a block's temporaries from block to block.
+
+    glibc serves a request of 128 KiB or more by ``mmap`` and, each time it
+    frees such a chunk of up to 32 MiB, raises that threshold to the
+    chunk's size and trims the heap only when twice as much lies free at
+    its top.  A table made a block at a time frees no chunk larger than a
+    block's, so each block's few MiB of temporaries would be trimmed and
+    come back as fresh pages: ~900 page faults a block, 10-25 % of the
+    time of a ``single`` sweep.  One untouched 4 MiB chunk, freed at once,
+    sets the thresholds that a whole-table temporary used to set, and the
+    heap then keeps up to 8 MiB.  It costs nothing with another
+    allocator."""
+    np.empty(4 << 20, np.uint8)
+
+
 def write_csv_tables(tables: Iterable[tuple]) -> None:
     """Write each ``(path, header, columns)`` of ``tables`` as
     :func:`write_csv` does, the tables split across the CPUs together.
 
     Every cell has the bytes of :func:`format_number`.  A table's columns
     broadcast together and its rows are made ``_BLOCK_ROWS`` (8192) at a
-    time, so memory stays flat for any table size.  A column smaller than
-    the table (a scalar, ``gamma1[:, None]``, ``x[None, :]``) is formatted
+    time, so the writer's memory stays flat for any table size.  A column
+    smaller than the table (a scalar, ``gamma1[:, None]``, ``x[None, :]``) is formatted
     once at its own shape and its cells are broadcast.  A full-size column
     whose distinct values (after the float64 cast) fit in one block, such
     as the grid columns of ``sweep_single``'s rows or the Toeplitz and
     Hankel maps of ``twomap``, has each distinct value formatted once, and
     every block gathers its cells from those by value.  Any other
     full-size column is formatted in bulk, one block at a time, all such
-    columns of a block in one ``_cells`` call.  So no cell is made twice
-    for one input element.  The block size sets how often the kernel's
+    columns of a block in one ``_cells`` call.  A full-size column that is
+    a strided view, like ``twomap``'s gathered maps, is read a block at a
+    time and never copied whole.  So no cell is made twice for one input
+    element.  The block size sets how often the kernel's
     ~100 numpy calls, each gather and the NUL drop pay their fixed cost;
     it changes no byte.
 
@@ -455,13 +579,23 @@ def write_csv_tables(tables: Iterable[tuple]) -> None:
     last comma of each row becomes a newline, and the buffer's NUL padding
     is dropped on the way to the file.
 
-    A table may instead be ``(path, header, make, shape)``: ``make`` is a
-    function of no arguments that returns the columns, which must
-    broadcast to ``shape``.  Each process that writes rows of such a table
-    calls ``make`` and plans the table's cells itself, so its columns are
-    computed where they are written.  A table given as arrays is planned
-    in this process before any fork, so each value formatted once is
-    formatted here, and the children inherit its cells.
+    A table may instead be ``(path, header, columns, make)``.  Its
+    ``columns`` are arrays, the grid, whose broadcast shape is the
+    table's; ``make(rows)`` takes a slice of the table's leading axis and
+    returns the further columns of those rows alone, each broadcasting to
+    ``(rows, *shape[1:])``.  Each block of such a table spans whole leading
+    rows, as many as fit in ``_BLOCK_ROWS`` rows, and ``make`` is called
+    once per block by the process that writes it.  A leading row longer
+    than ``_BLOCK_ROWS`` is made by one call, when its first block is
+    written, and kept for its further blocks, which are ``_BLOCK_ROWS``
+    rows each.  So no leading row is made twice in one process, nor in
+    two unless it is longer than a block and a share boundary cuts it (see
+    below); and a table's values never exist whole: a process holds one
+    block's values, or one leading row's where that is longer.  The made columns are formatted in bulk, a block at a time, but a table
+    of one block is made by one call and written as if given as arrays.
+    Every other table is planned in this process before any fork, so each
+    value formatted once, a grid's included, is formatted here, and the
+    children inherit its cells.
 
     Every file is opened and gets its header, flushed, before any fork or
     call of ``make``: a path that cannot be written raises with no child
@@ -475,9 +609,12 @@ def write_csv_tables(tables: Iterable[tuple]) -> None:
     from its first row is written straight into its file; the rows that a
     share boundary cuts off a table go to an unlinked temporary file,
     which this process appends in row order once the children before have
-    finished.  Where a boundary cuts a table given by ``make``, both
-    processes that write its rows call ``make``.  The bytes therefore do
-    not depend on the CPU count, and there is no option to choose it.
+    finished.  A boundary inside a table given by ``make`` moves on to its
+    next leading row, unless leading rows are longer than a block: then
+    it stays between blocks, and the row it cuts is made by both processes
+    that write part of it, so a single long row still spreads over the
+    CPUs.  The bytes therefore do not depend on the CPU count,
+    and there is no option to choose it.
 
     Every child is waited for, or killed and waited for, before this
     returns or raises.  A child that runs out of memory makes it raise
@@ -488,25 +625,21 @@ def write_csv_tables(tables: Iterable[tuple]) -> None:
     with its header and the rows written before the failure, so a
     ``make`` that raises leaves its table's file with the header alone.
     """
-    paths, headers, plans, sizes = [], [], [], []
-    for path, header, columns, *shape in tables:
-        if shape:
-            shape = tuple(shape[0])
-            sizes.append(math.prod(shape))
-            plans.append(lambda make=columns, shape=shape:
-                         _table_cells(*_table_columns(make, shape)))
-        else:
-            columns, own, n_rows = _table_columns(columns)
-            sizes.append(n_rows)
-            plans.append(lambda cells=_table_cells(columns, own, n_rows): cells)
+    _keep_block_heap()
+    paths, headers, plans, sizes, units = [], [], [], [], []
+    for path, header, columns, *make in tables:
+        n_rows, unit, step, plan = _plan(header, columns, *make)
         paths.append(path)
         headers.append(header)
+        plans.append((step, plan))
+        sizes.append(n_rows)
+        units.append(unit)
     firsts = np.cumsum([0, *sizes]).tolist()
     # the (table, start, stop) parts of the tables in each share
     first, *rest = [
         [(k, max(a - o, 0), min(b - o, n)) for k, (o, n) in enumerate(zip(firsts, sizes))
          if o < b and a < o + n]
-        for a, b in _block_ranges(*sizes)
+        for a, b in _block_ranges(*sizes, units=units)
     ]
     files = []
     children = []  # (pid, file) of each forked share; pid None once reaped
@@ -541,12 +674,15 @@ def write_csv_tables(tables: Iterable[tuple]) -> None:
             fh.close()
 
 
-def write_csv(path: str | os.PathLike, header: Sequence[str], columns: Iterable) -> None:
+def write_csv(path: str | os.PathLike, header: Sequence[str], columns: Iterable,
+              make=None) -> None:
     """Write broadcast columns as CSV rows under a header line.
 
     Rows follow the C order of the broadcast shape (last axis fastest), so
     columns shaped ``a[:, None]``, ``b[None, :]`` give every ``b`` for the
-    first ``a``, then for the next.  This is :func:`write_csv_tables` of
-    the one table, which says how the cells are made and written.
+    first ``a``, then for the next.  With ``make``, the rows' further
+    columns are made a block of leading rows at a time.  This is
+    :func:`write_csv_tables` of the one table, which says how the cells
+    are made and written.
     """
-    write_csv_tables([(path, header, columns)])
+    write_csv_tables([(path, header, columns, make)])

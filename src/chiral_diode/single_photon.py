@@ -35,6 +35,7 @@ __all__ = [
     "chiral_coeffs",
     "diode_condition",
     "sweep_columns",
+    "sweep_table",
     "sweep_single",
     "write_sweep_csv",
 ]
@@ -149,6 +150,30 @@ def diode_condition(params: ModelParams) -> DiodeClass:
     return DiodeClass.NO_BLOCK
 
 
+def sweep_table(
+    params: ModelParams,
+    detuning_grid: Sequence[float],
+    gamma1_grid: Sequence[float],
+    direction: Direction = Direction.LEFT_INCIDENT,
+):
+    """:func:`sweep_columns` a block of detuning rows at a time, as
+    ``(grid, make)``: the grid columns (Delta/Gamma, gamma1/Gamma), shaped
+    (len(detuning_grid), 1) and (1, len(gamma1_grid)), and a function
+    ``make(rows)`` that returns the T, R and loss columns of the detuning
+    rows ``rows`` (a slice).  Every rate and frequency is checked here."""
+    delta = np.asarray(detuning_grid, dtype=float)[:, None]
+    gamma1 = np.asarray(gamma1_grid, dtype=float)[None, :]
+    swept = params.at_gamma1(gamma1)
+    photon = PhotonIn(direction, params.omega_a + delta)
+
+    def make(rows):
+        c = chiral_coeffs(swept, PhotonIn(direction, photon.omega_k[rows]))
+        return c.T, c.R, c.loss
+
+    G = params.Gamma
+    return (delta / G, gamma1 / G), make
+
+
 def sweep_columns(
     params: ModelParams,
     detuning_grid: Sequence[float],
@@ -159,11 +184,8 @@ def sweep_columns(
     :func:`sweep_single` as broadcast arrays from one :func:`chiral_coeffs`
     call: shapes (len(detuning_grid), 1), (1, len(gamma1_grid)), and the
     full grid for T, R and loss."""
-    delta = np.asarray(detuning_grid, dtype=float)[:, None]
-    gamma1 = np.asarray(gamma1_grid, dtype=float)[None, :]
-    c = chiral_coeffs(params.at_gamma1(gamma1), PhotonIn(direction, params.omega_a + delta))
-    G = params.Gamma
-    return delta / G, gamma1 / G, c.T, c.R, c.loss
+    grid, make = sweep_table(params, detuning_grid, gamma1_grid, direction)
+    return (*grid, *make(slice(None)))
 
 
 def sweep_single(

@@ -532,6 +532,12 @@ def map_two_photon(
     Gathered values can differ from a per-point evaluation in the last
     bits.  Every channel on a non-uniform grid or of a field over a
     parameter grid is evaluated per point.
+
+    A gathered matrix is a read-only, non-contiguous view into the O(N)
+    values it is gathered from: no N x N array is made for it, and
+    :func:`write_map_csv` reads it a block of rows at a time.  Take
+    ``np.array(m)`` for a writable copy.  A channel evaluated per point is
+    a fresh N x N array.
     """
     x = np.asarray(x_grid, dtype=float)
     # D depends on every rate and both frequencies, so it is a scalar
@@ -541,15 +547,14 @@ def map_two_photon(
     for ch in channels:
         if gathered and ch in ("tt", "rr"):
             g = field.densities(0.0, np.abs(x - x[0]), (ch,))[ch]
-            windows = sliding_window_view(np.concatenate((g[:0:-1], g)), x.size)
-            out[ch] = np.ascontiguousarray(windows[::-1])
+            out[ch] = sliding_window_view(np.concatenate((g[:0:-1], g)), x.size)[::-1]
         elif gathered and ch == "rt":
             # first row, then the last column below it: x_i + x_j = x_0 + x_(i+j)
             h = np.concatenate((
                 field.densities(x[0], x, (ch,), convention)[ch],
                 field.densities(x[1:], x[-1], (ch,), convention)[ch],
             ))
-            out[ch] = np.ascontiguousarray(sliding_window_view(h, x.size))
+            out[ch] = sliding_window_view(h, x.size)
         else:
             out[ch] = field.densities(x[:, None], x[None, :], (ch,), convention)[ch]
     return out

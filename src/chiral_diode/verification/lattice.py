@@ -318,7 +318,8 @@ def lattice_transmission(
     trace = np.empty(n_steps // _BLOCK_STEPS + 1)
 
     def record(step, parts, read):
-        trace[step // _BLOCK_STEPS] = np.vdot(parts, parts)
+        # each part is contiguous, the pair is not: two dot products, no copy
+        trace[step // _BLOCK_STEPS] = parts[0] @ parts[0] + parts[1] @ parts[1]
 
     _rk4(H, psi, dt, n_steps, record, _BLOCK_STEPS)
     # the left channel slice is empty when the basis has none

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import time
 from dataclasses import dataclass
 
@@ -102,9 +103,10 @@ class VerifyCheck:
     passed: bool
 
     def to_json(self) -> dict:
+        # strict JSON has no nan or inf: a check that read one carries null
         return {
             "name": self.name,
-            "value": self.value,
+            "value": self.value if math.isfinite(self.value) else None,
             "threshold": self.threshold,
             "pass": self.passed,
         }
@@ -127,7 +129,7 @@ class VerifyReport:
         }
 
     def as_json_text(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
+        return json.dumps(self.to_json(), indent=2, allow_nan=False)
 
 
 def _check(name: str, *values) -> VerifyCheck:

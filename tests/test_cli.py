@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,18 @@ class TestValidationErrors:
         code, _, stderr = run(argv, capsys)
         assert code == EXIT_VALIDATION
         assert "error" in stderr.lower()
+
+    @pytest.mark.parametrize("grid, value", [("0:1.5:3", "1.5"), ("-0.5:1:401", "-0.5")])
+    def test_gamma1_grid_outside_the_total_opens_no_file(self, grid, value, tmp_path, capsys):
+        # the sweep is made a block at a time as it is written, but its
+        # rates are checked before its file is opened
+        out = tmp_path / "sweep.csv"
+        code, stdout, stderr = run(
+            ["single", "--detuning=-2:2:401", f"--gamma1-grid={grid}", "-o", str(out)], capsys
+        )
+        assert (code, stdout) == (EXIT_VALIDATION, "")
+        assert stderr == f"error: gamma1 grid value {value} outside [0, Gamma=1.0]\n"
+        assert not out.exists()
 
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
         code, _, stderr = run(
@@ -587,6 +600,28 @@ class TestVerifyCommand:
         assert code == EXIT_VERIFY
         assert json.loads(stdout)["all_pass"] is False
 
+    def test_non_finite_values_are_strict_json_nulls(self, tmp_path, capsys, monkeypatch):
+        import chiral_diode.cli as cli
+
+        def no_constant(name):
+            raise ValueError(f"not JSON: {name}")
+
+        failing = VerifyReport(
+            checks=(VerifyCheck("unconverged", float("inf"), 0.02, False),
+                    VerifyCheck("broken", float("nan"), 1e-12, False),
+                    VerifyCheck("negative_infinity", float("-inf"), 1e-3, False),
+                    VerifyCheck("finite", 1e-13, 1e-12, True)),
+            elapsed_seconds=0.0,
+        )
+        monkeypatch.setattr(cli, "verify_all", lambda **kw: failing)
+        out = tmp_path / "report.json"
+        code, stdout, stderr = run(["verify", "-o", str(out)], capsys)
+        assert (code, stderr) == (EXIT_VERIFY, "")
+        for text in (stdout, out.read_text()):
+            payload = json.loads(text, parse_constant=no_constant)
+            assert [c["value"] for c in payload["checks"]] == [None, None, None, 1e-13]
+            assert payload["all_pass"] is False
+
     @pytest.mark.parametrize("argv, n_draws", [(["--draws", "1"], 1), ([], 300)])
     def test_draws_reach_the_residual_suite(self, argv, n_draws, capsys, monkeypatch):
         import chiral_diode.verification.report as report
@@ -749,6 +784,9 @@ class TestReproduce:
     @pytest.mark.parametrize("figure", ["fig4", "fig7"])
     def test_each_panel_is_computed_where_it_is_written(self, figure, n_cpus, tmp_path,
                                                         capsys, monkeypatch):
+        # every gamma1 row of every panel is computed once across all the
+        # processes, by the process that writes it, and the bytes are those
+        # of one CPU
         import chiral_diode.cli as cli
         from chiral_diode import io_utils
 
@@ -756,9 +794,11 @@ class TestReproduce:
         density = cli._separation_density
 
         def logged(*args):
+            params, case, _, incident = args
+            rows = " ".join(map(repr, np.ravel(params.gamma1).tolist()))
             fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
             try:
-                os.write(fd, f"{os.getpid()}\n".encode())
+                os.write(fd, f"{os.getpid()} {case.value} {incident.value} {rows}\n".encode())
             finally:
                 os.close(fd)
             return density(*args)
@@ -769,21 +809,66 @@ class TestReproduce:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)),
                             raising=False)
         monkeypatch.setattr(cli, "_separation_density", logged)
+        pids = [os.getpid()]
+        fork = os.fork
+
+        def recording():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording)
         outdir = tmp_path / "out"
         assert run(["reproduce", figure, "--outdir", str(outdir)], capsys)[0] == EXIT_OK
-        pids = log.read_text().split()
-        # one call per table in each process that writes rows of it: a
-        # share boundary inside a table has both processes compute it
-        shares = io_utils._block_ranges(*(401**2,) * 4)
-        cut = sum(a % 401**2 != 0 for a, _ in shares)
-        assert (len(shares), cut) == {1: (1, 0), 2: (2, 0), 3: (3, 2)}[n_cpus]
-        assert len(pids) == 4 + cut
-        assert pids.count(str(os.getpid())) == -(-shares[0][1] // 401**2)
-        assert len(set(pids)) == len(shares)
+        n = 401
+        shares = io_utils._block_ranges(*(n * n,) * 4, units=(n,) * 4)
+        assert len(shares) == len(pids) == n_cpus
+        panels = [(case.value, incident.value) for case in (cli._SPR, cli._TPR)
+                  for incident in (Direction.LEFT_INCIDENT, Direction.RIGHT_INCIDENT)]
+        row_of = {repr(g): i for i, g in enumerate(np.linspace(0.0, 1.0, n).tolist())}
+        made = []
+        for line in log.read_text().splitlines():
+            pid, case, incident, *rows = line.split()
+            made += [(panels.index((case, incident)), row_of[g], int(pid)) for g in rows]
+        assert sorted((p, i) for p, i, _ in made) == [(p, i) for p in range(4) for i in range(n)]
+        for p, i, pid in made:
+            first = (p * n + i) * n
+            assert pid == pids[next(k for k, (a, b) in enumerate(shares) if a <= first < b)]
         for f in sorted(one.iterdir()):
             assert (outdir / f.name).read_bytes() == f.read_bytes()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce", "fig4", "--grid", "{n}", "--outdir", "{out}"],
+    ["single", "--detuning=-2:2:{n}", "--gamma1-grid=0:1:{n}", "-o", "{out}/single.csv"],
+    ["twomap", "--x=-5:5:{n}", "--channels", "tt,rr,rt", "--format", "csv",
+     "-o", "{out}/map.csv"],
+], ids=["reproduce", "single", "twomap"])
+def test_csv_tables_take_flat_memory(argv, tmp_path, capsys, monkeypatch):
+    # 16 times the rows, and the peak of what numpy and Python allocate
+    # grows by the O(n) grid values alone.  One CPU, so every row is made
+    # in this process; the writer's untouched 4 MiB heap chunk, freed at
+    # once, would hide the blocks' allocations under it.
+    from chiral_diode import io_utils
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(io_utils, "_keep_block_heap", lambda: None)
+    peaks = {}
+    for n in (101, 401):
+        out = tmp_path / str(n)
+        out.mkdir()
+        tracemalloc.start()
+        try:
+            code = main([a.format(n=n, out=out) for a in argv])
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+    capsys.readouterr()
+    assert peaks[401] - peaks[101] < 2**19, peaks
 
 
 # Flag values for the fuzz test: (valid, invalid) choices per flag, at tiny

@@ -139,6 +139,38 @@ class TestTwoResCurve:
         for a, b in zip(working_area_two_res(p).columns(), whole.columns()):
             assert a.tolist() == b.tolist()
 
+    def test_a_zero_node_on_a_chunk_boundary_is_one_row(self, monkeypatch):
+        # sin(phase) is never exactly 0 at a node of a real walk, so the
+        # module's sin is made 0 at the last node of the first 16-node
+        # chunk, which the second chunk starts from: that node is one row
+        p = make_params(omega_a=0.0, kappa=0.4, U=10.0, gamma1=1.0, gamma2=0.0)
+        phases = []
+
+        class Numpy:
+            zero = None
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def sin(self, phase):
+                phases.append(phase)
+                return np.where(phase == self.zero, 0.0, np.sin(phase))
+
+        numpy = Numpy()
+        monkeypatch.setattr(diode_analysis, "np", numpy)
+        plain = working_area_two_res(p)
+        numpy.zero = phases[0][15]
+        whole = working_area_two_res(p)
+        monkeypatch.setattr(diode_analysis, "_TWO_RES_CHUNK_NODES", 16)
+        chunked = working_area_two_res(p)
+        assert len(phases[0]) > 16
+        for a, b in zip(chunked.columns(), whole.columns()):
+            assert a.tolist() == b.tolist()
+        # the node is a new row, once; neither of its neighbours changed sign
+        (x,) = np.setdiff1d(chunked.Gamma_abs_x, plain.Gamma_abs_x)
+        assert len(chunked) == len(plain) + 1
+        assert np.count_nonzero(chunked.Gamma_abs_x == x) == 1
+
     @pytest.mark.parametrize("gx_ceiling, rows", [(100.0, 315), (1100.0, 3498), (5000.0, 15912)])
     def test_high_ceilings_find_every_branch(self, gx_ceiling, rows):
         # far out gamma1 rounds to (kappa + Gamma)/2, and past Gamma|x| ~

@@ -420,6 +420,21 @@ def test_single_cli_writes_the_public_sweep(tmp_path, formatted, monkeypatch, ca
         assert by_cli == 401 + 401 + 3 * 401**2
 
 
+@pytest.mark.parametrize("n_cpus", [1, 3])
+def test_single_cli_sweeps_a_gamma1_grid_past_one_block(tmp_path, monkeypatch, capsys, n_cpus):
+    # one detuning row of BLOCK + 2 gamma1 values: a leading row longer
+    # than a writer block
+    cpus(monkeypatch, n_cpus)
+    path = tmp_path / "cli.csv"
+    n = BLOCK + 2
+    assert cli.main(["single", "--detuning=0:0:1", f"--gamma1-grid=0:1:{n}",
+                     "--kappa", "0.7", "--gamma1", "0.6", "--gamma2", "0.4", "-o", str(path)]) == 0
+    capsys.readouterr()
+    p = make_params(omega_a=0.0, kappa=0.7, U=0.0, gamma1=0.6, gamma2=0.4)
+    write_sweep_csv(tmp_path / "library.csv", sweep_single(p, [0.0], np.linspace(0.0, 1.0, n)))
+    assert path.read_bytes() == (tmp_path / "library.csv").read_bytes()
+
+
 def test_two_photon_map_is_gathered_by_value(tmp_path, formatted):
     p = make_params(omega_a=0.0, kappa=0.4, U=6.0, gamma1=0.7, gamma2=0.3)
     field = TwoPhotonField(p, TwoPhotonIn(Direction.LEFT_INCIDENT, 0.0, 2.0 * p.U))
@@ -721,27 +736,47 @@ def test_pending_stdout_is_written_once(tmp_path):
     assert (tmp_path / "t.csv").read_bytes().count(b"\n") == 401**2 + 1
 
 
-# A table may give a function that returns its columns, and its shape: each
-# process that writes rows of the table calls the function.
+# A table may give its grid as arrays and a function that makes its further
+# columns for a slice of its leading rows: each block's rows are made by the
+# process that writes them.
 
-def deferred(tables, log):
-    """``tables`` with each one's columns returned by a function that
-    appends ``"<table> <pid>"`` to the file ``log`` when called."""
-    def make(k, columns):
+def logged(log, k, make):
+    """``make`` that first appends ``"<k> <pid> <start> <stop>"`` of the
+    slice of rows it is given to the file ``log``."""
+    def made(rows):
         fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
         try:
-            os.write(fd, f"{k} {os.getpid()}\n".encode())
+            os.write(fd, f"{k} {os.getpid()} {rows.start} {rows.stop}\n".encode())
         finally:
             os.close(fd)
-        return columns
+        return make(rows)
 
-    return [(path, header, functools.partial(make, k, columns),
-             np.broadcast_shapes(*(np.shape(c) for c in columns)))
+    return made
+
+
+def deferred(tables, log):
+    """``tables`` with the first column their grid and the others made by
+    a :func:`logged` function."""
+    return [(path, header, columns[:1],
+             logged(log, k, lambda rows, columns=columns[1:]: [c[rows] for c in columns]))
             for k, (path, header, columns) in enumerate(tables)]
 
 
 def calls(log):
     return sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
+
+
+def assert_made_once_where_written(made, sizes, shares, pids):
+    """Each row of each table is in one slice of ``made``, and the process
+    that made it is the one of the share that holds it."""
+    firsts = np.cumsum((0, *sizes))
+    for k, n in enumerate(sizes):
+        spans = [(a, b) for j, _, a, b in made if j == k]
+        assert [a for a, _ in spans] == [0, *(b for _, b in spans[:-1])]
+        assert spans[-1][1] == n
+    for k, pid, a, b in made:
+        i = next(i for i, (lo, hi) in enumerate(shares) if lo <= firsts[k] + a < hi)
+        assert firsts[k] + b <= shares[i][1] and pid == pids[i]
 
 
 @pytest.mark.parametrize("n_cpus", [1, 2, 3])
@@ -754,26 +789,43 @@ def test_deferred_tables_are_made_where_they_are_written(tmp_path, monkeypatch, 
     tables = table_set(tmp_path, sizes)
     io_utils.write_csv_tables(deferred(tables, log))
     assert [path.read_bytes() for path, _, _ in tables] == set_reference(sizes)
-    # the process of each share (the caller, then the children in order)
-    # makes each table it holds rows of, once
     shares = io_utils._block_ranges(*sizes)
-    firsts = np.cumsum((0, *sizes))
-    expected = sorted((k, pid) for (a, b), pid in zip(shares, [os.getpid(), *forks])
-                      for k, n in enumerate(sizes) if firsts[k] < b and a < firsts[k] + n)
-    assert calls(log) == expected
-    cut = sum(a not in firsts for a, _ in shares)
-    assert len(expected) == len(sizes) + cut
+    assert_made_once_where_written(calls(log), sizes, shares, [os.getpid(), *forks])
+    # a block at a time, the last block of a share or a table maybe short
+    assert all(b - a <= BLOCK for _, _, a, b in calls(log))
+    assert len(calls(log)) == sum(-(-n // BLOCK) for n in sizes) + sum(
+        a % BLOCK != 0 for a, _ in shares)
     assert len(forks) == len(shares) - 1
     assert_no_children()
 
 
+def made_error(tmp_path, made, message):
+    """A table whose ``make`` returns ``made`` raises a ValueError matching
+    ``message``, and its file keeps the header alone."""
+    path = tmp_path / "t.csv"
+    table = (path, ("a", "b", "c"), (np.zeros((4, 1)), np.zeros(3)), lambda rows: made)
+    with pytest.raises(ValueError, match=message):
+        io_utils.write_csv_tables([table])
+    assert path.read_bytes() == b"a,b,c\n"
+
+
 def test_deferred_table_of_another_shape_is_a_value_error(tmp_path, monkeypatch):
     cpus(monkeypatch, 1)
+    made_error(tmp_path, (np.zeros((2, 4, 3)),),
+               r"gave 1 columns broadcast to \(2, 4, 3\), not 1 of shape \(4, 3\)")
+
+
+def test_deferred_table_of_more_columns_is_a_value_error(tmp_path, monkeypatch):
+    cpus(monkeypatch, 1)
+    made_error(tmp_path, (np.zeros((4, 1)), np.zeros(3)),
+               r"gave 2 columns broadcast to \(4, 3\), not 1 of shape \(4, 3\)")
+
+
+def test_deferred_table_over_a_grid_of_scalars_is_one_row(tmp_path, monkeypatch):
+    cpus(monkeypatch, 1)
     path = tmp_path / "t.csv"
-    table = (path, ("a", "b"), lambda: (np.zeros((3, 1)), np.zeros(4)), (4, 3))
-    with pytest.raises(ValueError, match=r"broadcast to \(3, 4\), not to the table's shape"):
-        io_utils.write_csv_tables([table])
-    assert path.read_bytes() == b"a,b\n"
+    io_utils.write_csv(path, ("a", "b"), (np.float64(0.5),), lambda rows: (np.full(1, 0.25),))
+    assert path.read_bytes() == b"a,b\n0.5,0.25\n"
 
 
 def test_arrays_and_deferred_tables_mix(tmp_path, monkeypatch, forks):
@@ -785,19 +837,74 @@ def test_arrays_and_deferred_tables_mix(tmp_path, monkeypatch, forks):
     io_utils.write_csv_tables(mixed)
     assert [path.read_bytes() for path, _, _ in tables] == set_reference(sizes)
     # the array table is no call; tables 1-3 are deferred tables 0-2
-    assert calls(log) == [(0, os.getpid()), (1, forks[0]), (2, forks[0])]
+    assert sorted({(k, pid) for k, pid, _, _ in calls(log)}) == [
+        (0, os.getpid()), (1, forks[0]), (2, forks[0])]
+    assert_no_children()
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2, 3])
+@pytest.mark.parametrize("inner", [401, BLOCK])
+def test_share_boundaries_fall_between_leading_rows(tmp_path, monkeypatch, forks, n_cpus,
+                                                    inner):
+    # leading rows of 401 table rows, or of one block: every block and
+    # every share holds whole leading rows, each made once
+    cpus(monkeypatch, n_cpus)
+    lead = 3 * BLOCK // inner + 3
+    log = tmp_path / "made.log"
+    tables, deferred_tables = [], []
+    for k in range(2):
+        path, header = tmp_path / f"t{k}.csv", ("i", "j", "v")
+        grid = (np.arange(lead)[:, None] + 10**6 * k, np.arange(inner))
+        values = np.cos(np.arange(lead * inner) + k).reshape(lead, inner)
+        tables.append((path, header, (*grid, values)))
+        deferred_tables.append((path, header, grid, logged(log, k, lambda rows, v=values: [v[rows]])))
+    io_utils.write_csv_tables(deferred_tables)
+    for path, header, columns in tables:
+        rows = zip(*(c.ravel() for c in np.broadcast_arrays(*columns)))
+        assert path.read_bytes() == row_wise(header, rows)
+    sizes = (lead * inner,) * 2
+    shares = io_utils._block_ranges(*sizes, units=(inner, inner))
+    assert all(a % inner == 0 for a, _ in shares)
+    made = [(k, pid, a * inner, b * inner) for k, pid, a, b in calls(log)]
+    assert_made_once_where_written(made, sizes, shares, [os.getpid(), *forks])
+    assert all(b - a <= max(BLOCK // inner, 1) * inner for _, _, a, b in made)
+    assert len(forks) == len(shares) - 1 == n_cpus - 1
+    assert_no_children()
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2, 3])
+@pytest.mark.parametrize("lead, inner", [(1, BLOCK + 5), (1, 5 * BLOCK + 1), (3, 2 * BLOCK + 7)])
+def test_leading_row_longer_than_a_block_is_made_once_per_process(tmp_path, monkeypatch, forks,
+                                                                 n_cpus, lead, inner):
+    # a leading row past one block, as in `single` over one detuning: each
+    # process makes every row it writes part of whole, by one call, and
+    # the share boundaries fall between blocks, as in a table of arrays
+    cpus(monkeypatch, n_cpus)
+    log = tmp_path / "made.log"
+    path, header = tmp_path / "t.csv", ("i", "j", "v")
+    grid = (np.arange(lead)[:, None], np.linspace(0.0, 1.0, inner))
+    values = np.cos(np.arange(lead * inner)).reshape(lead, inner)
+    io_utils.write_csv_tables([(path, header, grid, logged(log, 0, lambda rows: [values[rows]]))])
+    rows = zip(*(c.ravel() for c in np.broadcast_arrays(*grid, values)))
+    assert path.read_bytes() == row_wise(header, rows)
+    shares = io_utils._block_ranges(lead * inner)
+    assert len(forks) == len(shares) - 1 == min(n_cpus, -(-lead * inner // BLOCK) // 2) - 1
+    made = sorted((pid, a) for _, pid, a, b in calls(log) if b == a + 1)
+    assert len(made) == len(calls(log))
+    assert made == sorted((pid, r) for pid, (a, b) in zip([os.getpid(), *forks], shares)
+                          for r in range(a // inner, -(-b // inner)))
     assert_no_children()
 
 
 def failing_make(tables, fails, error):
     """``tables`` deferred, each ``make`` raising ``error`` in the
     processes where ``fails(pid)`` holds."""
-    def make(columns):
+    def make(columns, rows):
         if fails(os.getpid()):
             raise error
-        return columns
+        return [c[rows] for c in columns]
 
-    return [(path, header, functools.partial(make, columns), (len(columns[0]),))
+    return [(path, header, columns[:1], functools.partial(make, columns[1:]))
             for path, header, columns in tables]
 
 

@@ -327,7 +327,8 @@ class TestMaps:
         dense = f.densities(x[:, None], x[None, :], ("rt",), convention)["rt"]
         assert_close_to_dense(m, dense)
         assert np.array_equal(m[1:, :-1], m[:-1, 1:])
-        assert m.flags.c_contiguous and m.flags.writeable
+        # a read-only view into the 2N - 1 pair-sum values, not an N x N copy
+        assert not m.flags.writeable and m.base is not None and not m.flags.c_contiguous
 
     @pytest.mark.parametrize(
         "x",
