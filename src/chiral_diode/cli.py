@@ -114,7 +114,12 @@ def _parse_grid(text, name: str) -> np.ndarray:
         raise CliError(f"{name}: endpoints must be finite, got {text!r}")
     if count < 1:
         raise CliError(f"{name}: count must be >= 1, got {count}")
-    return np.linspace(lo, hi, count)
+    # hi - lo may overflow, and then so do the points
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.linspace(lo, hi, count)
+    if not np.isfinite(grid).all():
+        raise CliError(f"{name}: the grid's points are not all finite, got {text!r}")
+    return grid
 
 
 def _float(value, name: str) -> float:
@@ -298,11 +303,8 @@ _SINGLE = (
 
 def _cmd_single(args) -> int:
     params = _params_from_args(args)
-    if args.gamma1_grid is None:
-        gamma1_grid: Sequence[float] = [params.gamma1]
-    else:
-        gamma1_grid = list(args.gamma1_grid)
-    # the CSV table is made a block of detuning rows at a time
+    gamma1_grid = [params.gamma1] if args.gamma1_grid is None else args.gamma1_grid
+    # the CSV table is made a block of the grid at a time
     sweep = sweep_table if args.format == "csv" else sweep_single
     try:
         table = sweep(params, args.detuning, gamma1_grid, args.direction)
@@ -470,10 +472,10 @@ def _reduced_params(kappa, U, gamma1) -> ModelParams:
 
 # A panel is its manifest entry, for file ``<fig><panel>.csv``, and the
 # header and columns of that file's table: arrays, or the grid's arrays
-# and a function that makes the further columns of a slice of rows (see
-# ``write_csv_tables``).
+# and a function that makes the further columns of a slice of rows and of
+# columns (see ``write_csv_tables``).
 _Panel = (tuple[dict, Sequence[str], Sequence]
-          | tuple[dict, Sequence[str], Sequence, Callable[[slice], Sequence]])
+          | tuple[dict, Sequence[str], Sequence, Callable[[slice, slice], Sequence]])
 
 
 def _panel(fig: str, panel: str, params: dict, header: Sequence[str], *columns) -> _Panel:
@@ -555,14 +557,14 @@ def _density_maps(fig: str, n: int, kappa: float, x_max: float) -> list[_Panel]:
     """Four panels: both tunings x both incidences, over (gamma1, separation).
 
     Each panel gives its grid and a function that computes the densities
-    of a slice of its gamma1 rows, called for each block by the process
-    that writes it."""
+    of a slice of its gamma1 rows and of its separations, called for each
+    block by the process that writes it."""
     gamma1_grid = np.linspace(0.0, 1.0, n)[:, None]
     x_grid = np.linspace(0.0, x_max, n)
 
-    def densities(rows, case, incident):
+    def densities(rows, cols, case, incident):
         params = _reduced_params(kappa, 10.0, gamma1_grid[rows])
-        return (_separation_density(params, case, x_grid, incident),)
+        return (_separation_density(params, case, x_grid[cols], incident),)
 
     panels = [
         ("a", WorkingAreaCase.SINGLE_PHOTON_RESONANCE, Direction.LEFT_INCIDENT),

@@ -18,7 +18,7 @@ import numpy as np
 
 __all__ = ["format_number", "write_csv", "write_csv_tables"]
 
-_BLOCK_ROWS = 8192  # rows per write; the cells of one block live together
+_BLOCK_ROWS = 8192  # cells a block formats; the cells of one block live together
 _RANGE_BLOCKS = 2  # fewest blocks' worth of rows a share of write_csv_tables is given
 
 
@@ -312,21 +312,21 @@ def _items(cells):
 
 
 def _table_cells(columns, shape, n_rows: int, make=None, n_made: int = 0):
-    """Function ``block(start, stop)`` from a block's rows to the block's
-    rows: a ``(rows, width)`` uint8 view of one buffer, allocated here,
-    that holds the cells of every column side by side, each in a slot as
-    wide as its widest cell in the block and NUL before the cells.  All
-    values formatted once go to ``_cells`` here, a block of them per call
-    so that the kernel's temporaries stay a block's, and their cells are
-    trimmed once; all values of one block go to one ``_cells`` call,
+    """``(block, step)`` of a table: ``block(start, stop)`` returns the
+    table rows ``[start, stop)`` as a ``(rows, width)`` uint8 view of one
+    buffer, allocated here, that holds the cells of every column side by
+    side, each in a slot as wide as its widest cell in the block and NUL
+    before the cells; ``step`` is the rows of a block (:func:`_step`).
+    All values formatted once go to ``_cells`` here, a block of them per
+    call so that the kernel's temporaries stay a block's, and their cells
+    are trimmed once; all values of one block go to one ``_cells`` call,
     which lays out the slots from its cells' first bytes.
 
-    With ``make``, ``columns`` are followed by ``n_made`` columns that
-    ``make(rows)`` returns for the leading rows ``rows`` a block spans.
-    Blocks are then written in order, ``_step(shape)`` rows each: whole
-    leading rows, or, where a leading row is longer than a block, a
-    block's rows of it.  Such a row is made by its first block and kept
-    for the blocks after, so no leading row is made twice here."""
+    With ``make``, ``shape`` is 2-D and ``columns`` are followed by
+    ``n_made`` columns that ``make(rows, cols)`` returns for the block's
+    part of the grid: its leading rows ``rows`` and its part ``cols`` of
+    the second axis, all of it unless the block is part of one leading
+    row (:func:`_blocks`)."""
     plans = [_column_cells(c, shape, n_rows) for c in columns]
     plans += [(None, None)] * n_made
     once = [k for k, (_, index) in enumerate(plans) if index is not None]
@@ -334,31 +334,17 @@ def _table_cells(columns, shape, n_rows: int, make=None, n_made: int = 0):
     tables = {}
     if once and n_rows:
         values = np.concatenate([np.ravel(plans[k][0]) for k in once])
-        cells = np.concatenate([_cells(values[i : i + _BLOCK_ROWS])
-                                for i in range(0, values.size, _BLOCK_ROWS)])
+        cells = np.empty((values.size, _WIDTH + 1), np.uint8)
+        for i in range(0, values.size, _BLOCK_ROWS):
+            cells[i : i + _BLOCK_ROWS] = _cells(values[i : i + _BLOCK_ROWS])
         bounds = np.cumsum([0] + [plans[k][0].size for k in once])
-        tables = {k: _items(_trim(cells[a:b])) for k, a, b in zip(once, bounds, bounds[1:])}
+        # contiguous, since ``take`` copies a strided array whole first
+        tables = {k: _items(np.ascontiguousarray(_trim(cells[a:b])))
+                  for k, a, b in zip(once, bounds, bounds[1:])}
     widths = np.array([tables[k].itemsize if k in tables else _WIDTH + 1
                        for k in range(len(plans))], int)
-    unit = _unit(shape)
-    buf = np.empty(min(_BLOCK_ROWS, n_rows) * widths.sum(), np.uint8)
-    kept = [0, 0, []]  # the leading rows [a, b) made last, their columns flat
-
-    def made(start, stop):
-        """The made columns' elements in the table rows [start, stop)."""
-        parts = []
-        while start < stop:
-            a, b, cols = kept
-            if not a * unit <= start < b * unit:
-                # the block's leading rows, or the one long row at start
-                a = start // unit
-                b = -(-stop // unit) if unit <= _BLOCK_ROWS else a + 1
-                cols = [c.reshape(-1) for c in _made(make, a, b, shape, n_made)]
-                kept[:] = a, b, cols
-            end = min(stop, b * unit)
-            parts.append([c[start - a * unit : end - a * unit] for c in cols])
-            start = end
-        return [np.concatenate(p) for p in zip(*parts)]
+    step = _step(_unit(shape) if make else 1, len(each))
+    buf = np.empty(min(step, n_rows) * widths.sum(), np.uint8)
 
     def block(start, stop):
         rows = slice(start, stop)
@@ -373,23 +359,30 @@ def _table_cells(columns, shape, n_rows: int, make=None, n_made: int = 0):
 
         values = [plans[k][0](rows) for k in each if k < len(columns)]
         if make:
-            values += made(start, stop)
+            # whole leading rows, or part of the one leading row at start
+            i, j = divmod(start, shape[1])
+            if j or stop - start < shape[1]:
+                lead, cols = slice(i, i + 1), slice(j, j + stop - start)
+            else:
+                lead, cols = slice(i, stop // shape[1]), slice(0, shape[1])
+            values += [c.reshape(-1) for c in _made(make, lead, cols, n_made)]
         if not each:
             return slots(np.empty(0, int))[0]
         return _cells(np.stack(values, axis=1), slots)
 
-    return block
+    return block, step
 
 
-def _made(make, start: int, stop: int, shape, n_made: int) -> list:
-    """The ``n_made`` columns ``make(slice(start, stop))`` returns for
-    those leading rows of a table of ``shape``, broadcast to the rows'
-    shape; a ValueError if they are more or fewer or do not broadcast."""
-    made = [np.asarray(c) for c in make(slice(start, stop))]
-    want = (stop - start, *shape[1:])
+def _made(make, rows: slice, cols: slice, n_made: int) -> list:
+    """The ``n_made`` columns ``make(rows, cols)`` returns, broadcast to
+    the shape of that part of a 2-D grid; a ValueError if they are more
+    or fewer or do not broadcast."""
+    made = [np.asarray(c) for c in make(rows, cols)]
+    want = (rows.stop - rows.start, cols.stop - cols.start)
     own = np.broadcast_shapes(want, *(c.shape for c in made))
     if (len(made), own) != (n_made, want):
-        raise ValueError(f"make of rows {start}-{stop - 1} gave {len(made)} columns "
+        raise ValueError(f"make of rows {rows.start}-{rows.stop - 1}, columns "
+                         f"{cols.start}-{cols.stop - 1} gave {len(made)} columns "
                          f"broadcast to {own}, not {n_made} of shape {want}")
     return [np.broadcast_to(c, want) for c in made]
 
@@ -407,38 +400,54 @@ def _unit(shape) -> int:
     return max(math.prod(shape[1:]), 1)
 
 
-def _step(shape) -> int:
-    """Rows in a block of a table made a block of leading rows at a time:
-    as many whole leading rows as fit in ``_BLOCK_ROWS``, or
-    ``_BLOCK_ROWS`` where one leading row is longer."""
-    return _BLOCK_ROWS // _unit(shape) * _unit(shape) or _BLOCK_ROWS
+def _step(unit: int, k: int) -> int:
+    """Rows in a block that formats ``k`` columns, so that it formats at
+    most ``_BLOCK_ROWS`` cells (one row, if ``k`` is larger): as many whole
+    leading rows of ``unit`` table rows as fit, or, where one leading row
+    holds more, ``_BLOCK_ROWS // k`` rows of it."""
+    rows = max(_BLOCK_ROWS // max(k, 1), 1)
+    return rows // unit * unit or rows
+
+
+def _blocks(start: int, stop: int, step: int, unit: int):
+    """The ``(start, stop)`` of each block of the table rows ``[start,
+    stop)``: ``step`` rows each, the last maybe short, and where a leading
+    row of ``unit`` table rows is longer than ``step``, none across the end
+    of a leading row."""
+    while start < stop:
+        end = min(start + step, stop)
+        if unit > step:
+            end = min(end, start - start % unit + unit)
+        yield start, end
+        start = end
 
 
 def _plan(header, columns, make=None):
     """``(rows, unit, step, plan)`` of a table for
-    :func:`write_csv_tables`: its row count, the rows that a share
-    boundary must not cut, the rows of a block, and ``plan()``, which
+    :func:`write_csv_tables`: its row count, the table rows in a leading
+    row, the rows of a block (see :func:`_blocks`), and ``plan()``, which
     returns the table's cells by :func:`_table_cells`.  Given ``make``,
-    ``columns`` are the grid, which sets the table's shape, and ``make``
-    gives the further columns.  A boundary must then not cut a leading
-    row, unless the row is longer than a block: the row is then cut
-    between blocks, like a table of arrays, and both processes that write
-    part of it make it.  A table of one block is made by one ``make`` call
+    ``columns`` are the grid, which sets the table's 2-D shape (a grid of
+    fewer axes gains leading axes of one), and ``make`` gives the further
+    columns.  A table that fits in one block is made by one ``make`` call
     in ``plan()`` and planned as if given as arrays, so a value it repeats
-    is formatted once; any other table is planned here."""
+    is formatted once; any other table is planned here.  A table of
+    arrays is planned here, with leading rows of one table row."""
     columns, shape, n_rows = _table_columns(columns)
     if make is None:
-        cells = _table_cells(columns, shape, n_rows)
-        return n_rows, 1, _BLOCK_ROWS, lambda: cells
-    # a grid of scalars is one row, of a leading axis of one
-    shape = shape or (1,)
-    n_made, unit, step = len(header) - len(columns), _unit(shape), _step(shape)
-    uncut = unit if unit <= _BLOCK_ROWS else 1
-    if n_rows > step:
-        cells = _table_cells(columns, shape, n_rows, make, n_made)
-        return n_rows, uncut, step, lambda: cells
-    return n_rows, uncut, step, lambda: _table_cells(
-        [*columns, *_made(make, 0, shape[0], shape, n_made)], shape, n_rows)
+        cells, step = _table_cells(columns, shape, n_rows)
+        return n_rows, 1, step, lambda: cells
+    if len(shape) > 2:
+        raise ValueError(f"the grid of a table given by make has at most 2 axes, got {shape}")
+    shape = (1,) * (2 - len(shape)) + shape
+    n_made, unit = len(header) - len(columns), _unit(shape)
+    # a table of at most _BLOCK_ROWS rows gathers every grid column by value
+    if n_rows > _step(unit, n_made):
+        cells, step = _table_cells(columns, shape, n_rows, make, n_made)
+        return n_rows, unit, step, lambda: cells
+    return n_rows, unit, n_rows, lambda: _table_cells(
+        [*columns, *_made(make, slice(0, shape[0]), slice(0, shape[1]), n_made)],
+        shape, n_rows)[0]
 
 
 def _block_ranges(*sizes: int, units: Sequence[int] = ()) -> list[tuple[int, int]]:
@@ -475,12 +484,12 @@ def _block_ranges(*sizes: int, units: Sequence[int] = ()) -> list[tuple[int, int
     return [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b] or [(0, total)]
 
 
-def _write_rows(fh, cells, start: int, stop: int, step: int) -> None:
-    """Write rows ``[start, stop)`` into a binary file, ``step`` at a
-    time: the block's row buffer with its NUL bytes dropped and the last
-    comma of each row made a newline."""
-    for i in range(start, stop, step):
-        rows = cells(i, min(i + step, stop))
+def _write_rows(fh, cells, blocks) -> None:
+    """Write the rows of each ``(start, stop)`` of ``blocks`` into a
+    binary file: the block's row buffer with its NUL bytes dropped and the
+    last comma of each row made a newline."""
+    for start, stop in blocks:
+        rows = cells(start, stop)
         rows[:, -1] = ord("\n")
         fh.write(rows[rows != 0])
 
@@ -489,11 +498,11 @@ def _write_share(files, plans, share, tmp) -> None:
     """Write the ``(table, start, stop)`` parts of a share, each straight
     into its table's file when it starts the table, else into ``tmp``, and
     flush.  Each part's cells come from a call of its table's plan, a
-    ``(step, plan)`` pair."""
+    ``(unit, step, plan)`` triple, a block (:func:`_blocks`) at a time."""
     for k, start, stop in share:
         fh = tmp if start else files[k]
-        step, plan = plans[k]
-        _write_rows(fh, plan(), start, stop, step)
+        unit, step, plan = plans[k]
+        _write_rows(fh, plan(), _blocks(start, stop, step, unit))
         fh.flush()
 
 
@@ -547,21 +556,24 @@ def write_csv_tables(tables: Iterable[tuple]) -> None:
     :func:`write_csv` does, the tables split across the CPUs together.
 
     Every cell has the bytes of :func:`format_number`.  A table's columns
-    broadcast together and its rows are made ``_BLOCK_ROWS`` (8192) at a
-    time, so the writer's memory stays flat for any table size.  A column
-    smaller than the table (a scalar, ``gamma1[:, None]``, ``x[None, :]``) is formatted
-    once at its own shape and its cells are broadcast.  A full-size column
-    whose distinct values (after the float64 cast) fit in one block, such
-    as the grid columns of ``sweep_single``'s rows or the Toeplitz and
-    Hankel maps of ``twomap``, has each distinct value formatted once, and
-    every block gathers its cells from those by value.  Any other
-    full-size column is formatted in bulk, one block at a time, all such
-    columns of a block in one ``_cells`` call.  A full-size column that is
-    a strided view, like ``twomap``'s gathered maps, is read a block at a
-    time and never copied whole.  So no cell is made twice for one input
-    element.  The block size sets how often the kernel's
-    ~100 numpy calls, each gather and the NUL drop pay their fixed cost;
-    it changes no byte.
+    broadcast together and its rows are made a block at a time, so the
+    writer's memory stays flat for any table size.  A block formats at
+    most ``_BLOCK_ROWS`` (8192) cells: a table whose blocks format k
+    columns takes 8192 // k rows per block (8192 for k = 0), so the
+    kernel's temporaries, ~170 bytes a value, stay one block's.  A column
+    smaller than the table (a scalar, ``gamma1[:, None]``, ``x[None, :]``)
+    is formatted once at its own shape and its cells are broadcast.  A
+    full-size column whose distinct values (after the float64 cast) fit
+    in 8192, such as the grid columns of ``sweep_single``'s rows or the
+    Toeplitz and Hankel maps of ``twomap``, has each distinct value
+    formatted once, and every block gathers its cells from those by
+    value.  Any other full-size column is formatted in bulk, one block at
+    a time, all such columns of a block in one ``_cells`` call; these are
+    the k columns of the budget.  A full-size column that is a strided
+    view, like ``twomap``'s gathered maps, is read a block at a time and
+    never copied whole.  So no cell is made twice for one input element.
+    The block size sets how often the kernel's ~100 numpy calls, each
+    gather and the NUL drop pay their fixed cost; it changes no byte.
 
     Cells are byte rows, not strings.  ``_cells`` writes the repr of whole
     arrays of non-integral values with ``1e-6 < |x| < 1e16`` by a numpy
@@ -581,28 +593,29 @@ def write_csv_tables(tables: Iterable[tuple]) -> None:
 
     A table may instead be ``(path, header, columns, make)``.  Its
     ``columns`` are arrays, the grid, whose broadcast shape is the
-    table's; ``make(rows)`` takes a slice of the table's leading axis and
-    returns the further columns of those rows alone, each broadcasting to
-    ``(rows, *shape[1:])``.  Each block of such a table spans whole leading
-    rows, as many as fit in ``_BLOCK_ROWS`` rows, and ``make`` is called
-    once per block by the process that writes it.  A leading row longer
-    than ``_BLOCK_ROWS`` is made by one call, when its first block is
-    written, and kept for its further blocks, which are ``_BLOCK_ROWS``
-    rows each.  So no leading row is made twice in one process, nor in
-    two unless it is longer than a block and a share boundary cuts it (see
-    below); and a table's values never exist whole: a process holds one
-    block's values, or one leading row's where that is longer.  The made columns are formatted in bulk, a block at a time, but a table
-    of one block is made by one call and written as if given as arrays.
-    Every other table is planned in this process before any fork, so each
-    value formatted once, a grid's included, is formatted here, and the
-    children inherit its cells.
+    table's; it has at most two axes, and a grid of fewer gains leading
+    axes of one.  ``make(rows, cols)`` takes a slice of the table's
+    leading axis and one of its second axis and returns the further
+    columns of that part of the grid alone, each broadcasting to
+    ``(rows, cols)``; its columns count towards k.  Each block of such a
+    table spans whole leading rows, as many as fit in its 8192 // k rows,
+    or, where one leading row is longer, 8192 // k rows of that row, and
+    ``make`` is called once per block, for the block's part of the grid,
+    by the process that writes it.  So no cell is made twice, in one
+    process or in two, and a table's values never exist whole: a process
+    holds one block's values.  A table of one block is made by one call
+    and written as if given as arrays.  Every other table is planned in
+    this process before any fork, so each value formatted once, a grid's
+    included, is formatted here, and the children inherit its cells.  A
+    grid column formatted once, such as ``x[None, :]`` of a table with
+    several leading rows, still holds its cells: O(its length) memory.
 
     Every file is opened and gets its header, flushed, before any fork or
     call of ``make``: a path that cannot be written raises with no child
     started.  The blocks of all tables, taken in order, are cut into
     contiguous shares by :func:`_block_ranges`: one per CPU in
-    ``os.sched_getaffinity(0)``, each of at least ``_RANGE_BLOCKS`` blocks'
-    worth of rows (16,384), so tables that small in all, a single CPU or a
+    ``os.sched_getaffinity(0)``, each of at least ``_RANGE_BLOCKS`` times
+    8192 rows (16,384), so tables that small in all, a single CPU or a
     platform without ``os.fork`` give one share.  This process writes the
     first share and a forked child each further one; the child inherits
     the open files and leaves by ``os._exit``.  A table that a share holds
@@ -611,10 +624,10 @@ def write_csv_tables(tables: Iterable[tuple]) -> None:
     which this process appends in row order once the children before have
     finished.  A boundary inside a table given by ``make`` moves on to its
     next leading row, unless leading rows are longer than a block: then
-    it stays between blocks, and the row it cuts is made by both processes
-    that write part of it, so a single long row still spreads over the
-    CPUs.  The bytes therefore do not depend on the CPU count,
-    and there is no option to choose it.
+    it stays where it falls, each process makes its own part of the row
+    it cuts, and a single long row still spreads over the CPUs.  The
+    bytes therefore do not depend on the CPU count, and there is no
+    option to choose it.
 
     Every child is waited for, or killed and waited for, before this
     returns or raises.  A child that runs out of memory makes it raise
@@ -631,9 +644,10 @@ def write_csv_tables(tables: Iterable[tuple]) -> None:
         n_rows, unit, step, plan = _plan(header, columns, *make)
         paths.append(path)
         headers.append(header)
-        plans.append((step, plan))
+        plans.append((unit, step, plan))
         sizes.append(n_rows)
-        units.append(unit)
+        # a share boundary cuts a leading row only where blocks do
+        units.append(unit if unit <= step else 1)
     firsts = np.cumsum([0, *sizes]).tolist()
     # the (table, start, stop) parts of the tables in each share
     first, *rest = [
@@ -680,8 +694,10 @@ def write_csv(path: str | os.PathLike, header: Sequence[str], columns: Iterable,
 
     Rows follow the C order of the broadcast shape (last axis fastest), so
     columns shaped ``a[:, None]``, ``b[None, :]`` give every ``b`` for the
-    first ``a``, then for the next.  With ``make``, the rows' further
-    columns are made a block of leading rows at a time.  This is
+    first ``a``, then for the next.  With ``make``, a function of a slice
+    of leading rows and one of the second axis, the rows' further columns
+    are made a block at a time, each block at most ``_BLOCK_ROWS`` (8192)
+    formatted cells.  This is
     :func:`write_csv_tables` of the one table, which says how the cells
     are made and written.
     """

@@ -156,17 +156,19 @@ def sweep_table(
     gamma1_grid: Sequence[float],
     direction: Direction = Direction.LEFT_INCIDENT,
 ):
-    """:func:`sweep_columns` a block of detuning rows at a time, as
-    ``(grid, make)``: the grid columns (Delta/Gamma, gamma1/Gamma), shaped
+    """:func:`sweep_columns` a block of the grid at a time, as ``(grid,
+    make)``: the grid columns (Delta/Gamma, gamma1/Gamma), shaped
     (len(detuning_grid), 1) and (1, len(gamma1_grid)), and a function
-    ``make(rows)`` that returns the T, R and loss columns of the detuning
-    rows ``rows`` (a slice).  Every rate and frequency is checked here."""
+    ``make(rows, cols)`` that returns the T, R and loss columns of the
+    detuning rows ``rows`` and the gamma1 columns ``cols`` (two slices).
+    Every rate and frequency is checked here."""
     delta = np.asarray(detuning_grid, dtype=float)[:, None]
     gamma1 = np.asarray(gamma1_grid, dtype=float)[None, :]
-    swept = params.at_gamma1(gamma1)
+    params.at_gamma1(gamma1)
     photon = PhotonIn(direction, params.omega_a + delta)
 
-    def make(rows):
+    def make(rows, cols):
+        swept = params.at_gamma1(gamma1[:, cols])
         c = chiral_coeffs(swept, PhotonIn(direction, photon.omega_k[rows]))
         return c.T, c.R, c.loss
 
@@ -185,7 +187,7 @@ def sweep_columns(
     call: shapes (len(detuning_grid), 1), (1, len(gamma1_grid)), and the
     full grid for T, R and loss."""
     grid, make = sweep_table(params, detuning_grid, gamma1_grid, direction)
-    return (*grid, *make(slice(None)))
+    return (*grid, *make(slice(None), slice(None)))
 
 
 def sweep_single(

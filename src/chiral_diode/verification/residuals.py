@@ -20,6 +20,10 @@ Two photon, off the lines x1=0, x2=0: ``ae_transport``,
 ``aa_stationarity``, ``oa_transport``.  On the lines: ``ee_jump_x1``,
 ``oe_jump_even_arg``, ``ae_jump``.
 
+``ee_jump_x1`` is read at the offset x2 and at |x2|: the bound term,
+and with it the coefficient D, enters the jump only at a positive
+offset, so every point reads D.
+
 Only relations that a wrong coefficient can violate are kept.  The pair
 amplitudes ``phi_ee``, ``phi_oe`` and ``phi_oo`` are sums of exponentials
 of total momentum ``omega``, so their transport equations hold for any
@@ -136,6 +140,10 @@ def two_photon_residual(
     om_a, kappa, U = params.omega_a, params.kappa, params.U
     sqG = np.sqrt(G)
 
+    def ee_jump_x1(x):
+        return (f.phi_ee(0.0, x, side1=+1) - f.phi_ee(0.0, x, side1=-1)
+                + 1j * np.sqrt(G / 2.0) * f.phi_ae(x))
+
     res = {
         # transport off the lines, at x1
         "ae_transport": -1j * f.d_phi_ae(x1) + (om_a - om - 0.5j * kappa) * f.phi_ae(x1)
@@ -144,9 +152,10 @@ def two_photon_residual(
         + np.sqrt(2.0 * G) * f.phi_ae(0.0),
         "oa_transport": -1j * f.d_phi_oa(x1) + (om_a - om - 0.5j * kappa) * f.phi_oa(x1)
         + sqG * f.phi_oe(x1, 0.0),
-        # discontinuity relations, offsets on the lines taken from x2
-        "ee_jump_x1": f.phi_ee(0.0, x2, side1=+1) - f.phi_ee(0.0, x2, side1=-1)
-        + 1j * np.sqrt(G / 2.0) * f.phi_ae(x2),
+        # discontinuity relations, offsets on the lines taken from x2; the
+        # bound term, and so D, enters the jump only past the cavity, so
+        # it is also taken at |x2|
+        "ee_jump_x1": np.stack(np.broadcast_arrays(ee_jump_x1(x2), ee_jump_x1(np.abs(x2)))),
         "oe_jump_even_arg": f.phi_oe(x2, 0.0, side2=+1) - f.phi_oe(x2, 0.0, side2=-1)
         + 1j * sqG * f.phi_oa(x2),
         "ae_jump": f.phi_ae(0.0, side=+1) - f.phi_ae(0.0, side=-1)

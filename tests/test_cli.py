@@ -527,6 +527,24 @@ class TestWorkingArea:
         assert not (tmp_path / "wa.csv").exists()
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["single", "--detuning=-1e308:1e308:3"], "detuning"),
+    (["twomap", "--x=-1e308:1e308:3"], "x"),
+    (["working-area", "--gamma1-grid=-1e308:1e308:5"], "gamma1-grid"),
+], ids=["single", "twomap", "working-area"])
+def test_grid_whose_span_overflows_exits_1(tmp_path, argv, option):
+    # finite endpoints whose difference overflows: np.linspace gives nan
+    # and inf points, which must not reach the computation
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "chiral_diode.cli", *argv, "-o", str(out)],
+                          env=package_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_VALIDATION
+    assert proc.stderr.startswith(f"error: {option}: "), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stdout == "" and not out.exists()
+
+
 def scaled_command(command, k):
     """A command's argv with each rate, frequency and detuning times 2**k
     and each position times 2**-k, and its scale-free columns."""

@@ -435,6 +435,41 @@ def test_single_cli_sweeps_a_gamma1_grid_past_one_block(tmp_path, monkeypatch, c
     assert path.read_bytes() == (tmp_path / "library.csv").read_bytes()
 
 
+def test_single_cli_formats_at_most_a_block_of_cells_per_call(tmp_path, monkeypatch, capsys,
+                                                              formatted):
+    # T, R and loss of a 401 x 401 sweep: whole detuning rows, as many as
+    # fit in BLOCK cells, to each _cells call
+    cpus(monkeypatch, 1)
+    path = tmp_path / "cli.csv"
+    argv = ["single", "--detuning=-2:2:401", "--gamma1-grid=0:1:401", "-o", str(path)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    sizes = [size for size, _ in formatted()]
+    assert max(sizes) <= BLOCK
+    assert sum(sizes) == 401 + 401 + 3 * 401**2
+    assert sizes.count(3 * (BLOCK // 3 // 401) * 401) == 401 // (BLOCK // 3 // 401)
+
+
+@pytest.mark.parametrize("n_detunings", [1, 3])
+def test_single_cli_gamma1_grid_one_past_the_cell_budget(tmp_path, monkeypatch, capsys,
+                                                        formatted, n_detunings):
+    # BLOCK // 3 + 1 gamma1 values: one more than a block of T, R and loss
+    # holds, so each detuning row is made in two blocks
+    cpus(monkeypatch, 3)
+    n = BLOCK // 3 + 1
+    path = tmp_path / "cli.csv"
+    assert cli.main(["single", f"--detuning=-1:1:{n_detunings}", f"--gamma1-grid=0:1:{n}",
+                     "--kappa", "0.7", "--gamma1", "0.6", "--gamma2", "0.4", "-o", str(path)]) == 0
+    capsys.readouterr()
+    # the grid's distinct values in one call, then every block
+    assert sorted(size for size, _ in formatted()) == sorted(
+        [n_detunings + n] + [3 * (n - 1), 3] * n_detunings)
+    p = make_params(omega_a=0.0, kappa=0.7, U=0.0, gamma1=0.6, gamma2=0.4)
+    rows = sweep_single(p, np.linspace(-1.0, 1.0, n_detunings), np.linspace(0.0, 1.0, n))
+    write_sweep_csv(tmp_path / "library.csv", rows)
+    assert path.read_bytes() == (tmp_path / "library.csv").read_bytes()
+
+
 def test_two_photon_map_is_gathered_by_value(tmp_path, formatted):
     p = make_params(omega_a=0.0, kappa=0.4, U=6.0, gamma1=0.7, gamma2=0.3)
     field = TwoPhotonField(p, TwoPhotonIn(Direction.LEFT_INCIDENT, 0.0, 2.0 * p.U))
@@ -736,34 +771,44 @@ def test_pending_stdout_is_written_once(tmp_path):
     assert (tmp_path / "t.csv").read_bytes().count(b"\n") == 401**2 + 1
 
 
-# A table may give its grid as arrays and a function that makes its further
-# columns for a slice of its leading rows: each block's rows are made by the
-# process that writes them.
+# A table may give its 2-D grid as arrays and a function that makes its
+# further columns for a slice of its leading rows and of its second axis:
+# each block's part of the grid is made by the process that writes it.
 
-def logged(log, k, make):
-    """``make`` that first appends ``"<k> <pid> <start> <stop>"`` of the
-    slice of rows it is given to the file ``log``."""
-    def made(rows):
+def logged(log, k, unit, make):
+    """``make`` that first appends ``"<k> <pid> <start> <stop>"`` to the
+    file ``log``: the table rows ``[start, stop)`` of the slices of leading
+    rows and of columns it is given, in a table of ``unit`` columns."""
+    def made(rows, cols):
+        start, stop = rows.start * unit + cols.start, (rows.stop - 1) * unit + cols.stop
         fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
         try:
-            os.write(fd, f"{k} {os.getpid()} {rows.start} {rows.stop}\n".encode())
+            os.write(fd, f"{k} {os.getpid()} {start} {stop}\n".encode())
         finally:
             os.close(fd)
-        return make(rows)
+        return make(rows, cols)
 
     return made
 
 
 def deferred(tables, log):
-    """``tables`` with the first column their grid and the others made by
-    a :func:`logged` function."""
-    return [(path, header, columns[:1],
-             logged(log, k, lambda rows, columns=columns[1:]: [c[rows] for c in columns]))
+    """``tables`` with the first column their grid, shaped ``(rows, 1)``,
+    and the others made by a :func:`logged` function."""
+    return [(path, header, (columns[0][:, None],),
+             logged(log, k, 1, lambda rows, cols, columns=columns[1:]:
+                    [c[:, None][rows, cols] for c in columns]))
             for k, (path, header, columns) in enumerate(tables)]
 
 
 def calls(log):
     return sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
+
+
+def parts(sizes, shares):
+    """``(table, start, stop)`` of each part of a table in a share."""
+    firsts = np.cumsum((0, *sizes)).tolist()
+    return [(k, max(lo, f) - f, min(hi, f + n) - f) for lo, hi in shares
+            for k, (f, n) in enumerate(zip(firsts, sizes)) if max(lo, f) < min(hi, f + n)]
 
 
 def assert_made_once_where_written(made, sizes, shares, pids):
@@ -791,10 +836,12 @@ def test_deferred_tables_are_made_where_they_are_written(tmp_path, monkeypatch, 
     assert [path.read_bytes() for path, _, _ in tables] == set_reference(sizes)
     shares = io_utils._block_ranges(*sizes)
     assert_made_once_where_written(calls(log), sizes, shares, [os.getpid(), *forks])
-    # a block at a time, the last block of a share or a table maybe short
-    assert all(b - a <= BLOCK for _, _, a, b in calls(log))
-    assert len(calls(log)) == sum(-(-n // BLOCK) for n in sizes) + sum(
-        a % BLOCK != 0 for a, _ in shares)
+    # a block at a time, BLOCK cells of the two made columns each, and of
+    # the grid too where its values are more than a block: the last block
+    # of a share or a table maybe short
+    steps = [BLOCK // (2 + (n > BLOCK)) for n in sizes]
+    assert all(b - a <= steps[k] for k, _, a, b in calls(log))
+    assert len(calls(log)) == sum(-(-(b - a) // steps[k]) for k, a, b in parts(sizes, shares))
     assert len(forks) == len(shares) - 1
     assert_no_children()
 
@@ -803,7 +850,7 @@ def made_error(tmp_path, made, message):
     """A table whose ``make`` returns ``made`` raises a ValueError matching
     ``message``, and its file keeps the header alone."""
     path = tmp_path / "t.csv"
-    table = (path, ("a", "b", "c"), (np.zeros((4, 1)), np.zeros(3)), lambda rows: made)
+    table = (path, ("a", "b", "c"), (np.zeros((4, 1)), np.zeros(3)), lambda rows, cols: made)
     with pytest.raises(ValueError, match=message):
         io_utils.write_csv_tables([table])
     assert path.read_bytes() == b"a,b,c\n"
@@ -821,10 +868,18 @@ def test_deferred_table_of_more_columns_is_a_value_error(tmp_path, monkeypatch):
                r"gave 2 columns broadcast to \(4, 3\), not 1 of shape \(4, 3\)")
 
 
+def test_deferred_table_over_a_grid_of_three_axes_is_a_value_error(tmp_path):
+    path = tmp_path / "t.csv"
+    table = (path, ("a", "b"), (np.zeros((2, 3, 4)),), lambda rows, cols: (np.zeros(1),))
+    with pytest.raises(ValueError, match=r"at most 2 axes, got \(2, 3, 4\)"):
+        io_utils.write_csv_tables([table])
+    assert not path.exists()
+
+
 def test_deferred_table_over_a_grid_of_scalars_is_one_row(tmp_path, monkeypatch):
     cpus(monkeypatch, 1)
     path = tmp_path / "t.csv"
-    io_utils.write_csv(path, ("a", "b"), (np.float64(0.5),), lambda rows: (np.full(1, 0.25),))
+    io_utils.write_csv(path, ("a", "b"), (np.float64(0.5),), lambda rows, cols: (np.full(1, 0.25),))
     assert path.read_bytes() == b"a,b\n0.5,0.25\n"
 
 
@@ -837,7 +892,7 @@ def test_arrays_and_deferred_tables_mix(tmp_path, monkeypatch, forks):
     io_utils.write_csv_tables(mixed)
     assert [path.read_bytes() for path, _, _ in tables] == set_reference(sizes)
     # the array table is no call; tables 1-3 are deferred tables 0-2
-    assert sorted({(k, pid) for k, pid, _, _ in calls(log)}) == [
+    assert sorted({(k, pid) for k, pid, *_ in calls(log)}) == [
         (0, os.getpid()), (1, forks[0]), (2, forks[0])]
     assert_no_children()
 
@@ -857,7 +912,8 @@ def test_share_boundaries_fall_between_leading_rows(tmp_path, monkeypatch, forks
         grid = (np.arange(lead)[:, None] + 10**6 * k, np.arange(inner))
         values = np.cos(np.arange(lead * inner) + k).reshape(lead, inner)
         tables.append((path, header, (*grid, values)))
-        deferred_tables.append((path, header, grid, logged(log, k, lambda rows, v=values: [v[rows]])))
+        make = logged(log, k, inner, lambda rows, cols, v=values: [v[rows, cols]])
+        deferred_tables.append((path, header, grid, make))
     io_utils.write_csv_tables(deferred_tables)
     for path, header, columns in tables:
         rows = zip(*(c.ravel() for c in np.broadcast_arrays(*columns)))
@@ -865,7 +921,7 @@ def test_share_boundaries_fall_between_leading_rows(tmp_path, monkeypatch, forks
     sizes = (lead * inner,) * 2
     shares = io_utils._block_ranges(*sizes, units=(inner, inner))
     assert all(a % inner == 0 for a, _ in shares)
-    made = [(k, pid, a * inner, b * inner) for k, pid, a, b in calls(log)]
+    made = calls(log)
     assert_made_once_where_written(made, sizes, shares, [os.getpid(), *forks])
     assert all(b - a <= max(BLOCK // inner, 1) * inner for _, _, a, b in made)
     assert len(forks) == len(shares) - 1 == n_cpus - 1
@@ -875,36 +931,63 @@ def test_share_boundaries_fall_between_leading_rows(tmp_path, monkeypatch, forks
 @pytest.mark.parametrize("n_cpus", [1, 2, 3])
 @pytest.mark.parametrize("lead, inner", [(1, BLOCK + 5), (1, 5 * BLOCK + 1), (3, 2 * BLOCK + 7)])
 def test_leading_row_longer_than_a_block_is_made_once_per_process(tmp_path, monkeypatch, forks,
-                                                                 n_cpus, lead, inner):
-    # a leading row past one block, as in `single` over one detuning: each
-    # process makes every row it writes part of whole, by one call, and
-    # the share boundaries fall between blocks, as in a table of arrays
+                                                                 formatted, n_cpus, lead, inner):
+    # a leading row past one block, as in `single` over one detuning: every
+    # cell is made once, by the process that writes it, a block at a time,
+    # and the share boundaries fall between blocks, as in a table of arrays
     cpus(monkeypatch, n_cpus)
     log = tmp_path / "made.log"
     path, header = tmp_path / "t.csv", ("i", "j", "v")
     grid = (np.arange(lead)[:, None], np.linspace(0.0, 1.0, inner))
     values = np.cos(np.arange(lead * inner)).reshape(lead, inner)
-    io_utils.write_csv_tables([(path, header, grid, logged(log, 0, lambda rows: [values[rows]]))])
+    make = logged(log, 0, inner, lambda rows, cols: [values[rows, cols]])
+    io_utils.write_csv_tables([(path, header, grid, make)])
     rows = zip(*(c.ravel() for c in np.broadcast_arrays(*grid, values)))
     assert path.read_bytes() == row_wise(header, rows)
     shares = io_utils._block_ranges(lead * inner)
     assert len(forks) == len(shares) - 1 == min(n_cpus, -(-lead * inner // BLOCK) // 2) - 1
-    made = sorted((pid, a) for _, pid, a, b in calls(log) if b == a + 1)
-    assert len(made) == len(calls(log))
-    assert made == sorted((pid, r) for pid, (a, b) in zip([os.getpid(), *forks], shares)
-                          for r in range(a // inner, -(-b // inner)))
+    assert_made_once_where_written(calls(log), (lead * inner,), shares, [os.getpid(), *forks])
+    # each call makes part of one leading row; one row's x column is
+    # formatted a block at a time too, so its blocks format two columns
+    step = BLOCK // 2 if lead == 1 else BLOCK
+    assert all(a // inner == (b - 1) // inner and b - a <= step for _, _, a, b in calls(log))
+    assert max(size for size, _ in formatted()) <= BLOCK
     assert_no_children()
+
+
+def test_long_leading_row_grows_memory_by_no_more_than_a_block(tmp_path, monkeypatch):
+    # a 1 x n table: a scalar, a grid column of n distinct values and a
+    # made column, all formatted a block at a time, so no cell is formatted
+    # once and four times the row takes at most one block's cells more
+    import tracemalloc
+
+    cpus(monkeypatch, 1)
+
+    def peak(n):
+        x = np.linspace(0.0, 1.0, n)
+        table = (tmp_path / "t.csv", ("a", "x", "v"), (np.zeros((1, 1)), x),
+                 lambda rows, cols: (np.cos(x[cols]),))
+        tracemalloc.start()
+        try:
+            io_utils.write_csv_tables([table])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(100_000)
+    small, large = peak(100_000), peak(400_000)
+    assert large - small <= BLOCK * (io_utils._WIDTH + 1), (small, large)
 
 
 def failing_make(tables, fails, error):
     """``tables`` deferred, each ``make`` raising ``error`` in the
     processes where ``fails(pid)`` holds."""
-    def make(columns, rows):
+    def make(columns, rows, cols):
         if fails(os.getpid()):
             raise error
-        return [c[rows] for c in columns]
+        return [c[:, None][rows, cols] for c in columns]
 
-    return [(path, header, columns[:1], functools.partial(make, columns[1:]))
+    return [(path, header, (columns[0][:, None],), functools.partial(make, columns[1:]))
             for path, header, columns in tables]
 
 

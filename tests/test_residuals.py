@@ -51,10 +51,11 @@ def scalar_draws(seed, n):
         yield p, pair, tuple(points[i].tolist())
 
 
-def reads_D(params, points):
-    """Draws where some two-photon relation reads the bound-state
-    coefficient D: U != 0 and at least one coordinate past the cavity."""
-    return (params.U != 0.0) & (points.max(axis=1) > 0.0)
+def reads_D(params):
+    """Draws where the two-photon relations read the bound-state
+    coefficient D: U != 0, at any point (``ee_jump_x1`` is also taken at
+    a positive offset)."""
+    return params.U != 0.0
 
 
 def one_percent_corruptions():
@@ -207,7 +208,7 @@ class TestSuite:
         params, incoming, points = random_model_draws(np.random.default_rng(7), 200)
         c = bound_coeffs(params, incoming)
         assert two_photon_residual(params, incoming, points).max_residual < 1e-9
-        k = np.flatnonzero(reads_D(params, points))[-1]
+        k = np.flatnonzero(reads_D(params))[-1]
         D = c.D.copy()
         D[k] *= 1.01
         rep = two_photon_residual(
@@ -222,19 +223,29 @@ class TestSuite:
         assert rep.max_residual == pytest.approx(alone.max_residual, rel=1e-12)
 
     def test_corrupted_D_is_invisible_where_no_relation_reads_it(self):
-        # pins a known blind spot of the oracle: no relation reads D at
-        # U = 0, where it vanishes, or at a point before the cavity in both
-        # coordinates, so a 1% error in D at those draws stays below the
-        # verify gate.  When the oracle learns to read D there, this flips
+        # the oracle is blind to D only at U = 0, where D vanishes, so a 1%
+        # error there changes nothing; at a point before the cavity in both
+        # coordinates (35 draws at this seed) each draw's own 1% error in D
+        # shows above the verify gate
         params, incoming, points = random_model_draws(np.random.default_rng(7), 200)
         c = bound_coeffs(params, incoming)
-        blind = ~reads_D(params, points)
-        assert np.count_nonzero(blind) == 73
+        blind = ~reads_D(params)
+        assert np.count_nonzero(blind) == 38
+        assert np.all(c.D[blind] == 0.0)
         D = np.where(blind, 1.01 * c.D, c.D)
         rep = two_photon_residual(
             params, incoming, points, coeffs_override=dataclasses.replace(c, D=D)
         )
         assert rep.max_residual < 1e-9
+        before = np.flatnonzero(reads_D(params) & (points.max(axis=1) < 0.0))
+        assert before.size == 35
+        for k in before:
+            D = c.D.copy()
+            D[k] *= 1.01
+            rep = two_photon_residual(
+                params, incoming, points, coeffs_override=dataclasses.replace(c, D=D)
+            )
+            assert rep.residuals["ee_jump_x1"] > 1e-6, k
 
     def test_empty_draw_count_rejected(self):
         with pytest.raises(ValueError, match="n_draws"):
